@@ -22,12 +22,11 @@ pub struct RunCost {
     /// Peak number of candidate configurations the predictor evaluated
     /// per slot (deterministic, spec-derived).
     pub peak_candidates: usize,
-    /// Peak bytes of trace-derived data the job held — the full
-    /// materialized trace on the cached path; on the streamed path one
-    /// day's buffer plus the metrics log when the horizon is short
-    /// enough to materialize it. Varies with cache policy and
-    /// warm/cold state, so it belongs in text reports only, never in
-    /// byte-pinned JSON.
+    /// Peak bytes of trace-derived data the job held — the slot series
+    /// its work unit walked (the whole horizon cold, the appended days
+    /// alone on a resume off a bare generator tail). Varies with cache
+    /// policy and warm/cold state, so it belongs in text reports only,
+    /// never in byte-pinned JSON.
     pub peak_trace_bytes: usize,
 }
 

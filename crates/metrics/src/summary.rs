@@ -150,7 +150,7 @@ impl RecordSink for PredictionLog {
 /// record can be judged, so the peak must be supplied up front. For a
 /// fleet scenario that is cheap: `actual_mean` is a property of the
 /// trace (and its climate dimming), identical for every job, so one
-/// generator pre-pass per scenario yields the peak all of its jobs
+/// scan of the scenario's slot means yields the peak all of its jobs
 /// share. Folding records in time order with that peak reproduces
 /// [`EvalProtocol::evaluate`] bit-for-bit (the log path delegates here;
 /// a test pins the equality).

@@ -58,7 +58,7 @@ const TREND_COUNTERS: [&str; 4] = [
     "jobs/evaluated",
     "slots/processed",
     "cache/job_hits",
-    "synth/streamed_passes",
+    "synth/trace_generations",
 ];
 
 fn validate_run_id(run_id: &str) -> Result<(), String> {
@@ -194,7 +194,7 @@ impl RunArchive {
         let _ = writeln!(
             out,
             "{:<24} {:>12} {:>14} {:>14} {:>12} {:>10}",
-            "run", "wall", "jobs", "slots", "cache hits", "streamed"
+            "run", "wall", "jobs", "slots", "cache hits", "cold synth"
         );
         for entry in window {
             let ledger = &entry.report.ledger;
@@ -206,7 +206,7 @@ impl RunArchive {
                 ledger.counter("jobs/evaluated"),
                 ledger.counter("slots/processed"),
                 ledger.counter("cache/job_hits"),
-                ledger.counter("synth/streamed_passes"),
+                ledger.counter("synth/trace_generations"),
             );
         }
         let _ = writeln!(out);

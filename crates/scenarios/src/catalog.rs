@@ -505,7 +505,7 @@ impl Catalog {
     /// hemispheres and the equator), climate, hardware tier, fault
     /// mode, and horizon — including multi-year entries (a two-year
     /// temperate run and a three-year monsoon run with a la-niña-style
-    /// year-over-year anomaly) sized for the engine's streamed path.
+    /// year-over-year anomaly) that exercise long slot series.
     /// Every entry validates; a unit test enforces it stays that way.
     pub fn builtin() -> Self {
         let mut catalog = Catalog::new();

@@ -1,5 +1,5 @@
 //! The fleet engine: expand a [`FleetMatrix`] into work units, run them
-//! in parallel — materialized or streamed — and reduce to a
+//! in parallel over per-scenario slot series, and reduce to a
 //! [`Scorecard`], monolithic or sharded.
 //!
 //! # Determinism
@@ -14,18 +14,38 @@
 //! count, trace-cache policy, shard count, or cache warmth**.
 //! Integration tests pin all four properties.
 //!
-//! # The single-pass invariant
+//! # Slot series and retention
 //!
-//! **One slot pass per scenario per run.** Every fresh job of a
-//! scenario — the whole predictor × manager block — is fed from a
-//! single walk over the scenario's slot sequence, and synthesis runs at
-//! most once per scenario per run (once into the trace cache when the
-//! scenario is admitted, once as a [`solar_synth::SlotStream`]
-//! otherwise; multi-year scenarios above the metrics-log cap add one
-//! ROI pre-pass). Growing the candidate axis therefore adds per-slot
-//! arithmetic, never whole passes — [`FleetResult::synthesis_passes`]
-//! exposes the count, and the `fleet_hotpath`/`tuner_bank` benches pin
-//! the resulting throughput trajectory (`BENCH_PR5.json`).
+//! The paper scores a predictor on two values per slot: the sample at
+//! the slot boundary (what the predictor observes) and the slot's mean
+//! power (the reference it is judged against). A scenario's
+//! `SlotSeries` holds exactly those, as two flat vectors (16 B per
+//! slot), plus the generator state at its end. It is the engine's only
+//! slot source: every fresh job of a scenario — the whole predictor ×
+//! manager block — is fed from **one walk over one series**, and
+//! synthesis runs at most once per scenario per run. Growing the
+//! candidate axis therefore adds per-slot arithmetic, never whole
+//! passes; [`FleetResult::synthesis_passes`] exposes the count.
+//!
+//! A work unit gets its series in one of three ways: from the
+//! [`FleetCache`] as is, from the cache extended in place by the
+//! appended days (a day-append), or by draining one
+//! [`solar_synth::SlotStream`] cold. The series also supplies the
+//! paper's ROI reference peak (the maximum dimmed slot mean, final slot
+//! excluded) before the walk starts, so every prediction record folds
+//! straight into one O(1) [`StreamingEval`] per distinct predictor.
+//!
+//! The [`TraceCachePolicy`] budget decides only **retention**: which
+//! series the cache keeps across runs, greedily in matrix order. A
+//! series the budget does not admit is dropped when its unit finishes;
+//! only its generator tail stays, so a later day-append still
+//! synthesizes just the appended days. While a run is in flight each
+//! unit holds its own series, so transient memory is bounded by
+//! in-flight units × days × N × 16 B — about 0.8 MB for a 3-year,
+//! 48-slot scenario. Retention never shows in the output: a kept and a
+//! freshly synthesized series are bit-identical (the synth crate pins
+//! the stream's resume contract), so outcomes are byte-identical under
+//! every policy.
 //!
 //! The work-unit granularity is the scenario, so parallelism is across
 //! scenarios: at fleet scale (hundreds of regimes) that saturates any
@@ -57,25 +77,11 @@
 //! end to end by the engine equality tests and the golden 200-regime
 //! digest).
 //!
-//! # Materialize or stream
-//!
-//! The [`TraceCachePolicy`] decides, per scenario, whether its trace is
-//! generated once into the shared cache (the pass then walks the cached
-//! `SlotView` — and later runs reuse the trace for free) or
-//! **streamed**: the slot sequence is generated on the fly, holding one
-//! day of samples instead of the full horizon. Both sources produce
-//! identical slot values into the same machines, so outcomes are
-//! bit-identical by construction — multi-year scenarios can run under a
-//! bounded memory budget without perturbing a single byte of output.
-//! The default [`TraceCachePolicy::Adaptive`] sizes the budget from the
-//! machine's available memory (fixed 4 MiB fallback), closing the
-//! roadmap's adaptive-policy item.
-//!
 //! # Incremental re-scoring
 //!
 //! A tuning loop re-runs near-identical matrices dozens of times,
 //! changing only the predictor axis between rounds. [`FleetCache`]
-//! makes that cheap: it memoizes generated traces per scenario and
+//! makes that cheap: it memoizes slot series per scenario and
 //! finished [`JobOutcome`]s per (scenario, predictor, manager) triple,
 //! so [`FleetEngine::run_cached`] evaluates **only the jobs whose axis
 //! value changed**. Because every job is a pure function of its triple
@@ -87,9 +93,9 @@
 //!
 //! The engine reports on itself through an optional
 //! [`fleet_obs::Collector`] ([`FleetEngine::with_collector`]): phase
-//! spans (`fleet/project` → `admission` → `synthesis` → `simulate` →
+//! spans (`fleet/project` → `admission` → `simulate` →
 //! `score`/`merge`) on the timing plane, and deterministic ledger
-//! counters — admission decisions with the resolved budget, synthesis
+//! counters — retention decisions with the resolved budget, synthesis
 //! passes, cache hits, slot counts, bank sizes, fault specs — recorded
 //! at **work-unit granularity** (one batch of counter updates per
 //! scenario unit, computed arithmetically), never inside the per-slot
@@ -103,17 +109,22 @@ use crate::catalog::Scenario;
 use crate::faults::{storage_capacity_factor, FaultInjector, FaultSpec};
 use crate::matrix::{FleetMatrix, JobSpec};
 use crate::scorecard::{Scorecard, ScorecardShard, ShardManifest};
+use crate::series::{
+    series_footprint_bytes, ResolvedTraceBudget, RoiPeak, SlotSeries, TraceCachePolicy,
+};
 use fleet_obs::Collector;
 use harvest_sim::SlotHook;
-use harvest_sim::{NodeReport, NodeSimulation, SimDayCheckpoint};
-use pred_metrics::{ErrorSummary, EvalProtocol, RecordSink, RunCost, StreamingEval};
+use harvest_sim::{NodeConfig, NodeReport, NodeSimulation, SimDayCheckpoint};
+use pred_metrics::{
+    ErrorSummary, EvalProtocol, PredictionRecord, RecordSink, RunCost, StreamingEval,
+};
 use rayon::prelude::*;
 use rayon::ThreadPoolBuilder;
 use solar_predict::Predictor;
-use solar_synth::{SynthCheckpoint, SynthCounters, TraceGenerator};
-use solar_trace::{PowerTrace, SlotView, SlotsPerDay};
+use solar_synth::{SynthCounters, TraceGenerator};
+use solar_trace::SlotsPerDay;
 use std::collections::{HashMap, HashSet};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 /// Outcome of one (scenario, predictor, manager) job.
@@ -133,41 +144,34 @@ pub struct JobOutcome {
     pub report: NodeReport,
     /// What the job cost: wall time (both passes; non-deterministic),
     /// the predictor's peak candidate count (deterministic), and the
-    /// peak trace bytes held (full trace when materialized, one day's
-    /// buffer when streamed).
+    /// bytes of slot series its unit walked.
     pub cost: RunCost,
 }
 
-/// How a run spent its synthesis passes, by kind. The single-pass
-/// invariant bounds the total by one per fresh scenario plus
-/// pre-passes — never by the job count. Recorded in the run ledger as
-/// the `synth/*` counters.
+/// How a run spent its synthesis passes, by kind. The single-walk
+/// design bounds the total by one per fresh scenario (two after an ROI
+/// peak fallback off a bare generator tail) — never by the job count.
+/// Recorded in the run ledger as `synth/trace_generations` and
+/// `delta/trace_extensions`.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct PassBreakdown {
-    /// Traces generated into the cache from day zero (one per fresh
-    /// admitted scenario without a resumable generator tail).
+    /// Slot series synthesized cold, from day zero.
     pub trace_generations: usize,
-    /// Cached traces *extended* in place from their stored generator
-    /// tail — a day-append pays only for the appended days.
+    /// Syntheses continued from a stored generator tail — a day-append
+    /// pays only for the appended days, whether the series was kept
+    /// (and grows in place) or only its tail was.
     pub trace_extensions: usize,
-    /// Streamed slot passes (one per fresh non-admitted scenario).
-    pub streamed_passes: usize,
-    /// ROI pre-passes spent by streamed units above the metrics-log
-    /// cap (the paper's filter needs the reference peak up front).
-    pub roi_prepasses: usize,
 }
 
 impl PassBreakdown {
     /// Total synthesis passes of any kind.
     pub fn total(&self) -> usize {
-        self.trace_generations + self.trace_extensions + self.streamed_passes + self.roi_prepasses
+        self.trace_generations + self.trace_extensions
     }
 
     fn add(&mut self, other: PassBreakdown) {
         self.trace_generations += other.trace_generations;
         self.trace_extensions += other.trace_extensions;
-        self.streamed_passes += other.streamed_passes;
-        self.roi_prepasses += other.roi_prepasses;
     }
 }
 
@@ -194,8 +198,8 @@ pub struct FleetResult {
     pub scorecard: Scorecard,
     /// Jobs answered from the cache (0 for a fresh run).
     pub cached_jobs: usize,
-    /// Jobs evaluated through the streamed path (no full-horizon trace
-    /// allocation) this run.
+    /// Jobs evaluated this run whose scenario's slot series the
+    /// retention budget did not admit (held only while its unit ran).
     pub streamed_jobs: usize,
     /// Synthesis passes this run spent, broken down by kind.
     pub passes: PassBreakdown,
@@ -225,7 +229,7 @@ pub struct ShardedFleetResult {
     pub outcomes: Vec<JobOutcome>,
     /// Jobs answered from the cache.
     pub cached_jobs: usize,
-    /// Jobs evaluated through the streamed path.
+    /// Jobs evaluated this run whose series was not retained.
     pub streamed_jobs: usize,
     /// Synthesis passes this run spent, broken down by kind.
     pub passes: PassBreakdown,
@@ -241,219 +245,129 @@ impl ShardedFleetResult {
     }
 }
 
-/// How much memory the engine may spend on materialized traces.
-///
-/// Scenarios are admitted greedily in matrix order — a deterministic
-/// admission order depending only on the matrix and the resolved
-/// budget; a scenario whose trace would push the running total past the
-/// budget runs **streamed** instead
-/// ([`SlotStream`](solar_synth::SlotStream)-driven, one day buffered).
-/// Outputs stay byte-identical across policies, thread counts and cache
-/// warmth, because both sources drive the same per-slot machines.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-#[non_exhaustive]
-pub enum TraceCachePolicy {
-    /// Materialize every trace (the classic engine behaviour).
-    Unbounded,
-    /// Materialize traces until this many bytes of trace data are held;
-    /// stream the rest.
-    Bounded(u64),
-    /// Size the trace budget from a memory ceiling: `1/8` of the
-    /// configured ceiling when given, else `1/8` of the machine's
-    /// available memory detected at run start, else the fixed
-    /// [`ADAPTIVE_FALLBACK_BUDGET_BYTES`] (4 MiB) default. The engine
-    /// default: small fleets materialize, fleets that would not fit
-    /// stream — with byte-identical output either way (only the
-    /// materialize/stream split moves with the machine).
-    Adaptive {
-        /// Optional configured memory ceiling in bytes; `None` detects
-        /// available memory at run start.
-        ceiling_bytes: Option<u64>,
-    },
+/// A distinct predictor's prediction source within a work unit: a
+/// candidate of the unit's shared float-WCMA bank, or an owned
+/// instance.
+enum Kernel {
+    Banked(usize),
+    Solo(usize),
 }
 
-/// The adaptive policy's trace budget when no ceiling is configured and
-/// the machine's available memory cannot be detected.
-pub const ADAPTIVE_FALLBACK_BUDGET_BYTES: u64 = 4 << 20;
-
-/// Where a run's trace budget came from — the previously invisible
-/// half of the adaptive policy's decision, now recorded in the run
-/// ledger (`admission/trace_budget_source`) and printed in scorecard
-/// text output.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub enum TraceBudgetSource {
-    /// [`TraceCachePolicy::Unbounded`]: no budget at all.
-    Unbounded,
-    /// [`TraceCachePolicy::Bounded`]: the configured byte count.
-    Configured,
-    /// Adaptive with an explicit ceiling: `ceiling / 8`.
-    AdaptiveCeiling,
-    /// Adaptive from `/proc/meminfo` `MemAvailable`: `available / 8`.
-    AdaptiveDetectedMemory,
-    /// Adaptive with nothing to consult: the fixed 4 MiB fallback.
-    AdaptiveFallback,
+/// Every state machine a work unit advances slot by slot: the shared
+/// fault realization, one kernel and one protocol accumulator per
+/// distinct predictor, and one simulation machine per job.
+struct UnitMachines<'a> {
+    protocol: EvalProtocol,
+    roi_peak: f64,
+    node_config: &'a NodeConfig,
+    slot_seconds: f64,
+    injector: FaultInjector,
+    kernels: Vec<Kernel>,
+    bank: Option<solar_predict::CandidateBank>,
+    solo: Vec<Box<dyn Predictor>>,
+    evals: Vec<StreamingEval>,
+    /// Each kernel's latest prediction: what its jobs plan with, and
+    /// the predicted half of the record that slot opened.
+    predictions: Vec<f64>,
+    /// The `(day, slot, reference mean)` of the record the previous
+    /// slot opened — shared by every kernel — or `None` if the protocol
+    /// discarded that slot.
+    open: Option<(u32, u32, f64)>,
+    sims: Vec<NodeSimulation<'a>>,
+    /// Each job's kernel, in unit job order.
+    job_kernel: Vec<usize>,
 }
 
-impl std::fmt::Display for TraceBudgetSource {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            TraceBudgetSource::Unbounded => "unbounded",
-            TraceBudgetSource::Configured => "configured",
-            TraceBudgetSource::AdaptiveCeiling => "adaptive-ceiling",
-            TraceBudgetSource::AdaptiveDetectedMemory => "adaptive-detected-memory",
-            TraceBudgetSource::AdaptiveFallback => "adaptive-fallback",
-        })
-    }
-}
-
-/// A trace budget as one run enforces it: the byte count (`None` =
-/// unbounded) plus where it came from. Resolved **once** per run.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub struct ResolvedTraceBudget {
-    /// Enforced budget in bytes; `None` means unbounded.
-    pub bytes: Option<u64>,
-    /// How the bytes were chosen.
-    pub source: TraceBudgetSource,
-}
-
-impl std::fmt::Display for ResolvedTraceBudget {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self.bytes {
-            None => write!(f, "unbounded ({})", self.source),
-            Some(bytes) => write!(f, "{bytes} bytes ({})", self.source),
-        }
-    }
-}
-
-/// Fraction of the memory ceiling the adaptive policy spends on
-/// materialized traces (the denominator: budget = ceiling / 8).
-const ADAPTIVE_CEILING_DIVISOR: u64 = 8;
-
-impl TraceCachePolicy {
-    /// Materialize every trace.
-    pub fn unbounded() -> Self {
-        TraceCachePolicy::Unbounded
-    }
-
-    /// Materialize traces until `bytes` of trace data are held; stream
-    /// the rest.
-    pub fn bounded(bytes: u64) -> Self {
-        TraceCachePolicy::Bounded(bytes)
-    }
-
-    /// Stream every scenario (a zero-byte budget).
-    pub fn streaming_only() -> Self {
-        Self::bounded(0)
-    }
-
-    /// Size the budget from the machine's available memory (default).
-    pub fn adaptive() -> Self {
-        TraceCachePolicy::Adaptive {
-            ceiling_bytes: None,
-        }
-    }
-
-    /// Size the budget from an explicit memory ceiling — deterministic
-    /// across machines, unlike detection.
-    pub fn adaptive_with_ceiling(ceiling_bytes: u64) -> Self {
-        TraceCachePolicy::Adaptive {
-            ceiling_bytes: Some(ceiling_bytes),
-        }
-    }
-
-    /// The budget a run under this policy enforces, with its source.
-    /// For [`TraceCachePolicy::Adaptive`] without a configured ceiling
-    /// this consults the machine's available memory, so it may differ
-    /// between calls; the engine resolves it **once** per run, keeping
-    /// the admission split fixed within a run.
-    pub fn resolve(&self) -> ResolvedTraceBudget {
-        match *self {
-            TraceCachePolicy::Unbounded => ResolvedTraceBudget {
-                bytes: None,
-                source: TraceBudgetSource::Unbounded,
-            },
-            TraceCachePolicy::Bounded(bytes) => ResolvedTraceBudget {
-                bytes: Some(bytes),
-                source: TraceBudgetSource::Configured,
-            },
-            TraceCachePolicy::Adaptive { ceiling_bytes } => {
-                let (ceiling, source) = match ceiling_bytes {
-                    Some(ceiling) => (Some(ceiling), TraceBudgetSource::AdaptiveCeiling),
-                    None => match detected_available_memory_bytes() {
-                        Some(available) => {
-                            (Some(available), TraceBudgetSource::AdaptiveDetectedMemory)
-                        }
-                        None => (None, TraceBudgetSource::AdaptiveFallback),
-                    },
-                };
-                ResolvedTraceBudget {
-                    bytes: Some(
-                        ceiling
-                            .map(|c| c / ADAPTIVE_CEILING_DIVISOR)
-                            .unwrap_or(ADAPTIVE_FALLBACK_BUDGET_BYTES),
-                    ),
-                    source,
+impl UnitMachines<'_> {
+    /// Walks one day. The corruption realization happens once per slot
+    /// and serves both halves: the metrics half records predictions
+    /// against ground-truth references scaled by the day's
+    /// climate-dimming factor — dimming is physical sky state, so
+    /// accuracy is judged against the sky that actually existed (a
+    /// predictor perfectly tracking a la-niña year must not register
+    /// phantom MAPE against the counterfactual clean year); sensor
+    /// faults and panel soiling leave the references untouched. The
+    /// simulation half absorbs the corrupted physical harvest and plans
+    /// each job's duty from its predictor's shared prediction.
+    ///
+    /// A record opened at slot t completes at slot t+1 with that slot's
+    /// reference start. The protocol's record filter depends only on
+    /// (day, reference mean, peak), all shared, so it is decided once
+    /// per slot for every kernel, and discarded slots open no record.
+    ///
+    /// Kept out of line: inlined into the unit's setup code, the slot
+    /// loop took about 1.45× as long on the tuner's wide candidate
+    /// banks.
+    #[inline(never)]
+    fn walk_day(&mut self, day: usize, starts: &[f64], means: &[f64]) {
+        let sky = self.injector.sky_factor(day);
+        for (slot, (&start_sample, &mean_power)) in starts.iter().zip(means).enumerate() {
+            let mut harvest_j = self.node_config.panel.power_w(mean_power) * self.slot_seconds;
+            let mut observed = start_sample;
+            self.injector
+                .on_slot(day, slot, &mut harvest_j, &mut observed);
+            let ref_start = start_sample * sky;
+            let ref_mean = mean_power * sky;
+            let bank_predictions = self
+                .bank
+                .as_mut()
+                .map(|bank| bank.observe_and_predict(observed));
+            for ((kernel, eval), prediction) in self
+                .kernels
+                .iter()
+                .zip(&mut self.evals)
+                .zip(&mut self.predictions)
+            {
+                if let Some((day, slot, actual_mean)) = self.open {
+                    eval.push_record(PredictionRecord {
+                        day,
+                        slot,
+                        predicted: *prediction,
+                        actual_start: ref_start,
+                        actual_mean,
+                    });
                 }
+                *prediction = match *kernel {
+                    Kernel::Banked(candidate) => {
+                        bank_predictions.as_ref().expect("bank built")[candidate]
+                    }
+                    Kernel::Solo(idx) => self.solo[idx].observe_and_predict(observed),
+                };
+            }
+            self.open = self
+                .protocol
+                .includes(day as u32, ref_mean, self.roi_peak)
+                .then_some((day as u32, slot as u32, ref_mean));
+            for (sim, &kernel) in self.sims.iter_mut().zip(&self.job_kernel) {
+                sim.absorb_corrupted(harvest_j);
+                sim.plan_with(self.predictions[kernel]);
             }
         }
     }
+}
 
-    /// The resolved budget's byte count alone (see
-    /// [`TraceCachePolicy::resolve`]).
-    pub fn budget_bytes(&self) -> Option<u64> {
-        self.resolve().bytes
-    }
+/// Whether `scenario` carries a trace-gap fault, whose placement is
+/// realized over the total horizon — such a unit never checkpoints or
+/// resumes.
+fn has_trace_gap(scenario: &Scenario) -> bool {
+    scenario
+        .faults
+        .iter()
+        .any(|f| matches!(f, FaultSpec::TraceGap { .. }))
+}
 
-    fn admits(resolved_budget: Option<u64>, running_total: u64, trace_bytes: u64) -> bool {
-        match resolved_budget {
-            None => true,
-            Some(budget) => running_total.saturating_add(trace_bytes) <= budget,
+/// Whether `scenario` (rendering to `key`) is the scenario rendered as
+/// `stored_json` with only its horizon grown from `stored_days`.
+fn extends(scenario: &Scenario, key: &str, stored_json: &str, stored_days: usize) -> bool {
+    match stored_days.cmp(&scenario.days) {
+        std::cmp::Ordering::Equal => key == stored_json,
+        std::cmp::Ordering::Less => {
+            let mut at_stored = scenario.clone();
+            at_stored.days = stored_days;
+            at_stored.to_json().render() == stored_json
         }
+        std::cmp::Ordering::Greater => false,
     }
-}
-
-impl Default for TraceCachePolicy {
-    fn default() -> Self {
-        Self::adaptive()
-    }
-}
-
-/// `MemAvailable` from `/proc/meminfo`, in bytes (`None` off Linux or
-/// when unreadable).
-fn detected_available_memory_bytes() -> Option<u64> {
-    if !cfg!(target_os = "linux") {
-        return None;
-    }
-    let meminfo = std::fs::read_to_string("/proc/meminfo").ok()?;
-    let line = meminfo
-        .lines()
-        .find(|line| line.starts_with("MemAvailable:"))?;
-    let kib: u64 = line.split_whitespace().nth(1)?.parse().ok()?;
-    Some(kib * 1024)
-}
-
-/// One materialized trace's memory footprint: the struct itself, its
-/// label bytes, and its samples. **Both** the cache's accounting
-/// ([`FleetCache::trace_bytes`]) and the admission estimate
-/// ([`FleetEngine`]'s per-scenario projection) go through this helper,
-/// so the bytes an adaptive [`TraceCachePolicy`] budgets against are
-/// the bytes the cache will actually report once the trace exists.
-fn trace_footprint_bytes(label_len: usize, sample_count: usize) -> usize {
-    std::mem::size_of::<PowerTrace>() + label_len + sample_count * std::mem::size_of::<f64>()
-}
-
-/// The generator state at the end of a materialized trace, stored per
-/// scenario *name*: a day-append re-keys the trace under the grown
-/// scenario's JSON by generating only the appended days from here.
-#[derive(Clone, Debug)]
-struct TraceTail {
-    /// The scenario's full JSON form at the stored horizon (also the
-    /// key its trace sits under in [`FleetCache::traces`]).
-    scenario_json: String,
-    /// The stored horizon in days.
-    days: usize,
-    /// Generator state positioned at `days`.
-    tail: SynthCheckpoint,
 }
 
 /// End-of-horizon machine state of one scenario's full job cross — the
@@ -474,50 +388,26 @@ struct UnitCheckpoint {
     predictor_labels: Vec<String>,
     /// Manager axis labels at capture (matrix order).
     manager_labels: Vec<String>,
-    /// Whether the stored sinks are streaming accumulators (`true`) or
-    /// materialized prediction logs (`false`). A resumed pass streams
-    /// either way: logs re-fold against the extended peak at restore
-    /// (bit-identical by the sink contract), so only accumulator
-    /// checkpoints are invalidated when appended days raise the peak.
-    streaming_eval: bool,
-    /// The ROI reference peak the record filter judged against — the
-    /// prepass peak for streaming passes, the log's own for log passes.
-    roi_peak: f64,
-    /// The final slot's dimmed reference mean, not yet folded into the
-    /// peak (mirrors `PredictionLog::peak_actual_mean` excluding the
-    /// final slot).
-    roi_pending_mean: Option<f64>,
-    /// Whether the final captured slot opened a prediction record.
-    prior_included: bool,
+    /// The ROI reference peak the record filter judged against, and
+    /// the final slot's still-pending mean.
+    roi: RoiPeak,
+    /// The record the final captured slot opened, if any.
+    open: Option<(u32, u32, f64)>,
     /// The fault injector after the captured pass — its sequential
     /// dropout RNG continues exactly where a cold run over the longer
     /// horizon would be at this day boundary.
     injector: FaultInjector,
-    /// Generator state for streamed units (`None` when materialized —
-    /// the trace itself extends through [`TraceTail`]).
-    synth: Option<SynthCheckpoint>,
     /// The shared float-WCMA candidate bank, if the axis has any.
     bank: Option<solar_predict::CandidateBank>,
     /// Solo predictor snapshots, in kernel order.
     solo: Vec<Box<dyn Predictor + Send + Sync>>,
-    /// Per-kernel record sinks, in kernel order.
-    feeds: Vec<FeedCheckpoint>,
+    /// Per-kernel metrics accumulators, in kernel order.
+    evals: Vec<StreamingEval>,
+    /// Per-kernel prediction at the final captured slot: the predicted
+    /// half of the record that slot opened, if it opened one.
+    predictions: Vec<f64>,
     /// Per-job simulation state, in unit job order.
     sims: Vec<SimDayCheckpoint>,
-}
-
-/// One feed's captured state inside a [`UnitCheckpoint`].
-struct FeedCheckpoint {
-    /// The record sink as the captured pass fed it.
-    sink: MetricsSink,
-    /// For log sinks: the log already folded through the protocol at
-    /// [`UnitCheckpoint::roi_peak`] — the capture computes this fold
-    /// for the summary anyway, and storing it lets a resume whose
-    /// extended peak matches skip re-walking the prefix records
-    /// entirely (the common case; peaks are set by the climatology).
-    folded: Option<StreamingEval>,
-    /// The feed's still-open record straddling the day boundary.
-    pending: Option<(u32, u32, f64, f64)>,
 }
 
 impl std::fmt::Debug for UnitCheckpoint {
@@ -526,7 +416,6 @@ impl std::fmt::Debug for UnitCheckpoint {
             .field("days", &self.days)
             .field("predictors", &self.predictor_labels.len())
             .field("managers", &self.manager_labels.len())
-            .field("streaming_eval", &self.streaming_eval)
             .finish_non_exhaustive()
     }
 }
@@ -538,15 +427,15 @@ impl std::fmt::Debug for UnitCheckpoint {
 pub struct PruneStats {
     /// Job outcomes evicted.
     pub evicted_outcomes: usize,
-    /// Materialized traces evicted.
+    /// Retained slot series evicted.
     pub evicted_traces: usize,
-    /// Bytes of trace footprint released.
+    /// Bytes of series footprint released.
     pub evicted_trace_bytes: usize,
     /// Aggregate cost of the evicted job outcomes.
     pub evicted_cost: pred_metrics::CostAggregate,
 }
 
-/// Memo of traces, job outcomes, and day-boundary resume state across
+/// Memo of slot series, job outcomes, and day-boundary resume state across
 /// runs of one engine — the incremental re-scoring state. Create with
 /// [`FleetEngine::new_cache`]; feed to [`FleetEngine::run_cached`]. The
 /// cache is bound to the engine's master seed and protocol and refuses
@@ -556,15 +445,14 @@ pub struct PruneStats {
 pub struct FleetCache {
     master_seed: u64,
     protocol: Option<EvalProtocol>,
-    /// Traces keyed by the scenario's full JSON form (not just its
-    /// name, so a mutated same-name scenario can never alias).
-    traces: HashMap<String, PowerTrace>,
+    /// Slot series per scenario name, with the scenario's full JSON form
+    /// at the series' horizon (so a mutated same-name scenario can never
+    /// alias): retained series whole, the rest as bare generator tails
+    /// from which a day-append synthesizes only the appended days.
+    series: HashMap<String, (String, SlotSeries)>,
     /// Outcomes keyed by (scenario JSON, predictor label, manager
     /// label); labels are injective over specs by contract.
     outcomes: HashMap<(String, String, String), JobOutcome>,
-    /// Generator tails per scenario name: day-appends extend the
-    /// materialized trace in O(appended days).
-    trace_tails: HashMap<String, TraceTail>,
     /// Work-unit resume state per scenario name: day-appends continue
     /// every machine from the stored day boundary.
     checkpoints: HashMap<String, Arc<UnitCheckpoint>>,
@@ -581,19 +469,30 @@ impl FleetCache {
         self.outcomes.is_empty()
     }
 
-    /// Number of memoized scenario traces.
+    /// Number of retained scenario slot series.
     pub fn trace_count(&self) -> usize {
-        self.traces.len()
+        self.retained().count()
     }
 
-    /// Bytes the cached traces occupy, per the same footprint
-    /// accounting the admission policy budgets with (struct, label,
-    /// and sample storage — not samples alone).
+    /// Bytes the retained slot series occupy, per the same footprint
+    /// accounting the retention policy budgets with (struct and slot
+    /// storage).
     pub fn trace_bytes(&self) -> usize {
-        self.traces
+        self.retained().map(SlotSeries::footprint_bytes).sum()
+    }
+
+    fn retained(&self) -> impl Iterator<Item = &SlotSeries> {
+        self.series
             .values()
-            .map(|t| trace_footprint_bytes(t.label().len(), t.samples().len()))
-            .sum()
+            .map(|(_, series)| series)
+            .filter(|series| series.is_full())
+    }
+
+    /// The stored series of `scenario` (rendering to `key`) if it
+    /// belongs to this scenario at its horizon or a shorter one.
+    fn series_of(&self, scenario: &Scenario, key: &str) -> Option<&SlotSeries> {
+        let (json, series) = self.series.get(&scenario.name)?;
+        extends(scenario, key, json, series.days()).then_some(series)
     }
 
     /// Aggregate cost of every distinct job outcome the cache
@@ -606,13 +505,13 @@ impl FleetCache {
         pred_metrics::CostAggregate::of(self.outcomes.values().map(|o| o.cost))
     }
 
-    /// Evicts every trace, outcome, generator tail, and resume
-    /// checkpoint belonging to scenarios **not** in `matrix` (after
+    /// Evicts every slot series, outcome, and resume checkpoint
+    /// belonging to scenarios **not** in `matrix` (after
     /// fleet-fault projection under the cache's bound seed, so the
     /// keys compared are the ones runs actually store). Call this from
     /// loops whose scenario set shrinks or rolls forward — the cache
     /// never evicts on its own, so a tuner sweeping hundreds of
-    /// regimes would otherwise hold every retired trace to the end.
+    /// regimes would otherwise hold every retired series to the end.
     ///
     /// Returns what was dropped; fold [`PruneStats::evicted_cost`]
     /// into your own aggregate if you report lifetime totals.
@@ -640,78 +539,47 @@ impl FleetCache {
                 .map(|(_, o)| o.cost),
         );
         let before_outcomes = self.outcomes.len();
-        let before_traces = self.traces.len();
+        let before_traces = self.trace_count();
         let before_bytes = self.trace_bytes();
         self.outcomes
             .retain(|(scenario_json, _, _), _| keep_jsons.contains(scenario_json));
-        self.traces.retain(|key, _| keep_jsons.contains(key));
-        self.trace_tails
+        self.series
             .retain(|name, _| keep_names.contains(name.as_str()));
         self.checkpoints
             .retain(|name, _| keep_names.contains(name.as_str()));
         Ok(PruneStats {
             evicted_outcomes: before_outcomes - self.outcomes.len(),
-            evicted_traces: before_traces - self.traces.len(),
+            evicted_traces: before_traces - self.trace_count(),
             evicted_trace_bytes: before_bytes - self.trace_bytes(),
             evicted_cost,
         })
     }
 }
 
-/// Per-job metrics-log cap on the streamed path: scenarios whose
-/// prediction log would exceed this fold records into O(1) streaming
-/// accumulators (at the cost of one ROI pre-pass per scenario) instead
-/// of materializing the log. 1 MiB keeps every sub-year scenario on the
-/// cheap single-pass path while multi-year horizons stay bounded.
-const STREAMED_LOG_CAP_BYTES: usize = 1 << 20;
-
-/// The streamed metrics pass's record sink: a materialized log under
-/// [`STREAMED_LOG_CAP_BYTES`], streaming protocol accumulators above
-/// it. Both evaluate through the same accumulator code, so the variants
-/// are bit-identical in output. Cloneable so a day-boundary
-/// checkpoint can carry the sink's accumulated state.
-#[derive(Clone)]
-enum MetricsSink {
-    Log(pred_metrics::PredictionLog),
-    Streaming(StreamingEval),
-}
-
-impl RecordSink for MetricsSink {
-    fn push_record(&mut self, record: pred_metrics::PredictionRecord) {
-        match self {
-            MetricsSink::Log(log) => log.push(record),
-            MetricsSink::Streaming(eval) => eval.push_record(record),
-        }
-    }
-}
-
 /// One schedulable unit of a fleet run: **all** of one scenario's fresh
-/// jobs, evaluated over a single slot pass — from the cached trace when
-/// the scenario is admitted, from a generator stream otherwise.
+/// jobs, evaluated over a single walk of the scenario's slot series.
 struct WorkUnit {
     scenario_idx: usize,
     /// Fresh job indices, in matrix job order.
     job_indices: Vec<usize>,
-    /// A validated day-append resume point: the pass walks only the
+    /// A validated day-append resume point: the walk covers only the
     /// appended days, continuing every machine from this state.
     resume: Option<Arc<UnitCheckpoint>>,
-    /// Generator state standing in for [`UnitCheckpoint::synth`] when
-    /// the checkpointed pass was materialized (no stream of its own)
-    /// but the admission policy now streams the scenario — the stored
-    /// [`TraceTail`] is the same day boundary, so the appended slots
-    /// still have a source.
-    resume_synth: Option<SynthCheckpoint>,
+    /// The series taken out of the cache for this unit — whole, or a
+    /// bare tail when the unit resumes — or `None` to synthesize cold.
+    /// Behind a mutex only so the parallel map can move it out.
+    series: Mutex<Option<SlotSeries>>,
 }
 
 /// What evaluating one work unit yields: `(job index, outcome)` pairs,
-/// the synthesis passes the unit spent (units only ever spend streamed
-/// passes and ROI pre-passes; trace generations happen in phase 1),
-/// and — when the pass was checkpoint-eligible — the end-of-horizon
-/// machine state for the next day-append.
+/// the synthesis passes the unit spent, the end-of-horizon machine
+/// state for the next day-append when the pass was checkpoint-eligible,
+/// and the series it walked (for the cache to keep whole or as a tail).
 type UnitOutcomes = (
     Vec<(usize, JobOutcome)>,
     PassBreakdown,
     Option<UnitCheckpoint>,
+    SlotSeries,
 );
 
 /// The parallel fleet evaluator.
@@ -730,9 +598,8 @@ pub struct FleetEngine {
 impl FleetEngine {
     /// An engine deriving all randomness from `master_seed`, evaluating
     /// under the paper's protocol, using all available cores and the
-    /// adaptive trace-cache policy (small fleets materialize, fleets
-    /// that would not fit in memory stream — byte-identical either
-    /// way).
+    /// adaptive trace-cache policy (series are kept across runs while
+    /// they fit the budget — byte-identical either way).
     pub fn new(master_seed: u64) -> Self {
         FleetEngine {
             master_seed,
@@ -781,8 +648,8 @@ impl FleetEngine {
         self
     }
 
-    /// Replaces the trace-cache policy (bounded budgets stream the
-    /// overflow; outputs stay byte-identical either way).
+    /// Replaces the trace-cache policy (bounded budgets keep fewer
+    /// series across runs; outputs stay byte-identical either way).
     pub fn with_trace_cache(mut self, policy: TraceCachePolicy) -> Self {
         self.cache_policy = policy;
         self
@@ -826,9 +693,8 @@ impl FleetEngine {
         FleetCache {
             master_seed: self.master_seed,
             protocol: Some(self.protocol),
-            traces: HashMap::new(),
+            series: HashMap::new(),
             outcomes: HashMap::new(),
-            trace_tails: HashMap::new(),
             checkpoints: HashMap::new(),
         }
     }
@@ -847,9 +713,9 @@ impl FleetEngine {
         self.run_cached(matrix, &mut cache)
     }
 
-    /// Runs the matrix, reusing every trace and job outcome already in
-    /// `cache` and evaluating only what changed since the cache was
-    /// filled. New traces and outcomes are added to the cache.
+    /// Runs the matrix, reusing every slot series and job outcome
+    /// already in `cache` and evaluating only what changed since the
+    /// cache was filled. New series and outcomes are added to the cache.
     ///
     /// The scorecard is **byte-identical** to what [`FleetEngine::run`]
     /// would produce for the same matrix: jobs are pure functions of
@@ -982,7 +848,8 @@ impl FleetEngine {
     /// degrades to colder work, never to a wrong scorecard:
     ///
     /// * [`FleetDelta::DayAppend`] — appended days resume from the unit
-    ///   checkpoints and extended traces (O(delta) work),
+    ///   checkpoints and series extended from their tails (O(delta)
+    ///   work),
     /// * [`FleetDelta::ScenarioEdit`] — only the touched scenarios
     ///   re-evaluate; everything else replays from the outcome cache,
     /// * [`FleetDelta::PredictorRetire`] — no simulation at all: the
@@ -1042,8 +909,7 @@ impl FleetEngine {
     fn check_cache(&self, cache: &mut FleetCache) -> Result<(), String> {
         let unbound = cache.protocol.is_none()
             && cache.outcomes.is_empty()
-            && cache.traces.is_empty()
-            && cache.trace_tails.is_empty()
+            && cache.series.is_empty()
             && cache.checkpoints.is_empty();
         if !unbound
             && (cache.master_seed != self.master_seed || cache.protocol != Some(self.protocol))
@@ -1075,9 +941,9 @@ impl FleetEngine {
         project_fleet_faults_seeded(matrix, self.master_seed)
     }
 
-    /// The full evaluation pass: fleet-fault projection, cache-policy
-    /// admission, parallel materialized/streamed work units, cache
-    /// fill, and assembly in job order.
+    /// The full evaluation pass: fleet-fault projection, retention
+    /// admission, parallel work units, cache fill, and assembly in job
+    /// order.
     fn evaluate_matrix(
         &self,
         matrix: &FleetMatrix,
@@ -1108,50 +974,27 @@ impl FleetEngine {
         let predictor_labels: Vec<String> = matrix.predictors.iter().map(|p| p.label()).collect();
         let manager_labels: Vec<String> = matrix.managers.iter().map(|m| m.label()).collect();
 
-        // Day-append resume candidates: a scenario may continue from
-        // its stored checkpoint iff it is byte-identical to the
-        // checkpointed scenario except for a strictly larger `days`,
-        // the predictor/manager axes match, and no trace-gap fault
-        // would re-realize its placement under the longer horizon.
-        let resume_candidates: Vec<Option<Arc<UnitCheckpoint>>> = matrix
-            .scenarios
-            .iter()
-            .map(|scenario| {
-                let ck = cache.checkpoints.get(&scenario.name)?;
-                if scenario.days <= ck.days
-                    || scenario
-                        .faults
-                        .iter()
-                        .any(|f| matches!(f, FaultSpec::TraceGap { .. }))
-                    || ck.predictor_labels != predictor_labels
-                    || ck.manager_labels != manager_labels
-                {
-                    return None;
-                }
-                let mut at_checkpoint = scenario.clone();
-                at_checkpoint.days = ck.days;
-                (at_checkpoint.to_json().render() == ck.scenario_json).then(|| Arc::clone(ck))
-            })
-            .collect();
-
-        // Cache-policy admission, greedily in scenario order — a pure
+        // Retention admission, greedily in scenario order — a pure
         // function of the matrix and the budget resolved once here, so
-        // the materialize/stream split never depends on thread timing
-        // (an adaptive policy consults memory exactly once per run).
-        // Warm traces stay admitted (they are already paid for) and
-        // count toward the budget.
+        // the kept/dropped split never depends on thread timing (an
+        // adaptive policy consults memory exactly once per run). Warm
+        // series — kept whole, at this horizon or a shorter one — stay
+        // retained (they are already paid for) and count toward the
+        // budget.
         let admission_span = self.collector.span("fleet/admission");
         let resolved = self.cache_policy.resolve();
-        let resolved_budget = resolved.bytes;
-        let mut admitted = vec![false; matrix.scenarios.len()];
-        let mut warm_traces = 0u64;
+        let mut retained = vec![false; matrix.scenarios.len()];
+        let mut warm_series = 0u64;
         let mut running_total = 0u64;
         for (idx, scenario) in matrix.scenarios.iter().enumerate() {
-            let bytes = Self::trace_bytes(scenario)?;
-            let warm = cache.traces.contains_key(&scenario_keys[idx]);
-            warm_traces += warm as u64;
-            if warm || TraceCachePolicy::admits(resolved_budget, running_total, bytes) {
-                admitted[idx] = true;
+            let bytes =
+                series_footprint_bytes(scenario.days * scenario.slots_per_day as usize) as u64;
+            let warm = cache
+                .series_of(scenario, &scenario_keys[idx])
+                .is_some_and(SlotSeries::is_full);
+            warm_series += warm as u64;
+            if warm || TraceCachePolicy::admits(resolved.bytes, running_total, bytes) {
+                retained[idx] = true;
                 running_total = running_total.saturating_add(bytes);
             }
         }
@@ -1163,131 +1006,21 @@ impl FleetEngine {
             if let Some(bytes) = resolved.bytes {
                 self.collector.gauge("admission/trace_budget_bytes", bytes);
             }
-            let materialized = admitted.iter().filter(|&&a| a).count() as u64;
+            let kept = retained.iter().filter(|&&kept| kept).count() as u64;
             self.collector
-                .count("admission/materialized_scenarios", materialized);
+                .count("admission/materialized_scenarios", kept);
             self.collector.count(
                 "admission/streamed_scenarios",
-                matrix.scenarios.len() as u64 - materialized,
+                matrix.scenarios.len() as u64 - kept,
             );
             self.collector
                 .count("admission/admitted_trace_bytes", running_total);
-            self.collector.count("cache/trace_hits", warm_traces);
+            self.collector.count("cache/trace_hits", warm_series);
         }
         drop(admission_span);
 
-        // Phase 1: traces for admitted scenarios the cache has not
-        // seen. A missing trace whose scenario only grew in days is
-        // *extended* from its stored generator tail — O(appended
-        // days), bit-identical to a cold generation by the synth
-        // crate's resume contract — and re-keyed under the grown
-        // scenario's JSON; everything else generates cold from day
-        // zero, in parallel, shared read-only by every job of that
-        // scenario.
-        let synthesis_span = self.collector.span("fleet/synthesis");
-        let missing: Vec<usize> = (0..matrix.scenarios.len())
-            .filter(|&idx| admitted[idx] && !cache.traces.contains_key(&scenario_keys[idx]))
-            .collect();
-        let mut cold: Vec<usize> = Vec::new();
-        let mut extensions: Vec<(usize, TraceTail)> = Vec::new();
-        let mut synthesis_cost = SynthCounters::default();
-        for &idx in &missing {
-            let scenario = &matrix.scenarios[idx];
-            let extendable = cache.trace_tails.get(&scenario.name).and_then(|tail| {
-                if scenario.days <= tail.days || !cache.traces.contains_key(&tail.scenario_json) {
-                    return None;
-                }
-                let mut at_tail = scenario.clone();
-                at_tail.days = tail.days;
-                (at_tail.to_json().render() == tail.scenario_json).then(|| tail.clone())
-            });
-            match extendable {
-                Some(old) => extensions.push((idx, old)),
-                None => cold.push(idx),
-            }
-        }
-        // Tail synthesis is independent per scenario — run it with the
-        // same parallelism as cold generation; only the cache updates
-        // stay sequential.
-        type AppendedTail = (Vec<f64>, SynthCounters, SynthCheckpoint);
-        let appended_tails: Vec<Result<AppendedTail, String>> = extensions
-            .par_iter()
-            .map(|(idx, old)| {
-                let scenario = &matrix.scenarios[*idx];
-                TraceGenerator::new(scenario.site_config()?, self.scenario_seed(scenario))
-                    .resume_days_counted(old.tail.clone(), scenario.days)
-                    .map_err(|e| e.to_string())
-            })
-            .collect();
-        let extended = extensions.len();
-        for ((idx, old), appended) in extensions.into_iter().zip(appended_tails) {
-            let (appended, counters, new_tail) = appended?;
-            synthesis_cost.add(counters);
-            let scenario = &matrix.scenarios[idx];
-            // The prefix trace is being re-keyed under the grown
-            // scenario anyway — take it out of the map and extend its
-            // sample storage in place rather than copying O(horizon)
-            // samples per appended day.
-            let prefix = cache
-                .traces
-                .remove(&old.scenario_json)
-                .expect("extendability checked the prefix is cached");
-            let label = prefix.label().to_string();
-            let resolution = prefix.resolution();
-            let mut samples = prefix.into_samples();
-            samples.extend_from_slice(&appended);
-            let trace = PowerTrace::new(label, resolution, samples).map_err(|e| e.to_string())?;
-            cache.traces.insert(scenario_keys[idx].clone(), trace);
-            cache.trace_tails.insert(
-                scenario.name.clone(),
-                TraceTail {
-                    scenario_json: scenario_keys[idx].clone(),
-                    days: scenario.days,
-                    tail: new_tail,
-                },
-            );
-        }
-        let generated: Vec<Result<(PowerTrace, SynthCounters, SynthCheckpoint), String>> = cold
-            .par_iter()
-            .map(|&idx| {
-                let scenario = &matrix.scenarios[idx];
-                TraceGenerator::new(scenario.site_config()?, self.scenario_seed(scenario))
-                    .generate_days_checkpointed(scenario.days)
-                    .map_err(|e| e.to_string())
-            })
-            .collect();
-        for (&idx, generated) in cold.iter().zip(generated) {
-            let (trace, counters, tail) = generated?;
-            synthesis_cost.add(counters);
-            cache.traces.insert(scenario_keys[idx].clone(), trace);
-            cache.trace_tails.insert(
-                matrix.scenarios[idx].name.clone(),
-                TraceTail {
-                    scenario_json: scenario_keys[idx].clone(),
-                    days: matrix.scenarios[idx].days,
-                    tail,
-                },
-            );
-        }
-        if self.collector.is_enabled() {
-            self.collector
-                .count("synth/trace_generations", cold.len() as u64);
-            if extended > 0 {
-                self.collector
-                    .count("delta/trace_extensions", extended as u64);
-            }
-            // Keystream/draw totals for the whole materialization
-            // phase: one ledger update, never per slot or per trace.
-            self.collector
-                .count("synth/keystream_blocks", synthesis_cost.keystream_blocks);
-            self.collector
-                .count("synth/normal_draws", synthesis_cost.normal_draws);
-        }
-        drop(synthesis_span);
-
-        // Phase 2: only the jobs the cache cannot answer, grouped into
-        // **one work unit per scenario** — the unit's single slot pass
-        // (over the cached trace or a generator stream) feeds every
+        // Only the jobs the cache cannot answer, grouped into **one work
+        // unit per scenario** — the unit's single series walk feeds every
         // fresh job's machines, so adding candidates to the matrix adds
         // per-slot arithmetic, never whole passes.
         let jobs = matrix.jobs();
@@ -1320,59 +1053,67 @@ impl FleetEngine {
         }
         let mut streamed_jobs = 0;
         let mut units: Vec<WorkUnit> = Vec::new();
-        for (scenario_idx, &scenario_admitted) in admitted.iter().enumerate() {
-            if let Some(job_indices) = jobs_by_scenario.remove(&scenario_idx) {
-                if !scenario_admitted {
-                    streamed_jobs += job_indices.len();
-                }
-                // Attach the resume point only when the unit can
-                // actually honour it: the checkpointed machines cover
-                // the full job cross and the appended slots have a
-                // source — the extended trace when materialized, a
-                // generator state when streamed (the checkpoint's own,
-                // or the stored trace tail when the admission policy
-                // flipped the scenario from materialized to streamed
-                // between runs). The resumed pass keeps the
-                // checkpoint's record sink regardless of what a cold
-                // pass at the new horizon would pick — the two sinks
-                // are bit-identical by contract, so an admission or
-                // log-cap flip never forces a cold pass by itself.
-                // Anything else falls back to a cold pass.
-                let scenario = &matrix.scenarios[scenario_idx];
-                let resume = resume_candidates[scenario_idx].as_ref().and_then(|ck| {
+        for (scenario_idx, scenario) in matrix.scenarios.iter().enumerate() {
+            let Some(job_indices) = jobs_by_scenario.remove(&scenario_idx) else {
+                continue;
+            };
+            if !retained[scenario_idx] {
+                streamed_jobs += job_indices.len();
+            }
+            // Day-append resume: a scenario may continue from its stored
+            // checkpoint iff it is byte-identical to the checkpointed
+            // scenario except for a strictly larger `days`, the
+            // predictor/manager axes match, no trace-gap fault would
+            // re-realize its placement under the longer horizon, and
+            // the unit covers the full job cross the checkpointed
+            // machines belong to. A candidate failing only the last
+            // test falls back to a cold pass.
+            let key = &scenario_keys[scenario_idx];
+            let resume = cache
+                .checkpoints
+                .get(&scenario.name)
+                .filter(|ck| {
+                    scenario.days > ck.days
+                        && !has_trace_gap(scenario)
+                        && ck.predictor_labels == predictor_labels
+                        && ck.manager_labels == manager_labels
+                        && extends(scenario, key, &ck.scenario_json, ck.days)
+                })
+                .filter(|_| {
                     let full_cross =
                         job_indices.len() == matrix.predictors.len() * matrix.managers.len();
-                    let synth_override = (!scenario_admitted && ck.synth.is_none())
-                        .then(|| {
-                            cache.trace_tails.get(&scenario.name).and_then(|tail| {
-                                (tail.days == ck.days && tail.scenario_json == ck.scenario_json)
-                                    .then(|| tail.tail.clone())
-                            })
-                        })
-                        .flatten();
-                    let source_ok = if scenario_admitted {
-                        cache.traces.contains_key(&scenario_keys[scenario_idx])
-                    } else {
-                        ck.synth.is_some() || synth_override.is_some()
-                    };
-                    let ok = full_cross && source_ok;
-                    if !ok && self.collector.is_enabled() {
+                    if !full_cross && self.collector.is_enabled() {
                         self.collector
                             .count_scenario(&scenario.name, "delta/cold_fallbacks", 1);
                     }
-                    ok.then(|| (Arc::clone(ck), synth_override))
-                });
-                let (resume, resume_synth) = match resume {
-                    Some((ck, synth_override)) => (Some(ck), synth_override),
-                    None => (None, None),
-                };
-                units.push(WorkUnit {
-                    scenario_idx,
-                    job_indices,
-                    resume,
-                    resume_synth,
-                });
-            }
+                    full_cross
+                })
+                .map(Arc::clone);
+            // The unit's series: the stored one when it is whole, or a
+            // bare tail at exactly the resume point of a scenario that is
+            // not retained (a retained scenario must end up whole, so it
+            // synthesizes cold instead). Everything else starts cold.
+            let usable = cache.series_of(scenario, key).is_some_and(|series| {
+                series.is_full()
+                    || (!retained[scenario_idx]
+                        && resume
+                            .as_ref()
+                            .is_some_and(|ck| series.first_day == ck.days))
+            });
+            let series = if usable {
+                cache
+                    .series
+                    .remove(&scenario.name)
+                    .map(|(_, series)| series)
+            } else {
+                None
+            };
+            units.push(WorkUnit {
+                scenario_idx,
+                job_indices,
+                resume,
+                series: Mutex::new(series),
+            });
         }
 
         // Each unit runs under `catch_unwind`: a panicking unit (a
@@ -1387,18 +1128,7 @@ impl FleetEngine {
                     if self.chaos_unit_panic.as_deref() == Some(scenario_name.as_str()) {
                         panic!("chaos: injected work-unit panic");
                     }
-                    let trace = admitted[unit.scenario_idx]
-                        .then(|| &cache.traces[&scenario_keys[unit.scenario_idx]]);
-                    self.evaluate_scenario_unit(
-                        matrix,
-                        unit.scenario_idx,
-                        &unit.job_indices,
-                        &jobs,
-                        trace,
-                        unit.resume.as_deref(),
-                        unit.resume_synth.as_ref(),
-                        None,
-                    )
+                    self.evaluate_scenario_unit(matrix, &jobs, unit)
                 }))
                 .unwrap_or_else(|payload| {
                     Err(format!(
@@ -1408,23 +1138,19 @@ impl FleetEngine {
                 })
             })
             .collect();
-        let mut passes = PassBreakdown {
-            trace_generations: cold.len(),
-            trace_extensions: extended,
-            ..PassBreakdown::default()
-        };
+        let mut passes = PassBreakdown::default();
         let mut quarantined: Vec<QuarantinedScenario> = Vec::new();
         for (unit, unit_outcomes) in units.iter().zip(evaluated) {
-            let (unit_outcomes, unit_passes, checkpoint) = match unit_outcomes {
+            let name = &matrix.scenarios[unit.scenario_idx].name;
+            let (unit_outcomes, unit_passes, checkpoint, series) = match unit_outcomes {
                 Ok(result) => result,
                 Err(error) if self.quarantine => {
-                    let name = matrix.scenarios[unit.scenario_idx].name.clone();
                     if self.collector.is_enabled() {
                         self.collector
-                            .count_scenario(&name, "fleet/quarantined_units", 1);
+                            .count_scenario(name, "fleet/quarantined_units", 1);
                     }
                     quarantined.push(QuarantinedScenario {
-                        scenario: name,
+                        scenario: name.clone(),
                         error,
                     });
                     continue;
@@ -1432,14 +1158,28 @@ impl FleetEngine {
                 Err(error) => return Err(error),
             };
             passes.add(unit_passes);
+            let kept = if retained[unit.scenario_idx] {
+                series
+            } else {
+                series.into_tail()
+            };
+            cache.series.insert(
+                name.clone(),
+                (scenario_keys[unit.scenario_idx].clone(), kept),
+            );
             if let Some(checkpoint) = checkpoint {
-                cache.checkpoints.insert(
-                    matrix.scenarios[unit.scenario_idx].name.clone(),
-                    Arc::new(checkpoint),
-                );
+                cache.checkpoints.insert(name.clone(), Arc::new(checkpoint));
             }
             for (idx, outcome) in unit_outcomes {
                 cache.outcomes.insert(job_keys[idx].clone(), outcome);
+            }
+        }
+        if self.collector.is_enabled() {
+            self.collector
+                .count("synth/trace_generations", passes.trace_generations as u64);
+            if passes.trace_extensions > 0 {
+                self.collector
+                    .count("delta/trace_extensions", passes.trace_extensions as u64);
             }
         }
 
@@ -1535,87 +1275,55 @@ impl FleetEngine {
         solar_trace::hash::fnv1a(&salted) ^ self.master_seed.rotate_left(17)
     }
 
-    /// Bytes a scenario's materialized trace would occupy — the same
-    /// footprint [`FleetCache::trace_bytes`] reports once the trace
-    /// exists (the generated trace is labelled with the site config's
-    /// name, known before generation).
-    fn trace_bytes(scenario: &Scenario) -> Result<u64, String> {
-        let config = scenario.site_config()?;
-        Ok(trace_footprint_bytes(
-            config.name.len(),
-            scenario.days * config.resolution.samples_per_day(),
-        ) as u64)
+    /// A scenario's generator: the engine's one synthesis source.
+    fn generator(&self, scenario: &Scenario) -> Result<TraceGenerator, String> {
+        Ok(TraceGenerator::new(
+            scenario.site_config()?,
+            self.scenario_seed(scenario),
+        ))
     }
 
-    /// Generates a scenario's trace along with its synthesis-cost
-    /// counters (keystream blocks, normal draws). The engine proper now
-    /// synthesizes through the checkpointing path in `evaluate_matrix`;
-    /// this one-shot variant remains as the test oracle for it.
-    #[cfg(test)]
-    fn generate_trace(&self, scenario: &Scenario) -> Result<(PowerTrace, SynthCounters), String> {
-        let config = scenario.site_config()?;
-        TraceGenerator::new(config, self.scenario_seed(scenario))
-            .generate_days_counted(scenario.days)
-            .map_err(|e| e.to_string())
-    }
-
-    /// The universal fast path: **one slot pass per scenario** drives
-    /// every fresh job's state machines simultaneously. The slots come
-    /// from the cached trace when the scenario is admitted
-    /// (materialized), else from a [`solar_synth::SlotStream`] holding
-    /// one day of samples; both sources produce the identical slot
-    /// values, so the choice never shows in the output.
+    /// The universal fast path: **one walk over one slot series**
+    /// drives every fresh job's state machines simultaneously.
+    ///
+    /// The series comes with the unit (whole from the cache, or a bare
+    /// tail when resuming) and is brought to the scenario's horizon
+    /// first: extended in place from its tail, or synthesized cold when
+    /// the unit has none.
     ///
     /// Jobs whose predictor is float WCMA are additionally folded into
-    /// a shared [`CandidateBank`] per pass half (metrics, simulation):
-    /// every such job of a scenario sees the identical observation
+    /// one shared [`CandidateBank`] serving both pass halves (metrics,
+    /// simulation): every such job of a scenario sees the identical observation
     /// stream (its fault injector realizes from the same seed), so the
     /// bank computes each candidate's predictions once per slot with
     /// the per-candidate arithmetic unchanged — bit-identical to a solo
     /// run, pinned by core property tests and the engine equality tests
-    /// here.
+    /// here. Records fold into one [`StreamingEval`] per distinct
+    /// predictor, judged against the ROI peak taken from the series
+    /// before the walk.
     ///
-    /// The metrics pass picks its record sink by horizon: short
-    /// scenarios collect a `PredictionLog`; past
-    /// [`STREAMED_LOG_CAP_BYTES`] per job the records fold into O(1)
-    /// protocol accumulators ([`pred_metrics::StreamingEval`]) instead,
-    /// with an ROI pre-pass supplying the peak the paper's filter needs
-    /// up front — a view walk when materialized, one extra generator
-    /// pass when streamed. The two sinks are bit-identical, so the
-    /// choice is invisible in the output.
+    /// With a resume point, every machine is restored from the
+    /// checkpoint and only the appended days are walked; the output is
+    /// bit-identical to a cold full-horizon pass (pinned by engine
+    /// tests). The checkpointed accumulators filtered the prefix
+    /// against the checkpointed peak, so if the appended days raise
+    /// the peak the unit walks the whole series cold instead
+    /// (`delta/peak_fallbacks`), synthesizing it first when it holds
+    /// only the appended days.
     ///
-    /// Returns the job outcomes, how many synthesis passes the unit
-    /// spent (0 for materialized units, 1 per generator pass else), and
-    /// — when the unit covers the full job cross and nothing blocks
-    /// checkpointing — a [`UnitCheckpoint`] of every state machine at
-    /// the final day boundary, ready for an O(delta) continuation.
-    ///
-    /// With `resume`, every machine is restored from the checkpoint and
-    /// only the appended days `checkpoint.days..scenario.days` are
-    /// walked; the output is bit-identical to a cold full-horizon pass
-    /// (pinned by engine tests). A resumed pass keeps the checkpoint's
-    /// record sink even when the new horizon would pick the other one —
-    /// the sinks are bit-identical, so admission flips stay resumable.
-    /// `resume_synth` supplies the generator state when the checkpoint
-    /// itself has none (a materialized pass whose scenario now
-    /// streams). If the extended ROI peak disagrees with the
-    /// checkpointed one, the unit transparently falls back to a cold
-    /// pass (`delta/peak_fallbacks`), reusing the already-extended peak
-    /// via `known_roi` so the fallback never re-synthesizes a prepass.
-    #[allow(clippy::too_many_arguments)]
+    /// Returns the job outcomes, the synthesis passes spent, a
+    /// [`UnitCheckpoint`] of every state machine at the final day
+    /// boundary (when the unit covers the full job cross and nothing
+    /// blocks checkpointing), and the series for the cache.
     fn evaluate_scenario_unit(
         &self,
         matrix: &FleetMatrix,
-        scenario_idx: usize,
-        job_indices: &[usize],
         jobs: &[JobSpec],
-        trace: Option<&PowerTrace>,
-        resume: Option<&UnitCheckpoint>,
-        resume_synth: Option<&SynthCheckpoint>,
-        known_roi: Option<(f64, Option<f64>)>,
+        unit: &WorkUnit,
     ) -> Result<UnitOutcomes, String> {
         let started = Instant::now();
-        let scenario = &matrix.scenarios[scenario_idx];
+        let scenario = &matrix.scenarios[unit.scenario_idx];
+        let job_indices = &unit.job_indices;
         let _unit_span = self
             .collector
             .span_scenario("fleet/simulate", &scenario.name);
@@ -1626,130 +1334,71 @@ impl FleetEngine {
         let node_config = scenario
             .node
             .node_config(storage_capacity_factor(&scenario.faults))?;
+        let generator = self.generator(scenario)?;
         let mut passes = PassBreakdown::default();
-        // Keystream/normal-draw totals across this unit's generator
-        // streams (ROI prepass + evaluation pass); merged into the
-        // ledger once at the end of the unit, never per slot.
+        // Keystream/normal-draw totals across this unit's syntheses;
+        // merged into the ledger once at the end of the unit, never per
+        // slot.
         let mut synth_cost = SynthCounters::default();
-        // First day this pass actually walks: 0 cold, the checkpointed
-        // horizon when resuming.
-        let start_day = resume.map_or(0, |r| r.days);
-
-        let view = match trace {
-            Some(trace) => Some(SlotView::new(trace, slots).map_err(|e| e.to_string())?),
-            None => None,
-        };
-        let generator = match view {
-            Some(_) => None,
-            None => Some(TraceGenerator::new(
-                scenario.site_config()?,
-                self.scenario_seed(scenario),
-            )),
+        let cold_series = |passes: &mut PassBreakdown, synth_cost: &mut SynthCounters| {
+            passes.trace_generations += 1;
+            let (series, counters) = SlotSeries::cold(&generator, scenario.days, slots)?;
+            synth_cost.add(counters);
+            Ok::<_, String>(series)
         };
 
-        // Sink selection (see the method docs): materialized units
-        // always fold records straight into O(1) streaming accumulators
-        // (their ROI pre-pass is a cheap view walk, and skipping the
-        // log halves record handling); streamed units only pay the
-        // extra generator pre-pass once the log would exceed the cap.
-        // A resumed pass always feeds streaming accumulators: a
-        // checkpointed log is re-folded into one at restore (see the
-        // feed restore below), and the sinks are bit-identical, so the
-        // choice a cold pass at the new horizon would make is moot.
-        let log_bytes = scenario.days * n * std::mem::size_of::<pred_metrics::PredictionRecord>();
-        let streaming_eval =
-            resume.is_some() || view.is_some() || log_bytes > STREAMED_LOG_CAP_BYTES;
-
-        // ROI pre-pass (streaming sinks only): the peak of the (dimmed)
-        // reference means over every slot that becomes a record — all
-        // but the final one, mirroring `PredictionLog::peak_actual_mean`
-        // exactly. The probe injector is only consulted for its
-        // deterministic sky factor (no per-slot RNG draws happen here).
-        // A resumed pass restores the checkpointed running peak and the
-        // pending (not-yet-absorbed) final mean and walks only the
-        // appended days — sequential-max makes that equal to the cold
-        // full walk.
-        let mut roi_peak = 0.0_f64;
-        let mut roi_pending_mean: Option<f64> = None;
-        if let Some(r) = resume {
-            roi_peak = r.roi_peak;
-            roi_pending_mean = r.roi_pending_mean;
-        }
-        if let (true, Some((peak, pending))) = (streaming_eval, known_roi) {
-            // A peak fallback already walked the full horizon and knows
-            // the extended peak (bit-equal to what this prepass would
-            // compute); reuse it rather than synthesizing a second
-            // prepass just to rediscover it.
-            roi_peak = peak;
-            roi_pending_mean = pending;
-        } else if streaming_eval {
-            let sky_probe = FaultInjector::new(&scenario.faults, fault_seed, scenario.days, n);
-            let mut absorb = |day: usize, mean_power: f64| {
-                if let Some(mean) = roi_pending_mean.take() {
-                    roi_peak = roi_peak.max(mean);
+        let taken = unit.series.lock().expect("unit series lock").take();
+        let mut series = match taken {
+            Some(mut series) => {
+                if series.days() < scenario.days {
+                    passes.trace_extensions += 1;
+                    synth_cost.add(series.extend(&generator, scenario.days, slots)?);
                 }
-                roi_pending_mean = Some(mean_power * sky_probe.sky_factor(day));
-            };
-            match (&view, &generator) {
-                (Some(view), _) => {
-                    for day in start_day..view.days() {
-                        for slot in 0..n {
-                            absorb(day, view.mean_power(day, slot));
-                        }
-                    }
-                }
-                (None, Some(generator)) => {
-                    passes.roi_prepasses += 1;
-                    let mut stream = match resume {
-                        None => generator
-                            .slot_stream(scenario.days, slots)
-                            .map_err(|e| e.to_string())?,
-                        Some(r) => generator
-                            .slot_stream_from(
-                                r.synth
-                                    .clone()
-                                    .or_else(|| resume_synth.cloned())
-                                    .expect("streamed resume carries a synth source"),
-                                scenario.days,
-                                slots,
-                            )
-                            .map_err(|e| e.to_string())?,
-                    };
-                    for slot in stream.by_ref() {
-                        absorb(slot.day, slot.mean_power);
-                    }
-                    synth_cost.add(stream.counters());
-                }
-                (None, None) => unreachable!("unit has a view or a generator"),
+                series
             }
-        }
+            None => cold_series(&mut passes, &mut synth_cost)?,
+        };
 
-        // The streaming protocol's inclusion filter consulted `roi_peak`
-        // for every prefix slot. If the appended days raised the peak,
-        // checkpointed streaming *accumulators* were filtered against a
-        // different peak than a cold run would use — the continuation
-        // would not be byte-identical, so fall back to a cold pass
-        // (rare: peaks are typically set by the climatology, not the
-        // tail). A checkpointed *log* is immune: its records re-fold
-        // against the extended peak at restore, whatever it is.
+        // The ROI reference peak. A resume continues the checkpointed
+        // running peak over the appended days; if that moves it, the
+        // checkpointed accumulators judged the prefix against a stale
+        // peak, and the unit falls back to a cold walk.
+        let mut resume = unit.resume.as_deref();
+        let mut roi = RoiPeak::default();
         if let Some(r) = resume {
-            if r.streaming_eval && roi_peak.to_bits() != r.roi_peak.to_bits() {
+            roi = r.roi;
+            roi.absorb(&series, r.days, n, &r.injector);
+            if roi.peak.to_bits() != r.roi.peak.to_bits() {
                 if self.collector.is_enabled() {
                     self.collector
                         .count_scenario(&scenario.name, "delta/peak_fallbacks", 1);
                 }
-                return self.evaluate_scenario_unit(
-                    matrix,
-                    scenario_idx,
-                    job_indices,
-                    jobs,
-                    trace,
-                    None,
-                    None,
-                    Some((roi_peak, roi_pending_mean)),
-                );
+                resume = None;
             }
         }
+
+        // Every job of a scenario realizes the *identical* fault
+        // corruption (injectors are pure functions of the shared seed
+        // and the slot sequence), so the unit realizes it exactly once
+        // per slot — one injector shared by all jobs and both pass
+        // halves. A resumed injector's dropout RNG draws exactly once
+        // per slot, so the checkpointed clone continues the cold
+        // keystream verbatim (resume eligibility excluded trace-gap
+        // faults, whose placement depends on the total horizon).
+        let injector = match resume {
+            Some(r) => r.injector.clone(),
+            None => FaultInjector::new(&scenario.faults, fault_seed, scenario.days, n),
+        };
+        if resume.is_none() {
+            if !series.is_full() {
+                series = cold_series(&mut passes, &mut synth_cost)?;
+            }
+            roi = RoiPeak::default();
+            roi.absorb(&series, 0, n, &injector);
+        }
+        // First day this walk covers: 0 cold, the checkpointed horizon
+        // when resuming.
+        let start_day = resume.map_or(0, |r| r.days);
 
         // Distinct predictors among the fresh jobs: the metrics pass
         // and the simulation pass's *predictions* are pure functions of
@@ -1781,10 +1430,6 @@ impl FleetEngine {
         // historically separate per-pass predictor instances always
         // evolved in lockstep — one instance now produces that shared
         // prediction stream once.
-        enum Kernel {
-            Banked(usize),
-            Solo(usize),
-        }
         let mut kernels: Vec<Kernel> = Vec::with_capacity(distinct_predictors.len());
         let mut bank_params: Vec<solar_predict::WcmaParams> = Vec::new();
         let mut solo: Vec<Box<dyn Predictor>> = Vec::new();
@@ -1809,6 +1454,11 @@ impl FleetEngine {
         } else {
             Some(solar_predict::CandidateBank::new(bank_params).map_err(|e| e.to_string())?)
         };
+        // One protocol accumulator per distinct predictor, judged
+        // against the series' ROI peak.
+        let mut evals = vec![StreamingEval::new(self.protocol, roi.peak); kernels.len()];
+        let mut predictions = vec![0.0_f64; kernels.len()];
+        let mut open = None;
         if let Some(r) = resume {
             // Restore every predictor machine from its day-boundary
             // snapshot — the fresh instances above only fixed the
@@ -1823,74 +1473,10 @@ impl FleetEngine {
                     p.snapshot().expect("checkpointed predictors snapshot")
                 })
                 .collect();
+            evals = r.evals.clone();
+            predictions = r.predictions.clone();
+            open = r.open;
         }
-
-        let new_sink = |streaming_eval: bool| {
-            if streaming_eval {
-                MetricsSink::Streaming(StreamingEval::new(self.protocol, roi_peak))
-            } else {
-                MetricsSink::Log(pred_metrics::PredictionLog::with_capacity(
-                    n,
-                    scenario.days * n,
-                ))
-            }
-        };
-
-        // Every job of a scenario realizes the *identical* fault
-        // corruption (injectors are pure functions of the shared seed
-        // and the slot sequence), so the unit realizes it exactly once
-        // per slot — one injector shared by all jobs and both pass
-        // halves — instead of two injector instances per job.
-        let mut injector = match resume {
-            // The injector's dropout RNG draws exactly once per slot, so
-            // the checkpointed clone continues the cold keystream
-            // verbatim (resume eligibility excluded trace-gap faults,
-            // the one spec whose realization depends on the total
-            // horizon at construction).
-            Some(r) => r.injector.clone(),
-            None => FaultInjector::new(&scenario.faults, fault_seed, scenario.days, n),
-        };
-
-        // One record feed per distinct predictor, and one prediction
-        // scratch slot the simulation machines read from.
-        let mut feeds: Vec<solar_predict::PredictionFeed<MetricsSink>> = match resume {
-            Some(r) => r
-                .feeds
-                .iter()
-                .map(|fc| {
-                    let sink = match (&fc.sink, &fc.folded) {
-                        (MetricsSink::Streaming(eval), _) => MetricsSink::Streaming(eval.clone()),
-                        // Peak unchanged: the capture-time fold of the
-                        // prefix log is exactly the accumulator state a
-                        // cold pass would reach at the boundary — reuse
-                        // it and the resume never touches the prefix.
-                        (MetricsSink::Log(_), Some(folded))
-                            if roi_peak.to_bits() == r.roi_peak.to_bits() =>
-                        {
-                            MetricsSink::Streaming(folded.clone())
-                        }
-                        // Peak raised by the appended days: re-fold the
-                        // checkpointed prefix log against the extended
-                        // peak — the same fold a cold pass pays at
-                        // evaluate time, so the prefix re-filters
-                        // instead of forcing a cold pass.
-                        (MetricsSink::Log(log), _) => {
-                            let mut eval = StreamingEval::new(self.protocol, roi_peak);
-                            for record in log {
-                                eval.push_record(*record);
-                            }
-                            MetricsSink::Streaming(eval)
-                        }
-                    };
-                    solar_predict::PredictionFeed::resume(sink, fc.pending)
-                })
-                .collect(),
-            None => kernels
-                .iter()
-                .map(|_| solar_predict::PredictionFeed::new(new_sink(streaming_eval)))
-                .collect(),
-        };
-        let mut predictions = vec![0.0_f64; kernels.len()];
 
         // One simulation machine per job — storage and duty state is
         // where the manager axis matters.
@@ -1927,224 +1513,77 @@ impl FleetEngine {
             }
         }
 
-        // The single slot pass. The corruption realization happens once
-        // and serves both halves: the metrics half records predictions
-        // against ground-truth references scaled by the day's
-        // climate-dimming factor — dimming is physical sky state, so
-        // accuracy is judged against the sky that actually existed (a
-        // predictor perfectly tracking a la-niña year must not register
-        // phantom MAPE against the counterfactual clean year); sensor
-        // faults and panel soiling leave the references untouched. The
-        // simulation half absorbs the corrupted physical harvest and
-        // plans each job's duty from its predictor's shared prediction.
-        // With streaming sinks the protocol's record filter is
-        // decidable per slot *before* any per-predictor work — it
-        // depends only on (day, reference mean, peak), all shared —
-        // so discarded slots skip record assembly for every
-        // predictor at once. A record opened at slot t completes at
-        // slot t+1, hence the carried `prior_included` (restored on
-        // resume so the record straddling the checkpoint boundary
-        // closes exactly as it would have cold).
-        let mut prior_included = resume.is_some_and(|r| r.prior_included);
-        // The evaluation stream's day-boundary generator state, captured
-        // after the pass for the next checkpoint (streamed units only).
-        let mut eval_synth: Option<SynthCheckpoint> = None;
-        {
-            let mut feed_slot = |day: usize, slot: usize, start_sample: f64, mean_power: f64| {
-                let mut harvest_j = node_config.panel.power_w(mean_power) * slot_seconds;
-                let mut observed = start_sample;
-                injector.on_slot(day, slot, &mut harvest_j, &mut observed);
-                let sky = injector.sky_factor(day);
-                let ref_start = start_sample * sky;
-                let ref_mean = mean_power * sky;
-                let included =
-                    !streaming_eval || self.protocol.includes(day as u32, ref_mean, roi_peak);
-                let bank_predictions = bank.as_mut().map(|bank| bank.observe_and_predict(observed));
-                for ((kernel, feed), prediction) in
-                    kernels.iter().zip(&mut feeds).zip(&mut predictions)
-                {
-                    let predicted = match *kernel {
-                        Kernel::Banked(candidate) => {
-                            bank_predictions.as_ref().expect("bank built")[candidate]
-                        }
-                        Kernel::Solo(idx) => solo[idx].observe_and_predict(observed),
-                    };
-                    if prior_included {
-                        feed.flush_pending(ref_start);
-                    }
-                    if included {
-                        feed.open_pending(day, slot, predicted, ref_mean);
-                    }
-                    *prediction = predicted;
-                }
-                prior_included = included;
-                for (sim, &kernel_slot) in sims.iter_mut().zip(&job_kernel) {
-                    sim.absorb_corrupted(harvest_j);
-                    sim.plan_with(predictions[kernel_slot]);
-                }
-            };
-            match (&view, &generator) {
-                (Some(view), _) => {
-                    for day in start_day..view.days() {
-                        for slot in 0..n {
-                            feed_slot(
-                                day,
-                                slot,
-                                view.start_sample(day, slot),
-                                view.mean_power(day, slot),
-                            );
-                        }
-                    }
-                }
-                (None, Some(generator)) => {
-                    passes.streamed_passes += 1;
-                    let mut stream = match resume {
-                        None => generator
-                            .slot_stream(scenario.days, slots)
-                            .map_err(|e| e.to_string())?,
-                        Some(r) => generator
-                            .slot_stream_from(
-                                r.synth
-                                    .clone()
-                                    .or_else(|| resume_synth.cloned())
-                                    .expect("streamed resume carries a synth source"),
-                                scenario.days,
-                                slots,
-                            )
-                            .map_err(|e| e.to_string())?,
-                    };
-                    for slot in stream.by_ref() {
-                        feed_slot(slot.day, slot.slot, slot.start_sample, slot.mean_power);
-                    }
-                    synth_cost.add(stream.counters());
-                    eval_synth = stream.checkpoint();
-                }
-                (None, None) => unreachable!("unit has a view or a generator"),
-            }
+        let mut machines = UnitMachines {
+            protocol: self.protocol,
+            roi_peak: roi.peak,
+            node_config: &node_config,
+            slot_seconds,
+            injector,
+            kernels,
+            bank,
+            solo,
+            evals,
+            predictions,
+            open,
+            sims,
+            job_kernel,
+        };
+        for (day, starts, means) in series.days_from(start_day, n) {
+            machines.walk_day(day, starts, means);
         }
-
-        // Peak trace bytes per job: the shared materialized trace, or
-        // the one-day stream buffer plus the metrics log when the
-        // horizon fit under the cap.
-        let peak_trace_bytes = match trace {
-            Some(trace) => std::mem::size_of_val(trace.samples()),
-            None => {
-                let buffer_bytes = scenario.site_config()?.resolution.samples_per_day()
-                    * std::mem::size_of::<f64>();
-                buffer_bytes + if streaming_eval { 0 } else { log_bytes }
-            }
-        };
-
-        // Capture next run's resume point while the machines are still
-        // alive. Checkpointing requires: the unit covers the matrix's
-        // full job cross in canonical order (a partial unit's machines
-        // would desync from the cross a future run resumes), no
-        // trace-gap fault (its realization depends on the total horizon
-        // at construction), and — for streamed units — a generator
-        // state to continue from.
-        let full_cross = job_indices.len() == matrix.predictors.len() * matrix.managers.len()
-            && job_indices.iter().enumerate().all(|(k, &job_idx)| {
-                jobs[job_idx].predictor_idx == k / matrix.managers.len()
-                    && jobs[job_idx].manager_idx == k % matrix.managers.len()
-            });
-        let has_gap_fault = scenario
-            .faults
-            .iter()
-            .any(|f| matches!(f, FaultSpec::TraceGap { .. }));
-        let eligible = full_cross && !has_gap_fault && (view.is_some() || eval_synth.is_some());
-        let solo_snapshots: Option<Vec<_>> = if eligible {
-            solo.iter().map(|p| p.snapshot()).collect()
-        } else {
-            None
-        };
-        let sim_saves: Vec<SimDayCheckpoint> = if eligible && solo_snapshots.is_some() {
-            sims.iter().map(|s| s.day_checkpoint()).collect()
-        } else {
-            Vec::new()
-        };
 
         // One summary per distinct predictor; every job of a manager
         // pairing reuses its predictor's summary verbatim (the metrics
-        // pass never depended on the manager — this just stops
-        // recomputing the identical value). The sinks are evaluated by
-        // reference so the checkpoint below can take them whole — a
-        // materialized prediction log is O(horizon) and cloning one per
-        // unit per run would dominate the delta path's wall time.
-        let pendings: Vec<Option<(u32, u32, f64, f64)>> =
-            feeds.iter().map(|f| f.pending()).collect();
-        let sinks: Vec<MetricsSink> = feeds.into_iter().map(|f| f.finish()).collect();
-        let mut folds: Vec<Option<StreamingEval>> = Vec::with_capacity(sinks.len());
-        let summaries: Vec<ErrorSummary> = sinks
+        // pass never depended on the manager).
+        let summaries: Vec<ErrorSummary> = machines
+            .evals
             .iter()
-            .map(|sink| match sink {
-                // The fold [`EvalProtocol::evaluate`] performs anyway,
-                // done by hand so its intermediate accumulator state
-                // can ride into the checkpoint for peak-stable resumes.
-                MetricsSink::Log(log) => {
-                    let mut eval = StreamingEval::new(self.protocol, log.peak_actual_mean());
-                    for record in log {
-                        eval.push_record(*record);
-                    }
-                    folds.push(Some(eval.clone()));
-                    eval.finish()
-                }
-                MetricsSink::Streaming(eval) => {
-                    folds.push(None);
-                    eval.clone().finish()
-                }
-            })
+            .map(|eval| eval.clone().finish())
             .collect();
-        // The ROI state the checkpoint advertises. A log pass never ran
-        // the prepass: its peak is the log's own and the pending
-        // (never-folded) final mean is the feed's still-open record —
-        // exactly what `peak_actual_mean` excludes — so a future resume
-        // can extend the peak in O(appended days).
-        let (ck_roi_peak, ck_roi_pending) = if streaming_eval {
-            (roi_peak, roi_pending_mean)
-        } else {
-            let peak = sinks
-                .iter()
-                .find_map(|sink| match sink {
-                    MetricsSink::Log(log) => Some(log.peak_actual_mean()),
-                    MetricsSink::Streaming(_) => None,
-                })
-                .unwrap_or(0.0);
-            (
-                peak,
-                pendings
-                    .first()
-                    .and_then(|p| p.map(|(_, _, _, ref_mean)| ref_mean)),
-            )
-        };
 
+        // Capture next run's resume point while the machines are still
+        // alive. Checkpointing requires the unit to cover the matrix's
+        // full job cross (fresh jobs arrive in matrix job order, so a
+        // full count is the canonical cross; a partial unit's machines
+        // would desync from the cross a future run resumes) and no
+        // trace-gap fault (its realization depends on the total horizon
+        // at construction).
+        let full_cross = job_indices.len() == matrix.predictors.len() * matrix.managers.len();
+        let solo_snapshots: Option<Vec<_>> = if full_cross && !has_trace_gap(scenario) {
+            machines.solo.iter().map(|p| p.snapshot()).collect()
+        } else {
+            None
+        };
+        let banked = machines
+            .kernels
+            .iter()
+            .filter(|k| matches!(k, Kernel::Banked(_)))
+            .count();
+        let solo_count = machines.solo.len();
         let checkpoint = solo_snapshots.map(|solo_snapshots| UnitCheckpoint {
             scenario_json: scenario.to_json().render(),
             days: scenario.days,
             predictor_labels: matrix.predictors.iter().map(|p| p.label()).collect(),
             manager_labels: matrix.managers.iter().map(|m| m.label()).collect(),
-            streaming_eval,
-            roi_peak: ck_roi_peak,
-            roi_pending_mean: ck_roi_pending,
-            prior_included,
-            injector,
-            synth: eval_synth,
-            bank,
+            roi,
+            open: machines.open,
+            injector: machines.injector,
+            bank: machines.bank,
             solo: solo_snapshots,
-            feeds: sinks
-                .into_iter()
-                .zip(folds)
-                .zip(pendings)
-                .map(|((sink, folded), pending)| FeedCheckpoint {
-                    sink,
-                    folded,
-                    pending,
-                })
-                .collect(),
-            sims: sim_saves,
+            evals: machines.evals,
+            predictions: machines.predictions,
+            sims: machines.sims.iter().map(|s| s.day_checkpoint()).collect(),
         });
-        let reports: Vec<NodeReport> = sims.into_iter().map(NodeSimulation::finish).collect();
+        let reports: Vec<NodeReport> = machines
+            .sims
+            .into_iter()
+            .map(NodeSimulation::finish)
+            .collect();
+        let peak_trace_bytes = series.footprint_bytes();
         let mut results = Vec::with_capacity(job_indices.len());
-        for ((&job_idx, &kernel_slot), report) in job_indices.iter().zip(&job_kernel).zip(reports) {
+        for ((&job_idx, &kernel_slot), report) in
+            job_indices.iter().zip(&machines.job_kernel).zip(reports)
+        {
             let job = &jobs[job_idx];
             let predictor_spec = &matrix.predictors[job.predictor_idx];
             results.push((
@@ -2195,33 +1634,15 @@ impl FleetEngine {
             for summary in &summaries {
                 self.collector.observe("score/mape", summary.mape);
             }
-            let banked = kernels
-                .iter()
-                .filter(|k| matches!(k, Kernel::Banked(_)))
-                .count();
             self.collector
                 .count_scenario(name, "bank/banked_candidates", banked as u64);
             self.collector
-                .count_scenario(name, "bank/solo_predictors", solo.len() as u64);
+                .count_scenario(name, "bank/solo_predictors", solo_count as u64);
             self.collector.count_scenario(
                 name,
                 "faults/injected_specs",
                 scenario.faults.len() as u64,
             );
-            if passes.streamed_passes > 0 {
-                self.collector.count_scenario(
-                    name,
-                    "synth/streamed_passes",
-                    passes.streamed_passes as u64,
-                );
-            }
-            if passes.roi_prepasses > 0 {
-                self.collector.count_scenario(
-                    name,
-                    "synth/roi_prepasses",
-                    passes.roi_prepasses as u64,
-                );
-            }
             if synth_cost != SynthCounters::default() {
                 self.collector.count_scenario(
                     name,
@@ -2232,7 +1653,7 @@ impl FleetEngine {
                     .count_scenario(name, "synth/normal_draws", synth_cost.normal_draws);
             }
         }
-        Ok((results, passes, checkpoint))
+        Ok((results, passes, checkpoint, series))
     }
 }
 
@@ -2428,6 +1849,7 @@ mod tests {
     use crate::catalog::Catalog;
     use crate::fleet_faults::FleetFault;
     use crate::matrix::{ManagerSpec, PredictorSpec};
+    use crate::series::{TraceBudgetSource, ADAPTIVE_FALLBACK_BUDGET_BYTES};
 
     fn small_matrix() -> FleetMatrix {
         let scenarios = vec![
@@ -2455,14 +1877,22 @@ mod tests {
         .unwrap()
     }
 
+    /// `scenario`'s full series, synthesized cold.
+    fn cold_series(engine: &FleetEngine, scenario: &Scenario) -> SlotSeries {
+        let slots = SlotsPerDay::new(scenario.slots_per_day).unwrap();
+        SlotSeries::cold(&engine.generator(scenario).unwrap(), scenario.days, slots)
+            .unwrap()
+            .0
+    }
+
     #[test]
     fn engine_runs_the_full_matrix() {
         let result = FleetEngine::new(42).run(&small_matrix()).unwrap();
         assert_eq!(result.outcomes.len(), 2 * 2 * 2);
         assert_eq!(result.cached_jobs, 0);
         // The default adaptive budget (≥ the 4 MiB fallback) comfortably
-        // admits this matrix's ~0.9 MiB of traces.
-        assert_eq!(result.streamed_jobs, 0, "small fleets must not stream");
+        // retains this matrix's two 40-day series.
+        assert_eq!(result.streamed_jobs, 0, "small fleets keep every series");
         for outcome in &result.outcomes {
             assert!(outcome.summary.count > 0, "{}", outcome.scenario);
             assert!(outcome.summary.mape.is_finite());
@@ -2534,32 +1964,34 @@ mod tests {
         let mut cache = engine.new_cache();
         let streamed = engine.run_cached(&matrix, &mut cache).unwrap();
         assert_eq!(streamed.streamed_jobs, matrix.job_count());
-        assert_eq!(cache.trace_count(), 0, "no trace may materialize");
+        assert_eq!(cache.trace_count(), 0, "no series may be retained");
+        assert_eq!(cache.trace_bytes(), 0);
         assert_eq!(
             streamed.scorecard.to_json_string(),
             materialized.scorecard.to_json_string(),
-            "streamed and materialized paths must agree byte-for-byte"
+            "retained and dropped series must agree byte-for-byte"
         );
         for (a, b) in streamed.outcomes.iter().zip(&materialized.outcomes) {
             assert_eq!(a.summary, b.summary);
             assert_eq!(a.report, b.report);
-            assert!(
-                a.cost.peak_trace_bytes < b.cost.peak_trace_bytes,
-                "streamed jobs must hold less trace memory"
-            );
+            // Retention only decides what outlives the run: every unit
+            // walks the same 16-byte-per-slot series either way.
+            assert_eq!(a.cost.peak_trace_bytes, b.cost.peak_trace_bytes);
         }
     }
 
     #[test]
     fn bounded_budget_splits_materialize_and_stream_deterministically() {
         let matrix = small_matrix();
-        // Admit exactly the first scenario (40 days × 1440 samples × 8).
-        let first_bytes = 40 * 1440 * 8;
+        // Admit exactly the first scenario's series.
+        let first = &matrix.scenarios[0];
+        let first_bytes = series_footprint_bytes(first.days * first.slots_per_day as usize);
         let engine =
             FleetEngine::new(5).with_trace_cache(TraceCachePolicy::bounded(first_bytes as u64));
         let mut cache = engine.new_cache();
         let result = engine.run_cached(&matrix, &mut cache).unwrap();
         assert_eq!(cache.trace_count(), 1);
+        assert_eq!(cache.trace_bytes(), first_bytes);
         assert_eq!(result.streamed_jobs, matrix.job_count() / 2);
         let reference = FleetEngine::new(5).run(&matrix).unwrap();
         assert_eq!(
@@ -2609,7 +2041,7 @@ mod tests {
             TraceBudgetSource::AdaptiveDetectedMemory | TraceBudgetSource::AdaptiveFallback
         ));
 
-        // A starved ceiling forces streaming; the scorecard must not
+        // A starved ceiling retains nothing; the scorecard must not
         // move by a byte relative to the unbounded run.
         let matrix = small_matrix();
         let unbounded = FleetEngine::new(11)
@@ -2621,7 +2053,7 @@ mod tests {
         let mut cache = starved_engine.new_cache();
         let starved = starved_engine.run_cached(&matrix, &mut cache).unwrap();
         assert_eq!(starved.streamed_jobs, matrix.job_count());
-        assert_eq!(cache.trace_count(), 0, "starved ceiling must stream");
+        assert_eq!(cache.trace_count(), 0, "a starved ceiling retains nothing");
         assert_eq!(
             starved.scorecard.to_json_string(),
             unbounded.scorecard.to_json_string()
@@ -2633,12 +2065,12 @@ mod tests {
         let matrix = small_matrix();
         let engine = FleetEngine::new(17);
         let mut cache = engine.new_cache();
-        // Fresh materialized run: one generation per scenario, shared by
-        // all of its jobs — never one per job.
+        // Fresh run: one synthesis per scenario, shared by all of its
+        // jobs — never one per job.
         let fresh = engine.run_cached(&matrix, &mut cache).unwrap();
         assert_eq!(fresh.synthesis_passes(), matrix.scenarios.len());
         assert_eq!(fresh.passes.trace_generations, matrix.scenarios.len());
-        // Warm trace cache: new jobs cost zero synthesis passes.
+        // Retained series: new jobs cost zero synthesis passes.
         let mut grown = matrix.clone();
         grown.predictors.push(PredictorSpec::Ewma { gamma: 0.4 });
         let incremental = engine.run_cached(&grown, &mut cache).unwrap();
@@ -2647,16 +2079,39 @@ mod tests {
         let warm = engine.run_cached(&grown, &mut cache).unwrap();
         assert_eq!(warm.synthesis_passes(), 0);
         assert_eq!(warm.cached_jobs, grown.job_count());
-        // Streaming-only: one generation pass per scenario per run
-        // (these 40-day scenarios stay under the metrics-log cap, so no
-        // ROI pre-pass happens).
+        // Streaming-only, with a 3-year scenario: still exactly one
+        // synthesis per scenario — the ROI peak comes from the series
+        // the unit already holds, so no horizon needs a pre-pass.
+        let mut long = matrix.clone();
+        long.scenarios
+            .push(Catalog::builtin().get("la-nina-triennium").unwrap().clone());
+        assert!(long.scenarios[2].days >= 3 * 365);
+        let collector = Collector::recording();
         let streaming = FleetEngine::new(17)
             .with_trace_cache(TraceCachePolicy::streaming_only())
-            .run(&matrix)
+            .with_collector(collector.clone())
+            .run(&long)
             .unwrap();
-        assert_eq!(streaming.synthesis_passes(), matrix.scenarios.len());
-        assert_eq!(streaming.passes.streamed_passes, matrix.scenarios.len());
-        assert_eq!(streaming.passes.roi_prepasses, 0);
+        assert_eq!(streaming.synthesis_passes(), long.scenarios.len());
+        assert_eq!(streaming.passes.trace_generations, long.scenarios.len());
+        let ledger = collector.ledger();
+        for scenario in &long.scenarios {
+            let mut stream = engine
+                .generator(scenario)
+                .unwrap()
+                .slot_stream(
+                    scenario.days,
+                    SlotsPerDay::new(scenario.slots_per_day).unwrap(),
+                )
+                .unwrap();
+            for _ in stream.by_ref() {}
+            assert_eq!(
+                ledger.scenario_counter(&scenario.name, "synth/keystream_blocks"),
+                stream.counters().keystream_blocks,
+                "{}: one stream's worth of keystream, no more",
+                scenario.name
+            );
+        }
     }
 
     #[test]
@@ -2724,7 +2179,7 @@ mod tests {
             matrix.scenarios.len() as u64
         );
         assert_eq!(ledger.counter("synth/trace_generations"), 0);
-        assert_eq!(ledger.counter("synth/streamed_passes"), 0);
+        assert_eq!(ledger.counter("synth/keystream_blocks"), 0);
         assert_eq!(ledger.counter("slots/processed"), 0);
     }
 
@@ -2751,9 +2206,9 @@ mod tests {
         twin.name = "four-seasons-twin".into();
         twin.days = base.days;
         let engine = FleetEngine::new(3);
-        let (a, _) = engine.generate_trace(&base).unwrap();
-        let (b, _) = engine.generate_trace(&twin).unwrap();
-        assert_ne!(a.samples(), b.samples());
+        let a = cold_series(&engine, &base);
+        let b = cold_series(&engine, &twin);
+        assert_ne!(a.means, b.means);
     }
 
     #[test]
@@ -2891,10 +2346,10 @@ mod tests {
 
     #[test]
     fn day_append_resumes_from_checkpoints_and_matches_cold_bytes() {
-        // Materialized path: the warm run leaves unit checkpoints and
-        // generator tails; appending days must extend traces in place
-        // (no full regeneration) and resume every state machine, with
-        // the scorecard byte-identical to a cold run of the extended
+        // Retained path: the warm run leaves unit checkpoints and whole
+        // series; appending days must extend the series in place (no
+        // full regeneration) and resume every state machine, with the
+        // scorecard byte-identical to a cold run of the extended
         // matrix.
         let matrix = small_matrix();
         let engine = FleetEngine::new(41);
@@ -2922,7 +2377,7 @@ mod tests {
         assert_eq!(
             incremental.passes.trace_extensions,
             grown.scenarios.len(),
-            "every trace must extend from its stored tail"
+            "every series must extend from its stored tail"
         );
         let ledger = collector.ledger();
         assert_eq!(ledger.counter("synth/trace_generations"), 0);
@@ -2945,20 +2400,23 @@ mod tests {
             incremental.scorecard.to_json_string(),
             cold.scorecard.to_json_string()
         );
-        // The extended cached trace is bitwise the cold-generated one.
+        // The extended retained series is bitwise the cold one.
         let engine = FleetEngine::new(41);
         for scenario in &grown.scenarios {
-            let (cold_trace, _) = engine.generate_trace(scenario).unwrap();
-            let cached = &cache.traces[&scenario.to_json().render()];
-            assert_eq!(cached.samples(), cold_trace.samples());
+            let cold = cold_series(&engine, scenario);
+            let (json, cached) = &cache.series[&scenario.name];
+            assert_eq!(*json, scenario.to_json().render());
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&cached.starts), bits(&cold.starts));
+            assert_eq!(bits(&cached.means), bits(&cold.means));
         }
     }
 
     #[test]
     fn streamed_day_append_resumes_the_generator_tail() {
-        // Streaming-only path: no trace exists to extend, so the resume
-        // continues the synthesis stream from the checkpointed
-        // day-boundary generator state — appended days only.
+        // Streaming-only path: no series is kept, so the resume
+        // synthesizes the appended days from the stored generator tail
+        // alone.
         let matrix = small_matrix();
         let engine = FleetEngine::new(43).with_trace_cache(TraceCachePolicy::streaming_only());
         let mut cache = engine.new_cache();
@@ -2977,7 +2435,8 @@ mod tests {
         let ledger = collector.ledger();
         let n = grown.scenarios[0].slots_per_day as u64;
         let resumed = ledger.counter("delta/resumed_units");
-        assert!(resumed > 0, "streamed units must resume their tails");
+        assert!(resumed > 0, "units must resume off their tails");
+        assert_eq!(cache.trace_count(), 0);
         if resumed == grown.scenarios.len() as u64 {
             // All units resumed: the pass walked only the appended days.
             assert_eq!(
@@ -3035,7 +2494,29 @@ mod tests {
         let ledger = collector.ledger();
         assert_eq!(ledger.counter("delta/peak_fallbacks"), 1);
         assert_eq!(ledger.counter("delta/resumed_units"), 0);
+        // The retained series was extended and walked whole: no cold
+        // synthesis.
+        assert_eq!(incremental.passes.trace_generations, 0);
         let cold = FleetEngine::new(47).run(&grown).unwrap();
+        assert_eq!(
+            incremental.scorecard.to_json_string(),
+            cold.scorecard.to_json_string()
+        );
+
+        // Off a bare tail the unit holds only the appended days, so the
+        // fallback synthesizes the whole series once more.
+        let streaming = FleetEngine::new(47).with_trace_cache(TraceCachePolicy::streaming_only());
+        let mut cache = streaming.new_cache();
+        streaming.run_cached(&matrix, &mut cache).unwrap();
+        let collector = Collector::recording();
+        let incremental = streaming
+            .clone()
+            .with_collector(collector.clone())
+            .run_cached(&grown, &mut cache)
+            .unwrap();
+        assert_eq!(collector.ledger().counter("delta/peak_fallbacks"), 1);
+        assert_eq!(incremental.passes.trace_extensions, 1);
+        assert_eq!(incremental.passes.trace_generations, 1);
         assert_eq!(
             incremental.scorecard.to_json_string(),
             cold.scorecard.to_json_string()

@@ -58,6 +58,7 @@ mod fleet_faults;
 mod generators;
 mod matrix;
 mod scorecard;
+mod series;
 
 // The JSON layer moved down into `fleet_obs` (the observability crate
 // sits below this one in the dependency graph); re-exported here so
@@ -70,8 +71,7 @@ pub use catalog::{Catalog, Climate, NodeProfile, Scenario, SiteSpec};
 // crate just to name V1/V2.
 pub use engine::{
     FleetCache, FleetDelta, FleetEngine, FleetResult, JobOutcome, PassBreakdown, PruneStats,
-    QuarantinedScenario, ResolvedTraceBudget, ShardedFleetResult, TraceBudgetSource,
-    TraceCachePolicy, ADAPTIVE_FALLBACK_BUDGET_BYTES,
+    QuarantinedScenario, ShardedFleetResult,
 };
 pub use faults::{storage_capacity_factor, FaultInjector, FaultSpec};
 pub use fleet_faults::{FalloffProfile, FleetFault, SpatialFalloff};
@@ -80,6 +80,9 @@ pub use matrix::{FleetMatrix, JobSpec, ManagerSpec, PredictorSpec};
 pub use scorecard::{
     CoverageManifest, MissingCoverage, ScenarioRanking, ScoreEntry, Scorecard, ScorecardShard,
     ShardManifest,
+};
+pub use series::{
+    ResolvedTraceBudget, TraceBudgetSource, TraceCachePolicy, ADAPTIVE_FALLBACK_BUDGET_BYTES,
 };
 pub use solar_synth::StreamVersion;
 

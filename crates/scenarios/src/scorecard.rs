@@ -45,9 +45,10 @@
 //! wall-time field in the JSON would break the byte-identity contract
 //! between runs and between full and incremental re-scoring).
 
-use crate::engine::{JobOutcome, ResolvedTraceBudget};
+use crate::engine::JobOutcome;
 use crate::json::Json;
 use crate::matrix::FleetMatrix;
+use crate::series::ResolvedTraceBudget;
 use fleet_obs::Collector;
 use pred_metrics::{CostAggregate, ErrorSummary, SummaryAggregate};
 

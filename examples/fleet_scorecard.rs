@@ -1,6 +1,6 @@
 //! Fleet scorecard: evaluate a predictor family × power-manager ×
-//! scenario matrix through the streaming engine pipeline and print the
-//! ranked results.
+//! scenario matrix through the fleet engine and print the ranked
+//! results.
 //!
 //! Run with (all arguments optional):
 //!
@@ -18,12 +18,12 @@
 //!   merged scorecard is byte-identical to the monolithic one;
 //! * `--smoke` — a fast matrix that still spans a multi-year horizon:
 //!   four regimes including the 3-year la-niña entry, evaluated under a
-//!   bounded trace-cache budget so the multi-year scenario runs
-//!   streamed (no full-horizon trace in memory);
+//!   bounded retention budget too small to keep the multi-year
+//!   scenario's slot series across runs;
 //! * `--generated N` — replace the builtin catalog with `N` scenarios
 //!   from the parameterized catalog generator (seeded by the master
 //!   seed; up to ~290 regimes across five climate families), evaluated
-//!   under the bounded budget so most of the fleet streams. With
+//!   under the bounded retention budget. With
 //!   `--smoke`, the predictor family shrinks to the guideline set.
 //! * `--report PATH` — attach a recording collector and write the full
 //!   run report (deterministic ledger + phase-span timing) as JSON to
@@ -219,11 +219,10 @@ fn run(args: Args) -> Result<i32, String> {
         matrix.job_count(),
     );
 
-    // A bounded trace cache routes the large (multi-year) scenarios
-    // through the streamed path; results are byte-identical either way.
-    // The smoke budget is tight enough that the 3-year la-niña entry
-    // (≈2.4 MiB of 5-minute samples) must stream.
-    let budget: u64 = if args.smoke { 2 << 20 } else { 4 << 20 };
+    // A bounded trace cache keeps only the series that fit; results
+    // are byte-identical either way. The smoke budget is tight enough
+    // that the 3-year la-niña series (≈0.8 MiB) is not retained.
+    let budget: u64 = if args.smoke { 512 << 10 } else { 4 << 20 };
     let collector = if args.report.is_some() {
         Collector::recording()
     } else {
@@ -242,14 +241,14 @@ fn run(args: Args) -> Result<i32, String> {
     let mut cache = engine.new_cache();
     let result = engine.run_cached(&matrix, &mut cache)?;
     println!(
-        "evaluated {} jobs in {:.2?} on {} threads — {} streamed (trace cache ≤ {} MiB), {} materialized",
+        "evaluated {} jobs in {:.2?} on {} threads — {} without a retained series (trace cache ≤ {} KiB), {} retained",
         result.outcomes.len(),
         started.elapsed(),
         threads
             .map(|t| t.to_string())
             .unwrap_or_else(|| "default".to_string()),
         result.streamed_jobs,
-        budget >> 20,
+        budget >> 10,
         result.outcomes.len() - result.streamed_jobs,
     );
 

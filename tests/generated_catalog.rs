@@ -8,13 +8,15 @@
 //!    ranges, every generated scenario round-trips through JSON
 //!    byte-exactly, carries a unique stable id, and classifies into
 //!    exactly one climate regime ([`Regime::of`]);
-//! 2. **the pipeline is path-independent** — streamed and materialized
-//!    scorecards agree byte-for-byte on sampled generated matrices, and
+//! 2. **the pipeline is path-independent** — scorecards agree
+//!    byte-for-byte whether slot series are retained or dropped, on
+//!    sampled generated matrices and across day-appends, and
 //!    a sharded 200-regime run merges back to the unsharded scorecard
 //!    byte-for-byte;
 //! 3. **the 200-regime scorecard is pinned** — one golden FNV-1a digest
 //!    across 1/2/8 worker threads and multiple shard counts, evaluated
-//!    under a 4 MiB trace budget so most of the fleet streams.
+//!    under a 4 MiB retention budget that keeps most of the fleet's slot
+//!    series and drops the rest.
 
 use fleet_tuner::{group_by_regime, Regime};
 use proptest::prelude::*;
@@ -136,12 +138,75 @@ proptest! {
         let mut cache = streaming_engine.new_cache();
         let streamed = streaming_engine.run_cached(&matrix, &mut cache).unwrap();
         prop_assert_eq!(streamed.streamed_jobs, matrix.job_count());
-        prop_assert_eq!(cache.trace_count(), 0, "streaming-only must not materialize");
+        prop_assert_eq!(cache.trace_count(), 0, "streaming-only must retain nothing");
         prop_assert_eq!(
             streamed.scorecard.to_json_string(),
             materialized.scorecard.to_json_string(),
-            "streamed vs materialized scorecards must be byte-identical"
+            "dropped vs retained series scorecards must be byte-identical"
         );
+    }
+
+    /// Appending `k` days to a small generated fleet and re-scoring
+    /// through [`FleetEngine::run_delta`] matches a cold run byte for
+    /// byte under every retention policy: everything kept, a budget
+    /// that keeps about one series, and nothing kept (bare generator
+    /// tails only). Every unit without a trace-gap fault resumes or
+    /// falls back on its ROI peak; none falls back cold.
+    #[test]
+    fn day_append_matches_cold_under_every_retention_policy(
+        seed in 0u64..100_000,
+        count in 2usize..5,
+        k in 1usize..=3,
+    ) {
+        let catalog = CatalogGenerator::new(seed).generate(count).unwrap();
+        let matrix = FleetMatrix::new(
+            vec![
+                PredictorSpec::Wcma { alpha: 0.7, days: 10, k: 2 },
+                PredictorSpec::Persistence,
+            ],
+            vec![ManagerSpec::EnergyNeutral { target_soc: 0.5, gain: 0.25 }],
+            catalog.scenarios().to_vec(),
+        ).unwrap();
+        let mut grown = matrix.clone();
+        for scenario in &mut grown.scenarios {
+            scenario.days += k;
+        }
+        let delta = FleetDelta::classify(&matrix, &grown).unwrap();
+        let resumable = grown
+            .scenarios
+            .iter()
+            .filter(|s| !s.faults.iter().any(|f| matches!(f, scenario_fleet::FaultSpec::TraceGap { .. })))
+            .count() as u64;
+        // 16 B per slot plus a struct's worth of headroom: room for the
+        // first series, not for all of them.
+        let first = &matrix.scenarios[0];
+        let about_one_series = (first.days * first.slots_per_day as usize * 16 + 4096) as u64;
+        let cold = FleetEngine::new(seed).run(&grown).unwrap().scorecard.to_json_string();
+        for (policy, kept) in [
+            (TraceCachePolicy::unbounded(), count..=count),
+            (TraceCachePolicy::bounded(about_one_series), 1..=count - 1),
+            (TraceCachePolicy::streaming_only(), 0..=0),
+        ] {
+            let engine = FleetEngine::new(seed).with_trace_cache(policy);
+            let mut cache = engine.new_cache();
+            engine.run_cached(&matrix, &mut cache).unwrap();
+            prop_assert!(kept.contains(&cache.trace_count()), "{:?}", policy);
+            let collector = Collector::recording();
+            let incremental = engine
+                .clone()
+                .with_collector(collector.clone())
+                .run_delta(&grown, &mut cache, &delta)
+                .unwrap();
+            prop_assert_eq!(&incremental.scorecard.to_json_string(), &cold, "{:?}", policy);
+            let ledger = collector.ledger();
+            prop_assert_eq!(ledger.counter("delta/cold_fallbacks"), 0, "{:?}", policy);
+            prop_assert_eq!(
+                ledger.counter("delta/resumed_units") + ledger.counter("delta/peak_fallbacks"),
+                resumable,
+                "{:?}",
+                policy
+            );
+        }
     }
 }
 
@@ -315,12 +380,13 @@ fn golden_200_regime_scorecard_is_identical_across_threads_and_shards() {
             .with_collector(collector.clone());
         let mut cache = engine.new_cache();
         let result = engine.run_cached(&matrix, &mut cache).unwrap();
-        // The 4 MiB budget admits ~60 of the 200 traces; the rest run
-        // through the streaming path.
+        // The 4 MiB budget retains most of the 200 series (16 B per
+        // slot); the tail of the matrix order runs without retention.
         assert!(
-            result.streamed_jobs >= 100,
-            "threads {threads}: only {} jobs streamed",
-            result.streamed_jobs
+            result.streamed_jobs > 0 && cache.trace_count() > 100,
+            "threads {threads}: {} jobs not retained, {} series kept",
+            result.streamed_jobs,
+            cache.trace_count()
         );
         assert!(cache.trace_bytes() as u64 <= budget);
         let json = result.scorecard.to_json_string();
@@ -469,9 +535,10 @@ fn golden_200_regime_v2_scorecard_is_identical_across_threads_and_shards() {
         let mut cache = engine.new_cache();
         let result = engine.run_cached(&matrix, &mut cache).unwrap();
         assert!(
-            result.streamed_jobs >= 100,
-            "threads {threads}: only {} jobs streamed",
-            result.streamed_jobs
+            result.streamed_jobs > 0 && cache.trace_count() > 100,
+            "threads {threads}: {} jobs not retained, {} series kept",
+            result.streamed_jobs,
+            cache.trace_count()
         );
         let json = result.scorecard.to_json_string();
         let ledger_json = collector.ledger().to_json_string();
@@ -529,9 +596,9 @@ fn golden_200_regime_v2_scorecard_is_identical_across_threads_and_shards() {
 /// from their generator tails instead of recomputing the prefix — must
 /// produce a scorecard **byte-identical** to a cold full-horizon run.
 /// Held on both stream versions, across 1/2/8 worker threads, and
-/// through 2- and 7-way sharded reductions, under a trace budget tight
-/// enough that part of the fleet resumes via the materialized path and
-/// part via the streamed-generator path.
+/// through 2- and 7-way sharded reductions, under a retention budget
+/// tight enough that part of the fleet resumes off retained series
+/// extended in place and part off bare generator tails.
 #[test]
 fn day_append_delta_is_byte_identical_to_cold_across_threads_and_shards() {
     for version in [StreamVersion::V1, StreamVersion::V2] {
@@ -559,9 +626,8 @@ fn day_append_delta_is_byte_identical_to_cold_across_threads_and_shards() {
         let delta = FleetDelta::classify(&matrix, &grown).unwrap();
         assert!(matches!(&delta, FleetDelta::DayAppend { scenarios } if scenarios.len() == 24));
 
-        // A budget around half the fleet: some scenarios resume off
-        // their extended materialized traces, the rest off streamed
-        // generator checkpoints.
+        // A budget around a third of the fleet: some scenarios resume
+        // off their retained series, the rest off bare generator tails.
         let budget = 1u64 << 20;
         let mut reference: Option<String> = None;
         for threads in [1usize, 2, 8] {

@@ -81,7 +81,7 @@ fn warm_cache_rerun_ledger_shows_hits_equal_jobs_and_zero_synthesis() {
     assert_eq!(ledger.counter("cache/job_misses"), 0);
     assert_eq!(ledger.counter("jobs/fresh"), 0);
     assert_eq!(ledger.counter("synth/trace_generations"), 0);
-    assert_eq!(ledger.counter("synth/streamed_passes"), 0);
+    assert_eq!(ledger.counter("synth/keystream_blocks"), 0);
     assert_eq!(ledger.counter("slots/processed"), 0);
 }
 
@@ -135,11 +135,15 @@ fn shard_half_ledgers_absorb_into_the_whole_fleet_ledger() {
         .collect();
     let predictors = PredictorSpec::guideline_family();
     let managers = vec![ManagerSpec::Greedy];
+    // A configured ceiling, not detected memory: the budget gauge is
+    // part of the ledger, and free memory moves between runs.
+    let engine =
+        || FleetEngine::new(5).with_trace_cache(TraceCachePolicy::adaptive_with_ceiling(1 << 30));
 
     let whole = Collector::recording();
     let whole_matrix = FleetMatrix::new(predictors.clone(), managers.clone(), scenarios.clone())
         .expect("whole matrix");
-    FleetEngine::new(5)
+    engine()
         .with_collector(whole.clone())
         .run(&whole_matrix)
         .expect("whole run");
@@ -158,7 +162,7 @@ fn shard_half_ledgers_absorb_into_the_whole_fleet_ledger() {
         let part = Collector::recording();
         let matrix = FleetMatrix::new(predictors.clone(), managers.clone(), half.to_vec())
             .expect("half matrix");
-        FleetEngine::new(5)
+        engine()
             .with_collector(part.clone())
             .run(&matrix)
             .expect("half run");
@@ -190,7 +194,10 @@ fn same_matrix_runs_diff_clean_across_thread_counts() {
     let mut reports = Vec::new();
     for threads in [1usize, 4] {
         let collector = Collector::recording();
+        // A configured budget: a detected one would move the budget
+        // gauge with the machine's free memory between the two runs.
         FleetEngine::new(7)
+            .with_trace_cache(TraceCachePolicy::bounded(4 << 20))
             .with_threads(threads)
             .with_collector(collector.clone())
             .run(&matrix)

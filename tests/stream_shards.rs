@@ -125,16 +125,18 @@ fn three_year_twelve_scenario_matrix_runs_under_a_bounded_trace_budget() {
     )
     .unwrap();
 
-    // One 3-year trace is 1095 × 288 × 8 ≈ 2.4 MiB; admit at most one.
-    let budget = 4u64 << 20;
+    // One 3-year slot series is 1095 × 48 × 16 B ≈ 0.8 MiB; a 1 MiB
+    // budget retains exactly one.
+    let budget = 1u64 << 20;
     let engine = FleetEngine::new(77).with_trace_cache(TraceCachePolicy::bounded(budget));
     let mut cache = engine.new_cache();
     let result = engine.run_cached(&matrix, &mut cache).unwrap();
 
-    assert_eq!(cache.trace_count(), 1, "budget admits exactly one trace");
+    assert_eq!(cache.trace_count(), 1, "budget retains exactly one series");
     assert!(cache.trace_bytes() as u64 <= budget);
-    assert_eq!(result.streamed_jobs, 11, "the other eleven stream");
-    let day_buffer = 288 * 8;
+    assert_eq!(result.streamed_jobs, 11, "the other eleven are dropped");
+    let series_bytes = 1095 * 48 * 16;
+    let trace_bytes = 1095 * 288 * 8;
     for outcome in &result.outcomes {
         assert!(outcome.summary.mape.is_finite(), "{}", outcome.scenario);
         assert!(
@@ -142,18 +144,23 @@ fn three_year_twelve_scenario_matrix_runs_under_a_bounded_trace_budget() {
             "{}",
             outcome.scenario
         );
-        // Streamed jobs held one day of samples, never the horizon.
-        if outcome.cost.peak_trace_bytes != 1095 * 288 * 8 {
-            assert_eq!(outcome.cost.peak_trace_bytes, day_buffer);
-        }
+        // Every job walked its scenario's two-values-per-slot series —
+        // a third of the raw 5-minute trace's six samples per slot.
+        assert!(
+            (series_bytes..trace_bytes / 2).contains(&outcome.cost.peak_trace_bytes),
+            "{}: {} bytes",
+            outcome.scenario,
+            outcome.cost.peak_trace_bytes
+        );
     }
+    // Retention never shows in the output.
+    let unbounded = FleetEngine::new(77)
+        .with_trace_cache(TraceCachePolicy::unbounded())
+        .run(&matrix)
+        .unwrap();
     assert_eq!(
-        result
-            .outcomes
-            .iter()
-            .filter(|o| o.cost.peak_trace_bytes == day_buffer)
-            .count(),
-        11
+        result.scorecard.to_json_string(),
+        unbounded.scorecard.to_json_string()
     );
 }
 
