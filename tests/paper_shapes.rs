@@ -7,7 +7,9 @@
 use param_explore::dynamic::clairvoyant_eval;
 use param_explore::{sweep, ParamGrid, SweepResult};
 use pred_metrics::EvalProtocol;
+use solar_predict::{run_predictor, CausalDynamicWcma};
 use solar_synth::Site;
+use solar_trace::hash::fnv1a_bytes;
 use solar_trace::{SlotView, SlotsPerDay};
 use std::collections::HashMap;
 use std::sync::OnceLock;
@@ -189,4 +191,52 @@ fn dynamic_selection_gains_exceed_ten_points_of_accuracy() {
             "{site}: gain at N=24 ({abs_gain_24:.3}) vs N=96 ({abs_gain_96:.3})"
         );
     }
+}
+
+#[test]
+fn paper_kernels_are_pinned_to_the_bit() {
+    // The paper tables round to a few digits, so a kernel refactor that
+    // drifts by an ulp leaves every CSV unchanged. This digest covers the
+    // raw bits: every MAPE/MAPE' of the 18 cached sweeps, one clairvoyant
+    // study and one causal dynamic-selector prediction stream.
+    let grid = ParamGrid::paper();
+    let protocol = EvalProtocol::paper();
+    let mut bits: Vec<u8> = Vec::new();
+    let mut push = |value: f64| bits.extend_from_slice(&value.to_bits().to_le_bytes());
+    for site in Site::ALL {
+        for n in [96u32, 48, 24] {
+            let result = &sweeps()[&(site, n)];
+            for ai in 0..grid.alphas().len() {
+                for di in 0..grid.days().len() {
+                    for ki in 0..grid.ks().len() {
+                        push(result.mape(ai, di, ki));
+                        push(result.mape_prime(ai, di, ki));
+                    }
+                }
+            }
+        }
+    }
+
+    let trace = paper_repro::datasets::site_trace(Site::Ornl, DAYS);
+    let view = SlotView::new(&trace, SlotsPerDay::new(48).unwrap()).unwrap();
+    let best = sweeps()[&(Site::Ornl, 48)].best_by_mape();
+    let outcome = clairvoyant_eval(&view, best.days, grid.alphas(), grid.k_max(), &protocol);
+    push(outcome.both_mape);
+    push(outcome.k_only.0);
+    push(outcome.k_only.1);
+    push(outcome.alpha_only.0 as f64);
+    push(outcome.alpha_only.1);
+    push(outcome.count as f64);
+
+    let mut causal =
+        CausalDynamicWcma::new(best.days, grid.k_max(), grid.alphas().to_vec(), 0.98, 48).unwrap();
+    for record in &run_predictor(&view, &mut causal) {
+        push(record.predicted);
+    }
+
+    let digest = fnv1a_bytes(&bits);
+    assert_eq!(
+        digest, 0x0da1_72a9_667d_af78,
+        "paper kernel digest {digest:#018x}"
+    );
 }
