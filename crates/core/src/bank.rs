@@ -8,13 +8,12 @@
 //! trace. The [`CandidateBank`] folds them into one pass by sharing
 //! everything that is a pure function of the observations:
 //!
-//! * one day buffer and one [`DayHistory`](crate::DayHistory) sized to the deepest D;
-//! * one prefix-sum column walk per slot serving every distinct D
-//!   (`μ_d = prefix[d−1] / d`, the same additions in the same order as
-//!   a solo `mean`);
-//! * one η ring per distinct D (η depends only on D), deep enough for
-//!   the largest K that conditions on it;
-//! * one Φ per distinct (D, K, policy), shared by every α.
+//! * one [`EtaPlane`]: one day buffer and one
+//!   [`DayHistory`](crate::DayHistory) sized to the deepest D, one
+//!   prefix-sum column walk per slot serving every distinct D, and one
+//!   η ring per distinct D (η depends only on D), deep enough for the
+//!   largest K that conditions on it;
+//! * one θ-weighted Φ per distinct (D, K, policy), shared by every α.
 //!
 //! **Per-candidate arithmetic is unchanged**: each prediction is
 //! composed from the identical intermediate values a solo
@@ -25,41 +24,27 @@
 //! multiply-add per candidate.
 
 use crate::error::ParamError;
-use crate::history::DayHistory;
 use crate::params::{KWindowPolicy, WcmaParams};
-use crate::wcma::{conditioning_ratio, phi_over_ring, theta_weights};
-use std::collections::VecDeque;
+use crate::plane::EtaPlane;
+use crate::wcma::{phi_over_ring, theta_weights};
 
-/// One Φ window shape within a D group: a distinct (K, policy) pair and
-/// its precomputed θ weights. `phi` is per-slot scratch.
+/// One Φ window: a distinct (D, K, policy) triple, the η ring it reads
+/// and its precomputed θ weights. `phi` is per-slot scratch.
 #[derive(Clone, Debug)]
-struct KSlot {
+struct KWindow {
+    ring: usize,
     k: usize,
     policy: KWindowPolicy,
     thetas: Vec<f64>,
     phi: f64,
 }
 
-/// The shared state of every candidate with one history depth D.
-#[derive(Clone, Debug)]
-struct DGroup {
-    days: usize,
-    /// Ring depth: the largest K conditioning on this D.
-    ring_cap: usize,
-    /// Last `ring_cap` η ratios, most recent first (η depends only on D).
-    ratios: VecDeque<f64>,
-    /// Ring entries belonging to the current day, saturated at the ring
-    /// depth — the clamp policy's renormalization boundary.
-    today: usize,
-    k_slots: Vec<KSlot>,
-}
-
 /// A registered candidate: its α plus indices into the shared state.
 #[derive(Clone, Debug)]
 struct Candidate {
     alpha: f64,
-    group: usize,
-    k_slot: usize,
+    ring: usize,
+    window: usize,
 }
 
 /// Evaluates many WCMA parameterizations over a single slot stream,
@@ -90,18 +75,11 @@ struct Candidate {
 /// ```
 #[derive(Clone, Debug)]
 pub struct CandidateBank {
-    slots_per_day: usize,
-    max_days: usize,
-    history: DayHistory,
-    /// Slot-start measurements of the current (incomplete) day.
-    current: Vec<f64>,
-    cursor: usize,
-    groups: Vec<DGroup>,
+    plane: EtaPlane,
+    windows: Vec<KWindow>,
     candidates: Vec<Candidate>,
     /// Per-candidate output of the latest slot, in registration order.
     predictions: Vec<f64>,
-    /// Prefix-sum scratch for the shared column walks.
-    prefix: Vec<f64>,
 }
 
 impl CandidateBank {
@@ -118,7 +96,9 @@ impl CandidateBank {
             return Err(ParamError::EmptyBank);
         };
         let slots_per_day = first.slots_per_day();
-        let mut groups: Vec<DGroup> = Vec::new();
+        // Distinct D as (D, ring depth = largest K conditioning on it).
+        let mut rings: Vec<(usize, usize)> = Vec::new();
+        let mut windows: Vec<KWindow> = Vec::new();
         let mut registered = Vec::with_capacity(candidates.len());
         for params in &candidates {
             if params.slots_per_day() != slots_per_day {
@@ -127,55 +107,40 @@ impl CandidateBank {
                     got: params.slots_per_day(),
                 });
             }
-            let group = match groups.iter().position(|g| g.days == params.days()) {
+            let ring = match rings.iter().position(|&(d, _)| d == params.days()) {
                 Some(idx) => idx,
                 None => {
-                    groups.push(DGroup {
-                        days: params.days(),
-                        ring_cap: 0,
-                        ratios: VecDeque::new(),
-                        today: 0,
-                        k_slots: Vec::new(),
-                    });
-                    groups.len() - 1
+                    rings.push((params.days(), 0));
+                    rings.len() - 1
                 }
             };
-            let slots = &mut groups[group].k_slots;
-            let k_slot = match slots
+            rings[ring].1 = rings[ring].1.max(params.k());
+            let window = match windows
                 .iter()
-                .position(|s| s.k == params.k() && s.policy == params.k_policy())
+                .position(|w| w.ring == ring && w.k == params.k() && w.policy == params.k_policy())
             {
                 Some(idx) => idx,
                 None => {
-                    slots.push(KSlot {
+                    windows.push(KWindow {
+                        ring,
                         k: params.k(),
                         policy: params.k_policy(),
                         thetas: theta_weights(params.k()),
                         phi: 1.0,
                     });
-                    slots.len() - 1
+                    windows.len() - 1
                 }
             };
             registered.push(Candidate {
                 alpha: params.alpha(),
-                group,
-                k_slot,
+                ring,
+                window,
             });
         }
-        for group in &mut groups {
-            group.ring_cap = group.k_slots.iter().map(|s| s.k).max().expect("non-empty");
-            group.ratios.reserve(group.ring_cap);
-        }
-        let max_days = groups.iter().map(|g| g.days).max().expect("non-empty");
         Ok(CandidateBank {
-            slots_per_day,
-            max_days,
-            history: DayHistory::new(slots_per_day, max_days),
-            current: vec![0.0; slots_per_day],
-            cursor: 0,
-            groups,
+            plane: EtaPlane::new(slots_per_day, rings),
+            windows,
             predictions: vec![0.0; candidates.len()],
-            prefix: Vec::with_capacity(max_days),
             candidates: registered,
         })
     }
@@ -193,7 +158,7 @@ impl CandidateBank {
 
     /// The shared discretization N.
     pub fn slots_per_day(&self) -> usize {
-        self.slots_per_day
+        self.plane.slots_per_day()
     }
 
     /// Observes one slot-boundary measurement and returns every
@@ -202,75 +167,33 @@ impl CandidateBank {
     /// [`observe_and_predict`](crate::Predictor::observe_and_predict)
     /// with those parameters returns for the same measurement sequence.
     pub fn observe_and_predict(&mut self, measured: f64) -> &[f64] {
-        let n = self.slots_per_day;
-        self.current[self.cursor] = measured;
-
-        // Freeze every group's η against the history as of now, and
-        // every (D, K) window's Φ — one column walk serves all D.
-        let written = self
-            .history
-            .prefix_sums(self.cursor, self.max_days, &mut self.prefix);
-        for group in &mut self.groups {
-            let take = group.days.min(written);
-            let mu = (take > 0).then(|| self.prefix[take - 1] / take as f64);
-            let eta = conditioning_ratio(measured, mu);
-            if group.ratios.len() == group.ring_cap {
-                group.ratios.pop_back();
-            }
-            group.ratios.push_front(eta);
-            group.today = (group.today + 1).min(group.ring_cap);
-            for k_slot in &mut group.k_slots {
-                k_slot.phi =
-                    phi_over_ring(&k_slot.thetas, &group.ratios, group.today, k_slot.policy);
-            }
+        self.plane.observe(measured);
+        let today = self.plane.entries_today();
+        for window in &mut self.windows {
+            window.phi = phi_over_ring(
+                &window.thetas,
+                self.plane.ratios(window.ring),
+                today,
+                window.policy,
+            );
         }
-
-        // Day rollover before looking up tomorrow's slot mean — the
-        // same ordering as the solo predictor.
-        let target = (self.cursor + 1) % n;
-        if self.cursor + 1 == n {
-            self.history.push_day(&self.current);
-            self.current.fill(0.0);
-            self.cursor = 0;
-            for group in &mut self.groups {
-                group.today = 0;
-            }
+        if self.plane.is_warming_up() {
+            // No history yet: persistence — as solo.
+            self.predictions.fill(measured);
         } else {
-            self.cursor += 1;
-        }
-
-        // μ_D(target) per distinct D from one more column walk, then a
-        // multiply-add per candidate.
-        let written = self
-            .history
-            .prefix_sums(target, self.max_days, &mut self.prefix);
-        for (candidate, prediction) in self.candidates.iter().zip(&mut self.predictions) {
-            let group = &self.groups[candidate.group];
-            let take = group.days.min(written);
-            *prediction = if take > 0 {
-                let mu_next = self.prefix[take - 1] / take as f64;
-                let phi = group.k_slots[candidate.k_slot].phi;
-                candidate.alpha * measured + (1.0 - candidate.alpha) * (mu_next * phi)
-            } else {
-                // Warm-up: no history yet, persistence — as solo.
-                measured
-            };
+            for (candidate, prediction) in self.candidates.iter().zip(&mut self.predictions) {
+                let mu_next = self.plane.mu_next(candidate.ring);
+                let phi = self.windows[candidate.window].phi;
+                *prediction =
+                    candidate.alpha * measured + (1.0 - candidate.alpha) * (mu_next * phi);
+            }
         }
         &self.predictions
     }
 
     /// Restores the bank to its freshly constructed state.
     pub fn reset(&mut self) {
-        self.history.clear();
-        self.current.fill(0.0);
-        self.cursor = 0;
-        for group in &mut self.groups {
-            group.ratios.clear();
-            group.today = 0;
-            for k_slot in &mut group.k_slots {
-                k_slot.phi = 1.0;
-            }
-        }
+        self.plane.reset();
         self.predictions.fill(0.0);
     }
 }

@@ -5,150 +5,16 @@
 //! absolute MAPE at small N, and motivates future causal selection
 //! algorithms.
 //!
-//! This module provides both halves:
-//!
-//! * [`ensemble_steps`] — one pass over a trace computing, for every
-//!   prediction instant, the persistence term and the conditioned-average
-//!   term for *every* K at once. Any (α, K) prediction is then one
-//!   fused-multiply away ([`predict_from_step`]), which is what makes the
-//!   clairvoyant tables (and the sweep engine) cheap.
-//! * [`CausalDynamicWcma`] — a *causal* (deployable) selector that scores
-//!   each (α, K) configuration by its recent prediction errors and uses
-//!   the current best — the paper's suggested future work, implemented.
+//! [`CausalDynamicWcma`] is such a *causal* (deployable) selector: it
+//! scores each (α, K) configuration by its recent prediction errors and
+//! uses the current best — the paper's suggested future work,
+//! implemented. Like the clairvoyant study (`param_explore`'s
+//! `clairvoyant_eval`), it reads every K's conditioned term from one
+//! [`EtaPlane`] ring via [`EtaPlane::ratio_sums`], an O(K_max) step per
+//! slot instead of O(K_max²).
 
-use crate::history::DayHistory;
+use crate::plane::EtaPlane;
 use crate::predictor::Predictor;
-use solar_trace::SlotView;
-
-/// The per-prediction-instant data of the WCMA ensemble: everything
-/// needed to form `ê(n+1)` for any (α, K) at a fixed D.
-///
-/// Index semantics match [`crate::run_predictor`]: the prediction made at
-/// the boundary of slot `n` estimates slot `n` itself, so `(day, slot)`
-/// name the just-entered slot, `actual_mean` is its mean power (Eq. 7
-/// reference) and `actual_start` is the sample at the *next* boundary
-/// (Eq. 6 reference).
-#[derive(Clone, Debug, PartialEq)]
-pub struct EnsembleStep {
-    /// Day of the slot being estimated, 0-based.
-    pub day: u32,
-    /// Slot index within its day.
-    pub slot: u32,
-    /// The persistence input `ẽ(n)`.
-    pub persistence: f64,
-    /// `μ_D(n+1) · Φ_K` for `K = 1 ..= k_max` (index `K − 1`).
-    pub cond: Vec<f64>,
-    /// Sample at the next boundary (MAPE′ reference).
-    pub actual_start: f64,
-    /// Mean power of the slot (MAPE reference).
-    pub actual_mean: f64,
-}
-
-/// Forms the WCMA prediction `α · persistence + (1 − α) · cond[k]` from a
-/// step.
-///
-/// # Panics
-///
-/// Panics if `k` is 0 or exceeds the step's `k_max`.
-#[inline]
-pub fn predict_from_step(step: &EnsembleStep, alpha: f64, k: usize) -> f64 {
-    alpha * step.persistence + (1.0 - alpha) * step.cond[k - 1]
-}
-
-/// Runs the WCMA ensemble over a slotted trace at history depth `d`,
-/// producing one [`EnsembleStep`] per prediction whose target slot lies
-/// inside the trace.
-///
-/// The conditioned terms are computed incrementally over K via
-///
-/// ```text
-/// S1(K) = S1(K−1) + r[K−1]           (plain ratio sum)
-/// Sw(K) = Sw(K−1) + S1(K)            (weighted ratio sum)
-/// Φ_K   = Sw(K) / (K (K + 1) / 2)
-/// ```
-///
-/// where `r[i]` is the η ratio `i` slots before the current one — an
-/// O(k_max) step instead of O(k_max²). Consistency with
-/// [`WcmaPredictor`](crate::WcmaPredictor) (wrap-previous-day policy) is
-/// guaranteed by test.
-///
-/// During warm-up (no stored day yet) the persistence value is used for
-/// every term, matching the streaming predictor.
-///
-/// # Panics
-///
-/// Panics if `d == 0`, `k_max == 0` or `k_max >= view.slots_per_day()`.
-pub fn ensemble_steps(view: &SlotView<'_>, d: usize, k_max: usize) -> Vec<EnsembleStep> {
-    let n = view.slots_per_day();
-    assert!(d >= 1, "d must be at least 1");
-    assert!(k_max >= 1 && k_max < n, "k_max must be in [1, N)");
-    let days = view.days();
-    let mut history = DayHistory::new(n, d);
-    let mut current = vec![0.0; n];
-    // Ring of the last k_max η ratios, most recent first.
-    let mut ratios = std::collections::VecDeque::with_capacity(k_max);
-    let mut steps = Vec::with_capacity(days * n);
-
-    for day in 0..days {
-        for slot in 0..n {
-            let measured = view.start_sample(day, slot);
-            current[slot] = measured;
-
-            // η for the just-observed slot.
-            let eta = crate::wcma::conditioning_ratio(measured, history.mean(slot, d));
-            if ratios.len() == k_max {
-                ratios.pop_back();
-            }
-            ratios.push_front(eta);
-
-            let (b_day, b_slot) = if slot + 1 == n {
-                (day + 1, 0)
-            } else {
-                (day, slot + 1)
-            };
-            if slot + 1 == n {
-                history.push_day(&current);
-            }
-            // Warm-up is judged after any rollover push, matching the
-            // streaming predictor's post-push μ lookup.
-            let warm = history.is_empty();
-            if b_day >= days {
-                continue; // the final slot has no closing boundary
-            }
-
-            let cond: Vec<f64> = if warm {
-                vec![measured; k_max]
-            } else {
-                let mu_next = history
-                    .mean(b_slot, d)
-                    .expect("history non-empty after warm-up");
-                let mut cond = Vec::with_capacity(k_max);
-                let mut s1 = 0.0;
-                let mut sw = 0.0;
-                for k in 1..=k_max {
-                    // Ratios older than what we have (very first slots of
-                    // the run) count as neutral.
-                    let r = ratios.get(k - 1).copied().unwrap_or(1.0);
-                    s1 += r;
-                    sw += s1;
-                    let phi = sw / (k * (k + 1) / 2) as f64;
-                    cond.push(mu_next * phi);
-                }
-                cond
-            };
-
-            steps.push(EnsembleStep {
-                day: day as u32,
-                slot: slot as u32,
-                persistence: measured,
-                cond,
-                actual_start: view.start_sample(b_day, b_slot),
-                actual_mean: view.mean_power(day, slot),
-            });
-        }
-    }
-    steps
-}
 
 /// A causal dynamic-parameter WCMA: scores every (α, K) configuration by
 /// an exponentially discounted average of its recent absolute percentage
@@ -191,15 +57,13 @@ pub fn ensemble_steps(view: &SlotView<'_>, d: usize, k_max: usize) -> Vec<Ensemb
 /// ```
 #[derive(Clone, Debug)]
 pub struct CausalDynamicWcma {
-    d: usize,
     k_max: usize,
     alphas: Vec<f64>,
     score_decay: f64,
-    slots_per_day: usize,
-    history: DayHistory,
-    current: Vec<f64>,
-    cursor: usize,
-    ratios: std::collections::VecDeque<f64>,
+    /// One η ring at depth D, `k_max` deep.
+    plane: EtaPlane,
+    /// Per-slot scratch: `μ_D(n+1) · Φ_K` for `K = 1 ..= k_max`.
+    cond: Vec<f64>,
     /// Number of time-of-day buckets with independent scores.
     buckets: usize,
     /// Discounted error score per (bucket, configuration).
@@ -222,7 +86,7 @@ impl CausalDynamicWcma {
     /// * `d` — history depth (fixed, like the paper's Table V).
     /// * `k_max` — configurations use `K = 1 ..= k_max`.
     /// * `alphas` — candidate α values.
-    /// * `score_decay` — per-slot discount of past errors in `(0, 1)`;
+    /// * `score_decay` — per-slot discount of past errors in `[0, 1)`;
     ///   higher means longer memory.
     ///
     /// Scores are kept per time-of-day bucket (see
@@ -296,15 +160,11 @@ impl CausalDynamicWcma {
         }
         let configs = alphas.len() * k_max;
         Ok(CausalDynamicWcma {
-            d,
             k_max,
             alphas,
             score_decay,
-            slots_per_day,
-            history: DayHistory::new(slots_per_day, d),
-            current: vec![0.0; slots_per_day],
-            cursor: 0,
-            ratios: std::collections::VecDeque::with_capacity(k_max),
+            plane: EtaPlane::new(slots_per_day, [(d, k_max)]),
+            cond: vec![0.0; k_max],
             buckets,
             scores: vec![0.0; configs * buckets],
             last_preds: vec![0.0; configs],
@@ -322,11 +182,7 @@ impl CausalDynamicWcma {
 
     /// The time-of-day bucket of a slot index.
     fn bucket_of(&self, slot: usize) -> usize {
-        slot * self.buckets / self.slots_per_day
-    }
-
-    fn config_index(&self, alpha_idx: usize, k_idx: usize) -> usize {
-        alpha_idx * self.k_max + k_idx
+        slot * self.buckets / self.plane.slots_per_day()
     }
 }
 
@@ -339,7 +195,8 @@ impl Predictor for CausalDynamicWcma {
             let slot_mean = 0.5 * (self.prev_measured + measured);
             self.running_peak = self.running_peak.max(slot_mean);
             if slot_mean >= 0.1 * self.running_peak && slot_mean > 0.0 {
-                let elapsed_slot = (self.cursor + self.slots_per_day - 1) % self.slots_per_day;
+                let n = self.plane.slots_per_day();
+                let elapsed_slot = (self.plane.cursor() + n - 1) % n;
                 let base = self.bucket_of(elapsed_slot) * self.last_preds.len();
                 for (idx, &pred) in self.last_preds.iter().enumerate() {
                     let pct = ((slot_mean - pred) / slot_mean).abs();
@@ -350,48 +207,23 @@ impl Predictor for CausalDynamicWcma {
         }
         self.prev_measured = measured;
 
-        // 2. Update ensemble state (mirrors `ensemble_steps`).
-        let n = self.slots_per_day;
-        self.current[self.cursor] = measured;
-        let eta = crate::wcma::conditioning_ratio(measured, self.history.mean(self.cursor, self.d));
-        if self.ratios.len() == self.k_max {
-            self.ratios.pop_back();
-        }
-        self.ratios.push_front(eta);
-
-        let target = (self.cursor + 1) % n;
-        if self.cursor + 1 == n {
-            let finished = std::mem::replace(&mut self.current, vec![0.0; n]);
-            self.history.push_day(&finished);
-            self.cursor = 0;
+        // 2. Conditioned terms for every K: persistence during warm-up,
+        //    else μ_D(n+1) · Sw(K) / T(K).
+        let target = self.plane.observe(measured);
+        if self.plane.is_warming_up() {
+            self.cond.fill(measured);
         } else {
-            self.cursor += 1;
+            self.plane.ratio_sums(0, &mut self.cond);
+            let mu_next = self.plane.mu_next(0);
+            for (ki, c) in self.cond.iter_mut().enumerate() {
+                *c = mu_next * *c / ((ki + 1) * (ki + 2) / 2) as f64;
+            }
         }
-        let warm = self.history.is_empty();
 
         // 3. Predictions for every configuration.
-        let cond: Vec<f64> = if warm {
-            vec![measured; self.k_max]
-        } else {
-            let mu_next = self
-                .history
-                .mean(target, self.d)
-                .expect("history non-empty");
-            let mut cond = Vec::with_capacity(self.k_max);
-            let mut s1 = 0.0;
-            let mut sw = 0.0;
-            for k in 1..=self.k_max {
-                let r = self.ratios.get(k - 1).copied().unwrap_or(1.0);
-                s1 += r;
-                sw += s1;
-                cond.push(mu_next * sw / (k * (k + 1) / 2) as f64);
-            }
-            cond
-        };
         for (ai, &alpha) in self.alphas.iter().enumerate() {
-            for (ki, &c) in cond.iter().enumerate() {
-                let idx = self.config_index(ai, ki);
-                self.last_preds[idx] = alpha * measured + (1.0 - alpha) * c;
+            for (ki, &c) in self.cond.iter().enumerate() {
+                self.last_preds[ai * self.k_max + ki] = alpha * measured + (1.0 - alpha) * c;
             }
         }
         self.has_last = true;
@@ -411,14 +243,11 @@ impl Predictor for CausalDynamicWcma {
     }
 
     fn slots_per_day(&self) -> usize {
-        self.slots_per_day
+        self.plane.slots_per_day()
     }
 
     fn reset(&mut self) {
-        self.history.clear();
-        self.current.fill(0.0);
-        self.cursor = 0;
-        self.ratios.clear();
+        self.plane.reset();
         self.scores.fill(0.0);
         self.last_preds.fill(0.0);
         self.has_last = false;
@@ -442,7 +271,7 @@ mod tests {
     use crate::params::WcmaParams;
     use crate::runner::run_predictor;
     use crate::wcma::WcmaPredictor;
-    use solar_trace::{PowerTrace, Resolution, SlotsPerDay};
+    use solar_trace::{PowerTrace, Resolution, SlotView, SlotsPerDay};
 
     fn bumpy_trace(days: usize, n: usize) -> PowerTrace {
         // Deterministic pseudo-noisy solar-ish profile.
@@ -464,6 +293,20 @@ mod tests {
         .unwrap()
     }
 
+    /// The clairvoyant study's conditioned terms for `K = 1 ..= cond.len()`:
+    /// persistence during warm-up, else `μ_D(n+1) · (Sw(K) / T(K))`.
+    fn conditioned_terms(plane: &EtaPlane, measured: f64, cond: &mut [f64]) {
+        if plane.is_warming_up() {
+            cond.fill(measured);
+            return;
+        }
+        plane.ratio_sums(0, cond);
+        let mu_next = plane.mu_next(0);
+        for (ki, c) in cond.iter_mut().enumerate() {
+            *c = mu_next * (*c / ((ki + 1) * (ki + 2) / 2) as f64);
+        }
+    }
+
     #[test]
     fn ensemble_matches_streaming_wcma_for_every_k_and_alpha() {
         let n = 24;
@@ -471,28 +314,32 @@ mod tests {
         let view = SlotView::new(&trace, SlotsPerDay::new(n as u32).unwrap()).unwrap();
         let d = 5;
         let k_max = 6;
-        let steps = ensemble_steps(&view, d, k_max);
-        for &alpha in &[0.0, 0.3, 0.7, 1.0] {
-            for k in 1..=k_max {
+        let mut solos: Vec<(f64, usize, WcmaPredictor)> = [0.0, 0.3, 0.7, 1.0]
+            .iter()
+            .flat_map(|&alpha| (1..=k_max).map(move |k| (alpha, k)))
+            .map(|(alpha, k)| {
                 let params = WcmaParams::new(alpha, d, k, n).unwrap();
-                let mut wcma = WcmaPredictor::new(params);
-                let log = run_predictor(&view, &mut wcma);
-                assert_eq!(log.len(), steps.len());
-                for (rec, step) in log.records().iter().zip(&steps) {
-                    assert_eq!((rec.day, rec.slot), (step.day, step.slot));
-                    let ens = predict_from_step(step, alpha, k);
+                (alpha, k, WcmaPredictor::new(params))
+            })
+            .collect();
+        let mut plane = EtaPlane::new(n, [(d, k_max)]);
+        let mut cond = vec![0.0; k_max];
+        for day in 0..view.days() {
+            for slot in 0..n {
+                let measured = view.start_sample(day, slot);
+                plane.observe(measured);
+                conditioned_terms(&plane, measured, &mut cond);
+                for (alpha, k, solo) in &mut solos {
+                    let streamed = solo.observe_and_predict(measured);
                     // Skip the very first slots where the streaming
                     // predictor's K window can reach before the run start.
-                    if step.day == 0 && (step.slot as usize) < k {
+                    if day == 0 && slot < *k {
                         continue;
                     }
+                    let ens = *alpha * measured + (1.0 - *alpha) * cond[*k - 1];
                     assert!(
-                        (rec.predicted - ens).abs() < 1e-9,
-                        "alpha {alpha} K {k} d{} s{}: {} vs {}",
-                        step.day,
-                        step.slot,
-                        rec.predicted,
-                        ens
+                        (streamed - ens).abs() < 1e-9,
+                        "alpha {alpha} K {k} d{day} s{slot}: {streamed} vs {ens}"
                     );
                 }
             }
@@ -501,18 +348,34 @@ mod tests {
 
     #[test]
     fn ensemble_references_match_view() {
+        // The plane's target slot is the view's closing boundary, and its
+        // μ_D(target) is the mean of that boundary slot's start samples
+        // over the preceding D days — summed newest first, to the bit.
         let n = 24usize;
+        let d = 3;
         let trace = bumpy_trace(4, n);
         let view = SlotView::new(&trace, SlotsPerDay::new(n as u32).unwrap()).unwrap();
-        for step in ensemble_steps(&view, 3, 2) {
-            let (day, slot) = (step.day as usize, step.slot as usize);
-            let (b_day, b_slot) = if slot + 1 == n {
-                (day + 1, 0)
-            } else {
-                (day, slot + 1)
-            };
-            assert_eq!(step.actual_start, view.start_sample(b_day, b_slot));
-            assert_eq!(step.actual_mean, view.mean_power(day, slot));
+        let mut plane = EtaPlane::new(n, [(d, 2)]);
+        for day in 0..view.days() {
+            for slot in 0..n {
+                assert_eq!(plane.cursor(), slot);
+                let target = plane.observe(view.start_sample(day, slot));
+                assert_eq!(plane.entries_today(), slot + 1);
+                let (b_day, b_slot) = if slot + 1 == n {
+                    (day + 1, 0)
+                } else {
+                    (day, slot + 1)
+                };
+                assert_eq!(target, b_slot);
+                assert_eq!(plane.is_warming_up(), b_day == 0);
+                let take = d.min(b_day);
+                if take > 0 {
+                    let sum = (1..=take).fold(0.0, |acc, back| {
+                        acc + view.start_sample(b_day - back, b_slot)
+                    });
+                    assert_eq!(plane.mu_next(0).to_bits(), (sum / take as f64).to_bits());
+                }
+            }
         }
     }
 
@@ -521,35 +384,36 @@ mod tests {
         let n = 24;
         let trace = bumpy_trace(30, n);
         let view = SlotView::new(&trace, SlotsPerDay::new(n as u32).unwrap()).unwrap();
-        let steps = ensemble_steps(&view, 5, 6);
+        let k_max = 6;
         let alphas: Vec<f64> = (0..=10).map(|i| i as f64 / 10.0).collect();
         let roi = 90.0; // only meaningful slots
-        let mut best_fixed = f64::INFINITY;
-        for &alpha in &alphas {
-            for k in 1..=6 {
-                let mape: f64 = steps
-                    .iter()
-                    .filter(|s| s.actual_mean > roi)
-                    .map(|s| {
-                        ((s.actual_mean - predict_from_step(s, alpha, k)) / s.actual_mean).abs()
-                    })
-                    .sum::<f64>();
-                best_fixed = best_fixed.min(mape);
+        let mut plane = EtaPlane::new(n, [(5, k_max)]);
+        let mut cond = vec![0.0; k_max];
+        let mut fixed = vec![0.0; alphas.len() * k_max];
+        let mut clairvoyant = 0.0;
+        for day in 0..view.days() {
+            for slot in 0..n {
+                let measured = view.start_sample(day, slot);
+                plane.observe(measured);
+                let actual = view.mean_power(day, slot);
+                // The final slot has no closing boundary.
+                if (day + 1 == view.days() && slot + 1 == n) || actual <= roi {
+                    continue;
+                }
+                conditioned_terms(&plane, measured, &mut cond);
+                let mut best = f64::INFINITY;
+                for (ai, &alpha) in alphas.iter().enumerate() {
+                    for (ki, &c) in cond.iter().enumerate() {
+                        let pred = alpha * measured + (1.0 - alpha) * c;
+                        let err = ((actual - pred) / actual).abs();
+                        fixed[ai * k_max + ki] += err;
+                        best = best.min(err);
+                    }
+                }
+                clairvoyant += best;
             }
         }
-        let clairvoyant: f64 = steps
-            .iter()
-            .filter(|s| s.actual_mean > roi)
-            .map(|s| {
-                alphas
-                    .iter()
-                    .flat_map(|&a| (1..=6).map(move |k| (a, k)))
-                    .map(|(a, k)| {
-                        ((s.actual_mean - predict_from_step(s, a, k)) / s.actual_mean).abs()
-                    })
-                    .fold(f64::INFINITY, f64::min)
-            })
-            .sum();
+        let best_fixed = fixed.iter().copied().fold(f64::INFINITY, f64::min);
         assert!(
             clairvoyant <= best_fixed + 1e-9,
             "clairvoyant {clairvoyant} must not exceed best fixed {best_fixed}"
@@ -580,6 +444,7 @@ mod tests {
         assert!(CausalDynamicWcma::new(5, 6, vec![], 0.8, 24).is_err());
         assert!(CausalDynamicWcma::new(5, 6, vec![1.5], 0.8, 24).is_err());
         assert!(CausalDynamicWcma::new(5, 6, vec![0.5], 1.0, 24).is_err());
+        assert!(CausalDynamicWcma::new(5, 6, vec![0.5], 0.0, 24).is_ok());
     }
 
     #[test]

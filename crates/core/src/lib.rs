@@ -20,9 +20,16 @@
 //! * [`EwmaPredictor`] — the Kansal et al. (TECS'07) baseline.
 //! * [`PersistencePredictor`], [`MovingAveragePredictor`] — degenerate
 //!   baselines (the α = 1 and α = 0, Φ ≡ 1 corners of WCMA).
-//! * [`dynamic`] — the machinery behind the paper's §IV-C dynamic
-//!   parameter selection: per-step prediction ensembles over (α, K), plus
-//!   a *causal* dynamic selector extending the paper's clairvoyant study.
+//! * [`dynamic`] — the paper's §IV-C dynamic parameter selection made
+//!   causal: [`CausalDynamicWcma`] picks (α, K) per prediction from
+//!   recent errors, extending the paper's clairvoyant study.
+//! * [`CandidateBank`] — every tuner grid point over one observation
+//!   pass, bit-identical to solo runs.
+//! * [`EtaPlane`] — the observation half every batched WCMA kernel
+//!   shares (the bank, `param_explore`'s sweep and clairvoyant study, the
+//!   causal selector): one `E_{D×N}` history, η frozen per D before the
+//!   day rolls over, `μ_D` of the target slot, and the triangular Φ ratio
+//!   sums.
 //! * [`FixedWcmaPredictor`] — a Q16.16
 //!   fixed-point kernel mirroring what an MSP430 would actually run.
 //! * [`run_predictor`] — drives any predictor over a
@@ -63,6 +70,7 @@ mod ewma;
 pub mod fixed_point;
 mod history;
 mod params;
+mod plane;
 mod predictor;
 mod runner;
 mod wcma;
@@ -75,6 +83,7 @@ pub use ewma::EwmaPredictor;
 pub use fixed_point::FixedWcmaPredictor;
 pub use history::DayHistory;
 pub use params::{KWindowPolicy, WcmaParams, WcmaParamsBuilder};
+pub use plane::EtaPlane;
 pub use predictor::Predictor;
 pub use runner::{
     run_predictor, run_predictor_observed, DayCheckpoint, PredictionFeed, StreamedPredictorRun,

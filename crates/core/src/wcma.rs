@@ -14,7 +14,7 @@ use std::collections::VecDeque;
 /// magnitude. Deployed WCMA implementations bound the ratio; "today is
 /// 50× brighter than usual" already carries no extra information for
 /// conditioning. The bound is shared by every engine in the workspace
-/// (streaming, ensemble, sweep, fixed point).
+/// (streaming, batched, fixed point).
 pub const MAX_CONDITIONING_RATIO: f64 = 50.0;
 
 /// The η ratio of Eq. 4 with the night/warm-up guard (`μ = 0 → η = 1`)
@@ -63,8 +63,8 @@ pub struct WcmaTerms {
 /// ```
 ///
 /// Implementation notes (these mirror what deployed MCU firmware does and
-/// are shared with the sweep/ensemble engines, which are tested to agree
-/// exactly):
+/// are shared with the batched kernels over [`EtaPlane`](crate::EtaPlane),
+/// which are tested to agree exactly):
 ///
 /// * each slot's η ratio is computed **once, when the slot is observed**,
 ///   against the history as of that moment, and kept in a K-deep ring —
@@ -190,8 +190,8 @@ pub(crate) fn phi_over_ring(
                 }
                 r
             }
-            // Start of the run: neutral ratio, matching the ensemble
-            // engine.
+            // Start of the run: neutral ratio, matching
+            // `EtaPlane::ratio_sums`.
             None => match policy {
                 KWindowPolicy::WrapPreviousDay => 1.0,
                 KWindowPolicy::ClampRenormalize => continue,

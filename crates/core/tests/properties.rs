@@ -1,11 +1,10 @@
 //! Property-based tests for the predictor invariants of DESIGN.md §6.
 
 use proptest::prelude::*;
-use solar_predict::dynamic::{ensemble_steps, predict_from_step};
 use solar_predict::fixed_point::FixedWcmaPredictor;
 use solar_predict::{
-    run_predictor, CandidateBank, EwmaPredictor, MovingAveragePredictor, PersistencePredictor,
-    Predictor, WcmaParams, WcmaPredictor,
+    run_predictor, CandidateBank, EtaPlane, EwmaPredictor, KWindowPolicy, MovingAveragePredictor,
+    PersistencePredictor, Predictor, WcmaParams, WcmaParamsBuilder, WcmaPredictor,
 };
 use solar_trace::{PowerTrace, Resolution, SlotView, SlotsPerDay};
 
@@ -90,21 +89,34 @@ proptest! {
         let v = view(&trace);
         let d = 4;
         let k_max = 4;
-        let steps = ensemble_steps(&v, d, k_max);
-        for k in 1..=k_max {
-            let params = WcmaParams::new(alpha, d, k, N).unwrap();
-            let log = run_predictor(&v, &mut WcmaPredictor::new(params));
-            prop_assert_eq!(log.len(), steps.len());
-            for (rec, step) in log.records().iter().zip(&steps) {
-                if step.day == 0 && (step.slot as usize) < k {
-                    continue; // run-start window differences
+        let mut plane = EtaPlane::new(N, [(d, k_max)]);
+        let mut sums = vec![0.0; k_max];
+        let mut solos: Vec<WcmaPredictor> = (1..=k_max)
+            .map(|k| WcmaPredictor::new(WcmaParams::new(alpha, d, k, N).unwrap()))
+            .collect();
+        for day in 0..v.days() {
+            for slot in 0..N {
+                let measured = v.start_sample(day, slot);
+                plane.observe(measured);
+                plane.ratio_sums(0, &mut sums);
+                for (ki, solo) in solos.iter_mut().enumerate() {
+                    let streamed = solo.observe_and_predict(measured);
+                    let k = ki + 1;
+                    if day == 0 && slot < k {
+                        continue; // run-start window differences
+                    }
+                    let cond = if plane.is_warming_up() {
+                        measured
+                    } else {
+                        plane.mu_next(0) * (sums[ki] / (k * (k + 1) / 2) as f64)
+                    };
+                    let ens = alpha * measured + (1.0 - alpha) * cond;
+                    prop_assert!(
+                        (streamed - ens).abs() < 1e-9,
+                        "alpha {} K {} d{} s{}: {} vs {}",
+                        alpha, k, day, slot, streamed, ens
+                    );
                 }
-                let ens = predict_from_step(step, alpha, k);
-                prop_assert!(
-                    (rec.predicted - ens).abs() < 1e-9,
-                    "alpha {} K {} d{} s{}: {} vs {}",
-                    alpha, k, step.day, step.slot, rec.predicted, ens
-                );
             }
         }
     }
@@ -177,11 +189,14 @@ proptest! {
     /// [`CandidateBank`] holding a whole (α, D, K) grid emits, for every
     /// candidate at every slot, the bit-identical prediction its solo
     /// [`WcmaPredictor`] emits — the contract that lets one trace pass
-    /// score a tuner round's whole grid.
+    /// score a tuner round's whole grid. Banks mix both K-window
+    /// policies, so the plane's "entries since today's first slot"
+    /// boundary is checked against every solo clamp window.
     #[test]
     fn candidate_bank_matches_solo_runs_on_random_traces(
         trace in trace_strategy(6),
         alpha_seed in 0u32..4,
+        policy_seed in 0u32..3,
     ) {
         let alphas = [
             vec![0.0, 1.0],
@@ -189,11 +204,24 @@ proptest! {
             vec![0.25, 0.5, 0.75],
             vec![0.7, 0.9],
         ][alpha_seed as usize].clone();
+        // All wrap, all clamp, or alternating per candidate.
+        let policy_of = |idx: usize| match (policy_seed, idx % 2) {
+            (0, _) | (2, 0) => KWindowPolicy::WrapPreviousDay,
+            _ => KWindowPolicy::ClampRenormalize,
+        };
         let mut grid = Vec::new();
         for &alpha in &alphas {
             for days in [1usize, 4, 11] {
                 for k in [1usize, 3, 6] {
-                    grid.push(WcmaParams::new(alpha, days, k, N).unwrap());
+                    let params = WcmaParamsBuilder::new()
+                        .alpha(alpha)
+                        .days(days)
+                        .k(k)
+                        .slots_per_day(N)
+                        .k_policy(policy_of(grid.len()))
+                        .build()
+                        .unwrap();
+                    grid.push(params);
                 }
             }
         }

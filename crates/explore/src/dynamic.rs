@@ -6,8 +6,9 @@
 //! floor any causal dynamic-selection algorithm could reach, which is how
 //! the paper motivates dynamic algorithms.
 
+use crate::sweep::for_each_counted;
 use pred_metrics::EvalProtocol;
-use solar_predict::dynamic::{ensemble_steps, predict_from_step, EnsembleStep};
+use solar_predict::EtaPlane;
 use solar_trace::SlotView;
 
 /// Results of the clairvoyant dynamic study at one (trace, N, D), in the
@@ -35,7 +36,9 @@ pub struct DynamicOutcome {
 /// * `k_max` — candidate `K ∈ [1, k_max]` (the paper's 6).
 ///
 /// The same inclusion rules as the static protocol apply, so the numbers
-/// are directly comparable to a sweep's static MAPE.
+/// are directly comparable to a sweep's static MAPE. One pass over the
+/// shared [`EtaPlane`] yields, per instant, every K's conditioned term
+/// `μ_D(n+1) · Φ_K`; any (α, K) prediction is then one multiply-add.
 ///
 /// # Panics
 ///
@@ -49,33 +52,43 @@ pub fn clairvoyant_eval(
     protocol: &EvalProtocol,
 ) -> DynamicOutcome {
     assert!(!alphas.is_empty(), "alpha grid must be non-empty");
-    let steps = ensemble_steps(view, d, k_max);
-    let peak = steps.iter().map(|s| s.actual_mean).fold(0.0, f64::max);
-    let threshold = protocol.roi().threshold(peak);
-    let first_day = protocol.first_eval_day();
+    let n = view.slots_per_day();
+    assert!(k_max < n, "k_max must be in [1, N)");
 
-    let mut count = 0usize;
     let mut sum_both = 0.0;
     // Per fixed α: sum of min-over-K errors.
     let mut sum_k_only = vec![0.0_f64; alphas.len()];
     // Per fixed K: sum of min-over-α errors.
     let mut sum_alpha_only = vec![0.0_f64; k_max];
 
-    let included =
-        |s: &EnsembleStep| s.day >= first_day && s.actual_mean >= threshold && s.actual_mean > 0.0;
+    let plane = EtaPlane::new(n, [(d, k_max)]);
+    // Scratch: `μ_D(n+1) · Φ_K` for K = 1 ..= k_max, and the best error
+    // per K at the current instant.
+    let mut cond = vec![0.0_f64; k_max];
+    let mut best_per_k = vec![f64::INFINITY; k_max];
 
-    for step in steps.iter().filter(|s| included(s)) {
-        count += 1;
-        let inv = 1.0 / step.actual_mean;
+    let count = for_each_counted(view, protocol, plane, |plane, measured, actual_mean, _| {
+        // Warm-up: persistence for every K.
+        if plane.is_warming_up() {
+            cond.fill(measured);
+        } else {
+            plane.ratio_sums(0, &mut cond);
+            let mu_next = plane.mu_next(0);
+            for (ki, c) in cond.iter_mut().enumerate() {
+                *c = mu_next * (*c / ((ki + 1) * (ki + 2) / 2) as f64);
+            }
+        }
+
+        let inv = 1.0 / actual_mean;
         let mut best_overall = f64::INFINITY;
-        let mut best_per_k = vec![f64::INFINITY; k_max];
+        best_per_k.fill(f64::INFINITY);
         for (ai, &alpha) in alphas.iter().enumerate() {
             let mut best_for_alpha = f64::INFINITY;
-            for k in 1..=k_max {
-                let pred = predict_from_step(step, alpha, k);
-                let err = ((step.actual_mean - pred) * inv).abs();
+            for (ki, &c) in cond.iter().enumerate() {
+                let pred = alpha * measured + (1.0 - alpha) * c;
+                let err = ((actual_mean - pred) * inv).abs();
                 best_for_alpha = best_for_alpha.min(err);
-                best_per_k[k - 1] = best_per_k[k - 1].min(err);
+                best_per_k[ki] = best_per_k[ki].min(err);
                 best_overall = best_overall.min(err);
             }
             sum_k_only[ai] += best_for_alpha;
@@ -84,7 +97,7 @@ pub fn clairvoyant_eval(
             sum_alpha_only[ki] += e;
         }
         sum_both += best_overall;
-    }
+    });
 
     let denom = count.max(1) as f64;
     let (best_alpha_idx, best_alpha_sum) = sum_k_only

@@ -4,12 +4,14 @@
 //! and each sampling rate `N`, find the (α, D, K) minimizing the average
 //! prediction error, then study the trends. Done naively this costs one
 //! full predictor run per grid point (11 × 19 × 6 = 1254 runs per
-//! data set per `N`). The [`sweep`] engine here does it in **one pass**:
+//! data set per `N`). The [`sweep`] engine here does it in **one pass**
+//! over the shared [`solar_predict::EtaPlane`] — the same observation
+//! half the tuner's `CandidateBank` and the dynamic studies ride:
 //!
 //! * `μ_D` for every `D ∈ [2, 20]` comes from per-slot prefix sums
 //!   (`O(D_max)` per slot, `O(1)` per `D`),
-//! * `Φ_K` for every `K ∈ [1, 6]` comes from the `S1/Sw` recurrence
-//!   (`O(K_max)` per (slot, D)),
+//! * `Φ_K` for every `K ∈ [1, 6]` comes from the plane's `S1/Sw` ratio
+//!   sums (`O(K_max)` per (slot, D)),
 //! * every α is then a single multiply-add per configuration.
 //!
 //! A test asserts the sweep is *numerically identical* to running the

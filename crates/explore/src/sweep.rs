@@ -2,9 +2,8 @@
 
 use crate::grid::ParamGrid;
 use pred_metrics::EvalProtocol;
-use solar_predict::DayHistory;
+use solar_predict::EtaPlane;
 use solar_trace::SlotView;
-use std::collections::VecDeque;
 
 /// One optimized configuration with its achieved errors, as reported in
 /// the paper's Tables II and III.
@@ -189,18 +188,17 @@ impl SweepResult {
 /// Sweeps the full (α, D, K) grid over one slotted trace in a single
 /// pass, under the paper's evaluation protocol.
 ///
-/// The engine reproduces the streaming [`solar_predict::WcmaPredictor`]
+/// The engine rides the shared [`EtaPlane`] (one η ring per D, `k_max`
+/// deep), so it reproduces the streaming [`solar_predict::WcmaPredictor`]
 /// exactly (wrap-previous-day policy): η ratios are frozen at observation
 /// time, day rollover pushes the finished day before the next-slot mean
-/// is read, and warm-up predictions degenerate to persistence.
+/// is read, and warm-up predictions are persistence.
 ///
 /// # Panics
 ///
 /// Panics if the grid's `k_max` is not below the view's slots per day.
 pub fn sweep(view: &SlotView<'_>, grid: &ParamGrid, protocol: &EvalProtocol) -> SweepResult {
     let n = view.slots_per_day();
-    let days_total = view.days();
-    let d_max = grid.d_max();
     let k_max = grid.k_max();
     assert!(k_max < n, "grid k_max {k_max} must be below N={n}");
 
@@ -209,109 +207,44 @@ pub fn sweep(view: &SlotView<'_>, grid: &ParamGrid, protocol: &EvalProtocol) -> 
     let n_k = grid.ks().len();
     let mut sum_mape = vec![0.0_f64; n_alpha * n_days * n_k];
     let mut sum_prime = vec![0.0_f64; n_alpha * n_days * n_k];
-    let mut count = 0usize;
 
-    // ROI peak over evaluable slots (every slot with a closing boundary,
-    // i.e. all but the very last), matching
-    // `PredictionLog::peak_actual_mean` of a runner log.
-    let total = view.total_slots();
-    let peak = view.mean_series()[..total.saturating_sub(1)]
-        .iter()
-        .copied()
-        .fold(0.0, f64::max);
-    let threshold = protocol.roi().threshold(peak);
-    let first_eval_day = protocol.first_eval_day() as usize;
-
-    let mut history = DayHistory::new(n, d_max);
-    let mut current = vec![0.0_f64; n];
-    // Per-D ring of the last k_max η ratios, most recent first.
-    let mut rings: Vec<VecDeque<f64>> = vec![VecDeque::with_capacity(k_max); n_days];
-    let mut prefix = Vec::with_capacity(d_max);
-    // Scratch: conditioned term per (D, K).
+    let plane = EtaPlane::new(n, grid.days().iter().map(|&d| (d, k_max)));
+    // Scratch: Sw(K) for one D, and the conditioned term per (D, K).
+    let mut sums = vec![0.0_f64; k_max];
     let mut cond = vec![0.0_f64; n_days * n_k];
 
-    for day in 0..days_total {
-        for slot in 0..n {
-            let measured = view.start_sample(day, slot);
-            current[slot] = measured;
+    let count = for_each_counted(view, protocol, plane, |plane, measured, mean, start| {
+        let inv_mean = 1.0 / mean;
+        if plane.is_warming_up() {
+            // No history yet: every configuration predicts persistence,
+            // as the streaming predictor does.
+            let err = ((mean - measured) * inv_mean).abs();
+            let err_prime = ((start - measured) * inv_mean).abs();
+            sum_mape.iter_mut().for_each(|sum| *sum += err);
+            sum_prime.iter_mut().for_each(|sum| *sum += err_prime);
+            return;
+        }
 
-            // Freeze this slot's η per D (history excludes today).
-            let filled = history.prefix_sums(slot, d_max, &mut prefix);
-            for (di, &d) in grid.days().iter().enumerate() {
-                let eta = if filled == 0 {
-                    1.0
-                } else {
-                    let take = d.min(filled);
-                    let mu = prefix[take - 1] / take as f64;
-                    solar_predict::conditioning_ratio(measured, Some(mu))
-                };
-                let ring = &mut rings[di];
-                if ring.len() == k_max {
-                    ring.pop_back();
-                }
-                ring.push_front(eta);
-            }
-
-            // Day rollover before the boundary-slot mean is read.
-            let (b_day, b_slot) = if slot + 1 == n {
-                (day + 1, 0)
-            } else {
-                (day, slot + 1)
-            };
-            if slot + 1 == n {
-                history.push_day(&current);
-            }
-            if b_day >= days_total {
-                continue; // final slot: no closing boundary
-            }
-
-            // The prediction estimates the just-entered slot (day, slot);
-            // protocol filters decide whether it counts, and the expensive
-            // per-config math is skipped otherwise.
-            let mean_t = view.mean_power(day, slot);
-            if day < first_eval_day || mean_t < threshold || mean_t == 0.0 {
-                continue;
-            }
-            let start_t = view.start_sample(b_day, b_slot);
-            count += 1;
-
-            let warm = history.is_empty();
-            debug_assert!(!warm, "eval days start after warm-up");
-
-            let filled_t = history.prefix_sums(b_slot, d_max, &mut prefix);
-            for (di, &d) in grid.days().iter().enumerate() {
-                let take = d.min(filled_t);
-                let mu_next = prefix[take - 1] / take as f64;
-                // Φ for every K of the grid via the S1/Sw recurrence.
-                let ring = &rings[di];
-                let mut s1 = 0.0;
-                let mut sw = 0.0;
-                let mut next_k = 0usize; // index into grid.ks()
-                for k in 1..=k_max {
-                    let r = ring.get(k - 1).copied().unwrap_or(1.0);
-                    s1 += r;
-                    sw += s1;
-                    if next_k < n_k && grid.ks()[next_k] == k {
-                        let phi = sw / (k * (k + 1) / 2) as f64;
-                        cond[di * n_k + next_k] = mu_next * phi;
-                        next_k += 1;
-                    }
-                }
-            }
-
-            let inv_mean = 1.0 / mean_t;
-            for (ai, &alpha) in grid.alphas().iter().enumerate() {
-                let pers = alpha * measured;
-                let beta = 1.0 - alpha;
-                let base = ai * n_days * n_k;
-                for (ci, &c) in cond.iter().enumerate() {
-                    let pred = pers + beta * c;
-                    sum_mape[base + ci] += ((mean_t - pred) * inv_mean).abs();
-                    sum_prime[base + ci] += ((start_t - pred) * inv_mean).abs();
-                }
+        for di in 0..n_days {
+            plane.ratio_sums(di, &mut sums);
+            let mu_next = plane.mu_next(di);
+            for (ki, &k) in grid.ks().iter().enumerate() {
+                let phi = sums[k - 1] / (k * (k + 1) / 2) as f64;
+                cond[di * n_k + ki] = mu_next * phi;
             }
         }
-    }
+
+        for (ai, &alpha) in grid.alphas().iter().enumerate() {
+            let pers = alpha * measured;
+            let beta = 1.0 - alpha;
+            let base = ai * n_days * n_k;
+            for (ci, &c) in cond.iter().enumerate() {
+                let pred = pers + beta * c;
+                sum_mape[base + ci] += ((mean - pred) * inv_mean).abs();
+                sum_prime[base + ci] += ((start - pred) * inv_mean).abs();
+            }
+        }
+    });
 
     SweepResult {
         grid: grid.clone(),
@@ -320,6 +253,46 @@ pub fn sweep(view: &SlotView<'_>, grid: &ParamGrid, protocol: &EvalProtocol) -> 
         sum_mape,
         sum_prime,
     }
+}
+
+/// Drives `plane` over every slot of `view` and calls
+/// `visit(plane, measured, mean, start)` for each prediction the paper's
+/// protocol counts, returning how many that was. The prediction made at
+/// the boundary of slot `(day, slot)` estimates that slot: `measured` is
+/// its start sample, `mean` its mean power (the MAPE reference) and
+/// `start` the sample at its closing boundary (the MAPE′ reference). It
+/// counts when that boundary lies inside the trace, `day` is an
+/// evaluation day, and `mean` is non-zero and inside the region of
+/// interest, whose peak spans every slot with a closing boundary (as
+/// `PredictionLog::peak_actual_mean` of a runner log does).
+pub(crate) fn for_each_counted(
+    view: &SlotView<'_>,
+    protocol: &EvalProtocol,
+    mut plane: EtaPlane,
+    mut visit: impl FnMut(&EtaPlane, f64, f64, f64),
+) -> usize {
+    let total = view.total_slots();
+    let peak = view.mean_series()[..total.saturating_sub(1)]
+        .iter()
+        .copied()
+        .fold(0.0, f64::max);
+    let threshold = protocol.roi().threshold(peak);
+    let first_eval_day = protocol.first_eval_day() as usize;
+    let mut count = 0;
+    for day in 0..view.days() {
+        for slot in 0..view.slots_per_day() {
+            let measured = view.start_sample(day, slot);
+            let b_slot = plane.observe(measured);
+            let b_day = if b_slot == 0 { day + 1 } else { day };
+            let mean = view.mean_power(day, slot);
+            if b_day >= view.days() || day < first_eval_day || mean < threshold || mean == 0.0 {
+                continue;
+            }
+            count += 1;
+            visit(&plane, measured, mean, view.start_sample(b_day, b_slot));
+        }
+    }
+    count
 }
 
 #[cfg(test)]

@@ -42,11 +42,14 @@ proptest! {
         alpha_idx in 0usize..3,
         d in 1usize..5,
         k in 1usize..4,
+        first_eval_seed in 0u32..2,
     ) {
+        // Day 0 is warm-up: evaluating it checks the persistence fallback.
+        let first_eval_day = first_eval_seed * 2;
         let alphas = [0.0, 0.5, 1.0];
         let alpha = alphas[alpha_idx];
         let view = SlotView::new(&trace, SlotsPerDay::new(N as u32).unwrap()).unwrap();
-        let protocol = EvalProtocol::new(0.10, 2);
+        let protocol = EvalProtocol::new(0.10, first_eval_day);
         let grid = ParamGrid::builder()
             .alphas(vec![alpha])
             .days(vec![d])
