@@ -85,7 +85,5 @@ pub use history::DayHistory;
 pub use params::{KWindowPolicy, WcmaParams, WcmaParamsBuilder};
 pub use plane::EtaPlane;
 pub use predictor::Predictor;
-pub use runner::{
-    run_predictor, run_predictor_observed, DayCheckpoint, PredictionFeed, StreamedPredictorRun,
-};
+pub use runner::{run_predictor, PredictionFeed};
 pub use wcma::{conditioning_ratio, WcmaPredictor, WcmaTerms, MAX_CONDITIONING_RATIO};

@@ -29,8 +29,9 @@ pub trait Predictor {
     fn name(&self) -> &str;
 
     /// A boxed deep copy of the predictor's current state — the
-    /// predictor half of a day-boundary checkpoint (see
-    /// [`crate::runner::DayCheckpoint`]). The default returns `None`
+    /// predictor half of a day-boundary checkpoint, which the caller
+    /// pairs with its own metrics and simulation state to resume a run
+    /// without replaying the prefix. The default returns `None`
     /// so external implementations stay source-compatible and
     /// object-safe without opting in; every predictor in this crate
     /// returns `Some`. A checkpoint/resume flow that receives `None`

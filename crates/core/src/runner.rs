@@ -46,32 +46,6 @@ use solar_trace::SlotView;
 /// # }
 /// ```
 pub fn run_predictor(view: &SlotView<'_>, predictor: &mut dyn Predictor) -> PredictionLog {
-    run_predictor_observed(view, predictor, |_, _, measured| measured)
-}
-
-/// [`run_predictor`] with an observation transform: `observe(day, slot,
-/// sample)` returns what the predictor actually sees in place of the
-/// true slot-boundary sample — a corrupted sensor reading, a quantized
-/// ADC value, a telemetry gap.
-///
-/// The logged references (`actual_start`, `actual_mean`) stay ground
-/// truth, so the resulting log scores the predictor against what the
-/// sky delivered while it observed something else. Index semantics are
-/// identical to [`run_predictor`] (which delegates here with the
-/// identity transform).
-///
-/// This is a thin wrapper over [`StreamedPredictorRun`] — the push-style
-/// core that slot streams drive directly — so view-driven and
-/// stream-driven metrics passes are bit-identical by construction.
-///
-/// # Panics
-///
-/// Panics if `predictor.slots_per_day() != view.slots_per_day()`.
-pub fn run_predictor_observed(
-    view: &SlotView<'_>,
-    predictor: &mut dyn Predictor,
-    mut observe: impl FnMut(usize, usize, f64) -> f64,
-) -> PredictionLog {
     let n = view.slots_per_day();
     assert_eq!(
         predictor.slots_per_day(),
@@ -80,49 +54,36 @@ pub fn run_predictor_observed(
         predictor.slots_per_day(),
         n
     );
-    let mut run = StreamedPredictorRun::with_capacity(predictor, n, view.days() * n);
+    let mut feed = PredictionFeed::new(PredictionLog::with_capacity(n, view.days() * n));
     for day in 0..view.days() {
         for slot in 0..n {
-            let true_start = view.start_sample(day, slot);
-            let observed = observe(day, slot, true_start);
-            run.on_slot(day, slot, observed, true_start, view.mean_power(day, slot));
+            let start = view.start_sample(day, slot);
+            let predicted = predictor.observe_and_predict(start);
+            feed.on_slot(day, slot, predicted, start, view.mean_power(day, slot));
         }
     }
-    run.finish()
-}
-
-/// The metrics pass as a push-style state machine: feed slots in time
-/// order with [`StreamedPredictorRun::on_slot`], collect the sink with
-/// [`StreamedPredictorRun::finish`].
-///
-/// A prediction made at slot `n`'s boundary needs the *next* boundary
-/// sample as its MAPE′ reference, so the machine holds one pending
-/// record and completes it when the following slot arrives; the final
-/// slot of a run has no closing boundary and is dropped — exactly the
-/// semantics of [`run_predictor`], which wraps this type.
-///
-/// The sink decides what happens to completed records: a
-/// [`PredictionLog`] materializes them (the default; what
-/// [`run_predictor_observed`] collects), while a
-/// [`pred_metrics::StreamingEval`] folds each record straight into
-/// protocol accumulators so a multi-year pass needs O(1) memory.
-pub struct StreamedPredictorRun<'a, S: RecordSink = PredictionLog> {
-    predictor: &'a mut dyn Predictor,
-    feed: PredictionFeed<S>,
+    feed.finish()
 }
 
 /// The record-assembly half of a metrics pass, decoupled from *how* the
 /// prediction was computed: feed `(slot, prediction, references)` in
-/// time order and completed [`PredictionRecord`]s flow into the sink
-/// with exactly the pending-boundary semantics of
-/// [`StreamedPredictorRun`] (which wraps this type around its own
-/// predictor).
+/// time order and completed [`PredictionRecord`]s flow into the sink.
+///
+/// A prediction made at slot `n`'s boundary needs the *next* boundary
+/// sample as its MAPE′ reference, so the feed holds one pending record
+/// and completes it when the following slot arrives; the final slot of
+/// a run has no closing boundary and is dropped — exactly the
+/// semantics of [`run_predictor`], which is a loop over this type.
 ///
 /// This is what lets a [`CandidateBank`](crate::CandidateBank) drive
 /// many candidates' metrics passes from one observation pass: the bank
 /// computes each candidate's prediction once per slot, and each
 /// candidate owns a `PredictionFeed` — the records, and therefore every
-/// evaluated summary, are bit-identical to a solo run's.
+/// evaluated summary, are bit-identical to a solo run's. The sink
+/// decides what happens to completed records: a [`PredictionLog`]
+/// materializes them, while a [`pred_metrics::StreamingEval`] folds
+/// each record straight into protocol accumulators so a multi-year pass
+/// needs O(1) memory.
 pub struct PredictionFeed<S: RecordSink = PredictionLog> {
     sink: S,
     /// `(day, slot, predicted, actual_mean)` of the just-entered slot,
@@ -137,30 +98,6 @@ impl<S: RecordSink> PredictionFeed<S> {
             sink,
             pending: None,
         }
-    }
-
-    /// Reconstructs a feed mid-run: `sink` already holds the prefix's
-    /// completed records and `pending` is the record awaiting its
-    /// closing boundary, both captured at the same slot (see
-    /// [`PredictionFeed::pending`]). Continuing the identical slot
-    /// sequence pushes a record stream bit-identical to an
-    /// uninterrupted run's.
-    pub fn resume(sink: S, pending: Option<(u32, u32, f64, f64)>) -> Self {
-        PredictionFeed { sink, pending }
-    }
-
-    /// The `(day, slot, predicted, actual_mean)` record awaiting its
-    /// closing boundary — together with a clone of the sink, the
-    /// feed's whole carried state, exposed for day-boundary
-    /// checkpointing.
-    pub fn pending(&self) -> Option<(u32, u32, f64, f64)> {
-        self.pending
-    }
-
-    /// The sink as filled so far (checkpoint capture clones it while
-    /// the run keeps going).
-    pub fn sink(&self) -> &S {
-        &self.sink
     }
 
     /// Feeds the slot at `(day, slot)` with an already-computed
@@ -210,138 +147,6 @@ impl<S: RecordSink> PredictionFeed<S> {
     pub fn finish(self) -> S {
         self.sink
     }
-}
-
-impl<'a> StreamedPredictorRun<'a, PredictionLog> {
-    /// Starts a log-collecting run at discretization `n`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `predictor.slots_per_day() != n`.
-    pub fn new(predictor: &'a mut dyn Predictor, n: usize) -> Self {
-        Self::with_capacity(predictor, n, 0)
-    }
-
-    /// [`StreamedPredictorRun::new`] with the log preallocated for
-    /// `slots` records — pass the expected slot count when the horizon
-    /// is known up front (a multi-year run logs tens of thousands of
-    /// records; growing by reallocation costs repeated copies).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `predictor.slots_per_day() != n`.
-    pub fn with_capacity(predictor: &'a mut dyn Predictor, n: usize, slots: usize) -> Self {
-        Self::with_sink(predictor, n, PredictionLog::with_capacity(n, slots))
-    }
-}
-
-impl<'a, S: RecordSink> StreamedPredictorRun<'a, S> {
-    /// Starts a run feeding completed records into `sink`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `predictor.slots_per_day() != n`.
-    pub fn with_sink(predictor: &'a mut dyn Predictor, n: usize, sink: S) -> Self {
-        assert_eq!(
-            predictor.slots_per_day(),
-            n,
-            "predictor configured for N={} but stream has N={}",
-            predictor.slots_per_day(),
-            n
-        );
-        StreamedPredictorRun {
-            predictor,
-            feed: PredictionFeed::new(sink),
-        }
-    }
-
-    /// Feeds the slot at `(day, slot)`: the predictor observes
-    /// `observed` (possibly corrupted), while `true_start` and
-    /// `true_mean` are the ground-truth references entering the record.
-    pub fn on_slot(
-        &mut self,
-        day: usize,
-        slot: usize,
-        observed: f64,
-        true_start: f64,
-        true_mean: f64,
-    ) {
-        let predicted = self.predictor.observe_and_predict(observed);
-        self.feed
-            .on_slot(day, slot, predicted, true_start, true_mean);
-    }
-
-    /// Ends the run, dropping the final slot's pending record (it has no
-    /// closing boundary) and returning the sink.
-    pub fn finish(self) -> S {
-        self.feed.finish()
-    }
-
-    /// Captures a [`DayCheckpoint`] of the run at its current
-    /// position, leaving the live run untouched. Meaningful at day
-    /// boundaries (after the last slot of a day, before the first of
-    /// the next), where it pairs with a trace checkpoint at the same
-    /// horizon. Returns `None` when the predictor does not support
-    /// [`Predictor::snapshot`] — the caller falls back to replay.
-    pub fn checkpoint(&self) -> Option<DayCheckpoint<S>>
-    where
-        S: Clone,
-    {
-        Some(DayCheckpoint {
-            predictor: self.predictor.snapshot()?,
-            sink: self.feed.sink().clone(),
-            pending: self.feed.pending(),
-        })
-    }
-
-    /// Resumes a run from the halves of a [`DayCheckpoint`]:
-    /// `predictor` carries the snapshotted state (the caller borrows
-    /// it out of the checkpoint, or restores it elsewhere), `sink`
-    /// holds the prefix's completed records, `pending` its record
-    /// awaiting a closing boundary. Feeding the remaining slots makes
-    /// the finished sink bit-identical to an uninterrupted run's.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `predictor.slots_per_day() != n`.
-    pub fn resume_with_sink(
-        predictor: &'a mut dyn Predictor,
-        n: usize,
-        sink: S,
-        pending: Option<(u32, u32, f64, f64)>,
-    ) -> Self {
-        assert_eq!(
-            predictor.slots_per_day(),
-            n,
-            "predictor configured for N={} but stream has N={}",
-            predictor.slots_per_day(),
-            n
-        );
-        StreamedPredictorRun {
-            predictor,
-            feed: PredictionFeed::resume(sink, pending),
-        }
-    }
-}
-
-/// A day-boundary checkpoint of a [`StreamedPredictorRun`]: the deep-
-/// copied predictor plus the metrics half (sink + pending record) at
-/// the same boundary. Resume by borrowing `predictor` mutably into
-/// [`StreamedPredictorRun::resume_with_sink`] together with the other
-/// two fields; the continued run's finished sink is bit-identical to
-/// an uninterrupted run over the full horizon.
-///
-/// The metrics half is plain data (`PredictionRecord`s or streaming
-/// accumulators, serde-gated in `pred_metrics`); the predictor half is
-/// a live state machine and is persisted by keeping the checkpoint
-/// itself alive (e.g. inside a fleet cache), not by serialization.
-pub struct DayCheckpoint<S: RecordSink> {
-    /// The predictor's snapshotted state at the boundary.
-    pub predictor: Box<dyn Predictor>,
-    /// The sink with every record completed before the boundary.
-    pub sink: S,
-    /// The record awaiting its closing boundary sample.
-    pub pending: Option<(u32, u32, f64, f64)>,
 }
 
 #[cfg(test)]
@@ -407,12 +212,28 @@ mod tests {
         assert!(!log.records().iter().any(|r| r.day == 1 && r.slot == 47));
     }
 
+    /// Drives `predictor` through a hand-held [`PredictionFeed`] while it
+    /// observes `observe(sample)` in place of each boundary sample; the
+    /// references stay ground truth.
+    fn feed_observed(
+        view: &SlotView<'_>,
+        predictor: &mut dyn Predictor,
+        observe: impl Fn(f64) -> f64,
+    ) -> PredictionLog {
+        let mut feed = PredictionFeed::new(PredictionLog::new(view.slots_per_day()));
+        for (id, start, mean) in view.iter() {
+            let predicted = predictor.observe_and_predict(observe(start));
+            feed.on_slot(id.day as usize, id.slot as usize, predicted, start, mean);
+        }
+        feed.finish()
+    }
+
     #[test]
     fn observed_identity_matches_run_predictor() {
         let trace = view_of((0..96).map(|i| (i * 13 % 37) as f64).collect());
         let view = SlotView::new(&trace, SlotsPerDay::new(48).unwrap()).unwrap();
         let a = run_predictor(&view, &mut PersistencePredictor::new(48));
-        let b = run_predictor_observed(&view, &mut PersistencePredictor::new(48), |_, _, m| m);
+        let b = feed_observed(&view, &mut PersistencePredictor::new(48), |m| m);
         assert_eq!(a, b);
     }
 
@@ -422,53 +243,11 @@ mod tests {
         let view = SlotView::new(&trace, SlotsPerDay::new(48).unwrap()).unwrap();
         // The predictor sees zeros everywhere; the log's references must
         // still be the true trace values.
-        let log = run_predictor_observed(&view, &mut PersistencePredictor::new(48), |_, _, _| 0.0);
+        let log = feed_observed(&view, &mut PersistencePredictor::new(48), |_| 0.0);
         for r in &log {
             assert_eq!(r.predicted, 0.0);
             assert!(r.actual_mean > 0.0);
         }
-    }
-
-    #[test]
-    fn day_checkpoint_resume_is_bit_identical() {
-        use crate::wcma::WcmaPredictor;
-        let trace = view_of((0..4 * 96).map(|i| (i * 31 % 211) as f64).collect());
-        let view = SlotView::new(&trace, SlotsPerDay::new(48).unwrap()).unwrap();
-        let n = 48;
-        let params = crate::params::WcmaParamsBuilder::new()
-            .alpha(0.7)
-            .days(2)
-            .k(2)
-            .slots_per_day(n)
-            .build()
-            .unwrap();
-        let cold = run_predictor(&view, &mut WcmaPredictor::new(params));
-
-        // Run two days, checkpoint at the boundary, resume from the
-        // checkpoint alone and feed the remaining days.
-        let mut live = WcmaPredictor::new(params);
-        let mut run = StreamedPredictorRun::new(&mut live, n);
-        for day in 0..2 {
-            for slot in 0..n {
-                let s = view.start_sample(day, slot);
-                run.on_slot(day, slot, s, s, view.mean_power(day, slot));
-            }
-        }
-        let mut ckpt = run.checkpoint().expect("wcma snapshots");
-        drop(run);
-        let mut resumed = StreamedPredictorRun::resume_with_sink(
-            ckpt.predictor.as_mut(),
-            n,
-            ckpt.sink,
-            ckpt.pending,
-        );
-        for day in 2..view.days() {
-            for slot in 0..n {
-                let s = view.start_sample(day, slot);
-                resumed.on_slot(day, slot, s, s, view.mean_power(day, slot));
-            }
-        }
-        assert_eq!(resumed.finish(), cold);
     }
 
     #[test]

@@ -125,7 +125,6 @@ use solar_synth::{SynthCounters, TraceGenerator};
 use solar_trace::SlotsPerDay;
 use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
 
 /// Outcome of one (scenario, predictor, manager) job.
 #[derive(Clone, Debug)]
@@ -142,9 +141,8 @@ pub struct JobOutcome {
     pub summary: ErrorSummary,
     /// Management outcome (simulation pass).
     pub report: NodeReport,
-    /// What the job cost: wall time (both passes; non-deterministic),
-    /// the predictor's peak candidate count (deterministic), and the
-    /// bytes of slot series its unit walked.
+    /// What the job cost: the predictor's peak candidate count
+    /// (deterministic) and the bytes of slot series its unit walked.
     pub cost: RunCost,
 }
 
@@ -720,9 +718,8 @@ impl FleetEngine {
     /// The scorecard is **byte-identical** to what [`FleetEngine::run`]
     /// would produce for the same matrix: jobs are pure functions of
     /// (scenario, predictor, manager, master seed), so a memoized
-    /// outcome equals a recomputed one. Only the non-deterministic
-    /// wall-time/trace-memory accounting (never rendered into JSON) can
-    /// differ.
+    /// outcome equals a recomputed one. Only the trace-memory
+    /// accounting (never rendered into JSON) can differ.
     ///
     /// # Errors
     ///
@@ -1321,7 +1318,6 @@ impl FleetEngine {
         jobs: &[JobSpec],
         unit: &WorkUnit,
     ) -> Result<UnitOutcomes, String> {
-        let started = Instant::now();
         let scenario = &matrix.scenarios[unit.scenario_idx];
         let job_indices = &unit.job_indices;
         let _unit_span = self
@@ -1596,18 +1592,11 @@ impl FleetEngine {
                     summary: summaries[kernel_slot],
                     report,
                     cost: RunCost {
-                        wall_nanos: 0, // filled below (shared pass)
                         peak_candidates: predictor_spec.candidate_count(),
                         peak_trace_bytes,
                     },
                 },
             ));
-        }
-        // The slot pass is shared: split its wall time evenly.
-        let wall_each =
-            (started.elapsed().as_nanos() as u64 / job_indices.len().max(1) as u64).max(1);
-        for (_, outcome) in &mut results {
-            outcome.cost.wall_nanos = wall_each;
         }
         // Ledger entries for the whole unit, computed arithmetically —
         // one batch of counter updates per scenario, nothing per slot.
@@ -1896,7 +1885,6 @@ mod tests {
         for outcome in &result.outcomes {
             assert!(outcome.summary.count > 0, "{}", outcome.scenario);
             assert!(outcome.summary.mape.is_finite());
-            assert!(outcome.cost.wall_nanos > 0);
             assert_eq!(outcome.cost.peak_candidates, 1);
             assert!(outcome.cost.peak_trace_bytes > 0);
             assert!(
@@ -2305,21 +2293,35 @@ mod tests {
 
     #[test]
     fn sharded_run_merges_back_to_the_monolithic_scorecard() {
-        let matrix = small_matrix();
-        let monolithic = FleetEngine::new(31).run(&matrix).unwrap();
-        let sharded = FleetEngine::new(31).run_sharded(&matrix, 2).unwrap();
-        assert_eq!(sharded.shards.len(), 2);
-        let merged = Scorecard::merge_shards(&sharded.manifest, &sharded.shards).unwrap();
-        assert_eq!(
-            merged.to_json_string(),
-            monolithic.scorecard.to_json_string()
-        );
-        // The engine-level routing produces the same bytes too.
-        let routed = FleetEngine::new(31).with_shards(2).run(&matrix).unwrap();
-        assert_eq!(
-            routed.scorecard.to_json_string(),
-            monolithic.scorecard.to_json_string()
-        );
+        // The quarantined engine leaves desert-clear-sky's table empty;
+        // the merge must keep it in place and still check that every
+        // ranked table carries one combo set, whichever scenario the
+        // manifest lists first.
+        let engines: [fn() -> FleetEngine; 2] = [
+            || FleetEngine::new(31),
+            || {
+                FleetEngine::new(31)
+                    .with_quarantine(true)
+                    .with_chaos_unit_panic("desert-clear-sky")
+            },
+        ];
+        let mut reversed = small_matrix();
+        reversed.scenarios.reverse();
+        for engine in engines {
+            for matrix in [small_matrix(), reversed.clone()] {
+                let monolithic = engine().run(&matrix).unwrap().scorecard.to_json_string();
+                for count in [1, 2] {
+                    let sharded = engine().run_sharded(&matrix, count).unwrap();
+                    assert_eq!(sharded.shards.len(), count);
+                    let merged =
+                        Scorecard::merge_shards(&sharded.manifest, &sharded.shards).unwrap();
+                    assert_eq!(merged.to_json_string(), monolithic);
+                    // The engine-level routing produces the same bytes too.
+                    let routed = engine().with_shards(count).run(&matrix).unwrap();
+                    assert_eq!(routed.scorecard.to_json_string(), monolithic);
+                }
+            }
+        }
     }
 
     #[test]

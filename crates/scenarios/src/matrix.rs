@@ -108,7 +108,7 @@ impl PredictorSpec {
     /// Number of candidate configurations the predictor weighs per slot
     /// — 1 for fixed predictors, `|α| · K_max` for the dynamic selector.
     /// Deterministic (spec-derived), so it may appear in byte-pinned
-    /// scorecard JSON, unlike wall time.
+    /// scorecard JSON.
     pub fn candidate_count(&self) -> usize {
         match self {
             PredictorSpec::DynamicCausal { k_max, alphas, .. } => alphas.len() * k_max,

@@ -39,11 +39,10 @@
 //! keys have fixed order, and floats use shortest-round-trip formatting
 //! — byte-identical across runs and thread counts for the same inputs.
 //! Cost accounting follows the [`pred_metrics::CostAggregate`] split: per-entry
-//! `peak_candidates` is spec-derived and appears in JSON; wall time and
-//! peak trace memory are non-deterministic (the latter varies with
-//! cache policy) and appear **only** in [`Scorecard::render_text`] (a
-//! wall-time field in the JSON would break the byte-identity contract
-//! between runs and between full and incremental re-scoring).
+//! `peak_candidates` is spec-derived and appears in JSON; peak trace
+//! memory varies with cache policy and appears **only** in
+//! [`Scorecard::render_text`] (in the JSON it would break the
+//! byte-identity contract between full and incremental re-scoring).
 
 use crate::engine::JobOutcome;
 use crate::json::Json;
@@ -51,6 +50,7 @@ use crate::matrix::FleetMatrix;
 use crate::series::ResolvedTraceBudget;
 use fleet_obs::Collector;
 use pred_metrics::{CostAggregate, ErrorSummary, SummaryAggregate};
+use std::collections::BTreeMap;
 
 const BROWNOUT_WEIGHT: f64 = 2.0;
 const WASTE_WEIGHT: f64 = 1.0;
@@ -167,11 +167,10 @@ pub struct Scorecard {
     pub overall: Vec<ScoreEntry>,
     /// Aggregated cost of evaluating every job in the matrix once.
     /// **Cumulative across cache reuse**: a job served from a warm
-    /// [`crate::FleetCache`] contributes the wall time of its original
-    /// evaluation, so a mostly-cached run reports what the results
-    /// *cost to obtain*, not what this re-run spent (use
-    /// [`crate::FleetResult::cached_jobs`] for the split). Wall time and
-    /// peak trace memory are non-deterministic and are rendered by
+    /// [`crate::FleetCache`] still counts, so a mostly-cached run
+    /// reports what the results *cost to obtain*, not what this re-run
+    /// spent (use [`crate::FleetResult::cached_jobs`] for the split).
+    /// Peak trace memory varies with cache policy and is rendered by
     /// [`Scorecard::render_text`] only — never into the byte-pinned
     /// JSON.
     pub cost: CostAggregate,
@@ -206,15 +205,28 @@ impl Scorecard {
     /// Reduces job outcomes (any order; they are re-sorted by matrix
     /// coordinates internally).
     pub fn build(matrix: &FleetMatrix, outcomes: &[JobOutcome], master_seed: u64) -> Scorecard {
-        let per_scenario = Self::per_scenario_rankings(matrix, outcomes);
+        Self::from_rankings(
+            master_seed,
+            Self::per_scenario_rankings(matrix, outcomes),
+            // Sums and maxes of integers: order-insensitive, no sort
+            // needed.
+            CostAggregate::of(outcomes.iter().map(|o| o.cost)),
+        )
+    }
+
+    /// The scorecard over finished per-scenario tables — the one
+    /// constructor behind [`Scorecard::build`] and both merges.
+    fn from_rankings(
+        master_seed: u64,
+        per_scenario: Vec<ScenarioRanking>,
+        cost: CostAggregate,
+    ) -> Scorecard {
         let overall = Self::overall_from_per_scenario(&per_scenario);
         Scorecard {
             master_seed,
             per_scenario,
             overall,
-            // Sums and maxes of integers: order-insensitive, no sort
-            // needed.
-            cost: CostAggregate::of(outcomes.iter().map(|o| o.cost)),
+            cost,
             trace_budget: None,
         }
     }
@@ -339,13 +351,15 @@ impl Scorecard {
     ///
     /// The output is byte-identical to what [`Scorecard::build`] over
     /// the full outcome set produces: per-scenario tables are
-    /// concatenated in manifest order and the overall table re-derives
-    /// through the shared reduction.
+    /// concatenated in manifest order — empty (quarantined) tables
+    /// included — and the overall table re-derives through the shared
+    /// reduction.
     ///
     /// # Errors
     ///
-    /// Rejects missing/duplicate/foreign shards, seed mismatches, and
-    /// shards whose scenario lists disagree with the manifest.
+    /// Rejects missing/duplicate/foreign shards, seed mismatches,
+    /// shards whose scenario lists disagree with the manifest, and
+    /// tables that rank different combo sets.
     pub fn merge_shards(
         manifest: &ShardManifest,
         shards: &[ScorecardShard],
@@ -357,301 +371,18 @@ impl Scorecard {
                 shards.len()
             ));
         }
-        let mut by_index: Vec<Option<&ScorecardShard>> = vec![None; manifest.shard_count];
-        for shard in shards {
-            if shard.master_seed != manifest.master_seed {
-                return Err(format!(
-                    "shard {} carries seed {}, manifest has {}",
-                    shard.shard_index, shard.master_seed, manifest.master_seed
-                ));
-            }
-            let slot = by_index
-                .get_mut(shard.shard_index)
-                .ok_or_else(|| format!("shard index {} out of range", shard.shard_index))?;
-            if slot.is_some() {
-                return Err(format!("duplicate shard index {}", shard.shard_index));
-            }
-            *slot = Some(shard);
-        }
-        // Walk the manifest's global scenario order, consuming each
-        // shard's rankings positionally (names double-checked).
-        let mut cursors = vec![0usize; manifest.shard_count];
-        let mut per_scenario = Vec::with_capacity(manifest.scenarios.len());
-        let mut cost = CostAggregate::default();
-        for (name, shard_idx) in &manifest.scenarios {
-            // The manifest may come from untrusted JSON: its shard
-            // indices are not pre-validated.
-            let shard = by_index
-                .get(*shard_idx)
-                .and_then(|slot| *slot)
-                .ok_or_else(|| {
-                    format!("manifest names shard {shard_idx}, which is out of range")
-                })?;
-            let ranking = shard
-                .per_scenario
-                .get(cursors[*shard_idx])
-                .ok_or_else(|| format!("shard {shard_idx} is short a scenario"))?;
-            cursors[*shard_idx] += 1;
-            if &ranking.scenario != name {
-                return Err(format!(
-                    "shard {shard_idx} has scenario {:?} where manifest expects {name:?}",
-                    ranking.scenario
-                ));
-            }
-            per_scenario.push(ranking.clone());
-        }
-        for (idx, shard) in by_index.iter().enumerate() {
-            let shard = shard.expect("all shards present");
-            if cursors[idx] != shard.per_scenario.len() {
-                return Err(format!("shard {idx} has scenarios the manifest lacks"));
-            }
-            cost.merge(&shard.cost);
-        }
-        // Every scenario table must rank the same combo set — shards
-        // from runs over different predictor/manager axes (same seed,
-        // same scenario names) would otherwise corrupt the overall
-        // reduction.
-        let combo_set = |ranking: &ScenarioRanking| {
-            let mut combos: Vec<(String, String)> = ranking
-                .entries
-                .iter()
-                .map(|e| (e.predictor.clone(), e.manager.clone()))
-                .collect();
-            combos.sort();
-            combos
-        };
-        if let Some(first) = per_scenario.first() {
-            let reference = combo_set(first);
-            for ranking in &per_scenario[1..] {
-                if combo_set(ranking) != reference {
-                    return Err(format!(
-                        "scenario {:?} ranks a different combo set than {:?} — \
-                         shards come from different matrices",
-                        ranking.scenario, first.scenario
-                    ));
-                }
-            }
-        }
-        let overall = Self::overall_from_per_scenario(&per_scenario);
-        Ok(Scorecard {
-            master_seed: manifest.master_seed,
+        let (tables, cost) = Self::walk_shards(manifest, shards, &BTreeMap::new())?;
+        // `shard_count` shards with distinct in-range indices: every
+        // manifest scenario found its table.
+        let per_scenario = tables
+            .into_iter()
+            .map(|table| table.expect("every shard is present").clone())
+            .collect();
+        Ok(Self::from_rankings(
+            manifest.master_seed,
             per_scenario,
-            overall,
             cost,
-            trace_budget: None,
-        })
-    }
-
-    /// Subtracts a previously merged shard's contribution — the
-    /// inverse of the bucket-wise merge law behind
-    /// [`Scorecard::merge_shards`]. The returned scorecard is exactly
-    /// what merging every *other* shard of `manifest` produces: the
-    /// shard's scenario tables are removed at their manifest
-    /// positions and the overall table re-derives through the shared
-    /// reduction, so a retract-then-reabsorb round-trip is
-    /// byte-identical (pinned by a property test).
-    ///
-    /// Cost accounting follows the [`pred_metrics::CostAggregate`] split:
-    /// summed fields (`jobs`, wall total) subtract; `peak_candidates`
-    /// is recomputed from the remaining entries; the non-serialized
-    /// machine-dependent maxima (peak wall, peak trace memory) are
-    /// high-water marks of work already performed and deliberately
-    /// keep their values.
-    ///
-    /// # Errors
-    ///
-    /// Rejects seed mismatches, out-of-range shard indices, and — the
-    /// load-bearing guard — a shard whose scenario tables are not
-    /// byte-for-byte the ones this scorecard absorbed at the
-    /// manifest's positions (a foreign or already-retracted shard
-    /// would otherwise silently corrupt the reduction).
-    pub fn retract_shard(
-        &self,
-        manifest: &ShardManifest,
-        shard: &ScorecardShard,
-    ) -> Result<Scorecard, String> {
-        if shard.master_seed != manifest.master_seed || self.master_seed != manifest.master_seed {
-            return Err(format!(
-                "seed mismatch: scorecard {}, manifest {}, shard {}",
-                self.master_seed, manifest.master_seed, shard.master_seed
-            ));
-        }
-        if shard.shard_index >= manifest.shard_count {
-            return Err(format!(
-                "shard index {} out of range (manifest has {} shards)",
-                shard.shard_index, manifest.shard_count
-            ));
-        }
-        if self.per_scenario.len() != manifest.scenarios.len() {
-            return Err(format!(
-                "scorecard has {} scenario tables where the manifest names {} — \
-                 retraction needs the fully merged scorecard",
-                self.per_scenario.len(),
-                manifest.scenarios.len()
-            ));
-        }
-        let mut kept = Vec::with_capacity(self.per_scenario.len());
-        let mut shard_cursor = 0usize;
-        for ((name, shard_idx), ranking) in manifest.scenarios.iter().zip(&self.per_scenario) {
-            if &ranking.scenario != name {
-                return Err(format!(
-                    "scorecard has scenario {:?} where manifest expects {name:?}",
-                    ranking.scenario
-                ));
-            }
-            if *shard_idx != shard.shard_index {
-                kept.push(ranking.clone());
-                continue;
-            }
-            let absorbed = shard.per_scenario.get(shard_cursor).ok_or_else(|| {
-                format!(
-                    "shard {} is short a scenario: manifest assigns it {name:?}",
-                    shard.shard_index
-                )
-            })?;
-            shard_cursor += 1;
-            if absorbed != ranking {
-                return Err(format!(
-                    "shard {} table for {name:?} is not the one this scorecard \
-                     absorbed — refusing to retract a foreign shard",
-                    shard.shard_index
-                ));
-            }
-        }
-        if shard_cursor != shard.per_scenario.len() {
-            return Err(format!(
-                "shard {} has scenarios the manifest never assigned to it",
-                shard.shard_index
-            ));
-        }
-        let jobs = self.cost.jobs.checked_sub(shard.cost.jobs).ok_or_else(|| {
-            format!(
-                "shard retracts {} jobs but the scorecard only holds {}",
-                shard.cost.jobs, self.cost.jobs
-            )
-        })?;
-        let overall = Self::overall_from_per_scenario(&kept);
-        let cost = CostAggregate {
-            jobs,
-            total_wall_nanos: self
-                .cost
-                .total_wall_nanos
-                .saturating_sub(shard.cost.total_wall_nanos),
-            peak_candidates: kept
-                .iter()
-                .flat_map(|r| r.entries.iter().map(|e| e.peak_candidates))
-                .max()
-                .unwrap_or(0),
-            ..self.cost
-        };
-        Ok(Scorecard {
-            master_seed: self.master_seed,
-            per_scenario: kept,
-            overall,
-            cost,
-            trace_budget: None,
-        })
-    }
-
-    /// Re-inserts one shard into a scorecard that
-    /// [`Scorecard::retract_shard`] removed it from — the other
-    /// direction of the inverse law. The shard's tables slot back into
-    /// their manifest positions and the overall table re-derives, so
-    /// the result is byte-identical to merging all shards at once.
-    ///
-    /// # Errors
-    ///
-    /// Rejects seed mismatches, out-of-range indices, a scorecard
-    /// whose tables do not line up with the manifest minus this shard,
-    /// and shards whose combo set disagrees with the retained tables.
-    pub fn absorb_shard(
-        &self,
-        manifest: &ShardManifest,
-        shard: &ScorecardShard,
-    ) -> Result<Scorecard, String> {
-        if shard.master_seed != manifest.master_seed || self.master_seed != manifest.master_seed {
-            return Err(format!(
-                "seed mismatch: scorecard {}, manifest {}, shard {}",
-                self.master_seed, manifest.master_seed, shard.master_seed
-            ));
-        }
-        if shard.shard_index >= manifest.shard_count {
-            return Err(format!(
-                "shard index {} out of range (manifest has {} shards)",
-                shard.shard_index, manifest.shard_count
-            ));
-        }
-        let mut per_scenario = Vec::with_capacity(manifest.scenarios.len());
-        let mut kept_cursor = 0usize;
-        let mut shard_cursor = 0usize;
-        for (name, shard_idx) in &manifest.scenarios {
-            let (source, ranking) = if *shard_idx == shard.shard_index {
-                let ranking = shard.per_scenario.get(shard_cursor).ok_or_else(|| {
-                    format!(
-                        "shard {} is short a scenario: manifest assigns it {name:?}",
-                        shard.shard_index
-                    )
-                })?;
-                shard_cursor += 1;
-                ("shard", ranking)
-            } else {
-                let ranking = self.per_scenario.get(kept_cursor).ok_or_else(|| {
-                    format!("scorecard is short a scenario: manifest expects {name:?}")
-                })?;
-                kept_cursor += 1;
-                ("scorecard", ranking)
-            };
-            if &ranking.scenario != name {
-                return Err(format!(
-                    "{source} has scenario {:?} where manifest expects {name:?}",
-                    ranking.scenario
-                ));
-            }
-            per_scenario.push(ranking.clone());
-        }
-        if shard_cursor != shard.per_scenario.len() {
-            return Err(format!(
-                "shard {} has scenarios the manifest never assigned to it",
-                shard.shard_index
-            ));
-        }
-        if kept_cursor != self.per_scenario.len() {
-            return Err(
-                "scorecard has scenario tables the manifest does not account for".to_string(),
-            );
-        }
-        // The same cross-matrix guard merge_shards applies: every table
-        // must rank one combo set.
-        if let (Some(reference), Some(incoming)) =
-            (self.per_scenario.first(), shard.per_scenario.first())
-        {
-            let combo_set = |ranking: &ScenarioRanking| {
-                let mut combos: Vec<(String, String)> = ranking
-                    .entries
-                    .iter()
-                    .map(|e| (e.predictor.clone(), e.manager.clone()))
-                    .collect();
-                combos.sort();
-                combos
-            };
-            if combo_set(reference) != combo_set(incoming) {
-                return Err(format!(
-                    "shard {} ranks a different combo set than the scorecard — \
-                     it comes from a different matrix",
-                    shard.shard_index
-                ));
-            }
-        }
-        let overall = Self::overall_from_per_scenario(&per_scenario);
-        let mut cost = self.cost;
-        cost.merge(&shard.cost);
-        Ok(Scorecard {
-            master_seed: self.master_seed,
-            per_scenario,
-            overall,
-            cost,
-            trace_budget: None,
-        })
+        ))
     }
 
     /// [`Scorecard::merge_shards`] with the merge recorded into a run
@@ -701,9 +432,53 @@ impl Scorecard {
     pub fn merge_shards_partial(
         manifest: &ShardManifest,
         shards: &[ScorecardShard],
-        shard_reasons: &std::collections::BTreeMap<usize, String>,
-        scenario_reasons: &std::collections::BTreeMap<String, String>,
+        shard_reasons: &BTreeMap<usize, String>,
+        scenario_reasons: &BTreeMap<String, String>,
     ) -> Result<(Scorecard, CoverageManifest), String> {
+        let (tables, cost) = Self::walk_shards(manifest, shards, shard_reasons)?;
+        let mut per_scenario = Vec::new();
+        let mut coverage = CoverageManifest::default();
+        for ((name, shard_idx), table) in manifest.scenarios.iter().zip(tables) {
+            let reason = match table {
+                None => shard_reasons
+                    .get(shard_idx)
+                    .cloned()
+                    .unwrap_or_else(|| format!("shard {shard_idx} missing")),
+                Some(ranking) if ranking.entries.is_empty() => scenario_reasons
+                    .get(name)
+                    .cloned()
+                    .unwrap_or_else(|| "scenario produced no outcomes".to_string()),
+                Some(ranking) => {
+                    coverage.covered.push(name.clone());
+                    per_scenario.push(ranking.clone());
+                    continue;
+                }
+            };
+            coverage.missing.push(MissingCoverage {
+                scenario: name.clone(),
+                reason,
+            });
+        }
+        Ok((
+            Self::from_rankings(manifest.master_seed, per_scenario, cost),
+            coverage,
+        ))
+    }
+
+    /// The one walk behind both merges: validates the present shards
+    /// against `manifest`, then returns each manifest scenario's table
+    /// in manifest order (`None` where its shard is absent) and the
+    /// present shards' merged cost.
+    ///
+    /// Every non-empty table must rank the same combo set — shards from
+    /// runs over different predictor/manager axes (same seed, same
+    /// scenario names) would otherwise corrupt the overall reduction.
+    /// Empty (quarantined) tables rank no combos and are skipped.
+    fn walk_shards<'a>(
+        manifest: &ShardManifest,
+        shards: &'a [ScorecardShard],
+        absent: &BTreeMap<usize, String>,
+    ) -> Result<(Vec<Option<&'a ScenarioRanking>>, CostAggregate), String> {
         let mut by_index: Vec<Option<&ScorecardShard>> = vec![None; manifest.shard_count];
         for shard in shards {
             if shard.master_seed != manifest.master_seed {
@@ -718,7 +493,7 @@ impl Scorecard {
             if slot.is_some() {
                 return Err(format!("duplicate shard index {}", shard.shard_index));
             }
-            if shard_reasons.contains_key(&shard.shard_index) {
+            if absent.contains_key(&shard.shard_index) {
                 return Err(format!(
                     "shard {} is both present and declared missing",
                     shard.shard_index
@@ -726,25 +501,20 @@ impl Scorecard {
             }
             *slot = Some(shard);
         }
+        // Walk the manifest's global scenario order, consuming each
+        // shard's rankings positionally (names double-checked).
         let mut cursors = vec![0usize; manifest.shard_count];
-        let mut per_scenario = Vec::new();
-        let mut coverage = CoverageManifest::default();
-        let mut cost = CostAggregate::default();
+        let mut tables = Vec::with_capacity(manifest.scenarios.len());
         for (name, shard_idx) in &manifest.scenarios {
-            if *shard_idx >= manifest.shard_count {
+            // The manifest may come from untrusted JSON: its shard
+            // indices are not pre-validated.
+            let Some(slot) = by_index.get(*shard_idx) else {
                 return Err(format!(
                     "manifest names shard {shard_idx}, which is out of range"
                 ));
-            }
-            let Some(shard) = by_index[*shard_idx] else {
-                let reason = shard_reasons
-                    .get(shard_idx)
-                    .cloned()
-                    .unwrap_or_else(|| format!("shard {shard_idx} missing"));
-                coverage.missing.push(MissingCoverage {
-                    scenario: name.clone(),
-                    reason,
-                });
+            };
+            let Some(shard) = slot else {
+                tables.push(None);
                 continue;
             };
             let ranking = shard
@@ -758,20 +528,9 @@ impl Scorecard {
                     ranking.scenario
                 ));
             }
-            if ranking.entries.is_empty() {
-                let reason = scenario_reasons
-                    .get(name)
-                    .cloned()
-                    .unwrap_or_else(|| "scenario produced no outcomes".to_string());
-                coverage.missing.push(MissingCoverage {
-                    scenario: name.clone(),
-                    reason,
-                });
-                continue;
-            }
-            coverage.covered.push(name.clone());
-            per_scenario.push(ranking.clone());
+            tables.push(Some(ranking));
         }
+        let mut cost = CostAggregate::default();
         for (idx, shard) in by_index.iter().enumerate() {
             let Some(shard) = shard else { continue };
             if cursors[idx] != shard.per_scenario.len() {
@@ -779,8 +538,6 @@ impl Scorecard {
             }
             cost.merge(&shard.cost);
         }
-        // The combo-set agreement check from the complete merge, over
-        // the covered tables only.
         let combo_set = |ranking: &ScenarioRanking| {
             let mut combos: Vec<(String, String)> = ranking
                 .entries
@@ -790,29 +547,18 @@ impl Scorecard {
             combos.sort();
             combos
         };
-        if let Some(first) = per_scenario.first() {
+        let mut ranked = tables.iter().flatten().filter(|r| !r.entries.is_empty());
+        if let Some(first) = ranked.next() {
             let reference = combo_set(first);
-            for ranking in &per_scenario[1..] {
-                if combo_set(ranking) != reference {
-                    return Err(format!(
-                        "scenario {:?} ranks a different combo set than {:?} — \
-                         shards come from different matrices",
-                        ranking.scenario, first.scenario
-                    ));
-                }
+            if let Some(ranking) = ranked.find(|r| combo_set(r) != reference) {
+                return Err(format!(
+                    "scenario {:?} ranks a different combo set than {:?} — \
+                     shards come from different matrices",
+                    ranking.scenario, first.scenario
+                ));
             }
         }
-        let overall = Self::overall_from_per_scenario(&per_scenario);
-        Ok((
-            Scorecard {
-                master_seed: manifest.master_seed,
-                per_scenario,
-                overall,
-                cost,
-                trace_budget: None,
-            },
-            coverage,
-        ))
+        Ok((tables, cost))
     }
 
     /// The best overall combo.
@@ -898,14 +644,14 @@ pub struct ScorecardShard {
     pub master_seed: u64,
     /// Rankings of this shard's scenarios, in global matrix order.
     pub per_scenario: Vec<ScenarioRanking>,
-    /// Cost of this shard's jobs. Wall time and trace memory never
-    /// enter shard JSON (non-deterministic); only the deterministic
+    /// Cost of this shard's jobs. Trace memory never enters shard
+    /// JSON (it varies with cache policy); only the deterministic
     /// `jobs`/`peak_candidates` fields round-trip.
     pub cost: CostAggregate,
 }
 
 impl ScorecardShard {
-    /// Deterministic JSON form (no wall time, no trace memory).
+    /// Deterministic JSON form (no trace memory).
     pub fn to_json(&self) -> Json {
         Json::obj([
             ("shard_index", Json::Num(self.shard_index as f64)),
@@ -927,8 +673,8 @@ impl ScorecardShard {
         ])
     }
 
-    /// Parses the JSON form. The non-deterministic cost fields (wall
-    /// time, trace memory) are not serialized and parse back as zero.
+    /// Parses the JSON form. Trace memory is not serialized and parses
+    /// back as zero.
     pub fn from_json(value: &Json) -> Result<ScorecardShard, String> {
         Ok(ScorecardShard {
             shard_index: value.req_index("shard_index")? as usize,
@@ -1221,7 +967,6 @@ mod tests {
     fn cost_shows_in_text_but_wall_time_never_reaches_json() {
         let (_, scorecard) = run();
         assert_eq!(scorecard.cost.jobs, scorecard.overall.len() * 2);
-        assert!(scorecard.cost.total_wall_nanos > 0);
         assert!(scorecard.cost.peak_trace_bytes > 0);
         assert!(scorecard.render_text().contains("evaluation cost"));
         let json = scorecard.to_json_string();
@@ -1318,74 +1063,6 @@ mod tests {
             ],
         )
         .unwrap()
-    }
-
-    proptest::proptest! {
-        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(6))]
-
-        /// Retraction is the exact inverse of the bucket-wise merge:
-        /// subtracting any shard and re-absorbing it reproduces the
-        /// merged scorecard byte-for-byte, for any split and seed.
-        #[test]
-        fn retract_then_reabsorb_round_trips(
-            shard_count in 1usize..=3,
-            retract_raw in 0usize..3,
-            seed_sel in 0usize..2,
-        ) {
-            let seed = [11u64, 2026][seed_sel];
-            let retract = retract_raw % shard_count;
-            let matrix = three_scenario_matrix();
-            let sharded = FleetEngine::new(seed)
-                .run_sharded(&matrix, shard_count)
-                .unwrap();
-            let merged =
-                Scorecard::merge_shards(&sharded.manifest, &sharded.shards).unwrap();
-            let shard = &sharded.shards[retract];
-            let without = merged.retract_shard(&sharded.manifest, shard).unwrap();
-            // The retracted scorecard equals merging the other shards'
-            // tables: no trace of the shard's scenarios remains.
-            for ranking in &without.per_scenario {
-                proptest::prop_assert!(shard
-                    .per_scenario
-                    .iter()
-                    .all(|r| r.scenario != ranking.scenario));
-            }
-            let back = without.absorb_shard(&sharded.manifest, shard).unwrap();
-            proptest::prop_assert_eq!(back.to_json_string(), merged.to_json_string());
-            proptest::prop_assert_eq!(back.cost.jobs, merged.cost.jobs);
-            // Retracting twice must fail: the tables are gone.
-            proptest::prop_assert!(without
-                .retract_shard(&sharded.manifest, shard)
-                .is_err());
-        }
-    }
-
-    #[test]
-    fn retraction_rejects_foreign_and_mismatched_shards() {
-        let matrix = three_scenario_matrix();
-        let sharded = FleetEngine::new(11).run_sharded(&matrix, 2).unwrap();
-        let merged = Scorecard::merge_shards(&sharded.manifest, &sharded.shards).unwrap();
-        // Foreign seed.
-        let mut foreign = sharded.shards[0].clone();
-        foreign.master_seed ^= 1;
-        assert!(merged.retract_shard(&sharded.manifest, &foreign).is_err());
-        // Out-of-range index.
-        let mut out_of_range = sharded.shards[0].clone();
-        out_of_range.shard_index = 9;
-        assert!(merged
-            .retract_shard(&sharded.manifest, &out_of_range)
-            .is_err());
-        // A shard the scorecard never absorbed: same shape, edited
-        // content.
-        let mut edited = sharded.shards[0].clone();
-        edited.per_scenario[0].entries[0].score += 1.0;
-        assert!(merged.retract_shard(&sharded.manifest, &edited).is_err());
-        // Absorbing into a scorecard that still holds the shard's
-        // scenarios must fail (the manifest walk finds too many
-        // tables).
-        assert!(merged
-            .absorb_shard(&sharded.manifest, &sharded.shards[0])
-            .is_err());
     }
 
     #[test]

@@ -19,9 +19,9 @@
 //! * [`SlotHook`] / [`simulate_node_hooked`] — per-slot fault injection
 //!   (dead panels, corrupted sensors) that cannot break the energy
 //!   ledger,
-//! * [`simulate_batch`] — many (predictor, manager, hardware, fault)
-//!   jobs over one trace, the unit the `scenario-fleet` engine
-//!   parallelises.
+//! * [`NodeSimulation`] — the same loop as a slot-stepped state machine
+//!   with day-boundary checkpoints, which the `scenario-fleet` engine
+//!   advances once per job over a shared slot series.
 //!
 //! # Example
 //!
@@ -50,7 +50,6 @@
 //! # }
 //! ```
 
-mod batch;
 mod error;
 mod hook;
 mod load;
@@ -60,7 +59,6 @@ mod panel;
 mod storage;
 mod stream;
 
-pub use batch::{simulate_batch, BatchJob, BatchOutcome};
 pub use error::SimError;
 pub use hook::{NoFaults, SlotHook};
 pub use load::Load;
@@ -70,4 +68,4 @@ pub use manager::{
 pub use node::{simulate_node, simulate_node_hooked, NodeConfig, NodeReport};
 pub use panel::SolarPanel;
 pub use storage::{ChargeOutcome, EnergyStorage};
-pub use stream::{simulate_node_streamed, NodeSimulation, SimDayCheckpoint, SlotInput};
+pub use stream::{NodeSimulation, SimDayCheckpoint};

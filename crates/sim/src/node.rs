@@ -5,6 +5,7 @@ use crate::load::Load;
 use crate::manager::PowerManager;
 use crate::panel::SolarPanel;
 use crate::storage::EnergyStorage;
+use crate::stream::NodeSimulation;
 use solar_predict::Predictor;
 use solar_trace::SlotView;
 
@@ -121,10 +122,10 @@ pub fn simulate_node(
 /// so the energy-balance identity of [`NodeReport`] continues to hold
 /// under arbitrary faults (property-tested).
 ///
-/// This is a thin wrapper over the streaming core
-/// ([`crate::simulate_node_streamed`]): it feeds the view's slots
-/// through the same state machine, so view-driven and stream-driven
-/// simulations are bit-identical by construction.
+/// Per slot it drives one [`NodeSimulation`] — the machine the fleet
+/// engine advances slot by slot — through the hooked harvest step, the
+/// predictor, and [`NodeSimulation::plan_with`], so view-driven and
+/// engine-driven simulations share one set of accounting steps.
 ///
 /// # Panics
 ///
@@ -144,20 +145,13 @@ pub fn simulate_node_hooked(
         predictor.slots_per_day(),
         n
     );
-    let inputs = view.iter().map(|(id, start, mean)| crate::SlotInput {
-        day: id.day as usize,
-        slot: id.slot as usize,
-        start_sample: start,
-        mean_power: mean,
-    });
-    crate::simulate_node_streamed(
-        inputs,
-        view.slot_seconds(),
-        predictor,
-        manager,
-        config,
-        hook,
-    )
+    let mut sim =
+        NodeSimulation::with_external_predictions(manager, config, hook, view.slot_seconds(), n);
+    for (id, start, mean) in view.iter() {
+        let measured = sim.absorb_slot(id.day as usize, id.slot as usize, start, mean);
+        sim.plan_with(predictor.observe_and_predict(measured));
+    }
+    sim.finish()
 }
 
 #[cfg(test)]

@@ -1,45 +1,23 @@
-//! Streaming simulation: the slot-stepped node loop as a push-style
-//! state machine, so a slot source of any kind — a materialized
-//! `SlotView`, a synthetic generator stream, a network feed — can drive
-//! the simulation without a full-horizon trace in memory.
+//! The slot-stepped node loop as a push-style state machine, so the
+//! fleet engine can advance many machines slot by slot over one shared
+//! slot source without a full-horizon trace per job.
 //!
-//! [`simulate_node_hooked`](crate::simulate_node_hooked) is a thin
-//! wrapper over this core (it feeds a view's slots through the same
-//! machine), so the streamed and materialized paths are bit-identical by
-//! construction.
+//! [`simulate_node_hooked`](crate::simulate_node_hooked) drives one
+//! machine over a view's slots, so view-driven runs and the engine's
+//! slot-stepped machines share one set of accounting steps.
 
 use crate::hook::SlotHook;
 use crate::manager::{PowerManager, SlotContext};
 use crate::node::{NodeConfig, NodeReport};
-use solar_predict::Predictor;
 
-/// One slot of input to the simulation: the discretized trace values the
-/// loop consumes (mirrors `solar_trace::SlotView` accessors).
-#[derive(Copy, Clone, Debug, PartialEq)]
-pub struct SlotInput {
-    /// 0-based day.
-    pub day: usize,
-    /// 0-based slot within the day.
-    pub slot: usize,
-    /// The measured sample at the slot boundary (predictor observation).
-    pub start_sample: f64,
-    /// Mean power over the slot (drives the slot's harvest).
-    pub mean_power: f64,
-}
-
-/// The node simulation as an incremental state machine: feed slots with
-/// [`NodeSimulation::on_slot`], collect the report with
+/// The node simulation as an incremental state machine. Predictions are
+/// computed *outside* the machine — by the caller's predictor or a
+/// shared multi-candidate kernel such as `solar_predict::CandidateBank`
+/// — so a slot is two calls: [`NodeSimulation::absorb_corrupted`] (or
+/// the hooked `absorb_slot`) for steps 1–3, then
+/// [`NodeSimulation::plan_with`] for step 4. Collect the report with
 /// [`NodeSimulation::finish`].
-///
-/// Per slot the machine performs exactly the steps of
-/// [`crate::simulate_node`] (hook, harvest, load, leakage,
-/// observe/predict/plan) — the pull-style entry points are wrappers over
-/// this type.
 pub struct NodeSimulation<'a> {
-    /// `None` when predictions are supplied externally (a shared
-    /// multi-candidate kernel): see
-    /// [`NodeSimulation::with_external_predictions`].
-    predictor: Option<&'a mut dyn Predictor>,
     manager: &'a mut dyn PowerManager,
     hook: &'a mut dyn SlotHook,
     config: NodeConfig,
@@ -51,36 +29,14 @@ pub struct NodeSimulation<'a> {
 }
 
 impl<'a> NodeSimulation<'a> {
-    /// Starts a simulation of `config` at slot duration `slot_seconds`.
+    /// Starts a simulation of `config` at slot duration `slot_seconds`
+    /// for predictions made at `slots_per_day` slots per day.
     ///
     /// # Panics
     ///
-    /// Panics if `slot_seconds` is not positive, or if the predictor's
-    /// discretization disagrees with it (`slots_per_day × slot_seconds`
-    /// must be one day) — the same mismatch guard the view-driven entry
-    /// points enforce; running a predictor at the wrong N is always a
-    /// bug.
-    pub fn new(
-        predictor: &'a mut dyn Predictor,
-        manager: &'a mut dyn PowerManager,
-        config: &NodeConfig,
-        hook: &'a mut dyn SlotHook,
-        slot_seconds: f64,
-    ) -> Self {
-        Self::check_discretization(predictor.slots_per_day(), slot_seconds);
-        Self::assemble(Some(predictor), manager, config, hook, slot_seconds)
-    }
-
-    /// A simulation whose predictions are computed *outside* the
-    /// machine — by a shared multi-candidate kernel such as
-    /// `solar_predict::CandidateBank` — and handed in through
-    /// [`NodeSimulation::absorb_slot`] + [`NodeSimulation::plan_with`].
-    /// `slots_per_day` takes the place of the absent predictor's
-    /// discretization in the day-length guard.
-    ///
-    /// # Panics
-    ///
-    /// Panics under the same conditions as [`NodeSimulation::new`].
+    /// Panics if `slot_seconds` is not positive, or if `slots_per_day ×
+    /// slot_seconds` is not one day — running a predictor at the wrong
+    /// N is always a bug.
     pub fn with_external_predictions(
         manager: &'a mut dyn PowerManager,
         config: &NodeConfig,
@@ -88,11 +44,6 @@ impl<'a> NodeSimulation<'a> {
         slot_seconds: f64,
         slots_per_day: usize,
     ) -> Self {
-        Self::check_discretization(slots_per_day, slot_seconds);
-        Self::assemble(None, manager, config, hook, slot_seconds)
-    }
-
-    fn check_discretization(slots_per_day: usize, slot_seconds: f64) {
         assert!(
             slot_seconds > 0.0,
             "slot duration {slot_seconds} must be positive"
@@ -102,19 +53,9 @@ impl<'a> NodeSimulation<'a> {
             (day_seconds - 86_400.0).abs() < 1e-6,
             "predictor configured for N={slots_per_day} but slots of {slot_seconds} s make a {day_seconds} s day",
         );
-    }
-
-    fn assemble(
-        predictor: Option<&'a mut dyn Predictor>,
-        manager: &'a mut dyn PowerManager,
-        config: &NodeConfig,
-        hook: &'a mut dyn SlotHook,
-        slot_seconds: f64,
-    ) -> Self {
         let config = config.clone();
         let storage_initial_j = config.storage.level_j();
         NodeSimulation {
-            predictor,
             manager,
             hook,
             config,
@@ -126,36 +67,18 @@ impl<'a> NodeSimulation<'a> {
         }
     }
 
-    /// Advances the simulation by one slot.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a machine built with
-    /// [`NodeSimulation::with_external_predictions`] — those advance via
-    /// [`NodeSimulation::absorb_slot`] + [`NodeSimulation::plan_with`].
-    pub fn on_slot(&mut self, input: SlotInput) {
-        let measured = self.absorb_slot(input);
-        let predicted = self
-            .predictor
-            .as_deref_mut()
-            .expect("on_slot needs an owned predictor; use absorb_slot/plan_with")
-            .observe_and_predict(measured);
-        self.plan_with(predicted);
-    }
-
     /// The pre-prediction half of a slot (steps 0–3: fault hook,
-    /// harvest, load, leakage), returning the fault-hooked measured
-    /// sample the predictor would observe. Pair with
-    /// [`NodeSimulation::plan_with`] — [`NodeSimulation::on_slot`] is
-    /// exactly `plan_with(predictor(absorb_slot(input)))`, so external
-    /// and owned prediction paths are bit-identical by construction.
-    pub fn absorb_slot(&mut self, input: SlotInput) -> f64 {
-        let SlotInput {
-            day,
-            slot,
-            start_sample,
-            mean_power,
-        } = input;
+    /// harvest, load, leakage) for the slot at `(day, slot)` with
+    /// boundary sample `start_sample` and mean power `mean_power`,
+    /// returning the fault-hooked measured sample the predictor
+    /// observes. Pair with [`NodeSimulation::plan_with`].
+    pub(crate) fn absorb_slot(
+        &mut self,
+        day: usize,
+        slot: usize,
+        start_sample: f64,
+        mean_power: f64,
+    ) -> f64 {
         // 0. Fault injection: the hook may rewrite what the panel
         //    produced and what the sensor will report.
         let harvest_w = self.config.panel.power_w(mean_power);
@@ -168,8 +91,9 @@ impl<'a> NodeSimulation<'a> {
 
     /// Steps 1–3 for an already fault-hooked harvest — what a caller
     /// realizing one shared corruption for many identical-fault
-    /// machines feeds each of them. `absorb_slot` is exactly this after
-    /// its own hook, so the paths are bit-identical.
+    /// machines feeds each of them. The hooked path used by
+    /// [`crate::simulate_node_hooked`] is exactly this after its own
+    /// hook, so the paths are bit-identical.
     #[inline]
     pub fn absorb_corrupted(&mut self, harvest_j: f64) {
         let harvest_j = harvest_j.max(0.0);
@@ -289,25 +213,6 @@ pub struct SimDayCheckpoint {
     pub planned_duty: f64,
 }
 
-/// Simulates a node over any slot source — the streaming counterpart of
-/// [`crate::simulate_node_hooked`], which wraps this function with a
-/// view's slots. Slots must arrive in time order; memory use is O(1) in
-/// the horizon length.
-pub fn simulate_node_streamed(
-    slots: impl IntoIterator<Item = SlotInput>,
-    slot_seconds: f64,
-    predictor: &mut dyn Predictor,
-    manager: &mut dyn PowerManager,
-    config: &NodeConfig,
-    hook: &mut dyn SlotHook,
-) -> NodeReport {
-    let mut sim = NodeSimulation::new(predictor, manager, config, hook, slot_seconds);
-    for slot in slots {
-        sim.on_slot(slot);
-    }
-    sim.finish()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -317,7 +222,7 @@ mod tests {
     use crate::panel::SolarPanel;
     use crate::storage::EnergyStorage;
     use crate::Load;
-    use solar_predict::{WcmaParams, WcmaPredictor};
+    use solar_predict::{Predictor, WcmaParams, WcmaPredictor};
     use solar_trace::{PowerTrace, Resolution, SlotView, SlotsPerDay};
 
     fn config() -> NodeConfig {
@@ -328,79 +233,65 @@ mod tests {
         }
     }
 
+    /// `(day, slot, start_sample, mean_power)` of `days` hourly days.
+    fn hourly_slots(day: &[f64], days: usize) -> Vec<(usize, usize, f64, f64)> {
+        (0..24 * days)
+            .map(|step| (step / 24, step % 24, day[step % 24], day[step % 24]))
+            .collect()
+    }
+
+    /// Feeds `slots` through the hooked half, `predictor`, and
+    /// `plan_with` — the per-slot order of `simulate_node_hooked`.
+    fn drive(
+        sim: &mut NodeSimulation<'_>,
+        predictor: &mut dyn Predictor,
+        slots: &[(usize, usize, f64, f64)],
+    ) {
+        for &(day, slot, start, mean) in slots {
+            let measured = sim.absorb_slot(day, slot, start, mean);
+            sim.plan_with(predictor.observe_and_predict(measured));
+        }
+    }
+
     #[test]
-    fn streamed_simulation_is_bit_identical_to_view_simulation() {
+    fn external_predictions_match_the_owned_predictor_path() {
+        // Driving the machine through absorb_corrupted + plan_with with
+        // the harvest and predictions computed outside must reproduce
+        // simulate_node exactly — the contract the engine's shared
+        // fault realization and banked candidates rely on.
         let day: Vec<f64> = (0..24)
             .map(|h| {
-                if (6..18).contains(&h) {
-                    550.0 + h as f64
+                if (7..17).contains(&h) {
+                    480.0 + h as f64
                 } else {
                     0.0
                 }
             })
             .collect();
-        let samples: Vec<f64> = (0..25).flat_map(|_| day.clone()).collect();
+        let samples: Vec<f64> = (0..15).flat_map(|_| day.clone()).collect();
         let trace = PowerTrace::new("s", Resolution::from_minutes(60).unwrap(), samples).unwrap();
         let view = SlotView::new(&trace, SlotsPerDay::new(24).unwrap()).unwrap();
 
         let mut p1 = WcmaPredictor::new(WcmaParams::new(0.5, 5, 2, 24).unwrap());
         let mut m1 = EnergyNeutralManager::default();
-        let via_view = simulate_node(&view, &mut p1, &mut m1, &config());
+        let owned = simulate_node(&view, &mut p1, &mut m1, &config());
 
         let mut p2 = WcmaPredictor::new(WcmaParams::new(0.5, 5, 2, 24).unwrap());
         let mut m2 = EnergyNeutralManager::default();
-        let inputs = view.iter().map(|(id, start, mean)| SlotInput {
-            day: id.day as usize,
-            slot: id.slot as usize,
-            start_sample: start,
-            mean_power: mean,
-        });
-        let via_stream = simulate_node_streamed(
-            inputs,
-            view.slot_seconds(),
-            &mut p2,
+        let mut hook = NoFaults;
+        let cfg = config();
+        let mut external = NodeSimulation::with_external_predictions(
             &mut m2,
-            &config(),
-            &mut NoFaults,
+            &cfg,
+            &mut hook,
+            view.slot_seconds(),
+            24,
         );
-        assert_eq!(via_view, via_stream);
-    }
-
-    #[test]
-    fn external_predictions_match_the_owned_predictor_path() {
-        // Driving the machine through absorb_slot + plan_with with
-        // predictions computed outside must reproduce on_slot exactly —
-        // the contract the engine's banked candidates rely on.
-        let day: Vec<f64> = (0..24)
-            .map(|h| if (7..17).contains(&h) { 480.0 } else { 0.0 })
-            .collect();
-        let inputs: Vec<SlotInput> = (0..24 * 15)
-            .map(|step| SlotInput {
-                day: step / 24,
-                slot: step % 24,
-                start_sample: day[step % 24],
-                mean_power: day[step % 24],
-            })
-            .collect();
-
-        let mut p1 = WcmaPredictor::new(WcmaParams::new(0.5, 5, 2, 24).unwrap());
-        let mut m1 = EnergyNeutralManager::default();
-        let mut hook1 = NoFaults;
-        let mut owned = NodeSimulation::new(&mut p1, &mut m1, &config(), &mut hook1, 3600.0);
-
-        let mut p2 = WcmaPredictor::new(WcmaParams::new(0.5, 5, 2, 24).unwrap());
-        let mut m2 = EnergyNeutralManager::default();
-        let mut hook2 = NoFaults;
-        let mut external =
-            NodeSimulation::with_external_predictions(&mut m2, &config(), &mut hook2, 3600.0, 24);
-
-        for &input in &inputs {
-            owned.on_slot(input);
-            let measured = external.absorb_slot(input);
-            let predicted = solar_predict::Predictor::observe_and_predict(&mut p2, measured);
-            external.plan_with(predicted);
+        for (_, start, mean) in view.iter() {
+            external.absorb_corrupted(cfg.panel.power_w(mean) * view.slot_seconds());
+            external.plan_with(p2.observe_and_predict(start));
         }
-        assert_eq!(owned.finish(), external.finish());
+        assert_eq!(owned, external.finish());
     }
 
     #[test]
@@ -414,23 +305,15 @@ mod tests {
                 }
             })
             .collect();
-        let inputs: Vec<SlotInput> = (0..24 * 10)
-            .map(|step| SlotInput {
-                day: step / 24,
-                slot: step % 24,
-                start_sample: day[step % 24],
-                mean_power: day[step % 24],
-            })
-            .collect();
+        let slots = hourly_slots(&day, 10);
         let params = WcmaParams::new(0.5, 5, 2, 24).unwrap();
 
         let mut p1 = WcmaPredictor::new(params);
         let mut m1 = EnergyNeutralManager::default();
         let mut hook1 = NoFaults;
-        let mut cold = NodeSimulation::new(&mut p1, &mut m1, &config(), &mut hook1, 3600.0);
-        for &input in &inputs {
-            cold.on_slot(input);
-        }
+        let mut cold =
+            NodeSimulation::with_external_predictions(&mut m1, &config(), &mut hook1, 3600.0, 24);
+        drive(&mut cold, &mut p1, &slots);
         let cold_report = cold.finish();
 
         // Run four days, checkpoint sim + predictor, resume in a fresh
@@ -438,51 +321,27 @@ mod tests {
         let mut p2 = WcmaPredictor::new(params);
         let mut m2 = EnergyNeutralManager::default();
         let mut hook2 = NoFaults;
-        let mut prefix = NodeSimulation::new(&mut p2, &mut m2, &config(), &mut hook2, 3600.0);
-        for &input in &inputs[..4 * 24] {
-            prefix.on_slot(input);
-        }
+        let mut prefix =
+            NodeSimulation::with_external_predictions(&mut m2, &config(), &mut hook2, 3600.0, 24);
+        drive(&mut prefix, &mut p2, &slots[..4 * 24]);
         let checkpoint = prefix.day_checkpoint();
-        let mut snapshot = solar_predict::Predictor::snapshot(&p2).unwrap();
+        let mut snapshot = p2.snapshot().unwrap();
         let mut m3 = EnergyNeutralManager::default();
         let mut hook3 = NoFaults;
         let mut resumed =
-            NodeSimulation::new(snapshot.as_mut(), &mut m3, &config(), &mut hook3, 3600.0);
+            NodeSimulation::with_external_predictions(&mut m3, &config(), &mut hook3, 3600.0, 24);
         resumed.restore_day_checkpoint(&checkpoint);
-        for &input in &inputs[4 * 24..] {
-            resumed.on_slot(input);
-        }
+        drive(&mut resumed, snapshot.as_mut(), &slots[4 * 24..]);
         assert_eq!(resumed.finish(), cold_report);
     }
 
     #[test]
-    #[should_panic(expected = "needs an owned predictor")]
-    fn on_slot_panics_without_an_owned_predictor() {
+    fn empty_stream_yields_empty_report() {
         let mut m = EnergyNeutralManager::default();
         let mut hook = NoFaults;
-        let cfg = config();
-        let mut sim =
-            NodeSimulation::with_external_predictions(&mut m, &cfg, &mut hook, 3600.0, 24);
-        sim.on_slot(SlotInput {
-            day: 0,
-            slot: 0,
-            start_sample: 0.0,
-            mean_power: 0.0,
-        });
-    }
-
-    #[test]
-    fn empty_stream_yields_empty_report() {
-        let mut p = WcmaPredictor::new(WcmaParams::new(0.5, 5, 2, 24).unwrap());
-        let mut m = EnergyNeutralManager::default();
-        let report = simulate_node_streamed(
-            std::iter::empty(),
-            3600.0,
-            &mut p,
-            &mut m,
-            &config(),
-            &mut NoFaults,
-        );
+        let report =
+            NodeSimulation::with_external_predictions(&mut m, &config(), &mut hook, 3600.0, 24)
+                .finish();
         assert_eq!(report.slots, 0);
         assert_eq!(report.mean_duty, 0.0);
         assert_eq!(report.utilization, 0.0);
@@ -491,11 +350,10 @@ mod tests {
     #[test]
     #[should_panic(expected = "must be positive")]
     fn zero_slot_duration_panics() {
-        let mut p = WcmaPredictor::new(WcmaParams::new(0.5, 5, 2, 24).unwrap());
         let mut m = EnergyNeutralManager::default();
         let cfg = config();
         let mut hook = NoFaults;
-        let _ = NodeSimulation::new(&mut p, &mut m, &cfg, &mut hook, 0.0);
+        let _ = NodeSimulation::with_external_predictions(&mut m, &cfg, &mut hook, 0.0, 24);
     }
 
     #[test]
@@ -503,10 +361,9 @@ mod tests {
     fn mismatched_discretization_panics() {
         // A predictor built for N=24 fed 48-slot (1800 s) days is the
         // silent-corruption case the guard exists for.
-        let mut p = WcmaPredictor::new(WcmaParams::new(0.5, 5, 2, 24).unwrap());
         let mut m = EnergyNeutralManager::default();
         let cfg = config();
         let mut hook = NoFaults;
-        let _ = NodeSimulation::new(&mut p, &mut m, &cfg, &mut hook, 1800.0);
+        let _ = NodeSimulation::with_external_predictions(&mut m, &cfg, &mut hook, 1800.0, 24);
     }
 }

@@ -51,5 +51,5 @@ pub use generator::{SynthCheckpoint, TraceGenerator};
 pub use lanes::SynthCounters;
 pub use site::{Site, SiteConfig};
 pub use site_builder::SiteConfigBuilder;
-pub use stream::{SampleStream, SlotStream, StreamedSlot};
+pub use stream::{SlotStream, StreamedSlot};
 pub use weather::{DayCondition, StreamVersion, WeatherModel};

@@ -2,15 +2,12 @@
 //!
 //! [`TraceGenerator::generate_days`] materializes the whole horizon —
 //! fine for the paper's 40-day studies, hopeless for multi-year fleet
-//! scenarios where a single trace would dominate memory. The streams
-//! here reproduce the **exact** sample sequence of the batch path
-//! (property-tested bit-equal) while holding only one day of samples at
-//! a time:
-//!
-//! * [`SampleStream`] — raw irradiance samples in trace order;
-//! * [`SlotStream`] — [`StreamedSlot`]s at a chosen discretization,
-//!   carrying the same `(start_sample, mean_power)` pair a
-//!   `solar_trace::SlotView` of the batch trace would expose.
+//! scenarios where a single trace would dominate memory. A
+//! [`SlotStream`] yields [`StreamedSlot`]s at a chosen discretization,
+//! carrying the same `(start_sample, mean_power)` pair a
+//! `solar_trace::SlotView` of the batch trace would expose
+//! (property-tested bit-equal), while holding only one day of samples
+//! at a time.
 //!
 //! Bit-equality holds because both paths run the identical per-day
 //! generation core (same RNG draw order) and the slot mean is summed in
@@ -19,75 +16,6 @@
 use crate::generator::{DayState, SynthCheckpoint, TraceGenerator};
 use crate::lanes::SynthCounters;
 use solar_trace::{SlotsPerDay, TraceError};
-
-/// Raw samples of a synthetic trace, produced one day at a time.
-///
-/// Yields exactly `days × samples_per_day` values, identical to the
-/// sample vector of [`TraceGenerator::generate_days`] with the same
-/// configuration and seed.
-#[derive(Clone, Debug)]
-pub struct SampleStream {
-    generator: TraceGenerator,
-    state: DayState,
-    day_buf: Vec<f64>,
-    day: usize,
-    days: usize,
-    idx: usize,
-}
-
-impl SampleStream {
-    fn new(generator: TraceGenerator, days: usize) -> Result<Self, TraceError> {
-        if days == 0 {
-            return Err(TraceError::TooShort {
-                provided: 0,
-                required: generator.config().resolution.samples_per_day(),
-            });
-        }
-        let state = generator.day_state();
-        Ok(SampleStream {
-            generator,
-            state,
-            day_buf: Vec::new(),
-            day: 0,
-            days,
-            idx: 0,
-        })
-    }
-
-    /// Samples each yielded item represents per day.
-    pub fn samples_per_day(&self) -> usize {
-        self.generator.config().resolution.samples_per_day()
-    }
-}
-
-impl Iterator for SampleStream {
-    type Item = f64;
-
-    fn next(&mut self) -> Option<f64> {
-        if self.idx == self.day_buf.len() {
-            if self.day == self.days {
-                return None;
-            }
-            self.generator
-                .generate_day_into(&mut self.state, self.day, &mut self.day_buf);
-            self.day += 1;
-            self.idx = 0;
-        }
-        let sample = self.day_buf[self.idx];
-        self.idx += 1;
-        Some(sample)
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        let produced = if self.day == 0 {
-            0
-        } else {
-            (self.day - 1) * self.samples_per_day() + self.idx
-        };
-        let total = self.days * self.samples_per_day();
-        (total - produced, Some(total - produced))
-    }
-}
 
 /// One slot of a streamed trace: the discretized view the evaluation
 /// pipeline consumes, matching `solar_trace::SlotView` semantics.
@@ -270,16 +198,6 @@ impl Iterator for SlotStream {
 }
 
 impl TraceGenerator {
-    /// Streams the raw samples of `days` days without materializing the
-    /// trace; identical values to [`TraceGenerator::generate_days`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TraceError`] if `days` is zero.
-    pub fn sample_stream(&self, days: usize) -> Result<SampleStream, TraceError> {
-        SampleStream::new(self.clone(), days)
-    }
-
     /// Streams `days` days discretized into `n` slots per day without
     /// materializing the trace; bit-identical to building a `SlotView`
     /// over the batch-generated trace.
@@ -322,20 +240,6 @@ mod tests {
     use solar_trace::{SlotView, SlotsPerDay};
 
     #[test]
-    fn sample_stream_is_bit_equal_to_batch() {
-        for (site, seed, days) in [(Site::Pfci, 1u64, 7usize), (Site::Ornl, 99, 3)] {
-            let generator = TraceGenerator::new(site.config(), seed);
-            let batch = generator.generate_days(days).unwrap();
-            let streamed: Vec<f64> = generator.sample_stream(days).unwrap().collect();
-            assert_eq!(streamed.len(), batch.samples().len());
-            assert!(streamed
-                .iter()
-                .zip(batch.samples())
-                .all(|(a, b)| a.to_bits() == b.to_bits()));
-        }
-    }
-
-    #[test]
     fn slot_stream_matches_slot_view_bit_for_bit() {
         let generator = TraceGenerator::new(Site::Hsu.config(), 5);
         let days = 4;
@@ -359,7 +263,6 @@ mod tests {
     #[test]
     fn streams_reject_bad_parameters() {
         let generator = TraceGenerator::new(Site::Pfci.config(), 1);
-        assert!(generator.sample_stream(0).is_err());
         assert!(generator
             .slot_stream(0, SlotsPerDay::new(48).unwrap())
             .is_err());
@@ -384,7 +287,7 @@ mod tests {
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(16))]
 
-        /// The streamed paths reproduce the batch path bit-for-bit for
+        /// The slot stream reproduces the batch path bit-for-bit for
         /// any site, seed, horizon, and compatible discretization.
         #[test]
         fn streamed_equals_batch_for_any_site_seed_and_horizon(
@@ -397,12 +300,6 @@ mod tests {
             let n = SlotsPerDay::new([24u32, 48, 96][n_idx]).unwrap();
             let generator = TraceGenerator::new(site.config(), seed);
             let batch = generator.generate_days(days).unwrap();
-
-            let samples: Vec<f64> = generator.sample_stream(days).unwrap().collect();
-            proptest::prop_assert_eq!(samples.len(), batch.samples().len());
-            for (a, b) in samples.iter().zip(batch.samples()) {
-                proptest::prop_assert_eq!(a.to_bits(), b.to_bits());
-            }
 
             let view = SlotView::new(&batch, n).unwrap();
             let mut count = 0;
@@ -519,9 +416,5 @@ mod tests {
         assert_eq!(stream.size_hint(), (48, Some(48)));
         stream.next();
         assert_eq!(stream.size_hint(), (47, Some(47)));
-        let mut samples = generator.sample_stream(2).unwrap();
-        assert_eq!(samples.size_hint().0, 2 * 288);
-        samples.next();
-        assert_eq!(samples.size_hint().0, 2 * 288 - 1);
     }
 }

@@ -10,8 +10,8 @@
 //! configuration found for the regime.
 //!
 //! JSON rendering follows the workspace determinism contract:
-//! insertion-ordered keys, shortest-round-trip floats, and **no wall
-//! time** (cost wall-clock figures appear only in
+//! insertion-ordered keys, shortest-round-trip floats, and **no
+//! machine-dependent figures** (the trace-memory cost appears only in
 //! [`TuningReport::render_text`]).
 
 use pred_metrics::CostAggregate;
@@ -239,7 +239,6 @@ mod tests {
                 candidates: 31,
             }],
             cost: CostAggregate::of([RunCost {
-                wall_nanos: 1234,
                 peak_candidates: 30,
                 peak_trace_bytes: 11_520,
             }]),

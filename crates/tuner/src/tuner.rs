@@ -561,7 +561,6 @@ mod tests {
             assert_eq!(row.dynamic_decay, 0.85);
         }
         assert!(report.cost.jobs > 0);
-        assert!(report.cost.total_wall_nanos > 0);
     }
 
     #[test]
