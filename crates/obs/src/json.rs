@@ -159,9 +159,13 @@ impl Json {
     }
 
     fn write(&self, out: &mut String, indent: Option<usize>, depth: usize) {
-        let (nl, pad, pad_in) = match indent {
-            Some(w) => ("\n", " ".repeat(w * depth), " ".repeat(w * (depth + 1))),
-            None => ("", String::new(), String::new()),
+        // A line break indented to `level`, written in place; nothing in
+        // compact mode.
+        let newline = |out: &mut String, level: usize| {
+            if let Some(w) = indent {
+                out.push('\n');
+                out.extend(std::iter::repeat_n(' ', w * level));
+            }
         };
         match self {
             Json::Null => out.push_str("null"),
@@ -178,12 +182,10 @@ impl Json {
                     if i > 0 {
                         out.push(',');
                     }
-                    out.push_str(nl);
-                    out.push_str(&pad_in);
+                    newline(out, depth + 1);
                     item.write(out, indent, depth + 1);
                 }
-                out.push_str(nl);
-                out.push_str(&pad);
+                newline(out, depth);
                 out.push(']');
             }
             Json::Obj(pairs) => {
@@ -196,8 +198,7 @@ impl Json {
                     if i > 0 {
                         out.push(',');
                     }
-                    out.push_str(nl);
-                    out.push_str(&pad_in);
+                    newline(out, depth + 1);
                     write_str(out, key);
                     out.push(':');
                     if indent.is_some() {
@@ -205,8 +206,7 @@ impl Json {
                     }
                     value.write(out, indent, depth + 1);
                 }
-                out.push_str(nl);
-                out.push_str(&pad);
+                newline(out, depth);
                 out.push('}');
             }
         }
@@ -479,6 +479,47 @@ mod tests {
         let pretty = doc.render_pretty();
         assert_eq!(Json::parse(&compact).unwrap(), doc);
         assert_eq!(Json::parse(&pretty).unwrap(), doc);
+    }
+
+    #[test]
+    fn pretty_rendering_is_pinned_at_any_depth() {
+        let doc = Json::obj([
+            (
+                "a",
+                Json::Arr(vec![
+                    Json::Num(1.0),
+                    Json::obj([("b", Json::Null)]),
+                    Json::Arr(vec![]),
+                ]),
+            ),
+            ("c", Json::Obj(vec![])),
+        ]);
+        assert_eq!(
+            doc.render_pretty(),
+            "{\n  \"a\": [\n    1,\n    {\n      \"b\": null\n    },\n    []\n  ],\n  \"c\": {}\n}\n"
+        );
+
+        // 90 levels: the innermost line is indented by 180 spaces, deeper
+        // than any fixed pad buffer a renderer might slice from.
+        let mut deep = Json::Str("core".to_string());
+        for level in 0..90 {
+            deep = if level % 2 == 0 {
+                Json::Arr(vec![deep])
+            } else {
+                Json::obj([("k", deep)])
+            };
+        }
+        let rendered = deep.render_pretty();
+        let lines: Vec<&str> = rendered.lines().collect();
+        assert_eq!(lines.len(), 181);
+        assert_eq!(rendered.len(), 16_792);
+        assert_eq!(lines[90], format!("{}\"core\"", " ".repeat(180)));
+        for (row, line) in lines.iter().enumerate() {
+            let depth = row.min(180 - row);
+            let indent = line.len() - line.trim_start().len();
+            assert_eq!(indent, 2 * depth, "line {row}: {line:?}");
+        }
+        assert_eq!(Json::parse(&rendered).unwrap(), deep);
     }
 
     #[test]

@@ -4,10 +4,11 @@ use crate::geometry;
 use crate::lanes::{NormalSource, SynthCounters};
 use crate::sampling::{poisson, poisson_inversion};
 use crate::site::SiteConfig;
-use crate::weather::{DayCondition, StreamVersion};
+use crate::weather::{ConditionParams, DayCondition, StreamVersion};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use solar_trace::{PowerTrace, TraceError};
+use solar_trace::{PowerTrace, Resolution, TraceError};
+use std::sync::{Arc, Mutex, Weak};
 
 /// A seeded generator producing irradiance traces for one site.
 ///
@@ -56,6 +57,23 @@ impl Transit {
         } else {
             let window = 0.5 * (1.0 + (std::f64::consts::PI * x).cos());
             1.0 - self.depth * window
+        }
+    }
+
+    /// Multiplies the factor into `day` (one value per sample, `step_h`
+    /// hours apart) over the samples of the event's window only. The
+    /// index bounds are conservative by a whole sample, and outside the
+    /// window the factor is exactly 1.0, so the result is bit-identical
+    /// to multiplying every sample.
+    fn attenuate(&self, day: &mut [f64], step_h: f64) {
+        let last = day.len() - 1;
+        let lo = ((self.centre_h - self.half_width_h) / step_h)
+            .floor()
+            .max(0.0) as usize;
+        let hi = (((self.centre_h + self.half_width_h) / step_h).ceil() as usize).min(last);
+        let lo = lo.min(hi);
+        for (offset, value) in day[lo..=hi].iter_mut().enumerate() {
+            *value *= self.factor((lo + offset) as f64 * step_h);
         }
     }
 }
@@ -118,11 +136,12 @@ impl TraceGenerator {
         let res = self.config.resolution;
         let spd = res.samples_per_day();
         let mut state = self.day_state();
+        let mut scratch = DayScratch::default();
         let mut samples = Vec::with_capacity(days * spd);
         let mut conditions = Vec::with_capacity(days);
         let mut day_buf = Vec::with_capacity(spd);
         for day in 0..days {
-            conditions.push(self.generate_day_into(&mut state, day, &mut day_buf));
+            conditions.push(self.generate_day_into(&mut state, &mut scratch, day, &mut day_buf));
             samples.extend_from_slice(&day_buf);
         }
         let counters = state.counters();
@@ -146,7 +165,6 @@ impl TraceGenerator {
         }
 
         let rho = weather.ar_rho_per_minute.powf(res.as_seconds_f64() / 60.0);
-        let step_h = res.as_seconds_f64() / 3600.0;
         DayState {
             rng,
             condition,
@@ -155,12 +173,8 @@ impl TraceGenerator {
             ar_state: 0.0,
             rho,
             innovation_scale: (1.0 - rho * rho).sqrt(),
-            // The hour-angle cosine grid depends only on the sample
-            // spacing: computed once here, shared by every generated day
-            // (the per-day transcendentals live in `DayGeometry`).
-            cos_hour: geometry::hour_cosine_grid(res.samples_per_day(), step_h),
-            fronts: Vec::new(),
-            transits: Vec::new(),
+            // The per-day transcendentals live in `DayGeometry`.
+            cos_hour: shared_hour_grid(res),
             // The normal supply fixes the draw order for the life of
             // the stream: scalar per-draw Box–Muller on v1, batched
             // pairwise lanes on v2.
@@ -168,189 +182,68 @@ impl TraceGenerator {
                 StreamVersion::V1 => NormalSource::scalar(),
                 StreamVersion::V2 => NormalSource::lanes(),
             },
-            clear_panel: Vec::new(),
-            innovation_panel: Vec::new(),
-            noise_panel: Vec::new(),
         }
     }
 
     /// Generates one day of samples into `out` (replacing its contents),
     /// advancing the carried state; returns the day's condition. This is
     /// the single source of every sample both `generate_*` and the
-    /// streaming [`crate::SlotStream`] emit.
+    /// streaming [`crate::SlotStream`] emit. `scratch` holds the day's
+    /// panels; its contents on entry do not matter.
     ///
-    /// Dispatches on the site's
+    /// Both stream versions draw the same day header first (see
+    /// [`TraceGenerator::day_header`]), then dispatch on the site's
     /// [`StreamVersion`](crate::weather::StreamVersion): the two bodies
-    /// sample the same model, but consume the keystream in different
-    /// orders and must never be cross-edited (each order is pinned by
-    /// its own golden digest).
+    /// sample the same model through the same passes, but consume the
+    /// keystream in different orders (each order is pinned by its own
+    /// golden digest and, sample by sample, by `tests/raw_stream_pin.rs`).
     pub(crate) fn generate_day_into(
         &self,
         state: &mut DayState,
+        scratch: &mut DayScratch,
         day: usize,
         out: &mut Vec<f64>,
     ) -> DayCondition {
-        match self.config.weather.stream_version {
-            StreamVersion::V1 => self.generate_day_v1(state, day, out),
-            StreamVersion::V2 => self.generate_day_v2(state, day, out),
+        let version = self.config.weather.stream_version;
+        let header = self.day_header(state, scratch, day, version);
+        match version {
+            StreamVersion::V1 => self.generate_day_v1(state, scratch, &header, out),
+            StreamVersion::V2 => self.generate_day_v2(state, scratch, &header, out),
         }
+        header.condition
     }
 
-    /// The v1 (scalar-order) day body. Every RNG call here is in the
-    /// exact sequence the original scalar generator used — one
-    /// Box–Muller draw at a time with the sin half discarded, Knuth
-    /// Poisson counts — because the pinned v1 golden digests depend on
-    /// that consumption byte-for-byte.
-    fn generate_day_v1(
+    /// Draws the day header: the condition step, base clearness, drift
+    /// slope, the time-sorted frontal passages (into `scratch.fronts`)
+    /// and the cloud transits (into `scratch.transits`), in that RNG
+    /// order. The version only selects the Poisson count sampler: Knuth
+    /// on v1, CDF inversion on v2.
+    fn day_header(
         &self,
         state: &mut DayState,
+        scratch: &mut DayScratch,
         day: usize,
-        out: &mut Vec<f64>,
-    ) -> DayCondition {
-        let res = self.config.resolution;
-        let spd = res.samples_per_day();
-        let step_h = res.as_seconds_f64() / 3600.0;
+        version: StreamVersion,
+    ) -> DayHeader {
         let weather = &self.config.weather;
         let DayState {
             rng,
-            condition: day_condition,
-            ar_state,
-            rho,
-            innovation_scale,
-            cos_hour,
-            fronts,
-            transits,
+            condition,
             normals,
             ..
         } = state;
-        out.clear();
+        let count = |lambda: f64, rng: &mut ChaCha8Rng| match version {
+            StreamVersion::V1 => poisson(lambda, rng),
+            StreamVersion::V2 => poisson_inversion(lambda, rng),
+        };
 
         let doy = (day % 365) as u32 + 1;
-        *day_condition = weather.step(*day_condition, rng);
-        let condition = *day_condition;
-        let params = weather.params(condition);
-        // Declination, sin φ sin δ, cos φ cos δ and the extraterrestrial
-        // irradiance are day-invariant: computed once here instead of
-        // inside the slot loop (bit-identical to the composed per-sample
-        // geometry; see `DayGeometry`).
-        let day_geom = geometry::DayGeometry::new(self.config.latitude_deg, doy);
-
+        *condition = weather.step(*condition, rng);
+        let params = weather.params(*condition);
         // Seasonal clearness modulation peaking at the *local* summer
         // solstice: the phase flips south of the equator (a −18%
         // monsoon swing means an austral wet season in austral summer,
         // not a copy of the northern calendar).
-        let hemisphere = if self.config.latitude_deg < 0.0 {
-            -1.0
-        } else {
-            1.0
-        };
-        let seasonal = hemisphere
-            * self.config.weather.seasonal_amplitude
-            * (std::f64::consts::TAU * (doy as f64 - 172.0) / 365.0).cos();
-        let base_clearness =
-            (params.clearness_mean + seasonal + params.clearness_std * normals.next(rng))
-                .clamp(0.03, 1.08);
-        // Per-day linear trend: slow synoptic evolution across the
-        // day.
-        let drift_slope = weather.daily_drift_std * normals.next(rng);
-        // Frontal passages: step changes in base clearness that
-        // persist for the rest of the day. These make hours-old
-        // conditioning ratios actively misleading, which is what
-        // bounds the useful Φ window (the paper's small optimal K).
-        let front_count = poisson(weather.fronts_per_day, rng);
-        fronts.clear();
-        fronts.extend((0..front_count).map(|_| {
-            let t_h = 6.0 + rng.gen::<f64>() * 12.0; // daylight hours
-            (t_h, weather.front_std * normals.next(rng))
-        }));
-        fronts.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("front times are finite"));
-
-        self.sample_transits(
-            doy,
-            params.transits_per_hour,
-            rng,
-            transits,
-            StreamVersion::V1,
-        );
-
-        debug_assert_eq!(cos_hour.len(), spd);
-        for (idx, &cos_omega) in cos_hour.iter().enumerate() {
-            let t_h = idx as f64 * step_h;
-            let sin_h = day_geom.sin_elevation(cos_omega);
-            // Turbidity scales the cloudless ceiling itself; at the
-            // default 0.0 the factor is exactly 1.0, so legacy streams
-            // are bit-unchanged.
-            let clear = self.config.clear_sky.ghi(sin_h) * (1.0 - self.config.turbidity);
-            if clear <= 0.0 {
-                *ar_state *= *rho; // decay quietly overnight
-                out.push(0.0);
-                continue;
-            }
-            *ar_state = *rho * *ar_state + params.ar_sigma * *innovation_scale * normals.next(rng);
-            let drift = drift_slope * (t_h - 12.0) / 12.0;
-            let front_shift: f64 = fronts
-                .iter()
-                .take_while(|&&(t_f, _)| t_f <= t_h)
-                .map(|&(_, delta)| delta)
-                .sum();
-            let mut attenuation =
-                (base_clearness + drift + front_shift + *ar_state).clamp(0.02, 1.08);
-            for transit in transits.iter() {
-                attenuation *= transit.factor(t_h);
-            }
-            let noise = 1.0 + weather.sensor_noise_std * normals.next(rng);
-            let value = (clear * attenuation * noise).max(0.0);
-            // Pyranometer noise floor: real instruments report ~0
-            // below ~1 W/m²; without this, grazing-sun samples of
-            // 1e-20 W/m² would appear and historical means at dawn
-            // slots would be meaninglessly tiny.
-            out.push(if value < 1.0 { 0.0 } else { value });
-        }
-        condition
-    }
-
-    /// The v2 (lane-order) day body: the same weather model as v1, but
-    /// the keystream is consumed in structure-of-arrays order. The day
-    /// header (condition step, clearness, drift, fronts, transits)
-    /// draws first — with Poisson counts from the single-uniform
-    /// inversion sampler — then three flat panels are built for the
-    /// slot loop: the clear-sky GHI vector, one batched AR(1)
-    /// innovation per daylight slot, and one batched sensor-noise
-    /// normal per daylight slot. Normals come pairwise from the lane
-    /// source (both Box–Muller halves consumed), which is what makes
-    /// this a different — and faster — stream from v1.
-    fn generate_day_v2(
-        &self,
-        state: &mut DayState,
-        day: usize,
-        out: &mut Vec<f64>,
-    ) -> DayCondition {
-        let res = self.config.resolution;
-        let spd = res.samples_per_day();
-        let step_h = res.as_seconds_f64() / 3600.0;
-        let weather = &self.config.weather;
-        let DayState {
-            rng,
-            condition: day_condition,
-            ar_state,
-            rho,
-            innovation_scale,
-            cos_hour,
-            fronts,
-            transits,
-            normals,
-            clear_panel,
-            innovation_panel,
-            noise_panel,
-        } = state;
-        out.clear();
-
-        let doy = (day % 365) as u32 + 1;
-        *day_condition = weather.step(*day_condition, rng);
-        let condition = *day_condition;
-        let params = weather.params(condition);
-        let day_geom = geometry::DayGeometry::new(self.config.latitude_deg, doy);
-
         let hemisphere = if self.config.latitude_deg < 0.0 {
             -1.0
         } else {
@@ -362,8 +255,15 @@ impl TraceGenerator {
         let base_clearness =
             (params.clearness_mean + seasonal + params.clearness_std * normals.next(rng))
                 .clamp(0.03, 1.08);
+        // Per-day linear trend: slow synoptic evolution across the
+        // day.
         let drift_slope = weather.daily_drift_std * normals.next(rng);
-        let front_count = poisson_inversion(weather.fronts_per_day, rng);
+        // Frontal passages: step changes in base clearness that
+        // persist for the rest of the day. These make hours-old
+        // conditioning ratios actively misleading, which is what
+        // bounds the useful Φ window (the paper's small optimal K).
+        let front_count = count(weather.fronts_per_day, rng);
+        let fronts = &mut scratch.fronts;
         fronts.clear();
         fronts.extend((0..front_count).map(|_| {
             let t_h = 6.0 + rng.gen::<f64>() * 12.0; // daylight hours
@@ -371,134 +271,220 @@ impl TraceGenerator {
         }));
         fronts.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("front times are finite"));
 
-        self.sample_transits(
-            doy,
-            params.transits_per_hour,
-            rng,
-            transits,
-            StreamVersion::V2,
-        );
-
-        // Panel 1: the clear-sky GHI vector. Pure geometry — no RNG —
-        // so it vectorizes, and it tells us exactly how many daylight
-        // slots need stochastic draws.
-        debug_assert_eq!(cos_hour.len(), spd);
-        clear_panel.clear();
-        let mut daylight = 0usize;
-        for &cos_omega in cos_hour.iter() {
-            let sin_h = day_geom.sin_elevation(cos_omega);
-            let clear = self.config.clear_sky.ghi(sin_h) * (1.0 - self.config.turbidity);
-            if clear > 0.0 {
-                daylight += 1;
-            }
-            clear_panel.push(clear);
+        // Cloud transits over the daylight window: the per-event draws
+        // are uniform-only.
+        let transits = &mut scratch.transits;
+        transits.clear();
+        let day_len = geometry::day_length_hours(self.config.latitude_deg, doy);
+        if day_len > 0.0 && params.transits_per_hour > 0.0 {
+            let sunrise = 12.0 - day_len / 2.0;
+            let transit_count = count(params.transits_per_hour * day_len, rng);
+            let (depth_lo, depth_hi) = weather.transit_depth;
+            transits.extend((0..transit_count).map(|_| {
+                let centre_h = sunrise + rng.gen::<f64>() * day_len;
+                let duration_min = (-weather.transit_mean_minutes
+                    * rng.gen::<f64>().max(1e-12).ln())
+                .clamp(1.0, 90.0);
+                Transit {
+                    centre_h,
+                    half_width_h: duration_min / 60.0 / 2.0,
+                    depth: depth_lo + rng.gen::<f64>() * (depth_hi - depth_lo),
+                }
+            }));
         }
 
-        // Panels 2 + 3: one bulk normal fill each — AR(1) innovations
-        // and sensor noise for the daylight slots, in that order.
-        innovation_panel.resize(daylight, 0.0);
-        normals.fill(rng, innovation_panel.as_mut_slice());
-        noise_panel.resize(daylight, 0.0);
-        normals.fill(rng, noise_panel.as_mut_slice());
-
-        // Assembly: pure trace math over the panels. Front shifts are
-        // accumulated with a moving pointer (fronts are time-sorted,
-        // and adding deltas in the same order as v1's prefix sum keeps
-        // the arithmetic identical). Transits are applied afterwards,
-        // per event over its own sample window, so the main loop never
-        // scans the transit list.
-        let mut front_ptr = 0usize;
-        let mut front_shift = 0.0f64;
-        let mut lane = 0usize;
-        for (idx, &clear) in clear_panel.iter().enumerate() {
-            if clear <= 0.0 {
-                *ar_state *= *rho; // decay quietly overnight
-                out.push(0.0);
-                continue;
-            }
-            let t_h = idx as f64 * step_h;
-            *ar_state =
-                *rho * *ar_state + params.ar_sigma * *innovation_scale * innovation_panel[lane];
-            let drift = drift_slope * (t_h - 12.0) / 12.0;
-            while front_ptr < fronts.len() && fronts[front_ptr].0 <= t_h {
-                front_shift += fronts[front_ptr].1;
-                front_ptr += 1;
-            }
-            let attenuation = (base_clearness + drift + front_shift + *ar_state).clamp(0.02, 1.08);
-            let noise = 1.0 + weather.sensor_noise_std * noise_panel[lane];
-            lane += 1;
-            out.push(clear * attenuation * noise);
+        DayHeader {
+            condition: *condition,
+            params,
+            geometry: geometry::DayGeometry::new(self.config.latitude_deg, doy),
+            base_clearness,
+            drift_slope,
         }
-
-        // Transit pass: each event only touches the samples inside its
-        // raised-cosine window (the factor is exactly 1 outside, so the
-        // conservative index bounds lose nothing). Night samples are 0
-        // and stay 0 under multiplication.
-        for transit in transits.iter() {
-            let lo = ((transit.centre_h - transit.half_width_h) / step_h)
-                .floor()
-                .max(0.0) as usize;
-            let hi =
-                (((transit.centre_h + transit.half_width_h) / step_h).ceil() as usize).min(spd - 1);
-            for (offset, value) in out[lo.min(hi)..=hi].iter_mut().enumerate() {
-                *value *= transit.factor((lo + offset) as f64 * step_h);
-            }
-        }
-
-        // Pyranometer floor, vectorized over the day (subsumes the
-        // `max(0)` guard: negatives are < 1 W/m² too).
-        for value in out.iter_mut() {
-            if *value < 1.0 {
-                *value = 0.0;
-            }
-        }
-        condition
     }
 
-    /// Samples the day's cloud-transit events over the daylight window
-    /// into `out` (replacing its contents — the buffer is carried in
-    /// [`DayState`] so day generation allocates nothing per day). The
-    /// stream version selects the count sampler (Knuth on v1, CDF
-    /// inversion on v2); the per-event draws are uniform-only and
-    /// shared.
-    fn sample_transits(
+    /// Passes 1–2 of both day bodies: the clear-sky GHI per sample into
+    /// `scratch.clear` (pure geometry, no RNG; turbidity scales the
+    /// cloudless ceiling itself, and at the default 0.0 the factor is
+    /// exactly 1.0), then one bulk fill of two normals per daylight
+    /// sample (positive GHI) into `scratch.normal_panel`. Returns the
+    /// daylight count.
+    fn day_panels(
         &self,
-        doy: u32,
-        rate_per_hour: f64,
-        rng: &mut ChaCha8Rng,
-        out: &mut Vec<Transit>,
-        version: StreamVersion,
-    ) {
-        out.clear();
-        let day_len = geometry::day_length_hours(self.config.latitude_deg, doy);
-        if day_len <= 0.0 || rate_per_hour <= 0.0 {
-            return;
-        }
-        let sunrise = 12.0 - day_len / 2.0;
-        let count = match version {
-            StreamVersion::V1 => poisson(rate_per_hour * day_len, rng),
-            StreamVersion::V2 => poisson_inversion(rate_per_hour * day_len, rng),
-        };
-        let (depth_lo, depth_hi) = self.config.weather.transit_depth;
-        out.extend((0..count).map(|_| {
-            let centre_h = sunrise + rng.gen::<f64>() * day_len;
-            let duration_min = (-self.config.weather.transit_mean_minutes
-                * rng.gen::<f64>().max(1e-12).ln())
-            .clamp(1.0, 90.0);
-            Transit {
-                centre_h,
-                half_width_h: duration_min / 60.0 / 2.0,
-                depth: depth_lo + rng.gen::<f64>() * (depth_hi - depth_lo),
-            }
+        state: &mut DayState,
+        scratch: &mut DayScratch,
+        header: &DayHeader,
+    ) -> usize {
+        let clear = &mut scratch.clear;
+        clear.clear();
+        clear.extend(state.cos_hour.iter().map(|&cos_omega| {
+            self.config
+                .clear_sky
+                .ghi(header.geometry.sin_elevation(cos_omega))
+                * (1.0 - self.config.turbidity)
         }));
+        let daylight = clear.iter().filter(|&&ghi| ghi > 0.0).count();
+        scratch.normal_panel.resize(2 * daylight, 0.0);
+        state
+            .normals
+            .fill(&mut state.rng, &mut scratch.normal_panel);
+        daylight
+    }
+
+    /// The v1 (scalar-order) day body. Its draw order is pinned byte for
+    /// byte by the v1 golden digests, so the passes below are the
+    /// contract — each keeps, per sample, the exact draws, libm calls
+    /// and float ops of the original one-sample-at-a-time loop. After the
+    /// shared day header (Knuth Poisson counts):
+    ///
+    /// 1. clear-sky GHI per sample;
+    /// 2. one bulk scalar Box–Muller fill of `2 × daylight` normals —
+    ///    for each daylight sample in time order, its AR(1) innovation
+    ///    then its sensor noise, exactly the order the per-sample loop
+    ///    drew them (the sin half of every pair is discarded);
+    /// 3. the AR(1) walk writing each daylight sample's clamped
+    ///    clearness into `out` (night samples decay the AR state and
+    ///    stay 0);
+    /// 4. each transit, in list order, multiplied into the clearness over
+    ///    its own window only — outside it the factor is exactly 1.0, so
+    ///    skipping those samples leaves every product bit-unchanged;
+    /// 5. `GHI × clearness × noise`, then the pyranometer floor.
+    fn generate_day_v1(
+        &self,
+        state: &mut DayState,
+        scratch: &mut DayScratch,
+        header: &DayHeader,
+        out: &mut Vec<f64>,
+    ) {
+        let step_h = self.config.resolution.as_seconds_f64() / 3600.0;
+        self.day_panels(state, scratch, header);
+        let panel = &scratch.normal_panel;
+        state.clearness_walk(
+            header,
+            &scratch.fronts,
+            &scratch.clear,
+            step_h,
+            panel.iter().step_by(2),
+            out,
+        );
+        for transit in &scratch.transits {
+            transit.attenuate(out, step_h);
+        }
+        let noise = panel.iter().skip(1).step_by(2);
+        apply_noise(
+            out,
+            &scratch.clear,
+            self.config.weather.sensor_noise_std,
+            noise,
+        );
+        pyranometer_floor(out);
+    }
+
+    /// The v2 (lane-order) day body: the same weather model as v1, but
+    /// the keystream is consumed in structure-of-arrays order. After the
+    /// shared day header (whose Poisson counts use the single-uniform
+    /// inversion sampler), one bulk fill draws every AR(1) innovation of
+    /// the day's daylight samples, then every sensor-noise normal.
+    /// Normals come pairwise from the lane source (both Box–Muller
+    /// halves consumed), and transits multiply the noisy value rather
+    /// than the clearness, which is what makes this a different — and
+    /// faster — stream from v1.
+    fn generate_day_v2(
+        &self,
+        state: &mut DayState,
+        scratch: &mut DayScratch,
+        header: &DayHeader,
+        out: &mut Vec<f64>,
+    ) {
+        let step_h = self.config.resolution.as_seconds_f64() / 3600.0;
+        let daylight = self.day_panels(state, scratch, header);
+        let (innovations, noise) = scratch.normal_panel.split_at(daylight);
+        state.clearness_walk(
+            header,
+            &scratch.fronts,
+            &scratch.clear,
+            step_h,
+            innovations.iter(),
+            out,
+        );
+        apply_noise(
+            out,
+            &scratch.clear,
+            self.config.weather.sensor_noise_std,
+            noise.iter(),
+        );
+        // Night samples are 0 and stay 0 under the transit products.
+        for transit in &scratch.transits {
+            transit.attenuate(out, step_h);
+        }
+        pyranometer_floor(out);
     }
 }
 
-/// The RNG/weather state carried from one generated day into the next.
-/// Shared by the batch and streaming generation paths. Besides the
-/// weather chain it owns the stream-invariant hour-angle cosine grid and
-/// the per-day scratch buffers, so generating a day performs no heap
-/// allocation in steady state.
+/// Multiplies each daylight sample's clearness in `day` by its
+/// clear-sky GHI and then by its sensor-noise factor `1 + σ·n`, taking
+/// `n` from `noise` in time order; night samples stay 0.
+fn apply_noise<'a>(
+    day: &mut [f64],
+    clear: &[f64],
+    sensor_noise_std: f64,
+    mut noise: impl Iterator<Item = &'a f64>,
+) {
+    for (value, &ghi) in day.iter_mut().zip(clear) {
+        if ghi > 0.0 {
+            let draw = noise.next().expect("one noise normal per daylight sample");
+            *value = ghi * *value * (1.0 + sensor_noise_std * draw);
+        }
+    }
+}
+
+/// The pyranometer noise floor: real instruments report ~0 below
+/// ~1 W/m²; without this, grazing-sun samples of 1e-20 W/m² would
+/// appear and historical means at dawn slots would be meaninglessly
+/// tiny. Negative values are below 1 W/m² too.
+fn pyranometer_floor(day: &mut [f64]) {
+    for value in day.iter_mut() {
+        if *value < 1.0 {
+            *value = 0.0;
+        }
+    }
+}
+
+/// The `cos ω` grid of `resolution`, one per resolution for the whole
+/// process: the grid depends only on the sample spacing, so every stream
+/// and every checkpoint at that resolution shares it, and a cached tail
+/// holds no grid of its own. A grid nothing holds any more is dropped
+/// and rebuilt on the next request.
+fn shared_hour_grid(resolution: Resolution) -> Arc<[f64]> {
+    static GRIDS: Mutex<Vec<(Resolution, Weak<[f64]>)>> = Mutex::new(Vec::new());
+    let mut grids = GRIDS
+        .lock()
+        .expect("no thread panics while holding the grid registry");
+    if let Some(grid) = grids
+        .iter()
+        .find(|(res, _)| *res == resolution)
+        .and_then(|(_, grid)| grid.upgrade())
+    {
+        return grid;
+    }
+    let step_h = resolution.as_seconds_f64() / 3600.0;
+    let grid: Arc<[f64]> = geometry::hour_cosine_grid(resolution.samples_per_day(), step_h).into();
+    grids.retain(|(res, held)| *res != resolution && held.strong_count() > 0);
+    grids.push((resolution, Arc::downgrade(&grid)));
+    grid
+}
+
+/// The day-constant draws and geometry a day body works from.
+struct DayHeader {
+    condition: DayCondition,
+    params: ConditionParams,
+    geometry: geometry::DayGeometry,
+    base_clearness: f64,
+    drift_slope: f64,
+}
+
+/// The RNG/weather state carried from one generated day into the next —
+/// everything a [`SynthCheckpoint`] has to keep, and nothing else.
+/// Shared by the batch and streaming generation paths.
 #[derive(Clone, Debug)]
 pub(crate) struct DayState {
     rng: ChaCha8Rng,
@@ -506,25 +492,108 @@ pub(crate) struct DayState {
     ar_state: f64,
     rho: f64,
     innovation_scale: f64,
-    /// `cos ω` per sample index; depends only on the resolution.
-    cos_hour: Vec<f64>,
-    /// Reused frontal-passage scratch: `(time_h, clearness_shift)`.
-    fronts: Vec<(f64, f64)>,
-    /// Reused cloud-transit scratch.
-    transits: Vec<Transit>,
+    /// `cos ω` per sample index, shared by every state at the same
+    /// resolution ([`shared_hour_grid`]).
+    cos_hour: Arc<[f64]>,
     /// The stream's normal supply (scalar on v1, batched lanes on v2).
     normals: NormalSource,
-    /// Reused v2 SoA panels: clear-sky GHI per slot, then one AR(1)
-    /// innovation and one sensor-noise normal per *daylight* slot.
-    clear_panel: Vec<f64>,
-    innovation_panel: Vec<f64>,
-    noise_panel: Vec<f64>,
 }
 
 impl DayState {
+    /// Pass 3 of both day bodies, the AR(1) clearness walk: writes into
+    /// `out`, per sample, the clamped clearness `base + drift + fronts
+    /// so far + AR(1)` of a daylight sample (positive `clear`), taking
+    /// one innovation from `innovations` for each; night samples decay
+    /// the AR state and write 0. Front shifts accumulate with a moving
+    /// pointer over the time-sorted fronts, in prefix-sum order (a fresh
+    /// per-sample sum could differ only in the sign of a zero, which the
+    /// clamp erases).
+    fn clearness_walk<'a>(
+        &mut self,
+        header: &DayHeader,
+        fronts: &[(f64, f64)],
+        clear: &[f64],
+        step_h: f64,
+        mut innovations: impl Iterator<Item = &'a f64>,
+        out: &mut Vec<f64>,
+    ) {
+        out.clear();
+        let mut front_ptr = 0usize;
+        let mut front_shift = 0.0f64;
+        for (idx, &ghi) in clear.iter().enumerate() {
+            if ghi <= 0.0 {
+                self.ar_state *= self.rho; // decay quietly overnight
+                out.push(0.0);
+                continue;
+            }
+            let t_h = idx as f64 * step_h;
+            let innovation = innovations
+                .next()
+                .expect("one innovation per daylight sample");
+            self.ar_state = self.rho * self.ar_state
+                + header.params.ar_sigma * self.innovation_scale * innovation;
+            let drift = header.drift_slope * (t_h - 12.0) / 12.0;
+            while front_ptr < fronts.len() && fronts[front_ptr].0 <= t_h {
+                front_shift += fronts[front_ptr].1;
+                front_ptr += 1;
+            }
+            out.push(
+                (header.base_clearness + drift + front_shift + self.ar_state).clamp(0.02, 1.08),
+            );
+        }
+    }
+
     /// Synthesis-cost counters at the stream's current position.
     pub(crate) fn counters(&self) -> SynthCounters {
         SynthCounters::at(&self.rng, self.normals.draws())
+    }
+
+    /// Heap bytes this state owns outright (the shared hour grid is not
+    /// counted).
+    #[cfg(test)]
+    pub(crate) fn owned_heap_bytes(&self) -> usize {
+        self.normals.heap_bytes()
+    }
+
+    /// Whether `other` reads the same hour-cosine grid allocation.
+    #[cfg(test)]
+    pub(crate) fn shares_hour_grid(&self, other: &DayState) -> bool {
+        Arc::ptr_eq(&self.cos_hour, &other.cos_hour)
+    }
+}
+
+/// Per-day scratch: the buffers a day body rebuilds from nothing every
+/// day. It lives with the generating loop or stream, never in
+/// [`DayState`], so a checkpoint copies none of it; reusing one across
+/// days makes day generation allocation-free in steady state.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct DayScratch {
+    /// Frontal passages: `(time_h, clearness_shift)`, time-sorted.
+    fronts: Vec<(f64, f64)>,
+    /// Cloud transits, in draw order.
+    transits: Vec<Transit>,
+    /// Clear-sky GHI per sample.
+    clear: Vec<f64>,
+    /// Two normals per daylight sample, in draw order (v1: innovation
+    /// and noise per sample; v2: all innovations, then all noise).
+    normal_panel: Vec<f64>,
+}
+
+impl DayScratch {
+    /// Heap bytes the scratch currently holds.
+    #[cfg(test)]
+    pub(crate) fn capacity_bytes(&self) -> usize {
+        self.fronts.capacity() * std::mem::size_of::<(f64, f64)>()
+            + self.transits.capacity() * std::mem::size_of::<Transit>()
+            + (self.clear.capacity() + self.normal_panel.capacity()) * std::mem::size_of::<f64>()
+    }
+
+    /// Peak bytes of the per-sample panels for a day of
+    /// `samples_per_day` samples: the clear-sky GHI and up to two
+    /// normals per sample. The few fronts and transits of a day are not
+    /// counted.
+    pub(crate) fn panel_bytes(samples_per_day: usize) -> usize {
+        3 * samples_per_day * std::mem::size_of::<f64>()
     }
 }
 

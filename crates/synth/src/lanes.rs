@@ -1,26 +1,29 @@
-//! Wide-lane Gaussian sampling over the bulk ChaCha8 keystream.
+//! Bulk Gaussian sampling over the ChaCha8 keystream.
 //!
-//! The v1 generator burns one scalar Box–Muller draw per normal: two
-//! uniforms in, the `cos` half out, the `sin` half discarded — and each
-//! uniform arrives one `u32` at a time from the keystream buffer. This
-//! module is the batched replacement the
-//! [`StreamVersion::V2`](crate::weather::StreamVersion::V2) stream
-//! uses:
+//! Both stream versions draw their per-sample normals as one panel per
+//! day, with the keystream words taken in bulk via
+//! [`ChaCha8Rng::fill_u32s`] (which the vendored crate services from a
+//! 4-block interleaved refill). What differs is the Box–Muller they
+//! feed:
 //!
-//! * keystream words arrive in bulk via
-//!   [`ChaCha8Rng::fill_u32s`] (which the vendored crate services from
-//!   a 4-block interleaved refill),
-//! * Box–Muller is computed **pairwise** — each `(u1, u2)` pair yields
+//! * **v1** keeps the scalar draw its golden digests pin: two uniforms
+//!   in, `sqrt(−2 ln u₁) · cos(τ u₂)` out, the sine half discarded, libm
+//!   `ln` and `cos`. The bulk fill ([`scalar_normals`]) only reorders
+//!   *when* each op runs — words, then uniforms, then every `ln`, then
+//!   every `cos`, then the combine, as flat loops over a chunk — never
+//!   which ops run on which values, so each normal keeps its bits.
+//! * **v2** ([`StreamVersion::V2`](crate::weather::StreamVersion::V2))
+//!   computes Box–Muller **pairwise** — each `(u1, u2)` pair yields
 //!   `r·cos θ` *and* `r·sin θ`, so the `ln`/`sqrt` and the keystream
-//!   words are amortized over two normals instead of one,
-//! * the loop over pairs is straight-line array arithmetic over a flat
-//!   panel, the shape LLVM vectorizes.
+//!   words are amortized over two normals instead of one — with a
+//!   branch-free polynomial angle, so the loop over pairs is
+//!   straight-line array arithmetic LLVM vectorizes.
 //!
 //! [`NormalSource`] is the abstraction the generator threads through
 //! its `DayState`: the `Scalar` variant reproduces the v1 draw order
-//! bit-for-bit (delegating to the same scalar Box–Muller), the `Lanes`
-//! variant serves normals from the batched buffer. Both count draws,
-//! which is what the `synth/normal_draws` ledger counter reports.
+//! bit-for-bit, the `Lanes` variant serves normals from the batched
+//! buffer. Both count draws, which is what the `synth/normal_draws`
+//! ledger counter reports.
 
 use rand::Rng;
 use rand_chacha::ChaCha8Rng;
@@ -39,6 +42,69 @@ pub(crate) fn scalar_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
     let u1: f64 = rng.gen::<f64>().max(f64::MIN_POSITIVE);
     let u2: f64 = rng.gen();
     (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
+}
+
+/// Fills `out` with v1 scalar Box–Muller normals — bit for bit the
+/// values, and the keystream words, of `out.len()` successive
+/// [`scalar_normal`] calls. Each normal takes four words (`u₁` then `u₂`,
+/// lo word first); a chunk of them arrives in one bulk copy, then flat
+/// passes compute the uniforms, every libm `ln`, every libm `cos`, and
+/// the `sqrt` combine. libm stays: it defines the v1 bits.
+///
+/// The `cos` calls run in ascending-angle bins rather than in draw
+/// order. libm's `cos` branches on the argument's range, and random
+/// angles mispredict those branches on most calls; near-sorted ones do
+/// not. Each call is pure, so the order changes no bit.
+fn scalar_normals(rng: &mut ChaCha8Rng, out: &mut [f64]) {
+    const CHUNK: usize = 512;
+    let mut words = [0u32; 4 * CHUNK];
+    let mut angle = [0.0f64; CHUNK];
+    let mut order = [0u16; CHUNK];
+    for chunk in out.chunks_mut(CHUNK) {
+        let words = &mut words[..4 * chunk.len()];
+        let angle = &mut angle[..chunk.len()];
+        let order = &mut order[..chunk.len()];
+        rng.fill_u32s(words);
+        for ((u1, u2), w) in chunk
+            .iter_mut()
+            .zip(angle.iter_mut())
+            .zip(words.chunks_exact(4))
+        {
+            *u1 = uniform_from_words(w[0], w[1]).max(f64::MIN_POSITIVE);
+            *u2 = uniform_from_words(w[2], w[3]);
+        }
+        for value in chunk.iter_mut() {
+            *value = value.ln();
+        }
+        ascending_bins(angle, order);
+        for &i in order.iter() {
+            let a = &mut angle[i as usize];
+            *a = (std::f64::consts::TAU * *a).cos();
+        }
+        for (value, &cos_t) in chunk.iter_mut().zip(angle.iter()) {
+            *value = (-2.0 * *value).sqrt() * cos_t;
+        }
+    }
+}
+
+/// Writes into `order` the indices of `u` (values in `[0, 1)`) grouped
+/// by eight equal-width bins in ascending order: a one-pass counting
+/// sort, stable within each bin.
+fn ascending_bins(u: &[f64], order: &mut [u16]) {
+    const BINS: usize = 8;
+    let bin = |x: f64| (x * BINS as f64) as usize;
+    let mut next = [0usize; BINS + 1];
+    for &x in u {
+        next[bin(x) + 1] += 1;
+    }
+    for b in 1..BINS {
+        next[b] += next[b - 1];
+    }
+    for (i, &x) in u.iter().enumerate() {
+        let slot = &mut next[bin(x)];
+        order[*slot] = i as u16;
+        *slot += 1;
+    }
 }
 
 /// One f64 uniform from two keystream words, exactly as the vendored
@@ -189,6 +255,16 @@ impl NormalSource {
         self.draws
     }
 
+    /// Heap bytes the source owns: the v2 lane batch, which is stream
+    /// state (a day can end mid-batch).
+    #[cfg(test)]
+    pub(crate) fn heap_bytes(&self) -> usize {
+        match &self.mode {
+            NormalMode::Scalar => 0,
+            NormalMode::Lanes { buf, .. } => buf.capacity() * std::mem::size_of::<f64>(),
+        }
+    }
+
     /// One standard-normal draw.
     pub(crate) fn next(&mut self, rng: &mut ChaCha8Rng) -> f64 {
         self.draws += 1;
@@ -213,9 +289,7 @@ impl NormalSource {
         match &mut self.mode {
             NormalMode::Scalar => {
                 self.draws += out.len() as u64;
-                for value in out.iter_mut() {
-                    *value = scalar_normal(rng);
-                }
+                scalar_normals(rng, out);
             }
             NormalMode::Lanes { buf, pos } => {
                 self.draws += out.len() as u64;
@@ -286,7 +360,7 @@ impl SynthCounters {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
+    use rand::{RngCore, SeedableRng};
 
     /// The scalar pairwise reference: the same word-consumption and
     /// arithmetic the lane batch performs, expressed one pair at a
@@ -373,6 +447,45 @@ mod tests {
             assert_eq!(a.to_bits(), b.to_bits());
         }
         assert_eq!(source.draws(), 100);
+    }
+
+    #[test]
+    fn scalar_bulk_fill_equals_successive_scalar_draws() {
+        // Every fill length up to 300 (plus chunk-boundary lengths),
+        // starting at every word offset of the 64-word ChaCha refill,
+        // so fills that straddle a refill are covered.
+        let lengths = (0..=300).chain([511, 512, 513, 1100]);
+        for len in lengths {
+            for offset in 0..64 {
+                let mut bulk_rng = ChaCha8Rng::seed_from_u64(len as u64);
+                for _ in 0..offset {
+                    bulk_rng.next_u32();
+                }
+                let mut draw_rng = bulk_rng.clone();
+                let mut source = NormalSource::scalar();
+                let mut bulk = vec![0.0; len];
+                source.fill(&mut bulk_rng, &mut bulk);
+                for (i, value) in bulk.iter().enumerate() {
+                    let draw = scalar_normal(&mut draw_rng);
+                    assert_eq!(
+                        value.to_bits(),
+                        draw.to_bits(),
+                        "len {len}, offset {offset}, draw {i}"
+                    );
+                }
+                assert_eq!(source.draws(), len as u64);
+                assert_eq!(bulk_rng.get_word_pos(), draw_rng.get_word_pos());
+            }
+        }
+    }
+
+    #[test]
+    fn ascending_bins_is_a_stable_bin_sort() {
+        let u = [0.9, 0.1, 0.95, 0.0, 0.5, 0.12, 0.999];
+        let mut order = [0u16; 7];
+        ascending_bins(&u, &mut order);
+        // Bin 0 holds indices 1, 3 and 5 in index order, not value order.
+        assert_eq!(order, [1, 3, 5, 4, 0, 2, 6]);
     }
 
     #[test]

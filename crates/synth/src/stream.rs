@@ -13,7 +13,7 @@
 //! generation core (same RNG draw order) and the slot mean is summed in
 //! the same sample order as `SlotView`.
 
-use crate::generator::{DayState, SynthCheckpoint, TraceGenerator};
+use crate::generator::{DayScratch, DayState, SynthCheckpoint, TraceGenerator};
 use crate::lanes::SynthCounters;
 use solar_trace::{SlotsPerDay, TraceError};
 
@@ -42,6 +42,8 @@ pub struct StreamedSlot {
 pub struct SlotStream {
     generator: TraceGenerator,
     state: DayState,
+    /// The day bodies' panels: stream-owned, so checkpoints skip them.
+    scratch: DayScratch,
     day_buf: Vec<f64>,
     day: usize,
     days: usize,
@@ -68,6 +70,7 @@ impl SlotStream {
         Ok(SlotStream {
             generator,
             state,
+            scratch: DayScratch::default(),
             day_buf: Vec::new(),
             day: 0,
             days,
@@ -96,6 +99,7 @@ impl SlotStream {
         Ok(SlotStream {
             generator,
             state: checkpoint.state,
+            scratch: DayScratch::default(),
             day_buf: Vec::new(),
             day: checkpoint.next_day,
             days: total_days,
@@ -128,10 +132,13 @@ impl SlotStream {
         self.days * self.n
     }
 
-    /// Peak bytes the stream holds for trace data — one day of raw
-    /// samples, regardless of horizon length.
+    /// Peak bytes the stream holds for one day, regardless of horizon
+    /// length: the day's raw samples plus the synthesis panels
+    /// (clear-sky GHI per sample and up to two normals per sample). A
+    /// [`SynthCheckpoint`] carries none of it.
     pub fn buffer_bytes(&self) -> usize {
-        self.generator.config().resolution.samples_per_day() * std::mem::size_of::<f64>()
+        let samples_per_day = self.generator.config().resolution.samples_per_day();
+        samples_per_day * std::mem::size_of::<f64>() + DayScratch::panel_bytes(samples_per_day)
     }
 
     /// Synthesis-cost counters at the stream's current position —
@@ -168,8 +175,12 @@ impl Iterator for SlotStream {
             if self.day == self.days {
                 return None;
             }
-            self.generator
-                .generate_day_into(&mut self.state, self.day, &mut self.day_buf);
+            self.generator.generate_day_into(
+                &mut self.state,
+                &mut self.scratch,
+                self.day,
+                &mut self.day_buf,
+            );
         }
         let start = self.slot * self.samples_per_slot;
         let chunk = &self.day_buf[start..start + self.samples_per_slot];
@@ -280,7 +291,9 @@ mod tests {
         let stream = generator
             .slot_stream(1000, SlotsPerDay::new(48).unwrap())
             .unwrap();
-        assert_eq!(stream.buffer_bytes(), 1440 * 8);
+        // One day of 1-minute samples, its clear-sky panel and up to
+        // two normals per sample.
+        assert_eq!(stream.buffer_bytes(), 4 * 1440 * 8);
         assert_eq!(stream.total_slots(), 48_000);
     }
 
@@ -372,6 +385,44 @@ mod tests {
             sum.add(resumed.counters());
             let (_, cold) = generator.generate_days_counted(total_days).unwrap();
             assert_eq!(sum, cold, "{version:?}: segment counters must add up");
+        }
+    }
+
+    #[test]
+    fn checkpoints_hold_no_day_scratch() {
+        use crate::weather::StreamVersion;
+        for (version, lane_batch_bytes) in [(StreamVersion::V1, 0), (StreamVersion::V2, 256 * 8)] {
+            let mut config = Site::Hsu.config();
+            config.weather.stream_version = version;
+            let generator = TraceGenerator::new(config, 5);
+            let mut stream = generator
+                .slot_stream(3, SlotsPerDay::new(48).unwrap())
+                .unwrap();
+            for _ in stream.by_ref() {}
+            assert!(
+                stream.scratch.capacity_bytes() > 0,
+                "{version:?}: the stream keeps its panels"
+            );
+            let checkpoint = stream.checkpoint().unwrap();
+            // Only the v2 lane batch, which is stream state, is owned;
+            // the hour grid is shared, not copied.
+            assert_eq!(
+                checkpoint.state.owned_heap_bytes(),
+                lane_batch_bytes,
+                "{version:?}"
+            );
+            assert!(checkpoint.state.shares_hour_grid(&stream.state));
+            let other = TraceGenerator::new(Site::Ornl.config(), 6)
+                .slot_stream(1, SlotsPerDay::new(48).unwrap())
+                .unwrap();
+            assert!(
+                other.state.shares_hour_grid(&stream.state),
+                "one grid per resolution"
+            );
+            let resumed = generator
+                .slot_stream_from(checkpoint, 4, SlotsPerDay::new(48).unwrap())
+                .unwrap();
+            assert_eq!(resumed.scratch.capacity_bytes(), 0, "{version:?}");
         }
     }
 
