@@ -210,7 +210,8 @@ fn box_muller_pairs(words: &[u32], out: &mut [f64]) {
 /// construction and never changes mid-stream.
 #[derive(Clone, Debug)]
 pub(crate) enum NormalMode {
-    /// v1: one scalar Box–Muller call per draw, straight off the RNG.
+    /// v1: scalar Box–Muller, one normal per uniform pair — single
+    /// draws straight off the RNG, bulk fills through [`scalar_normals`].
     Scalar,
     /// v2: draws served from a batched pairwise Box–Muller buffer.
     Lanes {
@@ -286,13 +287,10 @@ impl NormalSource {
     /// panels use. Identical draw sequence to `out.len()` calls of
     /// [`NormalSource::next`].
     pub(crate) fn fill(&mut self, rng: &mut ChaCha8Rng, out: &mut [f64]) {
+        self.draws += out.len() as u64;
         match &mut self.mode {
-            NormalMode::Scalar => {
-                self.draws += out.len() as u64;
-                scalar_normals(rng, out);
-            }
+            NormalMode::Scalar => scalar_normals(rng, out),
             NormalMode::Lanes { buf, pos } => {
-                self.draws += out.len() as u64;
                 let mut filled = 0;
                 while filled < out.len() {
                     if *pos == buf.len() {
