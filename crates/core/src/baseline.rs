@@ -48,10 +48,6 @@ impl Predictor for PersistencePredictor {
     fn name(&self) -> &str {
         "persistence"
     }
-
-    fn snapshot(&self) -> Option<Box<dyn Predictor + Send + Sync>> {
-        Some(Box::new(self.clone()))
-    }
 }
 
 /// Predicts the next slot as its mean over the last `D` days:
@@ -141,10 +137,6 @@ impl Predictor for MovingAveragePredictor {
 
     fn name(&self) -> &str {
         "moving-average"
-    }
-
-    fn snapshot(&self) -> Option<Box<dyn Predictor + Send + Sync>> {
-        Some(Box::new(self.clone()))
     }
 }
 

@@ -259,10 +259,6 @@ impl Predictor for CausalDynamicWcma {
     fn name(&self) -> &str {
         "dynamic-causal"
     }
-
-    fn snapshot(&self) -> Option<Box<dyn Predictor + Send + Sync>> {
-        Some(Box::new(self.clone()))
-    }
 }
 
 #[cfg(test)]

@@ -121,10 +121,6 @@ impl Predictor for EwmaPredictor {
     fn name(&self) -> &str {
         "ewma"
     }
-
-    fn snapshot(&self) -> Option<Box<dyn Predictor + Send + Sync>> {
-        Some(Box::new(self.clone()))
-    }
 }
 
 #[cfg(test)]

@@ -285,10 +285,6 @@ impl Predictor for FixedWcmaPredictor {
     fn name(&self) -> &str {
         "wcma-q16"
     }
-
-    fn snapshot(&self) -> Option<Box<dyn Predictor + Send + Sync>> {
-        Some(Box::new(self.clone()))
-    }
 }
 
 #[cfg(test)]

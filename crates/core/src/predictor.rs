@@ -10,7 +10,10 @@
 /// firmware loop driven by a sampling timer (the paper's Fig. 5).
 ///
 /// The trait is object-safe so heterogeneous predictor sets can be
-/// benchmarked side by side (`Vec<Box<dyn Predictor>>`).
+/// benchmarked side by side (`Vec<Box<dyn Predictor>>`). Every
+/// predictor in this crate is also `Clone`, and a clone taken at a day
+/// boundary is the predictor half of a resume checkpoint: fed the
+/// remaining slots, it predicts exactly what the original does.
 pub trait Predictor {
     /// Records the measured slot-start power of the current slot and
     /// returns the prediction for the next slot.
@@ -27,20 +30,6 @@ pub trait Predictor {
 
     /// A short human-readable name for reports ("wcma", "ewma", …).
     fn name(&self) -> &str;
-
-    /// A boxed deep copy of the predictor's current state — the
-    /// predictor half of a day-boundary checkpoint, which the caller
-    /// pairs with its own metrics and simulation state to resume a run
-    /// without replaying the prefix. The default returns `None`
-    /// so external implementations stay source-compatible and
-    /// object-safe without opting in; every predictor in this crate
-    /// returns `Some`. A checkpoint/resume flow that receives `None`
-    /// must fall back to replaying from the start. The snapshot is
-    /// `Send + Sync` so checkpoints can cross worker threads (the
-    /// fleet engine captures them inside its parallel units).
-    fn snapshot(&self) -> Option<Box<dyn Predictor + Send + Sync>> {
-        None
-    }
 }
 
 #[cfg(test)]

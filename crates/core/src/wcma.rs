@@ -279,10 +279,6 @@ impl Predictor for WcmaPredictor {
     fn name(&self) -> &str {
         "wcma"
     }
-
-    fn snapshot(&self) -> Option<Box<dyn Predictor + Send + Sync>> {
-        Some(Box::new(self.clone()))
-    }
 }
 
 #[cfg(test)]

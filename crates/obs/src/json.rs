@@ -419,13 +419,19 @@ fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, Json
                         *pos += 1;
                     }
                     Some(_) => {
-                        // Consume one UTF-8 scalar.
-                        let rest = &bytes[*pos..];
-                        let text = std::str::from_utf8(rest)
-                            .map_err(|e| JsonError::at(*pos, format!("invalid UTF-8: {e}")))?;
-                        let c = text.chars().next().expect("non-empty");
-                        s.push(c);
-                        *pos += c.len_utf8();
+                        // Copy the run of plain bytes up to the next quote
+                        // or escape as one slice. The input is a `&str`
+                        // and the run is cut at ASCII bytes, so it is
+                        // valid UTF-8, and validating it costs only its
+                        // own length: parsing stays linear.
+                        let start = *pos;
+                        while !matches!(bytes.get(*pos), None | Some(b'"' | b'\\')) {
+                            *pos += 1;
+                        }
+                        let run = std::str::from_utf8(&bytes[start..*pos]).map_err(|e| {
+                            JsonError::at(start + e.valid_up_to(), format!("invalid UTF-8: {e}"))
+                        })?;
+                        s.push_str(run);
                     }
                 }
             }
@@ -461,6 +467,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, Json
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn round_trips_a_nested_document() {
@@ -604,11 +611,109 @@ mod tests {
     }
 
     #[test]
+    fn string_heavy_documents_parse_in_linear_time() {
+        // Over 4 MB of long multi-byte strings with escapes. A parser
+        // that re-validates the rest of the input for every character
+        // takes minutes on this in a debug build; a linear one well
+        // under a second. No timer, so nothing to flake: a quadratic
+        // regression shows as a hung test.
+        let line = "d\u{e9}sert \"dry\" \u{2600} \u{1F31E} \\ clear\n".repeat(64);
+        let doc = Json::Arr(
+            (0..2_000)
+                .map(|i| Json::obj([("k", Json::Str(format!("{i}:{line}")))]))
+                .collect(),
+        );
+        let text = doc.render();
+        assert!(text.len() >= 4 << 20, "only {} bytes", text.len());
+        assert_eq!(Json::parse(&text).unwrap(), doc);
+    }
+
+    #[test]
     fn accessors_navigate_objects() {
         let doc = Json::parse(r#"{"site": {"preset": "PFCI"}, "days": 40}"#).unwrap();
         assert_eq!(doc.req_num("days").unwrap(), 40.0);
         assert_eq!(doc.req("site").unwrap().req_str("preset").unwrap(), "PFCI");
         assert!(doc.req_str("days").is_err());
         assert!(doc.req("missing").is_err());
+    }
+
+    /// Characters covering every string path: ASCII, two-, three- and
+    /// four-byte UTF-8, the short escapes, and a control character the
+    /// writer spells as `\u0001`.
+    const CHARS: [char; 12] = [
+        'a',
+        'Z',
+        ' ',
+        '\u{e9}',
+        '\u{20ac}',
+        '\u{2600}',
+        '\u{1F31E}',
+        '"',
+        '\\',
+        '\n',
+        '\t',
+        '\u{1}',
+    ];
+
+    fn text(codes: &[u8]) -> String {
+        codes
+            .iter()
+            .map(|&code| CHARS[code as usize % CHARS.len()])
+            .collect()
+    }
+
+    /// Appends `value` to an open container, keyed by `key` in an object.
+    fn append(container: &mut Json, key: &[u8], value: Json) {
+        match container {
+            Json::Arr(items) => items.push(value),
+            Json::Obj(pairs) => pairs.push((text(key), value)),
+            _ => unreachable!("only containers are open"),
+        }
+    }
+
+    /// Folds `ops` into a document: each op appends a scalar to the
+    /// innermost open container, or opens or closes one. Whatever is
+    /// still open closes at the end.
+    fn document(ops: &[(u8, Vec<u8>, f64)]) -> Json {
+        let mut open = vec![Json::Arr(Vec::new())];
+        for (kind, codes, x) in ops {
+            let value = match kind {
+                0 | 1 => Json::Str(text(codes)),
+                2 => Json::Num(*x),
+                3 => Json::Num(x.round()),
+                4 => Json::Bool(codes.len() % 2 == 0),
+                5 => Json::Null,
+                6 if open.len() < 8 => {
+                    open.push(if codes.len() % 2 == 0 {
+                        Json::Arr(Vec::new())
+                    } else {
+                        Json::Obj(Vec::new())
+                    });
+                    continue;
+                }
+                _ if open.len() > 1 => open.pop().expect("nested"),
+                _ => continue,
+            };
+            append(open.last_mut().expect("root"), codes, value);
+        }
+        while open.len() > 1 {
+            let closed = open.pop().expect("nested");
+            append(open.last_mut().expect("root"), b"", closed);
+        }
+        open.pop().expect("root")
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn parse_inverts_both_renderings(ops in proptest::collection::vec(
+            (0u8..8, proptest::collection::vec(0u8..12, 0..24), -1e6f64..1e6),
+            0..60,
+        )) {
+            let doc = document(&ops);
+            prop_assert_eq!(Json::parse(&doc.render()).unwrap(), doc.clone());
+            prop_assert_eq!(Json::parse(&doc.render_pretty()).unwrap(), doc);
+        }
     }
 }

@@ -107,20 +107,19 @@
 
 use crate::catalog::Scenario;
 use crate::faults::{storage_capacity_factor, FaultInjector, FaultSpec};
-use crate::matrix::{FleetMatrix, JobSpec};
+use crate::matrix::{FleetMatrix, JobSpec, ManagerSpec, PredictorSpec, SoloPredictor};
 use crate::scorecard::{Scorecard, ScorecardShard, ShardManifest};
 use crate::series::{
     series_footprint_bytes, ResolvedTraceBudget, RoiPeak, SlotSeries, TraceCachePolicy,
 };
 use fleet_obs::Collector;
-use harvest_sim::SlotHook;
-use harvest_sim::{NodeConfig, NodeReport, NodeSimulation, SimDayCheckpoint};
+use harvest_sim::{NoFaults, NodeConfig, NodeMachine, NodeReport, SlotHook, SolarPanel};
 use pred_metrics::{
     ErrorSummary, EvalProtocol, PredictionRecord, RecordSink, RunCost, StreamingEval,
 };
 use rayon::prelude::*;
 use rayon::ThreadPoolBuilder;
-use solar_predict::Predictor;
+use solar_predict::{CandidateBank, WcmaParams};
 use solar_synth::{SynthCounters, TraceGenerator};
 use solar_trace::SlotsPerDay;
 use std::collections::{HashMap, HashSet};
@@ -246,23 +245,27 @@ impl ShardedFleetResult {
 /// A distinct predictor's prediction source within a work unit: a
 /// candidate of the unit's shared float-WCMA bank, or an owned
 /// instance.
+#[derive(Clone)]
 enum Kernel {
     Banked(usize),
-    Solo(usize),
+    Solo(Box<dyn SoloPredictor>),
 }
 
 /// Every state machine a work unit advances slot by slot: the shared
 /// fault realization, one kernel and one protocol accumulator per
-/// distinct predictor, and one simulation machine per job.
-struct UnitMachines<'a> {
+/// distinct predictor, and one simulation machine per job. The unit
+/// owns all of them, so a clone at a day boundary is its resume point.
+#[derive(Clone)]
+struct UnitMachines {
     protocol: EvalProtocol,
     roi_peak: f64,
-    node_config: &'a NodeConfig,
+    panel: SolarPanel,
     slot_seconds: f64,
+    /// The fault injector: its sequential dropout RNG draws exactly
+    /// once per slot, so a clone continues the cold keystream verbatim.
     injector: FaultInjector,
     kernels: Vec<Kernel>,
-    bank: Option<solar_predict::CandidateBank>,
-    solo: Vec<Box<dyn Predictor>>,
+    bank: Option<CandidateBank>,
     evals: Vec<StreamingEval>,
     /// Each kernel's latest prediction: what its jobs plan with, and
     /// the predicted half of the record that slot opened.
@@ -271,12 +274,89 @@ struct UnitMachines<'a> {
     /// slot opened — shared by every kernel — or `None` if the protocol
     /// discarded that slot.
     open: Option<(u32, u32, f64)>,
-    sims: Vec<NodeSimulation<'a>>,
+    /// One simulation machine per job: storage and duty state is where
+    /// the manager axis matters.
+    sims: Vec<NodeMachine<ManagerSpec, NoFaults>>,
     /// Each job's kernel, in unit job order.
     job_kernel: Vec<usize>,
 }
 
-impl UnitMachines<'_> {
+impl UnitMachines {
+    /// Fresh machines for a scenario's `jobs` (in matrix job order),
+    /// judged against `roi_peak`.
+    ///
+    /// Distinct predictors among the jobs get one kernel each: the
+    /// metrics half and the simulation half's *predictions* are pure
+    /// functions of (scenario, predictor) — managers only steer duty —
+    /// so all per-slot kernel work and record assembly happens once per
+    /// distinct predictor, and every job reuses its predictor's summary
+    /// and prediction stream. One kernel serves *both* halves, because
+    /// measurement corruption never depends on the harvest argument
+    /// (pinned by a faults.rs test). Float WCMA folds into one shared
+    /// bank; everything else gets one owned instance.
+    fn cold(
+        matrix: &FleetMatrix,
+        jobs: impl Iterator<Item = JobSpec>,
+        node_config: &NodeConfig,
+        slots: SlotsPerDay,
+        injector: FaultInjector,
+        protocol: EvalProtocol,
+        roi_peak: f64,
+    ) -> Result<Self, String> {
+        let (n, slot_seconds) = (slots.get(), slots.slot_seconds_f64());
+        let mut distinct: Vec<usize> = Vec::new();
+        let mut job_kernel = Vec::new();
+        let mut sims = Vec::new();
+        for job in jobs {
+            let kernel = match distinct.iter().position(|&p| p == job.predictor_idx) {
+                Some(kernel) => kernel,
+                None => {
+                    distinct.push(job.predictor_idx);
+                    distinct.len() - 1
+                }
+            };
+            job_kernel.push(kernel);
+            sims.push(NodeMachine::with_external_predictions(
+                matrix.managers[job.manager_idx].clone(),
+                node_config,
+                NoFaults,
+                slot_seconds,
+                n,
+            ));
+        }
+        let mut bank_params = Vec::new();
+        let kernels = distinct
+            .iter()
+            .map(|&predictor_idx| match matrix.predictors[predictor_idx] {
+                PredictorSpec::Wcma { alpha, days, k } => {
+                    bank_params
+                        .push(WcmaParams::new(alpha, days, k, n).map_err(|e| e.to_string())?);
+                    Ok(Kernel::Banked(bank_params.len() - 1))
+                }
+                ref spec => Ok(Kernel::Solo(spec.kernel(n)?)),
+            })
+            .collect::<Result<Vec<_>, String>>()?;
+        let bank = if bank_params.is_empty() {
+            None
+        } else {
+            Some(CandidateBank::new(bank_params).map_err(|e| e.to_string())?)
+        };
+        Ok(UnitMachines {
+            protocol,
+            roi_peak,
+            panel: node_config.panel,
+            slot_seconds,
+            injector,
+            evals: vec![StreamingEval::new(protocol, roi_peak); kernels.len()],
+            predictions: vec![0.0; kernels.len()],
+            kernels,
+            bank,
+            open: None,
+            sims,
+            job_kernel,
+        })
+    }
+
     /// Walks one day. The corruption realization happens once per slot
     /// and serves both halves: the metrics half records predictions
     /// against ground-truth references scaled by the day's
@@ -300,7 +380,7 @@ impl UnitMachines<'_> {
     fn walk_day(&mut self, day: usize, starts: &[f64], means: &[f64]) {
         let sky = self.injector.sky_factor(day);
         for (slot, (&start_sample, &mean_power)) in starts.iter().zip(means).enumerate() {
-            let mut harvest_j = self.node_config.panel.power_w(mean_power) * self.slot_seconds;
+            let mut harvest_j = self.panel.power_w(mean_power) * self.slot_seconds;
             let mut observed = start_sample;
             self.injector
                 .on_slot(day, slot, &mut harvest_j, &mut observed);
@@ -312,7 +392,7 @@ impl UnitMachines<'_> {
                 .map(|bank| bank.observe_and_predict(observed));
             for ((kernel, eval), prediction) in self
                 .kernels
-                .iter()
+                .iter_mut()
                 .zip(&mut self.evals)
                 .zip(&mut self.predictions)
             {
@@ -325,11 +405,11 @@ impl UnitMachines<'_> {
                         actual_mean,
                     });
                 }
-                *prediction = match *kernel {
+                *prediction = match kernel {
                     Kernel::Banked(candidate) => {
-                        bank_predictions.as_ref().expect("bank built")[candidate]
+                        bank_predictions.as_ref().expect("bank built")[*candidate]
                     }
-                    Kernel::Solo(idx) => self.solo[idx].observe_and_predict(observed),
+                    Kernel::Solo(predictor) => predictor.observe_and_predict(observed),
                 };
             }
             self.open = self
@@ -371,9 +451,8 @@ fn extends(scenario: &Scenario, key: &str, stored_json: &str, stored_days: usize
 /// End-of-horizon machine state of one scenario's full job cross — the
 /// O(appended days) resume point for a day-append delta. Captured by
 /// the engine at the end of an eligible work-unit pass (full predictor
-/// × manager cross, no trace-gap fault, every solo predictor
-/// snapshot-able) and stored in the [`FleetCache`] keyed by scenario
-/// name.
+/// × manager cross, no trace-gap fault) and stored in the
+/// [`FleetCache`] keyed by scenario name.
 struct UnitCheckpoint {
     /// The scenario's full JSON form at capture time; resume requires
     /// the appended scenario to render identically once its `days` is
@@ -381,31 +460,17 @@ struct UnitCheckpoint {
     scenario_json: String,
     /// The captured horizon in days.
     days: usize,
-    /// Predictor axis labels at capture (matrix order) — the machine
-    /// set below is only meaningful against an identical axis.
+    /// Predictor axis labels at capture (matrix order) — the machines
+    /// below are only meaningful against an identical axis.
     predictor_labels: Vec<String>,
     /// Manager axis labels at capture (matrix order).
     manager_labels: Vec<String>,
     /// The ROI reference peak the record filter judged against, and
     /// the final slot's still-pending mean.
     roi: RoiPeak,
-    /// The record the final captured slot opened, if any.
-    open: Option<(u32, u32, f64)>,
-    /// The fault injector after the captured pass — its sequential
-    /// dropout RNG continues exactly where a cold run over the longer
-    /// horizon would be at this day boundary.
-    injector: FaultInjector,
-    /// The shared float-WCMA candidate bank, if the axis has any.
-    bank: Option<solar_predict::CandidateBank>,
-    /// Solo predictor snapshots, in kernel order.
-    solo: Vec<Box<dyn Predictor + Send + Sync>>,
-    /// Per-kernel metrics accumulators, in kernel order.
-    evals: Vec<StreamingEval>,
-    /// Per-kernel prediction at the final captured slot: the predicted
-    /// half of the record that slot opened, if it opened one.
-    predictions: Vec<f64>,
-    /// Per-job simulation state, in unit job order.
-    sims: Vec<SimDayCheckpoint>,
+    /// The unit's machines after the captured pass; a resume clones
+    /// them.
+    machines: UnitMachines,
 }
 
 impl std::fmt::Debug for UnitCheckpoint {
@@ -1299,8 +1364,8 @@ impl FleetEngine {
     /// predictor, judged against the ROI peak taken from the series
     /// before the walk.
     ///
-    /// With a resume point, every machine is restored from the
-    /// checkpoint and only the appended days are walked; the output is
+    /// With a resume point, the unit clones the checkpoint's machines
+    /// and walks only the appended days; the output is
     /// bit-identical to a cold full-horizon pass (pinned by engine
     /// tests). The checkpointed accumulators filtered the prefix
     /// against the checkpointed peak, so if the appended days raise
@@ -1309,7 +1374,7 @@ impl FleetEngine {
     /// only the appended days.
     ///
     /// Returns the job outcomes, the synthesis passes spent, a
-    /// [`UnitCheckpoint`] of every state machine at the final day
+    /// [`UnitCheckpoint`] holding the machines at the final day
     /// boundary (when the unit covers the full job cross and nothing
     /// blocks checkpointing), and the series for the cache.
     fn evaluate_scenario_unit(
@@ -1325,7 +1390,6 @@ impl FleetEngine {
             .span_scenario("fleet/simulate", &scenario.name);
         let n = scenario.slots_per_day as usize;
         let slots = SlotsPerDay::new(scenario.slots_per_day).map_err(|e| e.to_string())?;
-        let slot_seconds = slots.slot_seconds_f64();
         let fault_seed = self.scenario_seed(scenario) ^ 0xFA01;
         let node_config = scenario
             .node
@@ -1363,7 +1427,7 @@ impl FleetEngine {
         let mut roi = RoiPeak::default();
         if let Some(r) = resume {
             roi = r.roi;
-            roi.absorb(&series, r.days, n, &r.injector);
+            roi.absorb(&series, r.days, n, &r.machines.injector);
             if roi.peak.to_bits() != r.roi.peak.to_bits() {
                 if self.collector.is_enabled() {
                     self.collector
@@ -1377,204 +1441,45 @@ impl FleetEngine {
         // corruption (injectors are pure functions of the shared seed
         // and the slot sequence), so the unit realizes it exactly once
         // per slot — one injector shared by all jobs and both pass
-        // halves. A resumed injector's dropout RNG draws exactly once
-        // per slot, so the checkpointed clone continues the cold
-        // keystream verbatim (resume eligibility excluded trace-gap
-        // faults, whose placement depends on the total horizon).
-        let injector = match resume {
-            Some(r) => r.injector.clone(),
-            None => FaultInjector::new(&scenario.faults, fault_seed, scenario.days, n),
-        };
-        if resume.is_none() {
-            if !series.is_full() {
-                series = cold_series(&mut passes, &mut synth_cost)?;
+        // halves. Resume eligibility excluded trace-gap faults, whose
+        // placement depends on the total horizon.
+        let mut machines = match resume {
+            Some(r) => r.machines.clone(),
+            None => {
+                let injector = FaultInjector::new(&scenario.faults, fault_seed, scenario.days, n);
+                if !series.is_full() {
+                    series = cold_series(&mut passes, &mut synth_cost)?;
+                }
+                roi = RoiPeak::default();
+                roi.absorb(&series, 0, n, &injector);
+                UnitMachines::cold(
+                    matrix,
+                    job_indices.iter().map(|&job_idx| jobs[job_idx]),
+                    &node_config,
+                    slots,
+                    injector,
+                    self.protocol,
+                    roi.peak,
+                )?
             }
-            roi = RoiPeak::default();
-            roi.absorb(&series, 0, n, &injector);
-        }
+        };
         // First day this walk covers: 0 cold, the checkpointed horizon
         // when resuming.
         let start_day = resume.map_or(0, |r| r.days);
-
-        // Distinct predictors among the fresh jobs: the metrics pass
-        // and the simulation pass's *predictions* are pure functions of
-        // (scenario, predictor) — managers only steer duty — so all
-        // per-slot kernel work and record assembly happens once per
-        // distinct predictor, and every job reuses its predictor's
-        // summary and prediction stream.
-        let mut distinct_predictors: Vec<usize> = Vec::new();
-        let job_kernel: Vec<usize> = job_indices
-            .iter()
-            .map(|&job_idx| {
-                let predictor_idx = jobs[job_idx].predictor_idx;
-                match distinct_predictors.iter().position(|&p| p == predictor_idx) {
-                    Some(slot) => slot,
-                    None => {
-                        distinct_predictors.push(predictor_idx);
-                        distinct_predictors.len() - 1
-                    }
-                }
-            })
-            .collect();
-
-        // Kernel per distinct predictor: float WCMA folds into one
-        // shared bank; everything else gets one owned instance. One
-        // kernel serves *both* pass halves, because what the metrics
-        // predictor observes is bit-identical to what the simulation
-        // predictor observes: measurement corruption never depends on
-        // the harvest argument (pinned by a faults.rs test), so the
-        // historically separate per-pass predictor instances always
-        // evolved in lockstep — one instance now produces that shared
-        // prediction stream once.
-        let mut kernels: Vec<Kernel> = Vec::with_capacity(distinct_predictors.len());
-        let mut bank_params: Vec<solar_predict::WcmaParams> = Vec::new();
-        let mut solo: Vec<Box<dyn Predictor>> = Vec::new();
-        for &predictor_idx in &distinct_predictors {
-            let spec = &matrix.predictors[predictor_idx];
-            match *spec {
-                crate::PredictorSpec::Wcma { alpha, days, k } => {
-                    bank_params.push(
-                        solar_predict::WcmaParams::new(alpha, days, k, n)
-                            .map_err(|e| e.to_string())?,
-                    );
-                    kernels.push(Kernel::Banked(bank_params.len() - 1));
-                }
-                _ => {
-                    solo.push(spec.build(n)?);
-                    kernels.push(Kernel::Solo(solo.len() - 1));
-                }
-            }
-        }
-        let mut bank = if bank_params.is_empty() {
-            None
-        } else {
-            Some(solar_predict::CandidateBank::new(bank_params).map_err(|e| e.to_string())?)
-        };
-        // One protocol accumulator per distinct predictor, judged
-        // against the series' ROI peak.
-        let mut evals = vec![StreamingEval::new(self.protocol, roi.peak); kernels.len()];
-        let mut predictions = vec![0.0_f64; kernels.len()];
-        let mut open = None;
-        if let Some(r) = resume {
-            // Restore every predictor machine from its day-boundary
-            // snapshot — the fresh instances above only fixed the
-            // kernel layout (resume eligibility guarantees the axes
-            // match, so the layout is identical to the checkpointed
-            // run's).
-            bank = r.bank.clone();
-            solo = r
-                .solo
-                .iter()
-                .map(|p| -> Box<dyn Predictor> {
-                    p.snapshot().expect("checkpointed predictors snapshot")
-                })
-                .collect();
-            evals = r.evals.clone();
-            predictions = r.predictions.clone();
-            open = r.open;
-        }
-
-        // One simulation machine per job — storage and duty state is
-        // where the manager axis matters.
-        struct JobState {
-            manager: Box<dyn harvest_sim::PowerManager>,
-            hook: harvest_sim::NoFaults,
-        }
-        let mut job_states: Vec<JobState> = job_indices
-            .iter()
-            .map(|&job_idx| JobState {
-                manager: matrix.managers[jobs[job_idx].manager_idx].build(),
-                hook: harvest_sim::NoFaults,
-            })
-            .collect();
-        let mut sims: Vec<NodeSimulation<'_>> = job_states
-            .iter_mut()
-            .map(|state| {
-                NodeSimulation::with_external_predictions(
-                    state.manager.as_mut(),
-                    &node_config,
-                    &mut state.hook,
-                    slot_seconds,
-                    n,
-                )
-            })
-            .collect();
-        if let Some(r) = resume {
-            // Managers are stateless (duty planning reads only the slot
-            // context), so rebuilding them above and restoring the
-            // storage/accounting state puts every simulation machine
-            // exactly where the checkpointed pass left it.
-            for (sim, saved) in sims.iter_mut().zip(&r.sims) {
-                sim.restore_day_checkpoint(saved);
-            }
-        }
-
-        let mut machines = UnitMachines {
-            protocol: self.protocol,
-            roi_peak: roi.peak,
-            node_config: &node_config,
-            slot_seconds,
-            injector,
-            kernels,
-            bank,
-            solo,
-            evals,
-            predictions,
-            open,
-            sims,
-            job_kernel,
-        };
         for (day, starts, means) in series.days_from(start_day, n) {
             machines.walk_day(day, starts, means);
         }
 
         // One summary per distinct predictor; every job of a manager
         // pairing reuses its predictor's summary verbatim (the metrics
-        // pass never depended on the manager).
+        // pass never depended on the manager). Both are finished from
+        // copies, so the live machines can become the next checkpoint.
         let summaries: Vec<ErrorSummary> = machines
             .evals
             .iter()
             .map(|eval| eval.clone().finish())
             .collect();
-
-        // Capture next run's resume point while the machines are still
-        // alive. Checkpointing requires the unit to cover the matrix's
-        // full job cross (fresh jobs arrive in matrix job order, so a
-        // full count is the canonical cross; a partial unit's machines
-        // would desync from the cross a future run resumes) and no
-        // trace-gap fault (its realization depends on the total horizon
-        // at construction).
-        let full_cross = job_indices.len() == matrix.predictors.len() * matrix.managers.len();
-        let solo_snapshots: Option<Vec<_>> = if full_cross && !has_trace_gap(scenario) {
-            machines.solo.iter().map(|p| p.snapshot()).collect()
-        } else {
-            None
-        };
-        let banked = machines
-            .kernels
-            .iter()
-            .filter(|k| matches!(k, Kernel::Banked(_)))
-            .count();
-        let solo_count = machines.solo.len();
-        let checkpoint = solo_snapshots.map(|solo_snapshots| UnitCheckpoint {
-            scenario_json: scenario.to_json().render(),
-            days: scenario.days,
-            predictor_labels: matrix.predictors.iter().map(|p| p.label()).collect(),
-            manager_labels: matrix.managers.iter().map(|m| m.label()).collect(),
-            roi,
-            open: machines.open,
-            injector: machines.injector,
-            bank: machines.bank,
-            solo: solo_snapshots,
-            evals: machines.evals,
-            predictions: machines.predictions,
-            sims: machines.sims.iter().map(|s| s.day_checkpoint()).collect(),
-        });
-        let reports: Vec<NodeReport> = machines
-            .sims
-            .into_iter()
-            .map(NodeSimulation::finish)
-            .collect();
+        let reports = machines.sims.iter().map(|sim| sim.clone().finish());
         let peak_trace_bytes = series.footprint_bytes();
         let mut results = Vec::with_capacity(job_indices.len());
         for ((&job_idx, &kernel_slot), report) in
@@ -1623,10 +1528,18 @@ impl FleetEngine {
             for summary in &summaries {
                 self.collector.observe("score/mape", summary.mape);
             }
+            let banked = machines
+                .kernels
+                .iter()
+                .filter(|k| matches!(k, Kernel::Banked(_)))
+                .count();
             self.collector
                 .count_scenario(name, "bank/banked_candidates", banked as u64);
-            self.collector
-                .count_scenario(name, "bank/solo_predictors", solo_count as u64);
+            self.collector.count_scenario(
+                name,
+                "bank/solo_predictors",
+                (machines.kernels.len() - banked) as u64,
+            );
             self.collector.count_scenario(
                 name,
                 "faults/injected_specs",
@@ -1642,6 +1555,23 @@ impl FleetEngine {
                     .count_scenario(name, "synth/normal_draws", synth_cost.normal_draws);
             }
         }
+
+        // The next run's resume point: the machines themselves.
+        // Checkpointing requires the unit to cover the matrix's full job
+        // cross (fresh jobs arrive in matrix job order, so a full count
+        // is the canonical cross; a partial unit's machines would desync
+        // from the cross a future run resumes) and no trace-gap fault
+        // (its realization depends on the total horizon at
+        // construction).
+        let full_cross = job_indices.len() == matrix.predictors.len() * matrix.managers.len();
+        let checkpoint = (full_cross && !has_trace_gap(scenario)).then(|| UnitCheckpoint {
+            scenario_json: scenario.to_json().render(),
+            days: scenario.days,
+            predictor_labels: matrix.predictors.iter().map(|p| p.label()).collect(),
+            manager_labels: matrix.managers.iter().map(|m| m.label()).collect(),
+            roi,
+            machines,
+        });
         Ok((results, passes, checkpoint, series))
     }
 }
@@ -2352,65 +2282,76 @@ mod tests {
         // series; appending days must extend the series in place (no
         // full regeneration) and resume every state machine, with the
         // scorecard byte-identical to a cold run of the extended
-        // matrix.
-        let matrix = small_matrix();
-        let engine = FleetEngine::new(41);
-        let mut cache = engine.new_cache();
-        engine.run_cached(&matrix, &mut cache).unwrap();
+        // matrix. The second matrix puts every solo kernel (Q16 WCMA,
+        // both dynamic forms, EWMA, moving average, persistence) and
+        // every manager through the cloned checkpoint.
+        let small = small_matrix();
+        let wide = FleetMatrix::new(
+            PredictorSpec::extended_family(),
+            ManagerSpec::default_set(),
+            small.scenarios.clone(),
+        )
+        .unwrap();
+        for matrix in [small, wide] {
+            let engine = FleetEngine::new(41);
+            let mut cache = engine.new_cache();
+            engine.run_cached(&matrix, &mut cache).unwrap();
 
-        let mut grown = matrix.clone();
-        for scenario in &mut grown.scenarios {
-            scenario.days += 3;
-        }
-        let delta = FleetDelta::classify(&matrix, &grown).unwrap();
-        assert_eq!(
-            delta,
-            FleetDelta::DayAppend {
-                scenarios: grown.scenarios.iter().map(|s| s.name.clone()).collect()
+            let mut grown = matrix.clone();
+            for scenario in &mut grown.scenarios {
+                scenario.days += 3;
             }
-        );
+            let delta = FleetDelta::classify(&matrix, &grown).unwrap();
+            assert_eq!(
+                delta,
+                FleetDelta::DayAppend {
+                    scenarios: grown.scenarios.iter().map(|s| s.name.clone()).collect()
+                }
+            );
 
-        let collector = Collector::recording();
-        let incremental = FleetEngine::new(41)
-            .with_collector(collector.clone())
-            .run_delta(&grown, &mut cache, &delta)
-            .unwrap();
-        assert_eq!(incremental.passes.trace_generations, 0);
-        assert_eq!(
-            incremental.passes.trace_extensions,
-            grown.scenarios.len(),
-            "every series must extend from its stored tail"
-        );
-        let ledger = collector.ledger();
-        assert_eq!(ledger.counter("synth/trace_generations"), 0);
-        assert_eq!(
-            ledger.counter("delta/trace_extensions"),
-            grown.scenarios.len() as u64
-        );
-        assert_eq!(
-            ledger.counter("delta/resumed_units") + ledger.counter("delta/peak_fallbacks"),
-            grown.scenarios.len() as u64,
-            "every unit either resumes or transparently falls back"
-        );
-        assert_eq!(
-            ledger.counter("delta/day_appends"),
-            grown.scenarios.len() as u64
-        );
+            let collector = Collector::recording();
+            let incremental = FleetEngine::new(41)
+                .with_collector(collector.clone())
+                .run_delta(&grown, &mut cache, &delta)
+                .unwrap();
+            assert_eq!(incremental.passes.trace_generations, 0);
+            assert_eq!(
+                incremental.passes.trace_extensions,
+                grown.scenarios.len(),
+                "every series must extend from its stored tail"
+            );
+            let ledger = collector.ledger();
+            assert_eq!(ledger.counter("synth/trace_generations"), 0);
+            assert_eq!(
+                ledger.counter("delta/trace_extensions"),
+                grown.scenarios.len() as u64
+            );
+            assert_eq!(ledger.counter("delta/cold_fallbacks"), 0);
+            assert!(ledger.counter("delta/resumed_units") >= 1);
+            assert_eq!(
+                ledger.counter("delta/resumed_units") + ledger.counter("delta/peak_fallbacks"),
+                grown.scenarios.len() as u64,
+                "every unit either resumes or transparently falls back"
+            );
+            assert_eq!(
+                ledger.counter("delta/day_appends"),
+                grown.scenarios.len() as u64
+            );
 
-        let cold = FleetEngine::new(41).run(&grown).unwrap();
-        assert_eq!(
-            incremental.scorecard.to_json_string(),
-            cold.scorecard.to_json_string()
-        );
-        // The extended retained series is bitwise the cold one.
-        let engine = FleetEngine::new(41);
-        for scenario in &grown.scenarios {
-            let cold = cold_series(&engine, scenario);
-            let (json, cached) = &cache.series[&scenario.name];
-            assert_eq!(*json, scenario.to_json().render());
-            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(&cached.starts), bits(&cold.starts));
-            assert_eq!(bits(&cached.means), bits(&cold.means));
+            let cold = FleetEngine::new(41).run(&grown).unwrap();
+            assert_eq!(
+                incremental.scorecard.to_json_string(),
+                cold.scorecard.to_json_string()
+            );
+            // The extended retained series is bitwise the cold one.
+            for scenario in &grown.scenarios {
+                let cold = cold_series(&engine, scenario);
+                let (json, cached) = &cache.series[&scenario.name];
+                assert_eq!(*json, scenario.to_json().render());
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&cached.starts), bits(&cold.starts));
+                assert_eq!(bits(&cached.means), bits(&cold.means));
+            }
         }
     }
 

@@ -7,12 +7,34 @@
 
 use crate::catalog::Scenario;
 use crate::fleet_faults::FleetFault;
-use harvest_sim::{EnergyNeutralManager, FixedDutyManager, GreedyManager, PowerManager};
+use harvest_sim::{
+    EnergyNeutralManager, FixedDutyManager, GreedyManager, PowerManager, SlotContext,
+};
 use param_explore::ParamGrid;
 use solar_predict::{
     CausalDynamicWcma, EwmaPredictor, FixedWcmaPredictor, MovingAveragePredictor,
     PersistencePredictor, Predictor, WcmaParams, WcmaPredictor,
 };
+
+/// A predictor a fleet work unit owns outright: cloning the box deep-
+/// copies its state, so a clone is a resume checkpoint. `Send + Sync`
+/// because checkpoints sit in `Arc`s shared by parallel workers.
+pub(crate) trait SoloPredictor: Predictor + Send + Sync {
+    /// A boxed deep copy of the predictor's current state.
+    fn clone_box(&self) -> Box<dyn SoloPredictor>;
+}
+
+impl<P: Predictor + Clone + Send + Sync + 'static> SoloPredictor for P {
+    fn clone_box(&self) -> Box<dyn SoloPredictor> {
+        Box::new(self.clone())
+    }
+}
+
+impl Clone for Box<dyn SoloPredictor> {
+    fn clone(&self) -> Self {
+        (**self).clone_box()
+    }
+}
 
 /// A buildable predictor configuration.
 #[derive(Clone, Debug, PartialEq)]
@@ -118,6 +140,12 @@ impl PredictorSpec {
 
     /// Builds a fresh predictor for discretization `n`.
     pub fn build(&self, n: usize) -> Result<Box<dyn Predictor>, String> {
+        Ok(self.kernel(n)?)
+    }
+
+    /// [`PredictorSpec::build`] as a solo kernel the fleet engine can
+    /// clone into a day-boundary checkpoint.
+    pub(crate) fn kernel(&self, n: usize) -> Result<Box<dyn SoloPredictor>, String> {
         match self {
             &PredictorSpec::Wcma { alpha, days, k } => Ok(Box::new(WcmaPredictor::new(
                 WcmaParams::new(alpha, days, k, n).map_err(|e| e.to_string())?,
@@ -277,22 +305,15 @@ impl ManagerSpec {
         Ok(())
     }
 
-    /// Builds a fresh manager.
+    /// A fresh manager: the spec itself, boxed — every policy is
+    /// stateless, so the spec is the manager.
     ///
     /// # Panics
     ///
-    /// Panics if the spec is invalid; call [`ManagerSpec::validate`]
-    /// first (the fleet matrix does).
+    /// A fixed duty outside `[0, 1]` panics when it plans; call
+    /// [`ManagerSpec::validate`] first (the fleet matrix does).
     pub fn build(&self) -> Box<dyn PowerManager> {
-        match *self {
-            ManagerSpec::EnergyNeutral { target_soc, gain } => Box::new(EnergyNeutralManager {
-                target_soc,
-                gain,
-                ..Default::default()
-            }),
-            ManagerSpec::Greedy => Box::new(GreedyManager),
-            ManagerSpec::FixedDuty { duty } => Box::new(FixedDutyManager::new(duty)),
-        }
+        Box::new(self.clone())
     }
 
     /// The default policy set: tuned energy-neutral plus both baselines.
@@ -305,6 +326,30 @@ impl ManagerSpec {
             ManagerSpec::Greedy,
             ManagerSpec::FixedDuty { duty: 0.3 },
         ]
+    }
+}
+
+/// Plans exactly as the policy the spec names.
+impl PowerManager for ManagerSpec {
+    fn plan_duty(&mut self, ctx: &SlotContext) -> f64 {
+        match *self {
+            ManagerSpec::EnergyNeutral { target_soc, gain } => EnergyNeutralManager {
+                target_soc,
+                gain,
+                ..Default::default()
+            }
+            .plan_duty(ctx),
+            ManagerSpec::Greedy => GreedyManager.plan_duty(ctx),
+            ManagerSpec::FixedDuty { duty } => FixedDutyManager::new(duty).plan_duty(ctx),
+        }
+    }
+
+    fn name(&self) -> &str {
+        match self {
+            ManagerSpec::EnergyNeutral { .. } => "energy-neutral",
+            ManagerSpec::Greedy => "greedy",
+            ManagerSpec::FixedDuty { .. } => "fixed-duty",
+        }
     }
 }
 

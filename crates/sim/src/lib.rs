@@ -19,9 +19,12 @@
 //! * [`SlotHook`] / [`simulate_node_hooked`] — per-slot fault injection
 //!   (dead panels, corrupted sensors) that cannot break the energy
 //!   ledger,
-//! * [`NodeSimulation`] — the same loop as a slot-stepped state machine
-//!   with day-boundary checkpoints, which the `scenario-fleet` engine
-//!   advances once per job over a shared slot series.
+//! * [`NodeMachine`] — the same loop as a slot-stepped state machine,
+//!   generic over how it holds its manager and hook.
+//!   [`NodeSimulation`] borrows both as trait objects, which is how
+//!   [`simulate_node_hooked`] drives it; the `scenario-fleet` engine
+//!   owns them, so its machines are `Clone` and a clone taken at a day
+//!   boundary is a resume checkpoint.
 //!
 //! # Example
 //!
@@ -68,4 +71,4 @@ pub use manager::{
 pub use node::{simulate_node, simulate_node_hooked, NodeConfig, NodeReport};
 pub use panel::SolarPanel;
 pub use storage::{ChargeOutcome, EnergyStorage};
-pub use stream::{NodeSimulation, SimDayCheckpoint};
+pub use stream::{NodeMachine, NodeSimulation};

@@ -10,16 +10,23 @@ use crate::hook::SlotHook;
 use crate::manager::{PowerManager, SlotContext};
 use crate::node::{NodeConfig, NodeReport};
 
-/// The node simulation as an incremental state machine. Predictions are
+/// The node simulation as an incremental state machine, generic over
+/// how it holds its manager `M` and fault hook `H`. Predictions are
 /// computed *outside* the machine — by the caller's predictor or a
 /// shared multi-candidate kernel such as `solar_predict::CandidateBank`
-/// — so a slot is two calls: [`NodeSimulation::absorb_corrupted`] (or
+/// — so a slot is two calls: [`NodeMachine::absorb_corrupted`] (or
 /// the hooked `absorb_slot`) for steps 1–3, then
-/// [`NodeSimulation::plan_with`] for step 4. Collect the report with
-/// [`NodeSimulation::finish`].
-pub struct NodeSimulation<'a> {
-    manager: &'a mut dyn PowerManager,
-    hook: &'a mut dyn SlotHook,
+/// [`NodeMachine::plan_with`] for step 4. Collect the report with
+/// [`NodeMachine::finish`].
+///
+/// A machine that owns a `Clone` manager and hook is itself `Clone`,
+/// and a clone taken at a day boundary is a checkpoint: fed the
+/// remaining slots, it reports exactly what the uninterrupted machine
+/// reports.
+#[derive(Clone)]
+pub struct NodeMachine<M, H> {
+    manager: M,
+    hook: H,
     config: NodeConfig,
     storage_initial_j: f64,
     slot_s: f64,
@@ -28,7 +35,11 @@ pub struct NodeSimulation<'a> {
     planned_duty: f64,
 }
 
-impl<'a> NodeSimulation<'a> {
+/// The machine over borrowed trait objects, as
+/// [`simulate_node_hooked`](crate::simulate_node_hooked) drives it.
+pub type NodeSimulation<'a> = NodeMachine<&'a mut dyn PowerManager, &'a mut dyn SlotHook>;
+
+impl<M: PowerManager, H: SlotHook> NodeMachine<M, H> {
     /// Starts a simulation of `config` at slot duration `slot_seconds`
     /// for predictions made at `slots_per_day` slots per day.
     ///
@@ -38,9 +49,9 @@ impl<'a> NodeSimulation<'a> {
     /// slot_seconds` is not one day — running a predictor at the wrong
     /// N is always a bug.
     pub fn with_external_predictions(
-        manager: &'a mut dyn PowerManager,
+        manager: M,
         config: &NodeConfig,
-        hook: &'a mut dyn SlotHook,
+        hook: H,
         slot_seconds: f64,
         slots_per_day: usize,
     ) -> Self {
@@ -55,7 +66,7 @@ impl<'a> NodeSimulation<'a> {
         );
         let config = config.clone();
         let storage_initial_j = config.storage.level_j();
-        NodeSimulation {
+        NodeMachine {
             manager,
             hook,
             config,
@@ -71,7 +82,7 @@ impl<'a> NodeSimulation<'a> {
     /// harvest, load, leakage) for the slot at `(day, slot)` with
     /// boundary sample `start_sample` and mean power `mean_power`,
     /// returning the fault-hooked measured sample the predictor
-    /// observes. Pair with [`NodeSimulation::plan_with`].
+    /// observes. Pair with [`NodeMachine::plan_with`].
     pub(crate) fn absorb_slot(
         &mut self,
         day: usize,
@@ -141,37 +152,6 @@ impl<'a> NodeSimulation<'a> {
         self.report.slots += 1;
     }
 
-    /// Captures the machine's whole carried state as a
-    /// [`SimDayCheckpoint`], leaving the live simulation untouched.
-    /// Meaningful at day boundaries, where it pairs with predictor and
-    /// trace checkpoints at the same horizon; a simulation restored
-    /// from it and fed the remaining slots produces a report
-    /// bit-identical to an uninterrupted run (managers are stateless —
-    /// they are rebuilt from their spec, not checkpointed).
-    pub fn day_checkpoint(&self) -> SimDayCheckpoint {
-        SimDayCheckpoint {
-            storage: self.config.storage.clone(),
-            storage_initial_j: self.storage_initial_j,
-            report: self.report.clone(),
-            duty_sum: self.duty_sum,
-            planned_duty: self.planned_duty,
-        }
-    }
-
-    /// Restores the carried state captured by
-    /// [`NodeSimulation::day_checkpoint`] into a freshly assembled
-    /// machine (same config, manager spec, and slot duration as the
-    /// checkpointed run — the checkpoint carries the *mutable* state
-    /// only, and restoring across different specs is a logic error the
-    /// machine cannot detect).
-    pub fn restore_day_checkpoint(&mut self, checkpoint: &SimDayCheckpoint) {
-        self.config.storage = checkpoint.storage.clone();
-        self.storage_initial_j = checkpoint.storage_initial_j;
-        self.report = checkpoint.report.clone();
-        self.duty_sum = checkpoint.duty_sum;
-        self.planned_duty = checkpoint.planned_duty;
-    }
-
     /// Finalizes the accounting and returns the report.
     pub fn finish(mut self) -> NodeReport {
         self.report.stored_delta_j = self.config.storage.level_j() - self.storage_initial_j;
@@ -190,27 +170,6 @@ impl<'a> NodeSimulation<'a> {
         };
         self.report
     }
-}
-
-/// The mutable half of a [`NodeSimulation`] at a day boundary: storage
-/// charge state, the accumulated report, and the duty plan carried into
-/// the next slot. Everything else a simulation holds (panel, load,
-/// manager, hook) is immutable spec, rebuilt on resume rather than
-/// checkpointed. Plain data — serializable under the `serde` feature
-/// like the report itself.
-#[derive(Clone, Debug, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
-pub struct SimDayCheckpoint {
-    /// The storage element, including its current charge level.
-    pub storage: crate::storage::EnergyStorage,
-    /// The charge level the run started from (feeds `stored_delta_j`).
-    pub storage_initial_j: f64,
-    /// The report accumulated over the prefix.
-    pub report: NodeReport,
-    /// Sum of planned duties over the prefix (feeds `mean_duty`).
-    pub duty_sum: f64,
-    /// The duty planned for the next slot.
-    pub planned_duty: f64,
 }
 
 #[cfg(test)]
@@ -242,9 +201,9 @@ mod tests {
 
     /// Feeds `slots` through the hooked half, `predictor`, and
     /// `plan_with` — the per-slot order of `simulate_node_hooked`.
-    fn drive(
-        sim: &mut NodeSimulation<'_>,
-        predictor: &mut dyn Predictor,
+    fn drive<M: PowerManager, H: SlotHook>(
+        sim: &mut NodeMachine<M, H>,
+        predictor: &mut impl Predictor,
         slots: &[(usize, usize, f64, f64)],
     ) {
         for &(day, slot, start, mean) in slots {
@@ -295,7 +254,7 @@ mod tests {
     }
 
     #[test]
-    fn day_checkpoint_restore_is_bit_identical() {
+    fn cloned_machine_resumes_bit_identically() {
         let day: Vec<f64> = (0..24)
             .map(|h| {
                 if (6..18).contains(&h) {
@@ -311,28 +270,28 @@ mod tests {
         let mut p1 = WcmaPredictor::new(params);
         let mut m1 = EnergyNeutralManager::default();
         let mut hook1 = NoFaults;
-        let mut cold =
+        let mut uninterrupted =
             NodeSimulation::with_external_predictions(&mut m1, &config(), &mut hook1, 3600.0, 24);
-        drive(&mut cold, &mut p1, &slots);
-        let cold_report = cold.finish();
+        drive(&mut uninterrupted, &mut p1, &slots);
+        let uninterrupted = uninterrupted.finish();
 
-        // Run four days, checkpoint sim + predictor, resume in a fresh
-        // machine and feed the remaining days.
+        // Drive an owned machine four days, clone it and its predictor
+        // at the day boundary, and feed the remaining days to both.
         let mut p2 = WcmaPredictor::new(params);
-        let mut m2 = EnergyNeutralManager::default();
-        let mut hook2 = NoFaults;
-        let mut prefix =
-            NodeSimulation::with_external_predictions(&mut m2, &config(), &mut hook2, 3600.0, 24);
-        drive(&mut prefix, &mut p2, &slots[..4 * 24]);
-        let checkpoint = prefix.day_checkpoint();
-        let mut snapshot = p2.snapshot().unwrap();
-        let mut m3 = EnergyNeutralManager::default();
-        let mut hook3 = NoFaults;
-        let mut resumed =
-            NodeSimulation::with_external_predictions(&mut m3, &config(), &mut hook3, 3600.0, 24);
-        resumed.restore_day_checkpoint(&checkpoint);
-        drive(&mut resumed, snapshot.as_mut(), &slots[4 * 24..]);
-        assert_eq!(resumed.finish(), cold_report);
+        let mut original = NodeMachine::with_external_predictions(
+            EnergyNeutralManager::default(),
+            &config(),
+            NoFaults,
+            3600.0,
+            24,
+        );
+        drive(&mut original, &mut p2, &slots[..4 * 24]);
+        let mut clone = original.clone();
+        let mut p3 = p2.clone();
+        drive(&mut original, &mut p2, &slots[4 * 24..]);
+        drive(&mut clone, &mut p3, &slots[4 * 24..]);
+        assert_eq!(original.finish(), uninterrupted);
+        assert_eq!(clone.finish(), uninterrupted);
     }
 
     #[test]

@@ -18,10 +18,7 @@
 //! cargo run --release --example fleet_report -- trace report.json --out trace.json
 //! ```
 //!
-//! Report files may be `fleet-run-report/1` or `/2` documents, or a
-//! `fleet-bench-pr6/1` bench file — the embedded ledger is lifted into
-//! a ledger-only report (zero wall, empty span tree), so committed
-//! bench baselines diff directly against fresh `--report` runs.
+//! Report files are `fleet-run-report/1` or `/2` documents.
 //!
 //! Exit codes follow the workspace convention (documented in
 //! `fleet_harness::exit`; this crate sits below the harness, so the
@@ -29,7 +26,6 @@
 //! fatal), 3 regressed or failed — the code the CI regression sentinel
 //! traps — and 64 for usage errors.
 
-use fleet_obs::json::Json;
 use fleet_obs::{chrome_trace_string, DiffConfig, ReportDiff, RunArchive, RunReport, Verdict};
 use std::path::Path;
 
@@ -37,21 +33,10 @@ use std::path::Path;
 const EXIT_FAILED: i32 = 3;
 const EXIT_USAGE: i32 = 64;
 
-/// Loads a run report, accepting bench files by lifting their ledger.
+/// Loads a run report.
 fn load_report(path: &str) -> Result<RunReport, String> {
     let text = std::fs::read_to_string(path).map_err(|err| format!("cannot read {path}: {err}"))?;
-    let value = Json::parse(&text).map_err(|err| format!("{path}: {err}"))?;
-    match value.req_str("schema") {
-        Ok("fleet-bench-pr6/1") => {
-            let ledger = fleet_obs::Ledger::from_json(value.req("ledger")?)
-                .map_err(|err| format!("{path}: {err}"))?;
-            Ok(RunReport {
-                ledger,
-                ..RunReport::empty()
-            })
-        }
-        _ => RunReport::from_json(&value).map_err(|err| format!("{path}: {err}")),
-    }
+    RunReport::from_json_str(&text).map_err(|err| format!("{path}: {err}"))
 }
 
 fn parse_diff_config(args: &mut Vec<String>) -> Result<DiffConfig, String> {
