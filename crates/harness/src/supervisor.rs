@@ -34,7 +34,7 @@ use std::time::{Duration, Instant};
 use scenario_fleet::{Collector, CoverageManifest, Scorecard, ScorecardShard, ShardManifest};
 
 use crate::exit;
-use crate::worker::{shard_manifest, ShardRunArtifact};
+use crate::worker::ShardRunArtifact;
 use crate::workload::Workload;
 
 /// How a supervised run ended.
@@ -198,7 +198,8 @@ pub fn run_supervisor(
             matrix.scenarios.len()
         ));
     }
-    let expected_manifest = shard_manifest(&matrix, config.workload.seed, config.shard_count);
+    let expected_manifest =
+        ShardManifest::round_robin(&matrix, config.workload.seed, config.shard_count);
     let expected_manifest_json = expected_manifest.to_json().render_pretty();
     std::fs::create_dir_all(&config.artifact_dir)
         .map_err(|e| format!("artifact dir {:?}: {e}", config.artifact_dir))?;

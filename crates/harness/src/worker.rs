@@ -10,8 +10,8 @@
 //! nothing or a complete, verifiable file — never a half-truth the
 //! merge could ingest.
 //!
-//! Shard assignment is positional round-robin over the *full* matrix
-//! (`scenario index % shard_count`), exactly the split
+//! Shard assignment is [`ShardManifest::round_robin`] over the *full*
+//! matrix, exactly the split
 //! [`FleetEngine::run_sharded`](scenario_fleet::FleetEngine) uses
 //! in-process — which is what makes "1 host ≡ N processes" hold
 //! byte-for-byte: per-scenario seeds derive from (master seed, scenario
@@ -156,34 +156,18 @@ impl ShardRunArtifact {
     }
 }
 
-/// The round-robin manifest of `matrix` split `shard_count` ways —
-/// identical to the in-process sharded reduction's split.
-pub fn shard_manifest(matrix: &FleetMatrix, master_seed: u64, shard_count: usize) -> ShardManifest {
-    ShardManifest {
-        master_seed,
-        shard_count,
-        scenarios: matrix
-            .scenarios
-            .iter()
-            .enumerate()
-            .map(|(idx, s)| (s.name.clone(), idx % shard_count))
-            .collect(),
-    }
-}
-
-/// The sub-matrix of `matrix` owned by `shard_index` under the
-/// round-robin split.
+/// The sub-matrix of `matrix` that `manifest` assigns to `shard_index`.
 pub fn shard_sub_matrix(
     matrix: &FleetMatrix,
+    manifest: &ShardManifest,
     shard_index: usize,
-    shard_count: usize,
 ) -> Result<FleetMatrix, String> {
     let scenarios: Vec<_> = matrix
         .scenarios
         .iter()
-        .enumerate()
-        .filter(|(idx, _)| idx % shard_count == shard_index)
-        .map(|(_, s)| s.clone())
+        .zip(&manifest.scenarios)
+        .filter(|(_, (_, shard))| *shard == shard_index)
+        .map(|(s, _)| s.clone())
         .collect();
     FleetMatrix::new(
         matrix.predictors.clone(),
@@ -239,8 +223,8 @@ pub fn run_worker(workload: &Workload, config: &WorkerConfig) -> Result<i32, Str
             matrix.scenarios.len()
         ));
     }
-    let manifest = shard_manifest(&matrix, workload.seed, config.shard_count);
-    let sub_matrix = shard_sub_matrix(&matrix, config.shard_index, config.shard_count)?;
+    let manifest = ShardManifest::round_robin(&matrix, workload.seed, config.shard_count);
+    let sub_matrix = shard_sub_matrix(&matrix, &manifest, config.shard_index)?;
 
     let collector = Collector::recording();
     let mut engine = workload
@@ -327,8 +311,15 @@ mod tests {
             shards.push(artifact.shard);
         }
 
-        let merged = Scorecard::merge_shards(&manifest.unwrap(), &shards).unwrap();
-        let reference = workload.engine().run(&workload.matrix().unwrap()).unwrap();
+        let manifest = manifest.unwrap();
+        let matrix = workload.matrix().unwrap();
+        let in_process = workload.engine().run_sharded(&matrix, shard_count).unwrap();
+        assert_eq!(
+            manifest, in_process.manifest,
+            "worker processes must split the matrix exactly as the in-process reduction"
+        );
+        let merged = Scorecard::merge_shards(&manifest, &shards).unwrap();
+        let reference = workload.engine().run(&matrix).unwrap();
         assert_eq!(
             merged.to_json_string(),
             reference.scorecard.to_json_string(),

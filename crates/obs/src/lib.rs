@@ -10,7 +10,7 @@
 //! - **The deterministic plane** — a [`Ledger`] of counters, gauges,
 //!   labels, and [`Histogram`]s keyed by `phase/name` and optionally
 //!   broken down per scenario. Every recorded value is a pure function
-//!   of the run's inputs (catalog, seed, resolved trace budget, cache
+//!   of the run's inputs (catalog, seed, trace budget, cache
 //!   warmth), and the commutative merge rules (sum / max / must-agree
 //!   / bucket-wise sum) plus sorted JSON keys make the rendered ledger
 //!   byte-identical across 1, 2, or 8 worker threads and across shard
@@ -29,7 +29,7 @@
 //! tuners accept. The default collector is off: every recording call
 //! is an early return on a `None` state with no clock reads, no
 //! allocation, and no locking, so un-instrumented runs pay nothing
-//! (the `fleet_hotpath` bench pins this). [`Collector::report`]
+//! (perfbench's `obs.recording_overhead` measures this). [`Collector::report`]
 //! assembles a [`RunReport`] — both planes in one JSON document — for
 //! the `--report <path>` flags on the examples.
 //!

@@ -94,14 +94,14 @@
 //! The engine reports on itself through an optional
 //! [`fleet_obs::Collector`] ([`FleetEngine::with_collector`]): phase
 //! spans (`fleet/project` → `admission` → `simulate` →
-//! `score`/`merge`) on the timing plane, and deterministic ledger
-//! counters — retention decisions with the resolved budget, synthesis
+//! `score`) on the timing plane, and deterministic ledger
+//! counters — retention decisions with the trace budget, synthesis
 //! passes, cache hits, slot counts, bank sizes, fault specs — recorded
 //! at **work-unit granularity** (one batch of counter updates per
 //! scenario unit, computed arithmetically), never inside the per-slot
 //! loop. The default collector is a no-op whose calls cost one branch,
-//! so un-instrumented runs are unchanged (pinned by the
-//! `fleet_hotpath` bench); with collection on, outputs stay
+//! so un-instrumented runs are unchanged (perfbench's
+//! `obs.recording_overhead` measures it); with collection on, outputs stay
 //! byte-identical and the ledger itself is byte-identical across
 //! thread counts and shard splits.
 
@@ -109,9 +109,7 @@ use crate::catalog::Scenario;
 use crate::faults::{storage_capacity_factor, FaultInjector, FaultSpec};
 use crate::matrix::{FleetMatrix, JobSpec, ManagerSpec, PredictorSpec, SoloPredictor};
 use crate::scorecard::{Scorecard, ScorecardShard, ShardManifest};
-use crate::series::{
-    series_footprint_bytes, ResolvedTraceBudget, RoiPeak, SlotSeries, TraceCachePolicy,
-};
+use crate::series::{series_footprint_bytes, RoiPeak, SlotSeries, TraceCachePolicy};
 use fleet_obs::Collector;
 use harvest_sim::{NoFaults, NodeConfig, NodeMachine, NodeReport, SlotHook, SolarPanel};
 use pred_metrics::{
@@ -300,9 +298,9 @@ impl UnitMachines {
         node_config: &NodeConfig,
         slots: SlotsPerDay,
         injector: FaultInjector,
-        protocol: EvalProtocol,
         roi_peak: f64,
     ) -> Result<Self, String> {
+        let protocol = EvalProtocol::paper();
         let (n, slot_seconds) = (slots.get(), slots.slot_seconds_f64());
         let mut distinct: Vec<usize> = Vec::new();
         let mut job_kernel = Vec::new();
@@ -501,13 +499,12 @@ pub struct PruneStats {
 /// Memo of slot series, job outcomes, and day-boundary resume state across
 /// runs of one engine — the incremental re-scoring state. Create with
 /// [`FleetEngine::new_cache`]; feed to [`FleetEngine::run_cached`]. The
-/// cache is bound to the engine's master seed and protocol and refuses
-/// to serve any other. It never evicts on its own — call
+/// cache is bound to the master seed of the first engine that runs it
+/// and refuses to serve any other. It never evicts on its own — call
 /// [`FleetCache::prune_to`] from loops that retire scenarios.
 #[derive(Clone, Debug, Default)]
 pub struct FleetCache {
-    master_seed: u64,
-    protocol: Option<EvalProtocol>,
+    master_seed: Option<u64>,
     /// Slot series per scenario name, with the scenario's full JSON form
     /// at the series' horizon (so a mutated same-name scenario can never
     /// alias): retained series whole, the rest as bare generator tails
@@ -584,7 +581,8 @@ impl FleetCache {
     /// Returns an error if a fleet fault fails to project or a
     /// scenario's site config is invalid.
     pub fn prune_to(&mut self, matrix: &FleetMatrix) -> Result<PruneStats, String> {
-        let effective = project_fleet_faults_seeded(matrix, self.master_seed)?;
+        // An unbound cache is empty, so any seed evicts nothing.
+        let effective = project_fleet_faults_seeded(matrix, self.master_seed.unwrap_or_default())?;
         let keep_jsons: HashSet<String> = effective
             .scenarios
             .iter()
@@ -650,9 +648,7 @@ type UnitOutcomes = (
 pub struct FleetEngine {
     master_seed: u64,
     threads: Option<usize>,
-    protocol: EvalProtocol,
     cache_policy: TraceCachePolicy,
-    shards: Option<usize>,
     collector: Collector,
     quarantine: bool,
     chaos_unit_panic: Option<String>,
@@ -660,16 +656,13 @@ pub struct FleetEngine {
 
 impl FleetEngine {
     /// An engine deriving all randomness from `master_seed`, evaluating
-    /// under the paper's protocol, using all available cores and the
-    /// adaptive trace-cache policy (series are kept across runs while
-    /// they fit the budget — byte-identical either way).
+    /// under the paper's protocol, using all available cores and
+    /// retaining every slot series across runs.
     pub fn new(master_seed: u64) -> Self {
         FleetEngine {
             master_seed,
             threads: None,
-            protocol: EvalProtocol::paper(),
             cache_policy: TraceCachePolicy::default(),
-            shards: None,
             collector: Collector::noop(),
             quarantine: false,
             chaos_unit_panic: None,
@@ -705,25 +698,10 @@ impl FleetEngine {
         self
     }
 
-    /// Replaces the evaluation protocol.
-    pub fn with_protocol(mut self, protocol: EvalProtocol) -> Self {
-        self.protocol = protocol;
-        self
-    }
-
     /// Replaces the trace-cache policy (bounded budgets keep fewer
     /// series across runs; outputs stay byte-identical either way).
     pub fn with_trace_cache(mut self, policy: TraceCachePolicy) -> Self {
         self.cache_policy = policy;
-        self
-    }
-
-    /// Routes [`FleetEngine::run`]/[`FleetEngine::run_cached`] through
-    /// the sharded reduction with `shards` shards merged back into the
-    /// returned scorecard — byte-identical to the monolithic reduction,
-    /// so callers (e.g. the tuner) consume sharded results unchanged.
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        self.shards = Some(shards);
         self
     }
 
@@ -746,16 +724,10 @@ impl FleetEngine {
         self.master_seed
     }
 
-    /// The trace-cache policy.
-    pub fn trace_cache_policy(&self) -> TraceCachePolicy {
-        self.cache_policy
-    }
-
-    /// An empty cache bound to this engine's seed and protocol.
+    /// An empty cache bound to this engine's seed.
     pub fn new_cache(&self) -> FleetCache {
         FleetCache {
-            master_seed: self.master_seed,
-            protocol: Some(self.protocol),
+            master_seed: Some(self.master_seed),
             series: HashMap::new(),
             outcomes: HashMap::new(),
             checkpoints: HashMap::new(),
@@ -788,8 +760,8 @@ impl FleetEngine {
     ///
     /// # Errors
     ///
-    /// Returns an error if the cache is bound to a different seed or
-    /// protocol, or on the first trace-generation/hardware error.
+    /// Returns an error if the cache is bound to a different seed, or on
+    /// the first trace-generation/hardware error.
     pub fn run_cached(
         &self,
         matrix: &FleetMatrix,
@@ -799,30 +771,14 @@ impl FleetEngine {
         self.install(|| {
             let _run_span = self.collector.span("fleet");
             let evaluated = self.evaluate_matrix(matrix, cache)?;
-            let mut scorecard = match self.shards {
-                None => {
-                    let _span = self.collector.span("fleet/score");
-                    Scorecard::build(&evaluated.effective, &evaluated.outcomes, self.master_seed)
-                }
-                Some(count) => {
-                    let count = self.clamp_shard_count(count, evaluated.effective.scenarios.len());
-                    let _span = self.collector.span("fleet/score");
-                    let (manifest, shards) = Self::shard_outcomes(
-                        &evaluated.effective,
-                        &evaluated.outcomes,
-                        self.master_seed,
-                        count,
-                    )?;
-                    drop(_span);
-                    let _span = self.collector.span("fleet/merge");
-                    Scorecard::merge_shards_observed(&manifest, &shards, &self.collector)?
-                }
+            let scorecard = {
+                let _span = self.collector.span("fleet/score");
+                Scorecard::build(&evaluated.effective, &evaluated.outcomes, self.master_seed)
             };
             self.collector.count(
                 "score/scenarios_ranked",
                 evaluated.effective.scenarios.len() as u64,
             );
-            scorecard.trace_budget = Some(evaluated.resolved_budget);
             Ok(FleetResult {
                 outcomes: evaluated.outcomes,
                 scorecard,
@@ -837,14 +793,12 @@ impl FleetEngine {
     /// Runs the matrix and reduces into `shard_count` scorecard shards
     /// plus the manifest — the artifact set for matrices whose
     /// monolithic scorecard is too large for one document. Scenarios
-    /// are assigned round-robin (`scenario_idx % shard_count`), so
-    /// multi-year entries spread across shards.
+    /// are assigned by [`ShardManifest::round_robin`], so multi-year
+    /// entries spread across shards.
     ///
     /// A shard count outside `1..=scenario_count` is **clamped** into
-    /// range — the same graceful degradation the routed
-    /// [`FleetEngine::with_shards`] path has always had, so the two
-    /// entry points can no longer diverge. A clamp is recorded in the
-    /// run ledger under the `shards/clamped` label.
+    /// range, and the clamp is recorded in the run ledger under the
+    /// `shards/clamped` label.
     ///
     /// # Errors
     ///
@@ -954,11 +908,8 @@ impl FleetEngine {
         self.run_cached(matrix, cache)
     }
 
-    /// Clamps a requested shard count into `1..=scenario_count` — the
-    /// documented degradation shared by **every** sharded entry point
-    /// (routed [`FleetEngine::with_shards`] and the explicit
-    /// [`FleetEngine::run_sharded`] family), recording a
-    /// `shards/clamped` ledger label when it bites.
+    /// Clamps a requested shard count into `1..=scenario_count`,
+    /// recording a `shards/clamped` ledger label when it bites.
     fn clamp_shard_count(&self, requested: usize, scenario_count: usize) -> usize {
         let clamped = requested.clamp(1, scenario_count.max(1));
         if clamped != requested && self.collector.is_enabled() {
@@ -969,17 +920,9 @@ impl FleetEngine {
     }
 
     fn check_cache(&self, cache: &mut FleetCache) -> Result<(), String> {
-        let unbound = cache.protocol.is_none()
-            && cache.outcomes.is_empty()
-            && cache.series.is_empty()
-            && cache.checkpoints.is_empty();
-        if !unbound
-            && (cache.master_seed != self.master_seed || cache.protocol != Some(self.protocol))
-        {
-            return Err("fleet cache is bound to a different master seed or protocol".to_string());
+        if *cache.master_seed.get_or_insert(self.master_seed) != self.master_seed {
+            return Err("fleet cache is bound to a different master seed".to_string());
         }
-        cache.master_seed = self.master_seed;
-        cache.protocol = Some(self.protocol);
         Ok(())
     }
 
@@ -1037,14 +980,11 @@ impl FleetEngine {
         let manager_labels: Vec<String> = matrix.managers.iter().map(|m| m.label()).collect();
 
         // Retention admission, greedily in scenario order — a pure
-        // function of the matrix and the budget resolved once here, so
-        // the kept/dropped split never depends on thread timing (an
-        // adaptive policy consults memory exactly once per run). Warm
-        // series — kept whole, at this horizon or a shorter one — stay
-        // retained (they are already paid for) and count toward the
-        // budget.
+        // function of the matrix and the budget, so the kept/dropped
+        // split never depends on thread timing. Warm series — kept
+        // whole, at this horizon or a shorter one — stay retained (they
+        // are already paid for) and count toward the budget.
         let admission_span = self.collector.span("fleet/admission");
-        let resolved = self.cache_policy.resolve();
         let mut retained = vec![false; matrix.scenarios.len()];
         let mut warm_series = 0u64;
         let mut running_total = 0u64;
@@ -1055,18 +995,21 @@ impl FleetEngine {
                 .series_of(scenario, &scenario_keys[idx])
                 .is_some_and(SlotSeries::is_full);
             warm_series += warm as u64;
-            if warm || TraceCachePolicy::admits(resolved.bytes, running_total, bytes) {
+            if warm || self.cache_policy.admits(running_total, bytes) {
                 retained[idx] = true;
                 running_total = running_total.saturating_add(bytes);
             }
         }
         if self.collector.is_enabled() {
-            self.collector.label(
-                "admission/trace_budget_source",
-                &resolved.source.to_string(),
-            );
-            if let Some(bytes) = resolved.bytes {
-                self.collector.gauge("admission/trace_budget_bytes", bytes);
+            match self.cache_policy.budget_bytes() {
+                None => self
+                    .collector
+                    .label("admission/trace_budget_source", "unbounded"),
+                Some(bytes) => {
+                    self.collector
+                        .label("admission/trace_budget_source", "configured");
+                    self.collector.gauge("admission/trace_budget_bytes", bytes);
+                }
             }
             let kept = retained.iter().filter(|&&kept| kept).count() as u64;
             self.collector
@@ -1267,7 +1210,6 @@ impl FleetEngine {
             cached_jobs,
             streamed_jobs,
             passes,
-            resolved_budget: resolved,
             quarantined,
         })
     }
@@ -1289,28 +1231,20 @@ impl FleetEngine {
             ));
         }
         let rankings = Scorecard::per_scenario_rankings(matrix, outcomes);
-        let manifest = ShardManifest {
-            master_seed,
-            shard_count,
-            scenarios: matrix
-                .scenarios
-                .iter()
-                .enumerate()
-                .map(|(idx, s)| (s.name.clone(), idx % shard_count))
-                .collect(),
-        };
+        let manifest = ShardManifest::round_robin(matrix, master_seed, shard_count);
+        let shard_of = |scenario_idx: usize| manifest.scenarios[scenario_idx].1;
         let shards = (0..shard_count)
             .map(|shard_index| {
                 let per_scenario: Vec<_> = rankings
                     .iter()
                     .enumerate()
-                    .filter(|(idx, _)| idx % shard_count == shard_index)
+                    .filter(|&(idx, _)| shard_of(idx) == shard_index)
                     .map(|(_, ranking)| ranking.clone())
                     .collect();
                 let cost = pred_metrics::CostAggregate::of(
                     outcomes
                         .iter()
-                        .filter(|o| o.spec.scenario_idx % shard_count == shard_index)
+                        .filter(|o| shard_of(o.spec.scenario_idx) == shard_index)
                         .map(|o| o.cost),
                 );
                 ScorecardShard {
@@ -1458,7 +1392,6 @@ impl FleetEngine {
                     &node_config,
                     slots,
                     injector,
-                    self.protocol,
                     roi.peak,
                 )?
             }
@@ -1746,7 +1679,6 @@ struct EvaluatedMatrix {
     cached_jobs: usize,
     streamed_jobs: usize,
     passes: PassBreakdown,
-    resolved_budget: ResolvedTraceBudget,
     quarantined: Vec<QuarantinedScenario>,
 }
 
@@ -1768,7 +1700,6 @@ mod tests {
     use crate::catalog::Catalog;
     use crate::fleet_faults::FleetFault;
     use crate::matrix::{ManagerSpec, PredictorSpec};
-    use crate::series::{TraceBudgetSource, ADAPTIVE_FALLBACK_BUDGET_BYTES};
 
     fn small_matrix() -> FleetMatrix {
         let scenarios = vec![
@@ -1809,8 +1740,7 @@ mod tests {
         let result = FleetEngine::new(42).run(&small_matrix()).unwrap();
         assert_eq!(result.outcomes.len(), 2 * 2 * 2);
         assert_eq!(result.cached_jobs, 0);
-        // The default adaptive budget (≥ the 4 MiB fallback) comfortably
-        // retains this matrix's two 40-day series.
+        // The default policy retains every series.
         assert_eq!(result.streamed_jobs, 0, "small fleets keep every series");
         for outcome in &result.outcomes {
             assert!(outcome.summary.count > 0, "{}", outcome.scenario);
@@ -1919,63 +1849,35 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_policy_resolves_budgets_and_stays_byte_identical() {
-        // Configured ceilings resolve deterministically (ceiling / 8)…
-        assert_eq!(
-            TraceCachePolicy::adaptive_with_ceiling(32 << 20).budget_bytes(),
-            Some(4 << 20)
-        );
-        // …and detection always yields *some* budget (the 4 MiB default
-        // when the machine's memory cannot be read).
-        // (No floor is asserted on the detected value: a genuinely
-        // memory-starved machine may resolve below the fallback — the
-        // fallback only applies when detection is impossible.)
-        let detected = TraceCachePolicy::adaptive().budget_bytes();
-        assert!(detected.is_some_and(|budget| budget > 0));
-        assert_eq!(ADAPTIVE_FALLBACK_BUDGET_BYTES, 4 << 20);
+    fn zero_budget_retains_nothing_and_stays_byte_identical() {
+        assert_eq!(TraceCachePolicy::default(), TraceCachePolicy::unbounded());
+        assert_eq!(TraceCachePolicy::unbounded().budget_bytes(), None);
+        assert_eq!(TraceCachePolicy::bounded(512).budget_bytes(), Some(512));
+        assert_eq!(TraceCachePolicy::streaming_only().budget_bytes(), Some(0));
 
-        // The resolution also names its source — the decision is no
-        // longer invisible.
-        assert_eq!(
-            TraceCachePolicy::unbounded().resolve(),
-            ResolvedTraceBudget {
-                bytes: None,
-                source: TraceBudgetSource::Unbounded,
-            }
-        );
-        assert_eq!(
-            TraceCachePolicy::bounded(512).resolve(),
-            ResolvedTraceBudget {
-                bytes: Some(512),
-                source: TraceBudgetSource::Configured,
-            }
-        );
-        let ceiled = TraceCachePolicy::adaptive_with_ceiling(32 << 20).resolve();
-        assert_eq!(ceiled.source, TraceBudgetSource::AdaptiveCeiling);
-        assert_eq!(ceiled.to_string(), "4194304 bytes (adaptive-ceiling)");
-        let adaptive = TraceCachePolicy::adaptive().resolve();
-        assert!(matches!(
-            adaptive.source,
-            TraceBudgetSource::AdaptiveDetectedMemory | TraceBudgetSource::AdaptiveFallback
-        ));
-
-        // A starved ceiling retains nothing; the scorecard must not
-        // move by a byte relative to the unbounded run.
+        // A zero budget admits no series; the scorecard must not move by
+        // a byte relative to the unbounded run, and the ledger names the
+        // configured budget.
         let matrix = small_matrix();
-        let unbounded = FleetEngine::new(11)
-            .with_trace_cache(TraceCachePolicy::unbounded())
-            .run(&matrix)
-            .unwrap();
-        let starved_engine =
-            FleetEngine::new(11).with_trace_cache(TraceCachePolicy::adaptive_with_ceiling(8));
+        let unbounded = FleetEngine::new(11).run(&matrix).unwrap();
+        let collector = Collector::recording();
+        let starved_engine = FleetEngine::new(11)
+            .with_trace_cache(TraceCachePolicy::bounded(0))
+            .with_collector(collector.clone());
         let mut cache = starved_engine.new_cache();
         let starved = starved_engine.run_cached(&matrix, &mut cache).unwrap();
         assert_eq!(starved.streamed_jobs, matrix.job_count());
-        assert_eq!(cache.trace_count(), 0, "a starved ceiling retains nothing");
+        assert_eq!(cache.trace_count(), 0, "a zero budget retains nothing");
         assert_eq!(
             starved.scorecard.to_json_string(),
             unbounded.scorecard.to_json_string()
         );
+        let ledger = collector.ledger();
+        assert_eq!(
+            ledger.label_value("admission/trace_budget_source"),
+            Some("configured")
+        );
+        assert_eq!(ledger.gauge_value("admission/trace_budget_bytes"), Some(0));
     }
 
     #[test]
@@ -2056,12 +1958,13 @@ mod tests {
         assert_eq!(ledger.counter("score/scenarios_ranked"), scenarios);
         assert_eq!(ledger.counter("jobs/fresh"), jobs);
         assert!(ledger.counter("slots/processed") > 0);
-        assert!(ledger
-            .label_value("admission/trace_budget_source")
-            .is_some());
-        // The resolved budget also reaches the scorecard's text output
-        // (text-only; the pinned JSON above proved it stays out of it).
-        assert!(observed.scorecard.render_text().contains("trace budget: "));
+        // The default ledger holds nothing host-dependent: an unbounded
+        // budget has no byte count to record.
+        assert_eq!(
+            ledger.label_value("admission/trace_budget_source"),
+            Some("unbounded")
+        );
+        assert_eq!(ledger.gauge_value("admission/trace_budget_bytes"), None);
         // Phase spans landed under the run root.
         let report = collector.report();
         let fleet = report
@@ -2200,8 +2103,11 @@ mod tests {
         let matrix = small_matrix();
         let mut cache = FleetEngine::new(1).new_cache();
         assert!(FleetEngine::new(2).run_cached(&matrix, &mut cache).is_err());
-        let strict = FleetEngine::new(1).with_protocol(EvalProtocol::new(0.2, 10));
-        assert!(strict.run_cached(&matrix, &mut cache).is_err());
+        // An unbound cache binds to the first engine that runs it.
+        let mut cache = FleetCache::default();
+        FleetEngine::new(3).run_cached(&matrix, &mut cache).unwrap();
+        assert!(FleetEngine::new(4).run_cached(&matrix, &mut cache).is_err());
+        assert!(FleetEngine::new(3).run_cached(&matrix, &mut cache).is_ok());
     }
 
     #[test]
@@ -2246,21 +2152,24 @@ mod tests {
                     let merged =
                         Scorecard::merge_shards(&sharded.manifest, &sharded.shards).unwrap();
                     assert_eq!(merged.to_json_string(), monolithic);
-                    // The engine-level routing produces the same bytes too.
-                    let routed = engine().with_shards(count).run(&matrix).unwrap();
-                    assert_eq!(routed.scorecard.to_json_string(), monolithic);
+                    // A warm cache shards to the same bytes too.
+                    let mut cache = engine().new_cache();
+                    engine().run_cached(&matrix, &mut cache).unwrap();
+                    let warm = engine()
+                        .run_sharded_cached(&matrix, count, &mut cache)
+                        .unwrap();
+                    let merged = Scorecard::merge_shards(&warm.manifest, &warm.shards).unwrap();
+                    assert_eq!(merged.to_json_string(), monolithic);
                 }
             }
         }
     }
 
     #[test]
-    fn out_of_range_shard_counts_clamp_like_the_routed_path() {
-        // `run_sharded` historically rejected counts that
-        // `with_shards` silently clamped — same matrix, divergent
-        // behavior. Both entry points now share the documented clamp
-        // into `1..=scenario_count`, and the clamped artifacts still
-        // merge back to the monolithic bytes.
+    fn out_of_range_shard_counts_clamp_into_range() {
+        // Shard counts outside `1..=scenario_count` clamp into range,
+        // and the clamped artifacts still merge back to the monolithic
+        // bytes.
         let matrix = small_matrix();
         let monolithic = FleetEngine::new(1).run(&matrix).unwrap();
         let low = FleetEngine::new(1).run_sharded(&matrix, 0).unwrap();

@@ -81,9 +81,7 @@ pub use scorecard::{
     CoverageManifest, MissingCoverage, ScenarioRanking, ScoreEntry, Scorecard, ScorecardShard,
     ShardManifest,
 };
-pub use series::{
-    ResolvedTraceBudget, TraceBudgetSource, TraceCachePolicy, ADAPTIVE_FALLBACK_BUDGET_BYTES,
-};
+pub use series::TraceCachePolicy;
 pub use solar_synth::StreamVersion;
 
 // Observability handles, re-exported so engine users configure

@@ -47,7 +47,6 @@
 use crate::engine::JobOutcome;
 use crate::json::Json;
 use crate::matrix::FleetMatrix;
-use crate::series::ResolvedTraceBudget;
 use fleet_obs::Collector;
 use pred_metrics::{CostAggregate, ErrorSummary, SummaryAggregate};
 use std::collections::BTreeMap;
@@ -174,13 +173,6 @@ pub struct Scorecard {
     /// [`Scorecard::render_text`] only — never into the byte-pinned
     /// JSON.
     pub cost: CostAggregate,
-    /// The trace budget the producing run enforced, with its source —
-    /// the adaptive policy's previously invisible decision. Like
-    /// `cost`, it is machine-dependent (detected memory moves between
-    /// hosts), so it renders in [`Scorecard::render_text`] only, never
-    /// into the byte-pinned JSON. `None` for merged or hand-built
-    /// scorecards.
-    pub trace_budget: Option<ResolvedTraceBudget>,
 }
 
 fn service_score(brownout_rate: f64, utilization: f64, mape: f64) -> f64 {
@@ -227,7 +219,6 @@ impl Scorecard {
             per_scenario,
             overall,
             cost,
-            trace_budget: None,
         }
     }
 
@@ -625,9 +616,6 @@ impl Scorecard {
             );
         }
         let _ = writeln!(out, "evaluation cost (incl. cached work): {}", self.cost);
-        if let Some(budget) = &self.trace_budget {
-            let _ = writeln!(out, "trace budget: {budget}");
-        }
         out
     }
 }
@@ -716,6 +704,27 @@ pub struct ShardManifest {
 }
 
 impl ShardManifest {
+    /// The round-robin split of `matrix` into `shard_count` shards:
+    /// scenario `idx` lives in shard `idx % shard_count`, so multi-year
+    /// entries spread across shards. The one split rule behind the
+    /// in-process sharded reduction and the multi-process harness.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `shard_count` is 0.
+    pub fn round_robin(matrix: &FleetMatrix, master_seed: u64, shard_count: usize) -> Self {
+        ShardManifest {
+            master_seed,
+            shard_count,
+            scenarios: matrix
+                .scenarios
+                .iter()
+                .enumerate()
+                .map(|(idx, s)| (s.name.clone(), idx % shard_count))
+                .collect(),
+        }
+    }
+
     /// Deterministic JSON form.
     pub fn to_json(&self) -> Json {
         Json::obj([

@@ -10,88 +10,21 @@ use solar_trace::SlotsPerDay;
 /// keeping slot series across runs.
 ///
 /// Scenarios are admitted greedily in matrix order — a deterministic
-/// order depending only on the matrix and the resolved budget; a
-/// scenario whose series would push the running total past the budget
-/// is **not retained**: its unit synthesizes the series, walks it, and
-/// drops it, keeping only the generator tail. Outputs stay
-/// byte-identical across policies, thread counts and cache warmth,
-/// because a kept and a fresh series are bit-identical.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+/// order depending only on the matrix and the budget; a scenario whose
+/// series would push the running total past the budget is **not
+/// retained**: its unit synthesizes the series, walks it, and drops it,
+/// keeping only the generator tail. Outputs stay byte-identical across
+/// policies, thread counts and cache warmth, because a kept and a fresh
+/// series are bit-identical.
+#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum TraceCachePolicy {
-    /// Retain every series.
+    /// Retain every series (the engine default).
+    #[default]
     Unbounded,
     /// Retain series until this many bytes of series data are held.
     Bounded(u64),
-    /// Size the budget from a memory ceiling: `1/8` of the configured
-    /// ceiling when given, else `1/8` of the machine's available memory
-    /// detected at run start, else the fixed
-    /// [`ADAPTIVE_FALLBACK_BUDGET_BYTES`] (4 MiB) default. The engine
-    /// default — with byte-identical output either way (only the
-    /// retained/dropped split moves with the machine).
-    Adaptive {
-        /// Optional configured memory ceiling in bytes; `None` detects
-        /// available memory at run start.
-        ceiling_bytes: Option<u64>,
-    },
 }
-
-/// The adaptive policy's trace budget when no ceiling is configured and
-/// the machine's available memory cannot be detected.
-pub const ADAPTIVE_FALLBACK_BUDGET_BYTES: u64 = 4 << 20;
-
-/// Where a run's trace budget came from — the previously invisible
-/// half of the adaptive policy's decision, now recorded in the run
-/// ledger (`admission/trace_budget_source`) and printed in scorecard
-/// text output.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub enum TraceBudgetSource {
-    /// [`TraceCachePolicy::Unbounded`]: no budget at all.
-    Unbounded,
-    /// [`TraceCachePolicy::Bounded`]: the configured byte count.
-    Configured,
-    /// Adaptive with an explicit ceiling: `ceiling / 8`.
-    AdaptiveCeiling,
-    /// Adaptive from `/proc/meminfo` `MemAvailable`: `available / 8`.
-    AdaptiveDetectedMemory,
-    /// Adaptive with nothing to consult: the fixed 4 MiB fallback.
-    AdaptiveFallback,
-}
-
-impl std::fmt::Display for TraceBudgetSource {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            TraceBudgetSource::Unbounded => "unbounded",
-            TraceBudgetSource::Configured => "configured",
-            TraceBudgetSource::AdaptiveCeiling => "adaptive-ceiling",
-            TraceBudgetSource::AdaptiveDetectedMemory => "adaptive-detected-memory",
-            TraceBudgetSource::AdaptiveFallback => "adaptive-fallback",
-        })
-    }
-}
-
-/// A trace budget as one run enforces it: the byte count (`None` =
-/// unbounded) plus where it came from. Resolved **once** per run.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub struct ResolvedTraceBudget {
-    /// Enforced budget in bytes; `None` means unbounded.
-    pub bytes: Option<u64>,
-    /// How the bytes were chosen.
-    pub source: TraceBudgetSource,
-}
-
-impl std::fmt::Display for ResolvedTraceBudget {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self.bytes {
-            None => write!(f, "unbounded ({})", self.source),
-            Some(bytes) => write!(f, "{bytes} bytes ({})", self.source),
-        }
-    }
-}
-
-/// Fraction of the memory ceiling the adaptive policy spends on
-/// retained series (the denominator: budget = ceiling / 8).
-const ADAPTIVE_CEILING_DIVISOR: u64 = 8;
 
 impl TraceCachePolicy {
     /// Retain every series.
@@ -109,94 +42,22 @@ impl TraceCachePolicy {
         Self::bounded(0)
     }
 
-    /// Size the budget from the machine's available memory (default).
-    pub fn adaptive() -> Self {
-        TraceCachePolicy::Adaptive {
-            ceiling_bytes: None,
-        }
-    }
-
-    /// Size the budget from an explicit memory ceiling — deterministic
-    /// across machines, unlike detection.
-    pub fn adaptive_with_ceiling(ceiling_bytes: u64) -> Self {
-        TraceCachePolicy::Adaptive {
-            ceiling_bytes: Some(ceiling_bytes),
-        }
-    }
-
-    /// The budget a run under this policy enforces, with its source.
-    /// For [`TraceCachePolicy::Adaptive`] without a configured ceiling
-    /// this consults the machine's available memory, so it may differ
-    /// between calls; the engine resolves it **once** per run, keeping
-    /// the retention split fixed within a run.
-    pub fn resolve(&self) -> ResolvedTraceBudget {
-        match *self {
-            TraceCachePolicy::Unbounded => ResolvedTraceBudget {
-                bytes: None,
-                source: TraceBudgetSource::Unbounded,
-            },
-            TraceCachePolicy::Bounded(bytes) => ResolvedTraceBudget {
-                bytes: Some(bytes),
-                source: TraceBudgetSource::Configured,
-            },
-            TraceCachePolicy::Adaptive { ceiling_bytes } => {
-                let (ceiling, source) = match ceiling_bytes {
-                    Some(ceiling) => (Some(ceiling), TraceBudgetSource::AdaptiveCeiling),
-                    None => match detected_available_memory_bytes() {
-                        Some(available) => {
-                            (Some(available), TraceBudgetSource::AdaptiveDetectedMemory)
-                        }
-                        None => (None, TraceBudgetSource::AdaptiveFallback),
-                    },
-                };
-                ResolvedTraceBudget {
-                    bytes: Some(
-                        ceiling
-                            .map(|c| c / ADAPTIVE_CEILING_DIVISOR)
-                            .unwrap_or(ADAPTIVE_FALLBACK_BUDGET_BYTES),
-                    ),
-                    source,
-                }
-            }
-        }
-    }
-
-    /// The resolved budget's byte count alone (see
-    /// [`TraceCachePolicy::resolve`]).
+    /// The budget in bytes; `None` means unbounded.
     pub fn budget_bytes(&self) -> Option<u64> {
-        self.resolve().bytes
+        match *self {
+            TraceCachePolicy::Unbounded => None,
+            TraceCachePolicy::Bounded(bytes) => Some(bytes),
+        }
     }
 
-    pub(crate) fn admits(
-        resolved_budget: Option<u64>,
-        running_total: u64,
-        series_bytes: u64,
-    ) -> bool {
-        match resolved_budget {
+    /// Whether a series of `series_bytes` fits next to the
+    /// `running_total` bytes already admitted.
+    pub(crate) fn admits(&self, running_total: u64, series_bytes: u64) -> bool {
+        match self.budget_bytes() {
             None => true,
             Some(budget) => running_total.saturating_add(series_bytes) <= budget,
         }
     }
-}
-
-impl Default for TraceCachePolicy {
-    fn default() -> Self {
-        Self::adaptive()
-    }
-}
-
-/// `MemAvailable` from `/proc/meminfo`, in bytes (`None` off Linux or
-/// when unreadable).
-fn detected_available_memory_bytes() -> Option<u64> {
-    if !cfg!(target_os = "linux") {
-        return None;
-    }
-    let meminfo = std::fs::read_to_string("/proc/meminfo").ok()?;
-    let line = meminfo
-        .lines()
-        .find(|line| line.starts_with("MemAvailable:"))?;
-    let kib: u64 = line.split_whitespace().nth(1)?.parse().ok()?;
-    Some(kib * 1024)
 }
 
 /// One retained series' memory footprint: the struct itself and its

@@ -83,18 +83,14 @@ fn run(args: Args) -> Result<(), Box<dyn Error>> {
     } else {
         catalog.scenarios().to_vec()
     };
-    let mut config = if smoke {
+    let config = if smoke {
         TunerConfig::smoke(seed)
     } else {
         TunerConfig::new(seed)
     };
-    // Route every engine evaluation through the sharded scorecard
-    // reduction — byte-identical to the monolithic path, so the tuning
-    // loop consumes sharded results unchanged (and proves it live).
-    config.shards = Some(2);
     println!(
         "tuning {} scenarios, coarse grid {} configs, budget {} rounds / {} candidates \
-         (seed {seed}, sharded scorecards ×2)\n",
+         (seed {seed})\n",
         scenarios.len(),
         config.grid.configs(),
         config.budget.max_rounds,

@@ -135,10 +135,8 @@ fn shard_half_ledgers_absorb_into_the_whole_fleet_ledger() {
         .collect();
     let predictors = PredictorSpec::guideline_family();
     let managers = vec![ManagerSpec::Greedy];
-    // A configured ceiling, not detected memory: the budget gauge is
-    // part of the ledger, and free memory moves between runs.
-    let engine =
-        || FleetEngine::new(5).with_trace_cache(TraceCachePolicy::adaptive_with_ceiling(1 << 30));
+    // A configured budget, so the ledger carries its byte gauge.
+    let engine = || FleetEngine::new(5).with_trace_cache(TraceCachePolicy::bounded(128 << 20));
 
     let whole = Collector::recording();
     let whole_matrix = FleetMatrix::new(predictors.clone(), managers.clone(), scenarios.clone())
