@@ -152,9 +152,20 @@ impl Json {
 
     /// Renders human-readable JSON indented by two spaces.
     pub fn render_pretty(&self) -> String {
-        let mut out = String::new();
-        self.write(&mut out, Some(2), 0);
+        let mut out = self.render_pretty_at(0);
         out.push('\n');
+        out
+    }
+
+    /// Renders this value the way [`Json::render_pretty`] writes it
+    /// when it sits `depth` containers deep in a larger document:
+    /// nested lines are indented relative to `depth`, and the text has
+    /// neither leading indentation nor a trailing newline. Lets a caller
+    /// render a document's subtrees separately (in parallel, say) and
+    /// splice them into the whole byte for byte.
+    pub fn render_pretty_at(&self, depth: usize) -> String {
+        let mut out = String::new();
+        self.write(&mut out, Some(2), depth);
         out
     }
 
@@ -164,7 +175,7 @@ impl Json {
         let newline = |out: &mut String, level: usize| {
             if let Some(w) = indent {
                 out.push('\n');
-                out.extend(std::iter::repeat_n(' ', w * level));
+                push_spaces(out, w * level);
             }
         };
         match self {
@@ -231,33 +242,75 @@ impl Json {
     }
 }
 
+/// Runs of spaces are pushed as slices of this, not one char at a time.
+const SPACES: &str = "                                                                ";
+
+fn push_spaces(out: &mut String, mut count: usize) {
+    while count > 0 {
+        let run = count.min(SPACES.len());
+        out.push_str(&SPACES[..run]);
+        count -= run;
+    }
+}
+
 fn write_num(out: &mut String, x: f64) {
     if !x.is_finite() {
         // JSON has no inf/nan; scorecard metrics are all finite, but a
         // total function keeps the writer panic-free.
         out.push_str("null");
     } else if x == x.trunc() && x.abs() < 9.007_199_254_740_992e15 {
-        let _ = write!(out, "{}", x as i64);
+        write_int(out, x as i64);
     } else {
         let _ = write!(out, "{x}");
     }
 }
 
-fn write_str(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
+/// Decimal digits of `n`, as `write!(out, "{n}")` spells them.
+fn write_int(out: &mut String, n: i64) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    let mut rest = n.unsigned_abs();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (rest % 10) as u8;
+        rest /= 10;
+        if rest == 0 {
+            break;
         }
     }
+    if n < 0 {
+        out.push('-');
+    }
+    out.push_str(std::str::from_utf8(&digits[at..]).expect("ASCII digits"));
+}
+
+/// Writes `s` quoted, copying each run of characters that need no
+/// escape as one slice. Every escaped character is ASCII, so the runs
+/// are cut on character boundaries.
+fn write_str(out: &mut String, s: &str) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    out.push('"');
+    let mut plain = 0;
+    for (at, byte) in s.bytes().enumerate() {
+        if byte >= 0x20 && byte != b'"' && byte != b'\\' {
+            continue;
+        }
+        out.push_str(&s[plain..at]);
+        plain = at + 1;
+        match byte {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => {
+                out.push_str("\\u00");
+                out.push(char::from(HEX[usize::from(byte >> 4)]));
+                out.push(char::from(HEX[usize::from(byte & 0xf)]));
+            }
+        }
+    }
+    out.push_str(&s[plain..]);
     out.push('"');
 }
 
@@ -638,9 +691,9 @@ mod tests {
     }
 
     /// Characters covering every string path: ASCII, two-, three- and
-    /// four-byte UTF-8, the short escapes, and a control character the
-    /// writer spells as `\u0001`.
-    const CHARS: [char; 12] = [
+    /// four-byte UTF-8, the short escapes, and control characters the
+    /// writer spells as `\u00XX` (DEL is not one).
+    const CHARS: [char; 17] = [
         'a',
         'Z',
         ' ',
@@ -652,7 +705,12 @@ mod tests {
         '\\',
         '\n',
         '\t',
+        '\r',
+        '\u{0}',
         '\u{1}',
+        '\u{1f}',
+        '\u{7f}',
+        '/',
     ];
 
     fn text(codes: &[u8]) -> String {
@@ -671,10 +729,29 @@ mod tests {
         }
     }
 
+    /// Numbers at the writer's edges: the largest integers it spells
+    /// without a fraction, the first it hands to float formatting,
+    /// negative zero, and values far from 1.
+    const EDGE_NUMBERS: [f64; 12] = [
+        9_007_199_254_740_991.0,
+        -9_007_199_254_740_991.0,
+        9_007_199_254_740_992.0,
+        -9_007_199_254_740_992.0,
+        -0.0,
+        -1.0,
+        7.0,
+        0.1,
+        -2.5e-7,
+        1e300,
+        5e-324,
+        i64::MIN as f64,
+    ];
+
     /// Folds `ops` into a document: each op appends a scalar to the
-    /// innermost open container, or opens or closes one. Whatever is
-    /// still open closes at the end.
-    fn document(ops: &[(u8, Vec<u8>, f64)]) -> Json {
+    /// innermost open container, or opens one (while fewer than
+    /// `max_depth` are open) or closes one. Whatever is still open
+    /// closes at the end.
+    fn document(ops: &[(u8, Vec<u8>, f64)], max_depth: usize) -> Json {
         let mut open = vec![Json::Arr(Vec::new())];
         for (kind, codes, x) in ops {
             let value = match kind {
@@ -683,7 +760,7 @@ mod tests {
                 3 => Json::Num(x.round()),
                 4 => Json::Bool(codes.len() % 2 == 0),
                 5 => Json::Null,
-                6 if open.len() < 8 => {
+                6 if open.len() < max_depth => {
                     open.push(if codes.len() % 2 == 0 {
                         Json::Arr(Vec::new())
                     } else {
@@ -691,6 +768,7 @@ mod tests {
                     });
                     continue;
                 }
+                8 => Json::Num(EDGE_NUMBERS[codes.len() % EDGE_NUMBERS.len()]),
                 _ if open.len() > 1 => open.pop().expect("nested"),
                 _ => continue,
             };
@@ -703,17 +781,141 @@ mod tests {
         open.pop().expect("root")
     }
 
+    /// The character-at-a-time writer the slice-pushing one replaced,
+    /// kept as the byte-for-byte reference for both renderings.
+    fn reference_write(value: &Json, out: &mut String, indent: Option<usize>, depth: usize) {
+        let newline = |out: &mut String, level: usize| {
+            if let Some(w) = indent {
+                out.push('\n');
+                out.extend(std::iter::repeat_n(' ', w * level));
+            }
+        };
+        match value {
+            Json::Null => out.push_str("null"),
+            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+            Json::Num(x) => {
+                if !x.is_finite() {
+                    out.push_str("null");
+                } else if *x == x.trunc() && x.abs() < 9.007_199_254_740_992e15 {
+                    let _ = write!(out, "{}", *x as i64);
+                } else {
+                    let _ = write!(out, "{x}");
+                }
+            }
+            Json::Str(s) => reference_str(out, s),
+            Json::Arr(items) => {
+                if items.is_empty() {
+                    out.push_str("[]");
+                    return;
+                }
+                out.push('[');
+                for (i, item) in items.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    newline(out, depth + 1);
+                    reference_write(item, out, indent, depth + 1);
+                }
+                newline(out, depth);
+                out.push(']');
+            }
+            Json::Obj(pairs) => {
+                if pairs.is_empty() {
+                    out.push_str("{}");
+                    return;
+                }
+                out.push('{');
+                for (i, (key, value)) in pairs.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    newline(out, depth + 1);
+                    reference_str(out, key);
+                    out.push(':');
+                    if indent.is_some() {
+                        out.push(' ');
+                    }
+                    reference_write(value, out, indent, depth + 1);
+                }
+                newline(out, depth);
+                out.push('}');
+            }
+        }
+    }
+
+    fn reference_str(out: &mut String, s: &str) {
+        out.push('"');
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if (c as u32) < 0x20 => {
+                    let _ = write!(out, "\\u{:04x}", c as u32);
+                }
+                c => out.push(c),
+            }
+        }
+        out.push('"');
+    }
+
+    #[test]
+    fn writer_matches_the_reference_on_edge_values() {
+        let doc = Json::Arr(
+            EDGE_NUMBERS
+                .iter()
+                .map(|&x| Json::Num(x))
+                .chain([f64::NAN, f64::INFINITY].map(Json::Num))
+                .chain([Json::Str(CHARS.iter().collect())])
+                .collect(),
+        );
+        let mut compact = String::new();
+        reference_write(&doc, &mut compact, None, 0);
+        assert_eq!(doc.render(), compact);
+        assert!(compact.contains("9007199254740991,-9007199254740991,9007199254740992,"));
+        assert!(compact.contains(",0,-1,7,0.1,"), "-0.0 spells 0: {compact}");
+        assert!(
+            compact.contains("\\u0000\\u0001\\u001f\u{7f}/"),
+            "{compact}"
+        );
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
         #[test]
         fn parse_inverts_both_renderings(ops in proptest::collection::vec(
-            (0u8..8, proptest::collection::vec(0u8..12, 0..24), -1e6f64..1e6),
+            (0u8..8, proptest::collection::vec(0u8..17, 0..24), -1e6f64..1e6),
             0..60,
         )) {
-            let doc = document(&ops);
+            let doc = document(&ops, 8);
             prop_assert_eq!(Json::parse(&doc.render()).unwrap(), doc.clone());
             prop_assert_eq!(Json::parse(&doc.render_pretty()).unwrap(), doc);
+        }
+
+        /// `parse` ignores whitespace, so the round trip above cannot see
+        /// a writer change; this pins both renderings to the reference
+        /// writer byte for byte, at every depth `render_pretty_at` starts
+        /// from, with containers nested deeper (2 spaces a level) than
+        /// the writer's slice of spaces is long.
+        #[test]
+        fn renderings_equal_the_reference_writer(ops in proptest::collection::vec(
+            (0u8..9, proptest::collection::vec(0u8..17, 0..24), -1e17f64..1e17),
+            0..120,
+        ), depth in 0usize..40) {
+            let doc = document(&ops, 48);
+            let mut compact = String::new();
+            reference_write(&doc, &mut compact, None, 0);
+            prop_assert_eq!(doc.render(), compact);
+            let mut pretty = String::new();
+            reference_write(&doc, &mut pretty, Some(2), 0);
+            pretty.push('\n');
+            prop_assert_eq!(doc.render_pretty(), pretty);
+            let mut nested = String::new();
+            reference_write(&doc, &mut nested, Some(2), depth);
+            prop_assert_eq!(doc.render_pretty_at(depth), nested);
         }
     }
 }

@@ -444,6 +444,29 @@ impl Scenario {
         self.site.config(&self.name)
     }
 
+    /// Whether `self` is `earlier` with its horizon grown by zero or
+    /// more days and every other field equal. The JSON form is a
+    /// function of the value, so value equality is never looser than
+    /// equality of the rendered documents.
+    pub(crate) fn extends(&self, earlier: &Scenario) -> bool {
+        let Scenario {
+            name,
+            summary,
+            site,
+            days,
+            slots_per_day,
+            node,
+            faults,
+        } = earlier;
+        self.days >= *days
+            && self.name == *name
+            && self.summary == *summary
+            && self.site == *site
+            && self.slots_per_day == *slots_per_day
+            && self.node == *node
+            && self.faults == *faults
+    }
+
     /// JSON form.
     pub fn to_json(&self) -> Json {
         Json::obj([

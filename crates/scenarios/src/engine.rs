@@ -82,25 +82,27 @@
 //! A tuning loop re-runs near-identical matrices dozens of times,
 //! changing only the predictor axis between rounds. [`FleetCache`]
 //! makes that cheap: it memoizes slot series per scenario and
-//! finished [`JobOutcome`]s per (scenario, predictor, manager) triple,
-//! so [`FleetEngine::run_cached`] evaluates **only the jobs whose axis
-//! value changed**. Because every job is a pure function of its triple
-//! and the master seed, a cached outcome is bit-identical to a fresh
-//! one — the resulting scorecard JSON is byte-identical to a full
-//! re-run (pinned by test).
+//! finished [`JobOutcome`]s per (scenario, predictor, manager) triple —
+//! one block per scenario, keyed inside by the label pair — so
+//! [`FleetEngine::run_cached`] evaluates **only the jobs whose axis
+//! value changed**. A run renders each scenario once, for its block
+//! key; every other check compares scenario values. Because every job
+//! is a pure function of its triple and the master seed, a cached
+//! outcome is bit-identical to a fresh one — the resulting scorecard
+//! JSON is byte-identical to a full re-run (pinned by test).
 //!
 //! # Observability
 //!
 //! The engine reports on itself through an optional
 //! [`fleet_obs::Collector`] ([`FleetEngine::with_collector`]): phase
-//! spans (`fleet/project` → `admission` → `simulate` →
-//! `score`) on the timing plane, and deterministic ledger
-//! counters — retention decisions with the trace budget, synthesis
-//! passes, cache hits, slot counts, bank sizes, fault specs — recorded
-//! at **work-unit granularity** (one batch of counter updates per
-//! scenario unit, computed arithmetically), never inside the per-slot
-//! loop. The default collector is a no-op whose calls cost one branch,
-//! so un-instrumented runs are unchanged (perfbench's
+//! spans (`fleet/project` → `keys` → `admission` → `simulate` →
+//! `fill` → `assemble` → `score`) on the timing plane, and
+//! deterministic ledger counters — retention decisions with the trace
+//! budget, synthesis passes, cache hits, slot counts, bank sizes, fault
+//! specs — recorded at **work-unit granularity** (one batch of counter
+//! updates per scenario unit, computed arithmetically), never inside
+//! the per-slot loop. The default collector is a no-op whose calls
+//! cost one branch, so un-instrumented runs are unchanged (perfbench's
 //! `obs.recording_overhead` measures it); with collection on, outputs stay
 //! byte-identical and the ledger itself is byte-identical across
 //! thread counts and shard splits.
@@ -432,32 +434,16 @@ fn has_trace_gap(scenario: &Scenario) -> bool {
         .any(|f| matches!(f, FaultSpec::TraceGap { .. }))
 }
 
-/// Whether `scenario` (rendering to `key`) is the scenario rendered as
-/// `stored_json` with only its horizon grown from `stored_days`.
-fn extends(scenario: &Scenario, key: &str, stored_json: &str, stored_days: usize) -> bool {
-    match stored_days.cmp(&scenario.days) {
-        std::cmp::Ordering::Equal => key == stored_json,
-        std::cmp::Ordering::Less => {
-            let mut at_stored = scenario.clone();
-            at_stored.days = stored_days;
-            at_stored.to_json().render() == stored_json
-        }
-        std::cmp::Ordering::Greater => false,
-    }
-}
-
 /// End-of-horizon machine state of one scenario's full job cross — the
 /// O(appended days) resume point for a day-append delta. Captured by
 /// the engine at the end of an eligible work-unit pass (full predictor
 /// × manager cross, no trace-gap fault) and stored in the
 /// [`FleetCache`] keyed by scenario name.
 struct UnitCheckpoint {
-    /// The scenario's full JSON form at capture time; resume requires
-    /// the appended scenario to render identically once its `days` is
-    /// rewound to [`UnitCheckpoint::days`].
-    scenario_json: String,
-    /// The captured horizon in days.
-    days: usize,
+    /// The scenario at capture time, whose `days` is the captured
+    /// horizon; resume requires the appended scenario to
+    /// [`Scenario::extends`] it by at least one day.
+    scenario: Scenario,
     /// Predictor axis labels at capture (matrix order) — the machines
     /// below are only meaningful against an identical axis.
     predictor_labels: Vec<String>,
@@ -474,10 +460,49 @@ struct UnitCheckpoint {
 impl std::fmt::Debug for UnitCheckpoint {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("UnitCheckpoint")
-            .field("days", &self.days)
+            .field("days", &self.scenario.days)
             .field("predictors", &self.predictor_labels.len())
             .field("managers", &self.manager_labels.len())
             .finish_non_exhaustive()
+    }
+}
+
+/// One scenario's memoized outcomes, keyed by the (predictor label,
+/// manager label) pair.
+type OutcomeBlock = HashMap<(String, String), JobOutcome>;
+
+/// The labels one run keys its cache lookups with, built once per run.
+struct RunKeys {
+    /// Each scenario's full JSON form, in matrix order: the run's only
+    /// render of a scenario, and its outcome block's key.
+    scenarios: Vec<String>,
+    /// Predictor axis labels, in matrix order.
+    predictors: Vec<String>,
+    /// Manager axis labels, in matrix order.
+    managers: Vec<String>,
+    /// Every (predictor, manager) label pair, predictor-major: the
+    /// lookup key of a scenario's job `p × managers + m` in its block.
+    pairs: Vec<(String, String)>,
+}
+
+impl RunKeys {
+    fn of(matrix: &FleetMatrix) -> RunKeys {
+        let predictors: Vec<String> = matrix.predictors.iter().map(|p| p.label()).collect();
+        let managers: Vec<String> = matrix.managers.iter().map(|m| m.label()).collect();
+        let pairs = predictors
+            .iter()
+            .flat_map(|p| managers.iter().map(move |m| (p.clone(), m.clone())))
+            .collect();
+        RunKeys {
+            scenarios: matrix
+                .scenarios
+                .iter()
+                .map(|s| s.to_json().render())
+                .collect(),
+            predictors,
+            managers,
+            pairs,
+        }
     }
 }
 
@@ -505,14 +530,15 @@ pub struct PruneStats {
 #[derive(Clone, Debug, Default)]
 pub struct FleetCache {
     master_seed: Option<u64>,
-    /// Slot series per scenario name, with the scenario's full JSON form
-    /// at the series' horizon (so a mutated same-name scenario can never
-    /// alias): retained series whole, the rest as bare generator tails
-    /// from which a day-append synthesizes only the appended days.
-    series: HashMap<String, (String, SlotSeries)>,
-    /// Outcomes keyed by (scenario JSON, predictor label, manager
-    /// label); labels are injective over specs by contract.
-    outcomes: HashMap<(String, String, String), JobOutcome>,
+    /// Slot series per scenario name, with the scenario at the series'
+    /// horizon (so a mutated same-name scenario can never alias):
+    /// retained series whole, the rest as bare generator tails from
+    /// which a day-append synthesizes only the appended days.
+    series: HashMap<String, (Scenario, SlotSeries)>,
+    /// Outcomes in one block per scenario JSON form, each keyed by the
+    /// (predictor label, manager label) pair; labels are injective over
+    /// specs by contract.
+    outcomes: HashMap<String, OutcomeBlock>,
     /// Work-unit resume state per scenario name: day-appends continue
     /// every machine from the stored day boundary.
     checkpoints: HashMap<String, Arc<UnitCheckpoint>>,
@@ -521,12 +547,12 @@ pub struct FleetCache {
 impl FleetCache {
     /// Number of memoized job outcomes.
     pub fn len(&self) -> usize {
-        self.outcomes.len()
+        self.outcomes.values().map(HashMap::len).sum()
     }
 
     /// Whether the cache holds no outcomes.
     pub fn is_empty(&self) -> bool {
-        self.outcomes.is_empty()
+        self.outcomes.values().all(HashMap::is_empty)
     }
 
     /// Number of retained scenario slot series.
@@ -548,11 +574,11 @@ impl FleetCache {
             .filter(|series| series.is_full())
     }
 
-    /// The stored series of `scenario` (rendering to `key`) if it
-    /// belongs to this scenario at its horizon or a shorter one.
-    fn series_of(&self, scenario: &Scenario, key: &str) -> Option<&SlotSeries> {
-        let (json, series) = self.series.get(&scenario.name)?;
-        extends(scenario, key, json, series.days()).then_some(series)
+    /// The stored series of `scenario` if it belongs to this scenario
+    /// at its horizon or a shorter one.
+    fn series_of(&self, scenario: &Scenario) -> Option<&SlotSeries> {
+        let (stored, series) = self.series.get(&scenario.name)?;
+        scenario.extends(stored).then_some(series)
     }
 
     /// Aggregate cost of every distinct job outcome the cache
@@ -562,7 +588,12 @@ impl FleetCache {
     /// eviction returns their cost in [`PruneStats::evicted_cost`] so
     /// a loop tracking lifetime totals can accumulate it separately.
     pub fn cost(&self) -> pred_metrics::CostAggregate {
-        pred_metrics::CostAggregate::of(self.outcomes.values().map(|o| o.cost))
+        pred_metrics::CostAggregate::of(
+            self.outcomes
+                .values()
+                .flat_map(HashMap::values)
+                .map(|o| o.cost),
+        )
     }
 
     /// Evicts every slot series, outcome, and resume checkpoint
@@ -596,20 +627,21 @@ impl FleetCache {
         let evicted_cost = pred_metrics::CostAggregate::of(
             self.outcomes
                 .iter()
-                .filter(|((scenario_json, _, _), _)| !keep_jsons.contains(scenario_json))
-                .map(|(_, o)| o.cost),
+                .filter(|(scenario_json, _)| !keep_jsons.contains(*scenario_json))
+                .flat_map(|(_, block)| block.values())
+                .map(|o| o.cost),
         );
-        let before_outcomes = self.outcomes.len();
+        let before_outcomes = self.len();
         let before_traces = self.trace_count();
         let before_bytes = self.trace_bytes();
         self.outcomes
-            .retain(|(scenario_json, _, _), _| keep_jsons.contains(scenario_json));
+            .retain(|scenario_json, _| keep_jsons.contains(scenario_json));
         self.series
             .retain(|name, _| keep_names.contains(name.as_str()));
         self.checkpoints
             .retain(|name, _| keep_names.contains(name.as_str()));
         Ok(PruneStats {
-            evicted_outcomes: before_outcomes - self.outcomes.len(),
+            evicted_outcomes: before_outcomes - self.len(),
             evicted_traces: before_traces - self.trace_count(),
             evicted_trace_bytes: before_bytes - self.trace_bytes(),
             evicted_cost,
@@ -859,8 +891,8 @@ impl FleetEngine {
     /// The delta is advisory routing metadata — correctness never
     /// depends on it. Every path funnels into [`FleetEngine::run_cached`],
     /// whose per-scenario resume/reuse machinery independently verifies
-    /// (by rendered scenario JSON) that each cached artifact still
-    /// matches the incoming matrix, so a stale or wrong classification
+    /// (by scenario value) that each cached artifact still matches the
+    /// incoming matrix, so a stale or wrong classification
     /// degrades to colder work, never to a wrong scorecard:
     ///
     /// * [`FleetDelta::DayAppend`] — appended days resume from the unit
@@ -970,14 +1002,37 @@ impl FleetEngine {
             matrix.scenarios.iter().map(|s| s.faults.len() as u64).sum(),
         );
 
-        // Stable per-scenario cache keys: the full JSON form.
-        let scenario_keys: Vec<String> = matrix
+        // Jobs are scenario-major, so scenario `s`'s job `k` of its
+        // (predictor, manager) cross is job `s × pairs + k`, keyed by
+        // `keys.pairs[k]` in the scenario's outcome block.
+        let keys_span = self.collector.span("fleet/keys");
+        let keys = RunKeys::of(matrix);
+        let pairs = keys.pairs.len();
+        let jobs = matrix.jobs();
+        // Only the jobs the cache cannot answer, grouped into **one work
+        // unit per scenario** — the unit's single series walk feeds every
+        // fresh job's machines, so adding candidates to the matrix adds
+        // per-slot arithmetic, never whole passes.
+        let fresh_by_scenario: Vec<Vec<usize>> = keys
             .scenarios
             .iter()
-            .map(|s| s.to_json().render())
+            .enumerate()
+            .map(|(scenario_idx, key)| {
+                let block = cache.outcomes.get(key);
+                (0..pairs)
+                    .filter(|&k| !block.is_some_and(|b| b.contains_key(&keys.pairs[k])))
+                    .map(|k| scenario_idx * pairs + k)
+                    .collect()
+            })
             .collect();
-        let predictor_labels: Vec<String> = matrix.predictors.iter().map(|p| p.label()).collect();
-        let manager_labels: Vec<String> = matrix.managers.iter().map(|m| m.label()).collect();
+        drop(keys_span);
+        let fresh_jobs: usize = fresh_by_scenario.iter().map(Vec::len).sum();
+        let cached_jobs = jobs.len() - fresh_jobs;
+        if self.collector.is_enabled() {
+            self.collector.count("jobs/evaluated", jobs.len() as u64);
+            self.collector.count("cache/job_hits", cached_jobs as u64);
+            self.collector.count("cache/job_misses", fresh_jobs as u64);
+        }
 
         // Retention admission, greedily in scenario order — a pure
         // function of the matrix and the budget, so the kept/dropped
@@ -991,9 +1046,7 @@ impl FleetEngine {
         for (idx, scenario) in matrix.scenarios.iter().enumerate() {
             let bytes =
                 series_footprint_bytes(scenario.days * scenario.slots_per_day as usize) as u64;
-            let warm = cache
-                .series_of(scenario, &scenario_keys[idx])
-                .is_some_and(SlotSeries::is_full);
+            let warm = cache.series_of(scenario).is_some_and(SlotSeries::is_full);
             warm_series += warm as u64;
             if warm || self.cache_policy.admits(running_total, bytes) {
                 retained[idx] = true;
@@ -1024,69 +1077,36 @@ impl FleetEngine {
         }
         drop(admission_span);
 
-        // Only the jobs the cache cannot answer, grouped into **one work
-        // unit per scenario** — the unit's single series walk feeds every
-        // fresh job's machines, so adding candidates to the matrix adds
-        // per-slot arithmetic, never whole passes.
-        let jobs = matrix.jobs();
-        let job_keys: Vec<(String, String, String)> = jobs
-            .iter()
-            .map(|job| {
-                (
-                    scenario_keys[job.scenario_idx].clone(),
-                    predictor_labels[job.predictor_idx].clone(),
-                    manager_labels[job.manager_idx].clone(),
-                )
-            })
-            .collect();
-        let fresh: Vec<usize> = (0..jobs.len())
-            .filter(|&idx| !cache.outcomes.contains_key(&job_keys[idx]))
-            .collect();
-        let cached_jobs = jobs.len() - fresh.len();
-        if self.collector.is_enabled() {
-            self.collector.count("jobs/evaluated", jobs.len() as u64);
-            self.collector.count("cache/job_hits", cached_jobs as u64);
-            self.collector.count("cache/job_misses", fresh.len() as u64);
-        }
-
-        let mut jobs_by_scenario: HashMap<usize, Vec<usize>> = HashMap::new();
-        for &idx in &fresh {
-            jobs_by_scenario
-                .entry(jobs[idx].scenario_idx)
-                .or_default()
-                .push(idx);
-        }
         let mut streamed_jobs = 0;
         let mut units: Vec<WorkUnit> = Vec::new();
-        for (scenario_idx, scenario) in matrix.scenarios.iter().enumerate() {
-            let Some(job_indices) = jobs_by_scenario.remove(&scenario_idx) else {
+        for ((scenario_idx, scenario), job_indices) in
+            matrix.scenarios.iter().enumerate().zip(fresh_by_scenario)
+        {
+            if job_indices.is_empty() {
                 continue;
-            };
+            }
             if !retained[scenario_idx] {
                 streamed_jobs += job_indices.len();
             }
             // Day-append resume: a scenario may continue from its stored
-            // checkpoint iff it is byte-identical to the checkpointed
-            // scenario except for a strictly larger `days`, the
-            // predictor/manager axes match, no trace-gap fault would
-            // re-realize its placement under the longer horizon, and
-            // the unit covers the full job cross the checkpointed
-            // machines belong to. A candidate failing only the last
-            // test falls back to a cold pass.
-            let key = &scenario_keys[scenario_idx];
+            // checkpoint iff it equals the checkpointed scenario except
+            // for a strictly larger `days`, the predictor/manager axes
+            // match, no trace-gap fault would re-realize its placement
+            // under the longer horizon, and the unit covers the full job
+            // cross the checkpointed machines belong to. A candidate
+            // failing only the last test falls back to a cold pass.
             let resume = cache
                 .checkpoints
                 .get(&scenario.name)
                 .filter(|ck| {
-                    scenario.days > ck.days
+                    scenario.days > ck.scenario.days
                         && !has_trace_gap(scenario)
-                        && ck.predictor_labels == predictor_labels
-                        && ck.manager_labels == manager_labels
-                        && extends(scenario, key, &ck.scenario_json, ck.days)
+                        && ck.predictor_labels == keys.predictors
+                        && ck.manager_labels == keys.managers
+                        && scenario.extends(&ck.scenario)
                 })
                 .filter(|_| {
-                    let full_cross =
-                        job_indices.len() == matrix.predictors.len() * matrix.managers.len();
+                    let full_cross = job_indices.len() == pairs;
                     if !full_cross && self.collector.is_enabled() {
                         self.collector
                             .count_scenario(&scenario.name, "delta/cold_fallbacks", 1);
@@ -1098,12 +1118,12 @@ impl FleetEngine {
             // bare tail at exactly the resume point of a scenario that is
             // not retained (a retained scenario must end up whole, so it
             // synthesizes cold instead). Everything else starts cold.
-            let usable = cache.series_of(scenario, key).is_some_and(|series| {
+            let usable = cache.series_of(scenario).is_some_and(|series| {
                 series.is_full()
                     || (!retained[scenario_idx]
                         && resume
                             .as_ref()
-                            .is_some_and(|ck| series.first_day == ck.days))
+                            .is_some_and(|ck| series.first_day == ck.scenario.days))
             });
             let series = if usable {
                 cache
@@ -1133,7 +1153,7 @@ impl FleetEngine {
                     if self.chaos_unit_panic.as_deref() == Some(scenario_name.as_str()) {
                         panic!("chaos: injected work-unit panic");
                     }
-                    self.evaluate_scenario_unit(matrix, &jobs, unit)
+                    self.evaluate_scenario_unit(matrix, &jobs, &keys, unit)
                 }))
                 .unwrap_or_else(|payload| {
                     Err(format!(
@@ -1143,10 +1163,12 @@ impl FleetEngine {
                 })
             })
             .collect();
+        let fill_span = self.collector.span("fleet/fill");
         let mut passes = PassBreakdown::default();
         let mut quarantined: Vec<QuarantinedScenario> = Vec::new();
         for (unit, unit_outcomes) in units.iter().zip(evaluated) {
-            let name = &matrix.scenarios[unit.scenario_idx].name;
+            let scenario = &matrix.scenarios[unit.scenario_idx];
+            let name = &scenario.name;
             let (unit_outcomes, unit_passes, checkpoint, series) = match unit_outcomes {
                 Ok(result) => result,
                 Err(error) if self.quarantine => {
@@ -1168,17 +1190,19 @@ impl FleetEngine {
             } else {
                 series.into_tail()
             };
-            cache.series.insert(
-                name.clone(),
-                (scenario_keys[unit.scenario_idx].clone(), kept),
-            );
+            cache.series.insert(name.clone(), (scenario.clone(), kept));
             if let Some(checkpoint) = checkpoint {
                 cache.checkpoints.insert(name.clone(), Arc::new(checkpoint));
             }
+            let block = cache
+                .outcomes
+                .entry(keys.scenarios[unit.scenario_idx].clone())
+                .or_default();
             for (idx, outcome) in unit_outcomes {
-                cache.outcomes.insert(job_keys[idx].clone(), outcome);
+                block.insert(keys.pairs[idx % pairs].clone(), outcome);
             }
         }
+        drop(fill_span);
         if self.collector.is_enabled() {
             self.collector
                 .count("synth/trace_generations", passes.trace_generations as u64);
@@ -1193,17 +1217,21 @@ impl FleetEngine {
         // Quarantined scenarios' jobs have no outcome and are skipped;
         // without quarantine every key is present (a missing one would
         // have errored above).
-        let outcomes: Vec<JobOutcome> = jobs
-            .iter()
-            .zip(&job_keys)
-            .filter_map(|(job, key)| {
-                cache.outcomes.get(key).map(|cached| {
+        let assemble_span = self.collector.span("fleet/assemble");
+        let mut outcomes: Vec<JobOutcome> = Vec::with_capacity(jobs.len());
+        for (key, scenario_jobs) in keys.scenarios.iter().zip(jobs.chunks(pairs.max(1))) {
+            let Some(block) = cache.outcomes.get(key) else {
+                continue;
+            };
+            for (pair, job) in keys.pairs.iter().zip(scenario_jobs) {
+                if let Some(cached) = block.get(pair) {
                     let mut outcome = cached.clone();
                     outcome.spec = *job;
-                    outcome
-                })
-            })
-            .collect();
+                    outcomes.push(outcome);
+                }
+            }
+        }
+        drop(assemble_span);
         Ok(EvaluatedMatrix {
             effective,
             outcomes,
@@ -1315,6 +1343,7 @@ impl FleetEngine {
         &self,
         matrix: &FleetMatrix,
         jobs: &[JobSpec],
+        keys: &RunKeys,
         unit: &WorkUnit,
     ) -> Result<UnitOutcomes, String> {
         let scenario = &matrix.scenarios[unit.scenario_idx];
@@ -1361,7 +1390,7 @@ impl FleetEngine {
         let mut roi = RoiPeak::default();
         if let Some(r) = resume {
             roi = r.roi;
-            roi.absorb(&series, r.days, n, &r.machines.injector);
+            roi.absorb(&series, r.scenario.days, n, &r.machines.injector);
             if roi.peak.to_bits() != r.roi.peak.to_bits() {
                 if self.collector.is_enabled() {
                     self.collector
@@ -1398,7 +1427,7 @@ impl FleetEngine {
         };
         // First day this walk covers: 0 cold, the checkpointed horizon
         // when resuming.
-        let start_day = resume.map_or(0, |r| r.days);
+        let start_day = resume.map_or(0, |r| r.scenario.days);
         for (day, starts, means) in series.days_from(start_day, n) {
             machines.walk_day(day, starts, means);
         }
@@ -1419,18 +1448,17 @@ impl FleetEngine {
             job_indices.iter().zip(&machines.job_kernel).zip(reports)
         {
             let job = &jobs[job_idx];
-            let predictor_spec = &matrix.predictors[job.predictor_idx];
             results.push((
                 job_idx,
                 JobOutcome {
                     scenario: scenario.name.clone(),
-                    predictor: predictor_spec.label(),
-                    manager: matrix.managers[job.manager_idx].label(),
+                    predictor: keys.predictors[job.predictor_idx].clone(),
+                    manager: keys.managers[job.manager_idx].clone(),
                     spec: *job,
                     summary: summaries[kernel_slot],
                     report,
                     cost: RunCost {
-                        peak_candidates: predictor_spec.candidate_count(),
+                        peak_candidates: matrix.predictors[job.predictor_idx].candidate_count(),
                         peak_trace_bytes,
                     },
                 },
@@ -1496,12 +1524,11 @@ impl FleetEngine {
         // from the cross a future run resumes) and no trace-gap fault
         // (its realization depends on the total horizon at
         // construction).
-        let full_cross = job_indices.len() == matrix.predictors.len() * matrix.managers.len();
+        let full_cross = job_indices.len() == keys.pairs.len();
         let checkpoint = (full_cross && !has_trace_gap(scenario)).then(|| UnitCheckpoint {
-            scenario_json: scenario.to_json().render(),
-            days: scenario.days,
-            predictor_labels: matrix.predictors.iter().map(|p| p.label()).collect(),
-            manager_labels: matrix.managers.iter().map(|m| m.label()).collect(),
+            scenario: scenario.clone(),
+            predictor_labels: keys.predictors.clone(),
+            manager_labels: keys.managers.clone(),
             roi,
             machines,
         });
@@ -1575,13 +1602,7 @@ impl FleetDelta {
                     .to_string(),
             );
         }
-        let render = |s: &crate::Scenario| s.to_json().render();
-        let scenarios_equal = before.scenarios.len() == after.scenarios.len()
-            && before
-                .scenarios
-                .iter()
-                .zip(&after.scenarios)
-                .all(|(b, a)| render(b) == render(a));
+        let scenarios_equal = before.scenarios == after.scenarios;
         if before_predictors != after_predictors {
             let retired: Vec<String> = before_predictors
                 .iter()
@@ -1626,14 +1647,10 @@ impl FleetDelta {
         let mut appends = Vec::new();
         let mut edits = Vec::new();
         for (b, a) in before.scenarios.iter().zip(&after.scenarios) {
-            if render(b) == render(a) {
+            if b == a {
                 continue;
             }
-            let pure_append = b.name == a.name && a.days > b.days && {
-                let mut at_before_days = a.clone();
-                at_before_days.days = b.days;
-                render(&at_before_days) == render(b)
-            };
+            let pure_append = a.days > b.days && a.extends(b);
             if pure_append {
                 appends.push(a.name.clone());
             } else {
@@ -2255,8 +2272,8 @@ mod tests {
             // The extended retained series is bitwise the cold one.
             for scenario in &grown.scenarios {
                 let cold = cold_series(&engine, scenario);
-                let (json, cached) = &cache.series[&scenario.name];
-                assert_eq!(*json, scenario.to_json().render());
+                let (stored, cached) = &cache.series[&scenario.name];
+                assert_eq!(stored, scenario);
                 let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
                 assert_eq!(bits(&cached.starts), bits(&cold.starts));
                 assert_eq!(bits(&cached.means), bits(&cold.means));
@@ -2504,6 +2521,290 @@ mod tests {
             warm.scorecard.to_json_string(),
             cold.scorecard.to_json_string()
         );
+    }
+
+    #[test]
+    fn two_versions_of_one_scenario_stay_warm_side_by_side() {
+        // Outcomes are keyed by the scenario's JSON form, so editing a
+        // scenario under the same name adds a second version next to the
+        // first instead of replacing it.
+        let matrix = small_matrix();
+        let mut edited = matrix.clone();
+        edited.scenarios[1]
+            .faults
+            .push(crate::FaultSpec::ClimateDimming {
+                start_day: 3,
+                duration_days: 4,
+                factor: 0.6,
+            });
+        let engine = FleetEngine::new(61);
+        let mut cache = engine.new_cache();
+        let first = engine.run_cached(&matrix, &mut cache).unwrap();
+        let second = engine.run_cached(&edited, &mut cache).unwrap();
+        let per_scenario = matrix.predictors.len() * matrix.managers.len();
+        assert_eq!(second.cached_jobs, per_scenario, "the unedited scenario");
+        let third = engine.run_cached(&matrix, &mut cache).unwrap();
+        assert_eq!(third.cached_jobs, matrix.job_count());
+        assert_eq!(third.passes.total(), 0);
+        assert_eq!(
+            third.scorecard.to_json_string(),
+            first.scorecard.to_json_string()
+        );
+        assert_eq!(cache.len(), 3 * per_scenario, "both versions counted");
+
+        // Pruning to the original matrix evicts the edited version only.
+        let edited_cost = pred_metrics::CostAggregate::of(
+            second
+                .outcomes
+                .iter()
+                .filter(|o| o.scenario == edited.scenarios[1].name)
+                .map(|o| o.cost),
+        );
+        let stats = cache.prune_to(&matrix).unwrap();
+        assert_eq!(stats.evicted_outcomes, per_scenario);
+        assert_eq!(stats.evicted_cost, edited_cost);
+        assert_eq!(cache.len(), matrix.job_count());
+        let fourth = engine.run_cached(&matrix, &mut cache).unwrap();
+        assert_eq!(fourth.cached_jobs, matrix.job_count());
+        assert_eq!(
+            fourth.scorecard.to_json_string(),
+            first.scorecard.to_json_string()
+        );
+    }
+
+    /// [`FleetDelta::classify`] as it was when it compared scenarios by
+    /// their rendered JSON: the reference for the value comparison.
+    fn classify_by_render(before: &FleetMatrix, after: &FleetMatrix) -> Result<FleetDelta, String> {
+        let labels = |m: &FleetMatrix| -> (Vec<String>, Vec<String>) {
+            (
+                m.predictors.iter().map(|p| p.label()).collect(),
+                m.managers.iter().map(|m| m.label()).collect(),
+            )
+        };
+        let (before_predictors, before_managers) = labels(before);
+        let (after_predictors, after_managers) = labels(after);
+        if before_managers != after_managers {
+            return Err(
+                "manager axis changed: no delta path exists, run the matrix with run_cached"
+                    .to_string(),
+            );
+        }
+        if before.fleet_faults != after.fleet_faults {
+            return Err(
+                "fleet faults changed: they project into every scenario, run with run_cached"
+                    .to_string(),
+            );
+        }
+        let render = |s: &Scenario| s.to_json().render();
+        let scenarios_equal = before.scenarios.len() == after.scenarios.len()
+            && before
+                .scenarios
+                .iter()
+                .zip(&after.scenarios)
+                .all(|(b, a)| render(b) == render(a));
+        if before_predictors != after_predictors {
+            let retired: Vec<String> = before_predictors
+                .iter()
+                .filter(|label| !after_predictors.contains(label))
+                .cloned()
+                .collect();
+            let mut survivors = before_predictors.clone();
+            survivors.retain(|label| after_predictors.contains(label));
+            if retired.is_empty() || survivors != after_predictors {
+                return Err(
+                    "predictor axis grew or reordered: only order-preserving retirement has a \
+                     delta path, run the matrix with run_cached"
+                        .to_string(),
+                );
+            }
+            if !scenarios_equal {
+                return Err(
+                    "predictor retirement combined with scenario changes: split into two deltas"
+                        .to_string(),
+                );
+            }
+            return Ok(FleetDelta::PredictorRetire {
+                predictors: retired,
+            });
+        }
+        if scenarios_equal {
+            return Ok(FleetDelta::Unchanged);
+        }
+        if before.scenarios.len() != after.scenarios.len() {
+            let before_names: HashSet<&str> =
+                before.scenarios.iter().map(|s| s.name.as_str()).collect();
+            let after_names: HashSet<&str> =
+                after.scenarios.iter().map(|s| s.name.as_str()).collect();
+            let mut touched: Vec<String> = before_names
+                .symmetric_difference(&after_names)
+                .map(|name| (*name).to_string())
+                .collect();
+            touched.sort_unstable();
+            return Ok(FleetDelta::ScenarioEdit { scenarios: touched });
+        }
+        let mut appends = Vec::new();
+        let mut edits = Vec::new();
+        for (b, a) in before.scenarios.iter().zip(&after.scenarios) {
+            if render(b) == render(a) {
+                continue;
+            }
+            let pure_append = b.name == a.name && a.days > b.days && {
+                let mut at_before_days = a.clone();
+                at_before_days.days = b.days;
+                render(&at_before_days) == render(b)
+            };
+            if pure_append {
+                appends.push(a.name.clone());
+            } else {
+                edits.push(a.name.clone());
+            }
+        }
+        match (appends.is_empty(), edits.is_empty()) {
+            (false, true) => Ok(FleetDelta::DayAppend { scenarios: appends }),
+            (true, false) => Ok(FleetDelta::ScenarioEdit { scenarios: edits }),
+            (false, false) => Err(
+                "mixed day-append and scenario-edit batch: split into two delta runs".to_string(),
+            ),
+            (true, true) => unreachable!("scenarios_equal was false"),
+        }
+    }
+
+    /// Applies edit `op` (scaled by `amount`) to one field of `after`,
+    /// or to `before` and `after` together where the edit needs both.
+    fn edit_scenario(before: &mut Scenario, after: &mut Scenario, op: u8, amount: u8) {
+        use crate::catalog::{NodeProfile, SiteSpec};
+        use solar_synth::StreamVersion;
+        let step = 1 + usize::from(amount % 5);
+        match op {
+            1 => after.days += step,
+            2 => after.days = after.days.saturating_sub(step),
+            3 => after.name.push_str("-renamed"),
+            4 => after.summary.push('!'),
+            5 => match &mut after.site {
+                SiteSpec::Paper(site) => {
+                    let at = solar_synth::Site::ALL.iter().position(|s| s == site);
+                    *site = solar_synth::Site::ALL[(at.unwrap_or(0) + 1) % 6];
+                }
+                SiteSpec::Custom { latitude_deg, .. } => *latitude_deg += 0.5,
+                SiteSpec::Shaped {
+                    cloudiness,
+                    turbidity,
+                    stream_version,
+                    ..
+                } => match amount % 3 {
+                    0 => *cloudiness *= 1.25,
+                    1 => *turbidity += 0.01,
+                    _ => {
+                        *stream_version = match stream_version {
+                            StreamVersion::V1 => StreamVersion::V2,
+                            StreamVersion::V2 => StreamVersion::V1,
+                        }
+                    }
+                },
+            },
+            6 => after.slots_per_day = if after.slots_per_day == 48 { 24 } else { 48 },
+            7 => {
+                after.node = match (&after.node, amount % 2) {
+                    (NodeProfile::Mote, 0) => NodeProfile::TinyMote,
+                    (NodeProfile::Mote, _) => NodeProfile::Gateway,
+                    _ => NodeProfile::Mote,
+                }
+            }
+            8 => {
+                let popped = after.faults.pop();
+                if popped.is_none() || amount.is_multiple_of(2) {
+                    after.faults.push(crate::FaultSpec::SensorDropout {
+                        rate: f64::from(amount) / 512.0,
+                    });
+                }
+            }
+            9 => {
+                // An append together with an edit of any other field is
+                // an edit.
+                after.days += step;
+                edit_scenario(before, after, 3 + amount % 6, amount / 6);
+            }
+            10 => {
+                // Zero and negative zero render alike and compare equal,
+                // so this pair is no change under either rule.
+                if let (
+                    SiteSpec::Custom {
+                        latitude_deg: b, ..
+                    }
+                    | SiteSpec::Shaped {
+                        latitude_deg: b, ..
+                    },
+                    SiteSpec::Custom {
+                        latitude_deg: a, ..
+                    }
+                    | SiteSpec::Shaped {
+                        latitude_deg: a, ..
+                    },
+                ) = (&mut before.site, &mut after.site)
+                {
+                    *b = 0.0;
+                    *a = -0.0;
+                }
+            }
+            _ => {}
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(128))]
+
+        /// Value-equality classification agrees with the render-based
+        /// rule on variant and names, over generated catalogs with random
+        /// edits to every scenario field, horizons moved both ways,
+        /// renames, scenario-set changes and axis changes.
+        #[test]
+        fn classify_by_value_matches_the_render_rule(
+            seed in 0u64..6,
+            edits in proptest::collection::vec((0u8..14, 0u8..255), 6),
+            mode in 0u8..3,
+            axis in 0u8..10,
+            set in 0u8..8,
+        ) {
+            let catalog = crate::CatalogGenerator::new(seed).generate(7).unwrap();
+            let mut before = FleetMatrix::new(
+                vec![
+                    PredictorSpec::Wcma { alpha: 0.7, days: 10, k: 2 },
+                    PredictorSpec::Persistence,
+                    PredictorSpec::Ewma { gamma: 0.5 },
+                ],
+                vec![ManagerSpec::Greedy, ManagerSpec::EnergyNeutral { target_soc: 0.5, gain: 0.25 }],
+                catalog.scenarios()[..6].to_vec(),
+            ).unwrap();
+            let mut after = before.clone();
+            for (idx, &(op, amount)) in edits.iter().enumerate() {
+                // Mode 0 edits freely; mode 1 only appends or leaves
+                // alone; mode 2 does that everywhere but the first
+                // scenario.
+                let op = match mode {
+                    1 => [0, 1, 10][usize::from(op % 3)],
+                    2 if idx > 0 => [0, 1][usize::from(op % 2)],
+                    _ => op,
+                };
+                edit_scenario(&mut before.scenarios[idx], &mut after.scenarios[idx], op, amount);
+            }
+            match axis {
+                1 => { after.predictors.remove(1); }
+                2 => after.predictors.push(PredictorSpec::Ewma { gamma: 0.25 }),
+                3 => after.predictors.swap(0, 2),
+                4 => after.managers.truncate(1),
+                _ => {}
+            }
+            match set {
+                1 => { after.scenarios.remove(2); }
+                2 => after.scenarios.push(catalog.scenarios()[6].clone()),
+                3 => after.scenarios.swap(0, 5),
+                _ => {}
+            }
+            proptest::prop_assert_eq!(
+                FleetDelta::classify(&before, &after),
+                classify_by_render(&before, &after)
+            );
+        }
     }
 
     #[test]

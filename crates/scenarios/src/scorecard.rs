@@ -49,6 +49,7 @@ use crate::json::Json;
 use crate::matrix::FleetMatrix;
 use fleet_obs::Collector;
 use pred_metrics::{CostAggregate, ErrorSummary, SummaryAggregate};
+use rayon::prelude::*;
 use std::collections::BTreeMap;
 
 const BROWNOUT_WEIGHT: f64 = 2.0;
@@ -581,9 +582,35 @@ impl Scorecard {
         ])
     }
 
-    /// Pretty-printed deterministic JSON document.
+    /// Pretty-printed deterministic JSON document: byte for byte
+    /// `self.to_json().render_pretty()`, with the per-scenario tables
+    /// rendered in parallel and spliced into the document.
     pub fn to_json_string(&self) -> String {
-        self.to_json().render_pretty()
+        // Each table sits two containers deep: the root object, then the
+        // `per_scenario` array.
+        let tables: Vec<String> = self
+            .per_scenario
+            .par_iter()
+            .map(|ranking| ranking.to_json().render_pretty_at(2))
+            .collect();
+        let overall = Json::Arr(self.overall.iter().map(ScoreEntry::to_json).collect());
+        let mut out = String::with_capacity(tables.iter().map(|t| t.len() + 6).sum::<usize>());
+        out.push_str("{\n  \"master_seed\": ");
+        out.push_str(&Json::Str(self.master_seed.to_string()).render());
+        out.push_str(",\n  \"per_scenario\": ");
+        if tables.is_empty() {
+            out.push_str("[]");
+        } else {
+            for (i, table) in tables.iter().enumerate() {
+                out.push_str(if i == 0 { "[\n    " } else { ",\n    " });
+                out.push_str(table);
+            }
+            out.push_str("\n  ]");
+        }
+        out.push_str(",\n  \"overall\": ");
+        out.push_str(&overall.render_pretty_at(1));
+        out.push_str("\n}\n");
+        out
     }
 
     /// A plain-text ranking table for terminals.
@@ -970,6 +997,29 @@ mod tests {
         assert_eq!(parsed.req_str("master_seed").unwrap(), "11");
         assert_eq!(parsed.req("overall").unwrap().as_arr().unwrap().len(), 4);
         assert!(!a.render_text().is_empty());
+    }
+
+    #[test]
+    fn spliced_json_string_equals_the_whole_document_render() {
+        let (_, full) = run();
+        let mut empty_table = full.clone();
+        empty_table.per_scenario[1].entries.clear();
+        let mut bare = full.clone();
+        bare.per_scenario.clear();
+        bare.overall.clear();
+        let mut one = full.clone();
+        one.per_scenario.truncate(1);
+        one.master_seed = u64::MAX;
+        for scorecard in [full, empty_table, bare, one] {
+            let whole = scorecard.to_json().render_pretty();
+            for threads in [1, 3] {
+                let pool = rayon::ThreadPoolBuilder::new()
+                    .num_threads(threads)
+                    .build()
+                    .unwrap();
+                assert_eq!(pool.install(|| scorecard.to_json_string()), whole);
+            }
+        }
     }
 
     #[test]
