@@ -11,7 +11,6 @@ use crate::error::ParamError;
 /// the choice is immaterial inside the region of interest (night slots
 /// surround midnight).
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[non_exhaustive]
 pub enum KWindowPolicy {
     /// Ratios for slots before the first slot of today come from the most
@@ -41,7 +40,6 @@ pub enum KWindowPolicy {
 /// # }
 /// ```
 #[derive(Copy, Clone, Debug, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct WcmaParams {
     alpha: f64,
     days: usize,

@@ -41,7 +41,6 @@ pub fn conditioning_ratio(measured: f64, mu: Option<f64>) -> f64 {
 /// (and the paper's §IV-C analysis of which term dominates) don't have to
 /// recompute them.
 #[derive(Copy, Clone, Debug, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct WcmaTerms {
     /// The persistence term input `ẽ(n)` (the weighted contribution is
     /// `α · ẽ(n)`).

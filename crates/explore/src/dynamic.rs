@@ -14,7 +14,6 @@ use solar_trace::SlotView;
 /// Results of the clairvoyant dynamic study at one (trace, N, D), in the
 /// layout of the paper's Table V.
 #[derive(Clone, Debug, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct DynamicOutcome {
     /// History depth used.
     pub days: usize,

@@ -55,7 +55,6 @@ impl std::error::Error for GridError {}
 /// assert_eq!(grid.configs(), 11 * 19 * 6);
 /// ```
 #[derive(Clone, Debug, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ParamGrid {
     alphas: Vec<f64>,
     days: Vec<usize>,

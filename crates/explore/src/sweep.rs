@@ -8,7 +8,6 @@ use solar_trace::SlotView;
 /// One optimized configuration with its achieved errors, as reported in
 /// the paper's Tables II and III.
 #[derive(Copy, Clone, Debug, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct OptimalConfig {
     /// The weighting parameter α.
     pub alpha: f64,

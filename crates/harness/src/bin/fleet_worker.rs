@@ -1,15 +1,17 @@
-//! One shard of a supervised fleet run.
+//! One shard of a supervised fleet run — the harness's only worker.
 //!
 //! This is the child process the supervisor spawns, times out, kills,
 //! and retries. It evaluates shard `i` of `N` of a named workload and
 //! lands a checksummed artifact at `--shard-out`; under `--chaos` it
 //! deterministically sabotages itself first (see
-//! [`fleet_harness::chaos`]).
+//! [`fleet_harness::chaos`]). The workload flags are read by
+//! [`Workload::from_args`], the inverse of the `Workload::to_args`
+//! the supervisor spawns it with.
 //!
 //! ```text
 //! fleet_worker --workload tiny|smoke|builtin|generated:N|golden200
 //!              --seed S --shard i/N --shard-out PATH
-//!              [--v2] [--budget BYTES] [--threads T]
+//!              [--v2] [--threads T]
 //!              [--chaos SEED --attempt K] [--fail]
 //! ```
 //!
@@ -19,46 +21,19 @@ use fleet_harness::worker::{ChaosSpec, WorkerConfig};
 use fleet_harness::{exit, run_worker, Workload};
 
 fn parse_args() -> Result<(Workload, WorkerConfig), String> {
-    let mut kind: Option<String> = None;
-    let mut seed: Option<u64> = None;
-    let mut v2 = false;
-    let mut budget: Option<u64> = None;
-    let mut threads: Option<usize> = None;
+    let (workload, rest) = Workload::from_args(std::env::args().skip(1))?;
     let mut shard: Option<(usize, usize)> = None;
     let mut out: Option<std::path::PathBuf> = None;
     let mut chaos_seed: Option<u64> = None;
     let mut attempt: u32 = 0;
     let mut fail = false;
 
-    let mut args = std::env::args().skip(1);
+    let mut args = rest.into_iter();
     let next = |args: &mut dyn Iterator<Item = String>, flag: &str| {
         args.next().ok_or_else(|| format!("{flag} needs a value"))
     };
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--workload" => kind = Some(next(&mut args, "--workload")?),
-            "--seed" => {
-                seed = Some(
-                    next(&mut args, "--seed")?
-                        .parse()
-                        .map_err(|e| format!("bad seed: {e}"))?,
-                )
-            }
-            "--v2" => v2 = true,
-            "--budget" => {
-                budget = Some(
-                    next(&mut args, "--budget")?
-                        .parse()
-                        .map_err(|e| format!("bad budget: {e}"))?,
-                )
-            }
-            "--threads" => {
-                threads = Some(
-                    next(&mut args, "--threads")?
-                        .parse()
-                        .map_err(|e| format!("bad threads: {e}"))?,
-                )
-            }
             "--shard" => {
                 let spec = next(&mut args, "--shard")?;
                 let (index, count) = spec
@@ -87,11 +62,8 @@ fn parse_args() -> Result<(Workload, WorkerConfig), String> {
         }
     }
 
-    let kind = kind.ok_or("--workload is required")?;
-    let seed = seed.ok_or("--seed is required")?;
     let (shard_index, shard_count) = shard.ok_or("--shard is required")?;
     let out_path = out.ok_or("--shard-out is required")?;
-    let workload = Workload::from_cli(&kind, seed, v2, budget, threads)?;
     Ok((
         workload,
         WorkerConfig {

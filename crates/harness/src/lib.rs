@@ -6,10 +6,11 @@
 //! whole evaluation was gone. The harness moves the shard boundary to
 //! the *process* boundary and makes it survivable:
 //!
-//! * [`worker`] — `fleet_worker --shard i/N` evaluates one shard
-//!   in-process and lands a [`worker::ShardRunArtifact`] (rankings,
-//!   manifest, quarantined scenarios, deterministic ledger) as a
-//!   checksummed, atomically-written file;
+//! * [`worker`] — `fleet_worker --shard i/N`, the one worker front
+//!   end, evaluates one shard in-process and lands a
+//!   [`worker::ShardRunArtifact`] (its sub-matrix run's scorecard
+//!   tables, manifest, quarantined scenarios, deterministic ledger) as
+//!   a checksummed, atomically-written file;
 //! * [`artifact`] — the crash-safe envelope: torn, truncated, or
 //!   bit-flipped files are typed errors with byte offsets, never panics
 //!   and never false accepts;
@@ -24,7 +25,9 @@
 //!   pure function, so CI can replay an exact failure storm and pin
 //!   that recovery still lands the golden digests;
 //! * [`workload`] — named matrices both sides of the process boundary
-//!   reconstruct identically from CLI arguments.
+//!   reconstruct identically from CLI arguments
+//!   ([`Workload::to_args`] / [`Workload::from_args`]) and split by one
+//!   shard plan.
 //!
 //! The paper's experiments are cheap; the *fleet-scale* replays this
 //! repo grew around them are not. The harness is what lets those runs

@@ -190,16 +190,7 @@ pub fn run_supervisor(
     if config.max_attempts == 0 {
         return Err("max_attempts must be at least 1".to_string());
     }
-    let matrix = config.workload.matrix()?;
-    if config.shard_count == 0 || config.shard_count > matrix.scenarios.len() {
-        return Err(format!(
-            "shard count {} invalid for {} scenarios",
-            config.shard_count,
-            matrix.scenarios.len()
-        ));
-    }
-    let expected_manifest =
-        ShardManifest::round_robin(&matrix, config.workload.seed, config.shard_count);
+    let (_, expected_manifest) = config.workload.shard_plan(config.shard_count)?;
     let expected_manifest_json = expected_manifest.to_json().render_pretty();
     std::fs::create_dir_all(&config.artifact_dir)
         .map_err(|e| format!("artifact dir {:?}: {e}", config.artifact_dir))?;

@@ -10,19 +10,18 @@
 //! nothing or a complete, verifiable file — never a half-truth the
 //! merge could ingest.
 //!
-//! Shard assignment is [`ShardManifest::round_robin`] over the *full*
-//! matrix, exactly the split
-//! [`FleetEngine::run_sharded`](scenario_fleet::FleetEngine) uses
-//! in-process — which is what makes "1 host ≡ N processes" hold
-//! byte-for-byte: per-scenario seeds derive from (master seed, scenario
-//! name), so evaluating a sub-matrix reproduces the full run's tables
-//! for those scenarios exactly.
+//! Shard assignment is the workload's shard plan:
+//! [`ShardManifest::round_robin`] over the *full* matrix, exactly the
+//! split [`FleetEngine::run_sharded`](scenario_fleet::FleetEngine) uses
+//! in-process. The artifact's tables are the sub-matrix run's own
+//! scorecard tables — the worker ranks nothing itself. That is what
+//! makes "1 host ≡ N processes" hold byte-for-byte: per-scenario seeds
+//! derive from (master seed, scenario name), so evaluating a sub-matrix
+//! reproduces the full run's tables for those scenarios exactly.
 
 use std::path::PathBuf;
 
-use scenario_fleet::{
-    Collector, FleetMatrix, QuarantinedScenario, Scorecard, ScorecardShard, ShardManifest,
-};
+use scenario_fleet::{Collector, FleetMatrix, QuarantinedScenario, ScorecardShard, ShardManifest};
 
 use crate::artifact::{self, ArtifactError, ArtifactErrorKind};
 use crate::chaos::{ChaosMode, ChaosPlan};
@@ -210,20 +209,7 @@ pub fn run_worker(workload: &Workload, config: &WorkerConfig) -> Result<i32, Str
         _ => {}
     }
 
-    let matrix = workload.matrix()?;
-    if !matrix.fleet_faults.is_empty() {
-        // Correlated fleet faults project against the full scenario
-        // list; slicing the matrix first would change what they hit.
-        return Err("fleet-fault matrices cannot be process-sharded".to_string());
-    }
-    if config.shard_count > matrix.scenarios.len() {
-        return Err(format!(
-            "{} shards over {} scenarios leaves empty shards",
-            config.shard_count,
-            matrix.scenarios.len()
-        ));
-    }
-    let manifest = ShardManifest::round_robin(&matrix, workload.seed, config.shard_count);
+    let (matrix, manifest) = workload.shard_plan(config.shard_count)?;
     let sub_matrix = shard_sub_matrix(&matrix, &manifest, config.shard_index)?;
 
     let collector = Collector::recording();
@@ -244,8 +230,8 @@ pub fn run_worker(workload: &Workload, config: &WorkerConfig) -> Result<i32, Str
         shard: ScorecardShard {
             shard_index: config.shard_index,
             master_seed: workload.seed,
-            per_scenario: Scorecard::per_scenario_rankings(&sub_matrix, &result.outcomes),
-            cost: pred_metrics::CostAggregate::of(result.outcomes.iter().map(|o| o.cost)),
+            per_scenario: result.scorecard.per_scenario,
+            cost: result.scorecard.cost,
         },
         quarantined: result.quarantined,
         ledger: collector.ledger(),
@@ -276,6 +262,7 @@ pub fn run_worker(workload: &Workload, config: &WorkerConfig) -> Result<i32, Str
 mod tests {
     use super::*;
     use crate::workload::WorkloadKind;
+    use scenario_fleet::Scorecard;
 
     fn temp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("harness_worker_{tag}_{}", std::process::id()));
@@ -318,6 +305,14 @@ mod tests {
             manifest, in_process.manifest,
             "worker processes must split the matrix exactly as the in-process reduction"
         );
+        assert_eq!(shards.len(), in_process.shards.len());
+        for (worker_shard, in_process_shard) in shards.iter().zip(&in_process.shards) {
+            assert_eq!(
+                worker_shard.to_json().render_pretty(),
+                in_process_shard.to_json().render_pretty(),
+                "each worker's shard must equal the in-process shard, jobs and peak candidates included"
+            );
+        }
         let merged = Scorecard::merge_shards(&manifest, &shards).unwrap();
         let reference = workload.engine().run(&matrix).unwrap();
         assert_eq!(

@@ -5,14 +5,14 @@
 //! can only agree on *what to evaluate* through the command line. A
 //! [`Workload`] is that agreement made first-class: a small value that
 //! both sides construct identically — the supervisor to derive the
-//! expected [`ShardManifest`](scenario_fleet::ShardManifest) and
-//! coverage, the worker to build the matrix it actually runs — with a
-//! lossless [`Workload::to_args`]/[`Workload::from_cli`] round-trip
-//! between them.
+//! expected [`ShardManifest`] and coverage, the worker to build the
+//! matrix it actually runs — with a lossless
+//! [`Workload::to_args`]/[`Workload::from_args`] round-trip between
+//! them, and one `Workload::shard_plan` for both to split by.
 
 use scenario_fleet::{
     Catalog, CatalogGenerator, FleetEngine, FleetMatrix, ManagerSpec, PredictorSpec, Scenario,
-    StreamVersion, TraceCachePolicy,
+    ShardManifest, StreamVersion, TraceCachePolicy,
 };
 
 /// Which matrix a workload expands to.
@@ -50,20 +50,17 @@ pub struct Workload {
     /// Evaluate on the v2 (lane-order) synthesis stream. Only the
     /// generated kinds carry a stream version.
     pub v2: bool,
-    /// Trace-cache budget override in bytes (kind default otherwise).
-    pub budget: Option<u64>,
     /// Worker-thread override (rayon default otherwise).
     pub threads: Option<usize>,
 }
 
 impl Workload {
-    /// A workload of `kind` under `seed`, with kind-default budget.
+    /// A workload of `kind` under `seed`.
     pub fn new(seed: u64, kind: WorkloadKind) -> Self {
         Workload {
             seed,
             kind,
             v2: false,
-            budget: None,
             threads: None,
         }
     }
@@ -75,12 +72,6 @@ impl Workload {
         self
     }
 
-    /// Override the trace-cache budget.
-    pub fn with_budget(mut self, bytes: u64) -> Self {
-        self.budget = Some(bytes);
-        self
-    }
-
     /// Override the worker-thread count.
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = Some(threads);
@@ -89,10 +80,10 @@ impl Workload {
 
     /// The trace-cache budget this workload runs under.
     pub fn effective_budget(&self) -> u64 {
-        self.budget.unwrap_or(match self.kind {
+        match self.kind {
             WorkloadKind::Tiny | WorkloadKind::Smoke => 2 << 20,
             _ => 4 << 20,
-        })
+        }
     }
 
     fn builtin_subset(names: &[&str]) -> Result<Vec<Scenario>, String> {
@@ -173,6 +164,29 @@ impl Workload {
         FleetMatrix::new(predictors, managers, scenarios)
     }
 
+    /// The matrix and its [`ShardManifest::round_robin`] split into
+    /// `shard_count` shards — the plan the supervisor expects and every
+    /// worker runs its shard of.
+    ///
+    /// # Errors
+    ///
+    /// A shard count outside `1..=scenarios` (an empty shard has nothing
+    /// to run), or a matrix that does not expand.
+    pub(crate) fn shard_plan(
+        &self,
+        shard_count: usize,
+    ) -> Result<(FleetMatrix, ShardManifest), String> {
+        let matrix = self.matrix()?;
+        if shard_count == 0 || shard_count > matrix.scenarios.len() {
+            return Err(format!(
+                "shard count {shard_count} invalid for {} scenarios",
+                matrix.scenarios.len()
+            ));
+        }
+        let manifest = ShardManifest::round_robin(&matrix, self.seed, shard_count);
+        Ok((matrix, manifest))
+    }
+
     /// The engine this workload evaluates under (bounded trace cache,
     /// optional thread pin). Collector, quarantine, and chaos are the
     /// worker's to attach.
@@ -225,10 +239,6 @@ impl Workload {
         if self.v2 {
             args.push("--v2".to_string());
         }
-        if let Some(budget) = self.budget {
-            args.push("--budget".to_string());
-            args.push(budget.to_string());
-        }
         if let Some(threads) = self.threads {
             args.push("--threads".to_string());
             args.push(threads.to_string());
@@ -236,22 +246,44 @@ impl Workload {
         args
     }
 
-    /// Reassembles a workload from parsed CLI pieces — the inverse of
-    /// [`Workload::to_args`].
-    pub fn from_cli(
-        kind: &str,
-        seed: u64,
-        v2: bool,
-        budget: Option<u64>,
-        threads: Option<usize>,
-    ) -> Result<Workload, String> {
-        Ok(Workload {
-            seed,
-            kind: Self::parse_kind(kind)?,
+    /// Parses the workload flags out of a command line — the inverse of
+    /// [`Workload::to_args`]. `--workload` and `--seed` are required;
+    /// `--v2` and `--threads` are optional; a repeated flag overrides
+    /// the earlier one. Every other argument is returned, in order, for
+    /// the caller to parse.
+    ///
+    /// # Errors
+    ///
+    /// A missing `--workload` or `--seed`, a flag without its value, or
+    /// a value that does not parse.
+    pub fn from_args(
+        args: impl IntoIterator<Item = String>,
+    ) -> Result<(Workload, Vec<String>), String> {
+        let mut kind = None;
+        let mut seed = None;
+        let mut v2 = false;
+        let mut threads = None;
+        let mut rest = Vec::new();
+        let mut args = args.into_iter();
+        while let Some(arg) = args.next() {
+            let mut value = || args.next().ok_or_else(|| format!("{arg} needs a value"));
+            match arg.as_str() {
+                "--workload" => kind = Some(Self::parse_kind(&value()?)?),
+                "--seed" => seed = Some(value()?.parse().map_err(|e| format!("bad seed: {e}"))?),
+                "--v2" => v2 = true,
+                "--threads" => {
+                    threads = Some(value()?.parse().map_err(|e| format!("bad threads: {e}"))?)
+                }
+                _ => rest.push(arg),
+            }
+        }
+        let workload = Workload {
+            seed: seed.ok_or("--seed is required")?,
+            kind: kind.ok_or("--workload is required")?,
             v2,
-            budget,
             threads,
-        })
+        };
+        Ok((workload, rest))
     }
 }
 
@@ -259,38 +291,82 @@ impl Workload {
 mod tests {
     use super::*;
 
+    fn args(words: &[&str]) -> Vec<String> {
+        words.iter().map(|w| w.to_string()).collect()
+    }
+
     #[test]
     fn args_round_trip() {
         for workload in [
             Workload::new(42, WorkloadKind::Tiny),
-            Workload::new(7, WorkloadKind::Smoke).with_budget(1 << 20),
+            Workload::new(7, WorkloadKind::Smoke).with_threads(1),
             Workload::new(2026, WorkloadKind::Golden200)
                 .with_v2(true)
                 .with_threads(2),
             Workload::new(9, WorkloadKind::Generated { count: 16 }),
         ] {
-            let args = workload.to_args();
-            // Re-parse the flag stream the way the worker binary does.
-            let mut kind = None;
-            let mut seed = None;
-            let mut v2 = false;
-            let mut budget = None;
-            let mut threads = None;
-            let mut iter = args.iter();
-            while let Some(arg) = iter.next() {
-                match arg.as_str() {
-                    "--workload" => kind = iter.next().cloned(),
-                    "--seed" => seed = iter.next().map(|s| s.parse().unwrap()),
-                    "--v2" => v2 = true,
-                    "--budget" => budget = iter.next().map(|s| s.parse().unwrap()),
-                    "--threads" => threads = iter.next().map(|s| s.parse().unwrap()),
-                    other => panic!("unexpected arg {other}"),
-                }
-            }
-            let parsed =
-                Workload::from_cli(kind.as_deref().unwrap(), seed.unwrap(), v2, budget, threads)
-                    .unwrap();
+            let (parsed, rest) = Workload::from_args(workload.to_args()).unwrap();
             assert_eq!(parsed, workload);
+            assert!(rest.is_empty(), "{rest:?}");
+        }
+        // Foreign flags pass through in order, and a later workload flag
+        // overrides an earlier one — the supervisor puts its defaults
+        // ahead of the user's arguments.
+        for (words, workload, rest) in [
+            (
+                &[
+                    "--shard",
+                    "1/2",
+                    "--workload",
+                    "golden200",
+                    "--fail",
+                    "--seed",
+                    "2026",
+                    "--v2",
+                    "--shard-out",
+                    "out.artifact",
+                ][..],
+                Workload::new(2026, WorkloadKind::Golden200).with_v2(true),
+                &["--shard", "1/2", "--fail", "--shard-out", "out.artifact"][..],
+            ),
+            (
+                &[
+                    "--workload",
+                    "smoke",
+                    "--seed",
+                    "42",
+                    "--workload",
+                    "golden200",
+                    "--seed",
+                    "2026",
+                    "--shards",
+                    "2",
+                ][..],
+                Workload::new(2026, WorkloadKind::Golden200),
+                &["--shards", "2"][..],
+            ),
+        ] {
+            assert_eq!(
+                Workload::from_args(args(words)).unwrap(),
+                (workload, args(rest)),
+                "{words:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn from_args_rejects_missing_and_value_less_flags() {
+        for (words, wanted) in [
+            (&["--seed", "1"][..], "--workload"),
+            (&["--workload", "tiny"][..], "--seed"),
+            (
+                &["--workload", "tiny", "--seed"][..],
+                "--seed needs a value",
+            ),
+            (&["--workload", "tiny", "--seed", "x"][..], "bad seed"),
+        ] {
+            let err = Workload::from_args(args(words)).unwrap_err();
+            assert!(err.contains(wanted), "{words:?}: {err}");
         }
     }
 

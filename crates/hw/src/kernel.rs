@@ -3,7 +3,6 @@
 /// The shape of one prediction-kernel invocation: what varies the cost in
 /// the paper's Table IV (K and whether the persistence path runs at all).
 #[derive(Copy, Clone, Debug, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct PredictionKernel {
     k: usize,
     alpha: f64,
@@ -65,7 +64,6 @@ impl PredictionKernel {
 
 /// Counts of arithmetic operations of one kernel invocation.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct OpCounts {
     /// Additions/subtractions.
     pub adds: u32,
@@ -96,7 +94,6 @@ impl std::ops::Add for OpCounts {
 /// Per-operation cycle costs for an arithmetic style on a 16-bit MCU
 /// without hardware multiply/divide support for the type.
 #[derive(Copy, Clone, Debug, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct OpCostModel {
     /// Cycles per addition/subtraction.
     pub cycles_add: f64,
@@ -151,7 +148,6 @@ impl OpCostModel {
 /// `persistence_path = 1266.7` (ADC-sample conversion plus the α
 /// multiply-accumulate) and `base = 600`.
 #[derive(Copy, Clone, Debug, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CalibratedCycleModel {
     /// Fixed per-prediction cycles.
     pub base: f64,

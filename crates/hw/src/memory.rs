@@ -8,7 +8,6 @@
 
 /// How one power sample is stored in the history matrix.
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[non_exhaustive]
 pub enum SampleFormat {
     /// IEEE-754 single precision (4 bytes) — the software-float port.
@@ -56,7 +55,6 @@ pub const MSP430F1611_RAM_BYTES: usize = 10 * 1024;
 /// assert!(fp.fits_msp430f1611());
 /// ```
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct MemoryFootprint {
     /// Bytes of the `E_{D×N}` history matrix.
     pub history_bytes: usize,

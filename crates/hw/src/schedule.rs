@@ -6,7 +6,6 @@ use crate::supply::{AdcModel, Supply};
 /// The per-day sampling/prediction schedule: `n` wake-ups per day, one
 /// acquisition and one prediction each.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SamplingSchedule {
     /// Wake-ups (slots) per day — the paper's N.
     pub n: usize,
@@ -52,7 +51,6 @@ impl SamplingSchedule {
 /// The daily energy budget of harvested-power sampling + prediction —
 /// everything in the paper's Table IV bottom rows and Fig. 6.
 #[derive(Copy, Clone, Debug, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct DailyBudget {
     /// Wake-ups per day.
     pub n: usize,

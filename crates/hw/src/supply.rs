@@ -12,7 +12,6 @@
 /// assert!((supply.energy_per_cycle_j() - 1.5e-9).abs() < 1e-15);
 /// ```
 #[derive(Copy, Clone, Debug, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Supply {
     /// Supply voltage in volts.
     pub voltage_v: f64,
@@ -58,7 +57,6 @@ impl Supply {
 /// settling (the dominant term — the MCU sleeps with the reference
 /// powered for 45 ms) plus the conversion itself.
 #[derive(Copy, Clone, Debug, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct AdcModel {
     /// Reference settling time in seconds (paper: 45 ms).
     pub vref_settle_s: f64,

@@ -13,7 +13,6 @@ use crate::summary::ErrorSummary;
 
 /// Collapsed error figures over a set of runs.
 #[derive(Copy, Clone, Debug, Default, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SummaryAggregate {
     /// Number of summaries aggregated (zero-count summaries are skipped).
     pub runs: usize,

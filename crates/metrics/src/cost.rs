@@ -15,7 +15,6 @@
 
 /// Cost of one evaluation job.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct RunCost {
     /// Peak number of candidate configurations the predictor evaluated
     /// per slot (deterministic, spec-derived).
@@ -30,7 +29,6 @@ pub struct RunCost {
 
 /// Collapsed cost figures over a set of jobs.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CostAggregate {
     /// Number of jobs aggregated.
     pub jobs: usize,

@@ -34,7 +34,6 @@ use crate::summary::EvalProtocol;
 /// assert!(profile.mape(2).unwrap() < profile.mape(1).unwrap());
 /// ```
 #[derive(Clone, Debug, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct DiurnalProfile {
     slots_per_day: usize,
     mape: Vec<f64>,

@@ -8,7 +8,6 @@
 
 /// The average error functions discussed in the paper.
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[non_exhaustive]
 pub enum ErrorFunction {
     /// Mean Absolute Percentage Error — the paper's choice (Eq. 8).

@@ -8,7 +8,6 @@
 /// itself (the interval between boundaries `n` and `n+1`), so the record
 /// is keyed by slot `n`.
 #[derive(Copy, Clone, Debug, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct PredictionRecord {
     /// 0-based day of the slot being estimated.
     pub day: u32,
@@ -53,7 +52,6 @@ impl PredictionRecord {
 /// assert_eq!(log.slots_per_day(), 48);
 /// ```
 #[derive(Clone, Debug, Default, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct PredictionLog {
     slots_per_day: usize,
     records: Vec<PredictionRecord>,

@@ -17,7 +17,6 @@
 /// assert!(!roi.includes(50.0, 1000.0));
 /// ```
 #[derive(Copy, Clone, Debug, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct RoiFilter {
     threshold_fraction: f64,
 }

@@ -6,7 +6,6 @@ use crate::roi::RoiFilter;
 
 /// Aggregated error figures of one predictor run under one protocol.
 #[derive(Copy, Clone, Debug, Default, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ErrorSummary {
     /// MAPE against mean slot power (the paper's headline metric), as a
     /// fraction.
@@ -70,7 +69,6 @@ impl std::fmt::Display for ErrorSummary {
 /// assert_eq!(protocol.roi().threshold_fraction(), 0.10);
 /// ```
 #[derive(Copy, Clone, Debug, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct EvalProtocol {
     roi: RoiFilter,
     first_eval_day: u32,

@@ -17,7 +17,6 @@
 //!   picked by thread id), so concurrent workers almost never contend
 //!   and never serialize behind one global buffer.
 
-use crate::json::Json;
 use crate::ledger::Ledger;
 use crate::report::RunReport;
 use crate::spans::{build_tree, scenario_top, SpanRecord};
@@ -179,11 +178,6 @@ impl Collector {
             spans: build_tree(&records),
             scenario_top: scenario_top(&records, SCENARIO_TOP_N),
         }
-    }
-
-    /// `report()` rendered as a JSON document.
-    pub fn report_json(&self) -> Json {
-        self.report().to_json()
     }
 }
 

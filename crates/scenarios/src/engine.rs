@@ -746,16 +746,6 @@ impl FleetEngine {
         self
     }
 
-    /// The attached collector (no-op unless one was attached).
-    pub fn collector(&self) -> &Collector {
-        &self.collector
-    }
-
-    /// The master seed.
-    pub fn master_seed(&self) -> u64 {
-        self.master_seed
-    }
-
     /// An empty cache bound to this engine's seed.
     pub fn new_cache(&self) -> FleetCache {
         FleetCache {
@@ -822,7 +812,7 @@ impl FleetEngine {
         })
     }
 
-    /// Runs the matrix and reduces into `shard_count` scorecard shards
+    /// Runs the matrix and cuts its scorecard into `shard_count` shards
     /// plus the manifest — the artifact set for matrices whose
     /// monolithic scorecard is too large for one document. Scenarios
     /// are assigned by [`ShardManifest::round_robin`], so multi-year
@@ -844,7 +834,8 @@ impl FleetEngine {
         self.run_sharded_cached(matrix, shard_count, &mut cache)
     }
 
-    /// [`FleetEngine::run_sharded`] through a warm cache.
+    /// [`FleetEngine::run_sharded`] through a warm cache: the run's one
+    /// [`Scorecard`], cut into shards by [`ShardManifest::round_robin`].
     ///
     /// # Errors
     ///
@@ -855,32 +846,18 @@ impl FleetEngine {
         shard_count: usize,
         cache: &mut FleetCache,
     ) -> Result<ShardedFleetResult, String> {
-        self.check_cache(cache)?;
-        self.install(|| {
-            let _run_span = self.collector.span("fleet");
-            let evaluated = self.evaluate_matrix(matrix, cache)?;
-            let shard_count =
-                self.clamp_shard_count(shard_count, evaluated.effective.scenarios.len());
-            let _span = self.collector.span("fleet/score");
-            let (manifest, shards) = Self::shard_outcomes(
-                &evaluated.effective,
-                &evaluated.outcomes,
-                self.master_seed,
-                shard_count,
-            )?;
-            self.collector.count(
-                "score/scenarios_ranked",
-                evaluated.effective.scenarios.len() as u64,
-            );
-            Ok(ShardedFleetResult {
-                manifest,
-                shards,
-                outcomes: evaluated.outcomes,
-                cached_jobs: evaluated.cached_jobs,
-                streamed_jobs: evaluated.streamed_jobs,
-                passes: evaluated.passes,
-                quarantined: evaluated.quarantined,
-            })
+        let result = self.run_cached(matrix, cache)?;
+        let shard_count = self.clamp_shard_count(shard_count, matrix.scenarios.len());
+        let manifest = ShardManifest::round_robin(matrix, self.master_seed, shard_count);
+        let shards = result.scorecard.into_shards(&manifest, &result.outcomes);
+        Ok(ShardedFleetResult {
+            manifest,
+            shards,
+            outcomes: result.outcomes,
+            cached_jobs: result.cached_jobs,
+            streamed_jobs: result.streamed_jobs,
+            passes: result.passes,
+            quarantined: result.quarantined,
         })
     }
 
@@ -1240,50 +1217,6 @@ impl FleetEngine {
             passes,
             quarantined,
         })
-    }
-
-    /// Splits outcomes into per-shard scorecards plus the manifest.
-    fn shard_outcomes(
-        matrix: &FleetMatrix,
-        outcomes: &[JobOutcome],
-        master_seed: u64,
-        shard_count: usize,
-    ) -> Result<(ShardManifest, Vec<ScorecardShard>), String> {
-        if shard_count == 0 {
-            return Err("shard count must be at least 1".to_string());
-        }
-        if shard_count > matrix.scenarios.len() {
-            return Err(format!(
-                "shard count {shard_count} exceeds the {} scenarios",
-                matrix.scenarios.len()
-            ));
-        }
-        let rankings = Scorecard::per_scenario_rankings(matrix, outcomes);
-        let manifest = ShardManifest::round_robin(matrix, master_seed, shard_count);
-        let shard_of = |scenario_idx: usize| manifest.scenarios[scenario_idx].1;
-        let shards = (0..shard_count)
-            .map(|shard_index| {
-                let per_scenario: Vec<_> = rankings
-                    .iter()
-                    .enumerate()
-                    .filter(|&(idx, _)| shard_of(idx) == shard_index)
-                    .map(|(_, ranking)| ranking.clone())
-                    .collect();
-                let cost = pred_metrics::CostAggregate::of(
-                    outcomes
-                        .iter()
-                        .filter(|o| shard_of(o.spec.scenario_idx) == shard_index)
-                        .map(|o| o.cost),
-                );
-                ScorecardShard {
-                    shard_index,
-                    master_seed,
-                    per_scenario,
-                    cost,
-                }
-            })
-            .collect();
-        Ok((manifest, shards))
     }
 
     /// The deterministic per-scenario seed: stable across runs, thread

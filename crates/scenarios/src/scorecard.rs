@@ -223,9 +223,37 @@ impl Scorecard {
         }
     }
 
+    /// Cuts the scorecard into the shards `manifest` assigns: each
+    /// per-scenario table moves to its shard, keeping matrix order, and
+    /// each shard's cost aggregates the outcomes of its scenarios. The
+    /// one source of shard tables, so a shard is always a slice of the
+    /// run's scorecard.
+    pub(crate) fn into_shards(
+        self,
+        manifest: &ShardManifest,
+        outcomes: &[JobOutcome],
+    ) -> Vec<ScorecardShard> {
+        let mut shards: Vec<ScorecardShard> = (0..manifest.shard_count)
+            .map(|shard_index| ScorecardShard {
+                shard_index,
+                master_seed: self.master_seed,
+                per_scenario: Vec::new(),
+                cost: CostAggregate::default(),
+            })
+            .collect();
+        for (ranking, (_, shard)) in self.per_scenario.into_iter().zip(&manifest.scenarios) {
+            shards[*shard].per_scenario.push(ranking);
+        }
+        for outcome in outcomes {
+            let shard = manifest.scenarios[outcome.spec.scenario_idx].1;
+            shards[shard].cost.add(outcome.cost);
+        }
+        shards
+    }
+
     /// The per-scenario ranking tables of a matrix's outcomes, in matrix
-    /// scenario order — the unit a [`ScorecardShard`] carries.
-    pub fn per_scenario_rankings(
+    /// scenario order.
+    fn per_scenario_rankings(
         matrix: &FleetMatrix,
         outcomes: &[JobOutcome],
     ) -> Vec<ScenarioRanking> {

@@ -20,7 +20,6 @@ use crate::error::SimError;
 /// # }
 /// ```
 #[derive(Copy, Clone, Debug, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Load {
     active_w: f64,
     sleep_w: f64,

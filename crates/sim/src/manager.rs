@@ -2,7 +2,6 @@
 
 /// Everything a manager sees when planning the next slot.
 #[derive(Copy, Clone, Debug, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SlotContext {
     /// Predicted harvested power over the next slot, in watts (already
     /// through the panel).
@@ -57,7 +56,6 @@ impl<M: PowerManager + ?Sized> PowerManager for &mut M {
 /// every harvested joule — which is exactly why prediction accuracy
 /// matters for management (paper §I).
 #[derive(Copy, Clone, Debug, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct EnergyNeutralManager {
     /// Lower duty bound (application's minimum service level).
     pub min_duty: f64,

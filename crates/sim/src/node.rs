@@ -28,7 +28,6 @@ pub struct NodeConfig {
 /// precision; [`NodeReport::energy_balance_error_j`] measures the
 /// residual and is property-tested to be ~0.
 #[derive(Clone, Debug, Default, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct NodeReport {
     /// Slots simulated.
     pub slots: usize,

@@ -20,7 +20,6 @@ use crate::error::SimError;
 /// # }
 /// ```
 #[derive(Copy, Clone, Debug, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SolarPanel {
     area_m2: f64,
     efficiency: f64,

@@ -4,7 +4,6 @@ use crate::error::SimError;
 
 /// Result of offering energy to the store.
 #[derive(Copy, Clone, Debug, Default, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ChargeOutcome {
     /// Energy actually added to the store (after efficiency and capacity).
     pub stored_j: f64,
@@ -33,7 +32,6 @@ pub struct ChargeOutcome {
 /// # }
 /// ```
 #[derive(Clone, Debug, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct EnergyStorage {
     capacity_j: f64,
     level_j: f64,

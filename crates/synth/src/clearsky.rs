@@ -8,7 +8,6 @@
 
 /// A clear-sky GHI model mapping solar elevation to irradiance.
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[non_exhaustive]
 pub enum ClearSkyModel {
     /// Haurwitz (1945): `GHI = 1098 · sin h · exp(−0.057 / sin h)`.

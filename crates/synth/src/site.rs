@@ -14,7 +14,6 @@ use solar_trace::Resolution;
 
 /// One of the six paper data-set sites.
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Site {
     /// NREL Solar Radiation Research Laboratory area, Golden, Colorado
     /// (paper code SPMD) — continental, 5-minute resolution.
@@ -153,7 +152,6 @@ impl std::fmt::Display for Site {
 /// assert_eq!(config.resolution.as_seconds(), 60);
 /// ```
 #[derive(Clone, Debug, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SiteConfig {
     /// Site label used for generated traces.
     pub name: String,

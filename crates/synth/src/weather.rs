@@ -37,7 +37,6 @@ use rand::Rng;
 /// simply *different* streams. Catalog JSON and generated-scenario ids
 /// carry the version, so an id never silently changes meaning.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum StreamVersion {
     /// Scalar draw order (the original stream); the default.
     #[default]
@@ -48,7 +47,6 @@ pub enum StreamVersion {
 
 /// Gross sky condition of one day.
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum DayCondition {
     /// Mostly cloudless; high, stable clearness.
     Clear,
@@ -87,7 +85,6 @@ impl std::fmt::Display for DayCondition {
 
 /// Per-condition clearness statistics and intra-day noise parameters.
 #[derive(Copy, Clone, Debug, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ConditionParams {
     /// Mean base clearness index (fraction of clear-sky GHI).
     pub clearness_mean: f64,
@@ -112,7 +109,6 @@ pub struct ConditionParams {
 /// assert!(pi[0] > 0.7);
 /// ```
 #[derive(Clone, Debug, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct WeatherModel {
     /// Row-stochastic transition matrix over `DayCondition::ALL` order.
     pub transition: [[f64; 3]; 3],
@@ -145,7 +141,6 @@ pub struct WeatherModel {
     /// Which RNG draw order the generator uses for this model
     /// ([`StreamVersion::V1`] is the pinned legacy stream and the
     /// default).
-    #[cfg_attr(feature = "serde", serde(default))]
     pub stream_version: StreamVersion,
 }
 

@@ -12,7 +12,6 @@ use std::fmt;
 
 /// Identifies one slot of one day.
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SlotId {
     /// 0-based day index.
     pub day: u32,

@@ -24,7 +24,6 @@ use std::fmt;
 /// # }
 /// ```
 #[derive(Clone, Debug, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TraceStats {
     /// Number of samples.
     pub observations: usize,

@@ -33,7 +33,6 @@ pub const SECONDS_PER_DAY: u32 = 86_400;
 /// # }
 /// ```
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Resolution(u32);
 
 impl Resolution {
@@ -116,7 +115,6 @@ impl fmt::Display for Resolution {
 /// # }
 /// ```
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SlotsPerDay(u32);
 
 impl SlotsPerDay {

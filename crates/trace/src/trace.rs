@@ -30,7 +30,6 @@ use std::fmt;
 /// # }
 /// ```
 #[derive(Clone, Debug, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct PowerTrace {
     label: String,
     resolution: Resolution,

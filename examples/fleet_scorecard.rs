@@ -9,7 +9,6 @@
 //! cargo run --release --example fleet_scorecard -- 42 --shards 4
 //! cargo run --release --example fleet_scorecard -- --smoke
 //! cargo run --release --example fleet_scorecard -- --generated 64 --smoke
-//! cargo run --release --example fleet_scorecard -- --shard 0/2 --shard-out s0.artifact --smoke
 //! ```
 //!
 //! * positional args: master seed, then worker-thread count;
@@ -30,15 +29,8 @@
 //!   `PATH`, plus a text summary to stdout. Collection does not move a
 //!   byte of the scorecard output.
 //!
-//! **Worker mode** — `--shard i/N --shard-out PATH` runs one shard of
-//! the matrix through the fault-tolerant harness protocol instead:
-//! the shard's rankings, manifest, quarantined scenarios, and ledger
-//! land at `PATH` as a checksummed, atomically-written artifact (see
-//! `fleet_harness`). `--chaos SEED --attempt K` adds deterministic
-//! fault injection. The matrix flags map to named workloads: plain
-//! `--smoke` is the `smoke` workload, `--generated N` is
-//! `generated:N` (extended predictor family), and no flag is the full
-//! `builtin` catalog.
+//! Shards here are in-process; a shard in its own process runs through
+//! the harness's `fleet_worker` (see `fleet_supervisor`).
 //!
 //! The run is deterministic for a given seed: the scorecard JSON (also
 //! written to `target/fleet_scorecard.json`) is byte-identical across
@@ -47,8 +39,7 @@
 //! Exit codes follow `fleet_harness::exit`: 0 success, 3 failure,
 //! 64 usage.
 
-use fleet_harness::worker::{ChaosSpec, WorkerConfig};
-use fleet_harness::{exit, run_worker, Workload, WorkloadKind};
+use fleet_harness::exit;
 use scenario_fleet::{
     Catalog, CatalogGenerator, Collector, FleetEngine, FleetMatrix, ManagerSpec, PredictorSpec,
     RunReport, Scorecard, TraceCachePolicy,
@@ -62,10 +53,6 @@ struct Args {
     smoke: bool,
     generated: Option<usize>,
     report: Option<std::path::PathBuf>,
-    shard: Option<(usize, usize)>,
-    shard_out: Option<std::path::PathBuf>,
-    chaos: Option<u64>,
-    attempt: u32,
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -96,29 +83,6 @@ fn parse_args() -> Result<Args, String> {
                 )
             }
             "--report" => args.report = Some(next(&mut iter, "--report")?.into()),
-            "--shard" => {
-                let spec = next(&mut iter, "--shard")?;
-                let (index, count) = spec
-                    .split_once('/')
-                    .ok_or_else(|| format!("--shard wants i/N, got {spec:?}"))?;
-                args.shard = Some((
-                    index.parse().map_err(|e| format!("bad shard index: {e}"))?,
-                    count.parse().map_err(|e| format!("bad shard count: {e}"))?,
-                ));
-            }
-            "--shard-out" => args.shard_out = Some(next(&mut iter, "--shard-out")?.into()),
-            "--chaos" => {
-                args.chaos = Some(
-                    next(&mut iter, "--chaos")?
-                        .parse()
-                        .map_err(|e| format!("bad chaos seed: {e}"))?,
-                )
-            }
-            "--attempt" => {
-                args.attempt = next(&mut iter, "--attempt")?
-                    .parse()
-                    .map_err(|e| format!("bad attempt: {e}"))?
-            }
             other => positional.push(
                 other
                     .parse()
@@ -133,41 +97,7 @@ fn parse_args() -> Result<Args, String> {
     Ok(args)
 }
 
-/// Worker mode: one shard, through the harness protocol.
-fn run_shard(args: &Args) -> Result<i32, String> {
-    let (shard_index, shard_count) = args.shard.expect("worker mode requires --shard");
-    let out_path = args
-        .shard_out
-        .clone()
-        .ok_or("--shard requires --shard-out")?;
-    let kind = match args.generated {
-        Some(count) => WorkloadKind::Generated { count },
-        None if args.smoke => WorkloadKind::Smoke,
-        None => WorkloadKind::Builtin,
-    };
-    let mut workload = Workload::new(args.seed, kind);
-    if let Some(threads) = args.threads {
-        workload = workload.with_threads(threads);
-    }
-    run_worker(
-        &workload,
-        &WorkerConfig {
-            shard_index,
-            shard_count,
-            out_path,
-            chaos: args.chaos.map(|seed| ChaosSpec {
-                seed,
-                attempt: args.attempt,
-            }),
-            fail: false,
-        },
-    )
-}
-
 fn run(args: Args) -> Result<i32, String> {
-    if args.shard.is_some() {
-        return run_shard(&args);
-    }
     let seed = args.seed;
     let threads = args.threads;
 

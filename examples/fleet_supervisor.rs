@@ -8,8 +8,9 @@
 //! ```
 //!
 //! * `--workload tiny|smoke|builtin|generated:N|golden200` (default
-//!   `smoke`), `--seed S` (default 42), `--v2`, `--budget BYTES`,
-//!   `--threads T` — the workload, exactly as `fleet_worker` sees it;
+//!   `smoke`), `--seed S` (default 42), `--v2`, `--threads T` — the
+//!   workload, parsed by `Workload::from_args` exactly as
+//!   `fleet_worker` parses it;
 //! * `--shards N` (default 2) — worker processes to split across;
 //! * `--timeout-ms N` / `--retries N` / `--backoff-ms N` — supervision
 //!   policy (defaults: 10 min, 4 attempts, 25 ms doubling backoff);
@@ -58,11 +59,10 @@ fn default_worker() -> Result<std::path::PathBuf, String> {
 }
 
 fn parse_args() -> Result<Args, String> {
-    let mut kind = "smoke".to_string();
-    let mut seed = 42u64;
-    let mut v2 = false;
-    let mut budget = None;
-    let mut threads = None;
+    // The defaults go first, so the user's own --workload/--seed win.
+    let defaults = ["--workload", "smoke", "--seed", "42"].map(String::from);
+    let (workload, rest) =
+        Workload::from_args(defaults.into_iter().chain(std::env::args().skip(1)))?;
     let mut shards = 2usize;
     let mut timeout = Duration::from_secs(600);
     let mut retries = fleet_harness::MAX_FAIL_ATTEMPTS + 1;
@@ -74,20 +74,13 @@ fn parse_args() -> Result<Args, String> {
     let mut expect_digest = None;
     let mut worker = None;
 
-    let mut args = std::env::args().skip(1);
+    let mut args = rest.into_iter();
     let next = |args: &mut dyn Iterator<Item = String>, flag: &str| {
         args.next().ok_or_else(|| format!("{flag} needs a value"))
     };
     while let Some(arg) = args.next() {
         let parse_err = |e: std::num::ParseIntError| format!("{arg}: {e}");
         match arg.as_str() {
-            "--workload" => kind = next(&mut args, "--workload")?,
-            "--seed" => seed = next(&mut args, "--seed")?.parse().map_err(parse_err)?,
-            "--v2" => v2 = true,
-            "--budget" => budget = Some(next(&mut args, "--budget")?.parse().map_err(parse_err)?),
-            "--threads" => {
-                threads = Some(next(&mut args, "--threads")?.parse().map_err(parse_err)?)
-            }
             "--shards" => shards = next(&mut args, "--shards")?.parse().map_err(parse_err)?,
             "--timeout-ms" => {
                 timeout = Duration::from_millis(
@@ -120,7 +113,6 @@ fn parse_args() -> Result<Args, String> {
         }
     }
 
-    let workload = Workload::from_cli(&kind, seed, v2, budget, threads)?;
     let worker_program = match worker {
         Some(path) => path,
         None => default_worker()?,
