@@ -10,7 +10,8 @@
 //!   end, evaluates one shard in-process and lands a
 //!   [`worker::ShardRunArtifact`] (its sub-matrix run's scorecard
 //!   tables, manifest, quarantined scenarios, deterministic ledger) as
-//!   a checksummed, atomically-written file;
+//!   a checksummed, atomically-written file; its shard flags round-trip
+//!   through [`WorkerConfig::to_args`] / [`WorkerConfig::from_args`];
 //! * [`artifact`] — the crash-safe envelope: torn, truncated, or
 //!   bit-flipped files are typed errors with byte offsets, never panics
 //!   and never false accepts;

@@ -34,7 +34,7 @@ use std::time::{Duration, Instant};
 use scenario_fleet::{Collector, CoverageManifest, Scorecard, ScorecardShard, ShardManifest};
 
 use crate::exit;
-use crate::worker::ShardRunArtifact;
+use crate::worker::{ChaosSpec, ShardRunArtifact, WorkerConfig};
 use crate::workload::Workload;
 
 /// How a supervised run ended.
@@ -226,29 +226,20 @@ pub fn run_supervisor(
                         continue;
                     }
                     let attempt = *attempt;
-                    let out_path = config
-                        .artifact_dir
-                        .join(format!("shard_{shard_index}_attempt_{attempt}.artifact"));
-                    let mut command = Command::new(&config.worker_program);
-                    command
+                    let worker = WorkerConfig {
+                        shard_index,
+                        shard_count: config.shard_count,
+                        out_path: config
+                            .artifact_dir
+                            .join(format!("shard_{shard_index}_attempt_{attempt}.artifact")),
+                        chaos: config.chaos_seed.map(|seed| ChaosSpec { seed, attempt }),
+                        fail: config.fail_shards.contains(&shard_index),
+                    };
+                    let child = Command::new(&config.worker_program)
                         .args(config.workload.to_args())
-                        .arg("--shard")
-                        .arg(format!("{shard_index}/{}", config.shard_count))
-                        .arg("--shard-out")
-                        .arg(&out_path)
+                        .args(worker.to_args())
                         .stdout(Stdio::null())
-                        .stderr(Stdio::null());
-                    if let Some(seed) = config.chaos_seed {
-                        command
-                            .arg("--chaos")
-                            .arg(seed.to_string())
-                            .arg("--attempt")
-                            .arg(attempt.to_string());
-                    }
-                    if config.fail_shards.contains(&shard_index) {
-                        command.arg("--fail");
-                    }
-                    let child = command
+                        .stderr(Stdio::null())
                         .spawn()
                         .map_err(|e| format!("spawn {:?}: {e}", config.worker_program))?;
                     collector.count("harness/spawns", 1);
@@ -260,7 +251,7 @@ pub fn run_supervisor(
                         child,
                         attempt,
                         deadline: Instant::now() + config.timeout,
-                        out_path,
+                        out_path: worker.out_path,
                     };
                 }
                 ShardState::Running {

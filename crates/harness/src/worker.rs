@@ -45,7 +45,12 @@ pub struct ChaosSpec {
 
 /// One worker invocation: which shard, where to land the artifact, and
 /// what (if any) chaos to self-inject.
-#[derive(Clone, Debug)]
+///
+/// [`WorkerConfig::to_args`]/[`WorkerConfig::from_args`] are the one
+/// contract for these flags between the supervisor that spawns a worker
+/// and the `fleet_worker` binary that reads them, as
+/// [`Workload::to_args`]/[`Workload::from_args`] are for the workload.
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct WorkerConfig {
     /// This worker's shard in `0..shard_count`.
     pub shard_index: usize,
@@ -58,6 +63,86 @@ pub struct WorkerConfig {
     /// Fail unconditionally (exit nonzero, no artifact) — the
     /// degradation drills' way of exhausting a retry budget.
     pub fail: bool,
+}
+
+impl WorkerConfig {
+    /// The worker-CLI arguments that reconstruct this configuration;
+    /// they follow [`Workload::to_args`] on a worker's command line.
+    pub fn to_args(&self) -> Vec<String> {
+        let mut args = vec![
+            "--shard".to_string(),
+            format!("{}/{}", self.shard_index, self.shard_count),
+            "--shard-out".to_string(),
+            self.out_path.display().to_string(),
+        ];
+        if let Some(spec) = self.chaos {
+            args.extend([
+                "--chaos".to_string(),
+                spec.seed.to_string(),
+                "--attempt".to_string(),
+                spec.attempt.to_string(),
+            ]);
+        }
+        if self.fail {
+            args.push("--fail".to_string());
+        }
+        args
+    }
+
+    /// Parses the worker flags — the inverse of
+    /// [`WorkerConfig::to_args`], applied to what
+    /// [`Workload::from_args`] leaves over. `--shard i/N` and
+    /// `--shard-out` are required; `--attempt` counts only with
+    /// `--chaos` and defaults to 0.
+    ///
+    /// # Errors
+    ///
+    /// A missing required flag, a flag without its value, a value that
+    /// does not parse, or an argument that is not a worker flag.
+    pub fn from_args(args: impl IntoIterator<Item = String>) -> Result<WorkerConfig, String> {
+        let mut shard = None;
+        let mut out_path = None;
+        let mut chaos_seed = None;
+        let mut attempt = 0;
+        let mut fail = false;
+        let mut args = args.into_iter();
+        while let Some(arg) = args.next() {
+            let mut value = || args.next().ok_or_else(|| format!("{arg} needs a value"));
+            match arg.as_str() {
+                "--shard" => {
+                    let spec = value()?;
+                    let (index, count) = spec
+                        .split_once('/')
+                        .ok_or_else(|| format!("--shard wants i/N, got {spec:?}"))?;
+                    shard = Some((
+                        index.parse().map_err(|e| format!("bad shard index: {e}"))?,
+                        count.parse().map_err(|e| format!("bad shard count: {e}"))?,
+                    ));
+                }
+                "--shard-out" => out_path = Some(PathBuf::from(value()?)),
+                "--chaos" => {
+                    chaos_seed = Some(
+                        value()?
+                            .parse()
+                            .map_err(|e| format!("bad chaos seed: {e}"))?,
+                    )
+                }
+                "--attempt" => {
+                    attempt = value()?.parse().map_err(|e| format!("bad attempt: {e}"))?
+                }
+                "--fail" => fail = true,
+                _ => return Err(format!("unknown argument {arg:?}")),
+            }
+        }
+        let (shard_index, shard_count) = shard.ok_or("--shard is required")?;
+        Ok(WorkerConfig {
+            shard_index,
+            shard_count,
+            out_path: out_path.ok_or("--shard-out is required")?,
+            chaos: chaos_seed.map(|seed| ChaosSpec { seed, attempt }),
+            fail,
+        })
+    }
 }
 
 /// Everything one completed worker attempt hands the supervisor.
@@ -268,6 +353,103 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("harness_worker_{tag}_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         dir
+    }
+
+    fn args(words: &[&str]) -> Vec<String> {
+        words.iter().map(|w| w.to_string()).collect()
+    }
+
+    #[test]
+    fn worker_args_round_trip() {
+        for (chaos, fail) in [
+            (None, false),
+            (
+                Some(ChaosSpec {
+                    seed: 101,
+                    attempt: 2,
+                }),
+                false,
+            ),
+            (None, true),
+            (
+                Some(ChaosSpec {
+                    seed: u64::MAX,
+                    attempt: 0,
+                }),
+                true,
+            ),
+        ] {
+            let config = WorkerConfig {
+                shard_index: 1,
+                shard_count: 3,
+                out_path: PathBuf::from("out dir/shard_1_attempt_2.artifact"),
+                chaos,
+                fail,
+            };
+            assert_eq!(WorkerConfig::from_args(config.to_args()), Ok(config));
+        }
+        // What a supervisor spawns: the worker flags follow the workload's.
+        let workload = Workload::new(2026, WorkloadKind::Golden200).with_v2(true);
+        let config = WorkerConfig {
+            shard_index: 0,
+            shard_count: 2,
+            out_path: PathBuf::from("shard_0_attempt_0.artifact"),
+            chaos: Some(ChaosSpec {
+                seed: 7,
+                attempt: 0,
+            }),
+            fail: false,
+        };
+        let (parsed, rest) =
+            Workload::from_args(workload.to_args().into_iter().chain(config.to_args())).unwrap();
+        assert_eq!(parsed, workload);
+        assert_eq!(WorkerConfig::from_args(rest), Ok(config));
+    }
+
+    #[test]
+    fn worker_from_args_rejects_missing_and_malformed_flags() {
+        for (words, wanted) in [
+            (&["--shard-out", "a.artifact"][..], "--shard is required"),
+            (&["--shard", "0/2"][..], "--shard-out is required"),
+            (
+                &["--shard", "0-2", "--shard-out", "a.artifact"][..],
+                "--shard wants i/N, got \"0-2\"",
+            ),
+            (
+                &["--shard", "x/2", "--shard-out", "a.artifact"][..],
+                "bad shard index",
+            ),
+            (
+                &["--shard", "0/", "--shard-out", "a.artifact"][..],
+                "bad shard count",
+            ),
+            (&["--shard"][..], "--shard needs a value"),
+            (
+                &[
+                    "--shard",
+                    "0/2",
+                    "--shard-out",
+                    "a.artifact",
+                    "--chaos",
+                    "x",
+                ][..],
+                "bad chaos seed",
+            ),
+            (
+                &[
+                    "--shard",
+                    "0/2",
+                    "--shard-out",
+                    "a.artifact",
+                    "--threads",
+                    "2",
+                ][..],
+                "unknown argument \"--threads\"",
+            ),
+        ] {
+            let err = WorkerConfig::from_args(args(words)).unwrap_err();
+            assert!(err.contains(wanted), "{words:?}: {err}");
+        }
     }
 
     #[test]

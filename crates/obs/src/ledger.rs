@@ -280,8 +280,8 @@ impl Ledger {
                 .collect::<Result<BTreeMap<_, _>, String>>()?,
             _ => return Err("ledger section \"scenarios\" must be an object".to_string()),
         };
-        // Optional for back-compat: `fleet-run-report/1` ledgers (and
-        // the PR 6 bench schema) predate the histogram plane.
+        // Optional for back-compat: `fleet-run-report/1` ledgers
+        // predate the histogram plane.
         let histograms = match value.get("histograms") {
             None => BTreeMap::new(),
             Some(Json::Obj(pairs)) => pairs

@@ -252,7 +252,9 @@ impl Scorecard {
     }
 
     /// The per-scenario ranking tables of a matrix's outcomes, in matrix
-    /// scenario order.
+    /// scenario order. One pass groups the sorted outcomes by scenario;
+    /// a scenario without outcomes gets an empty table, and an outcome
+    /// whose scenario index lies outside the matrix is skipped.
     fn per_scenario_rankings(
         matrix: &FleetMatrix,
         outcomes: &[JobOutcome],
@@ -265,37 +267,40 @@ impl Scorecard {
                 o.spec.manager_idx,
             )
         });
-        let mut per_scenario = Vec::with_capacity(matrix.scenarios.len());
-        for (scenario_idx, scenario) in matrix.scenarios.iter().enumerate() {
-            let mut entries = Vec::new();
-            for outcome in sorted
-                .iter()
-                .filter(|o| o.spec.scenario_idx == scenario_idx)
-            {
-                let brownout = outcome.report.brownout_rate();
-                let utilization = outcome.report.utilization;
-                let mape = outcome.summary.mape;
-                entries.push(ScoreEntry {
-                    rank: 0,
-                    predictor: outcome.predictor.clone(),
-                    manager: outcome.manager.clone(),
-                    score: service_score(brownout, utilization, mape),
-                    predictions: outcome.summary.count,
-                    peak_candidates: outcome.cost.peak_candidates,
-                    mape,
-                    worst_mape: mape,
-                    brownout_rate: brownout,
-                    utilization,
-                    mean_duty: outcome.report.mean_duty,
-                });
-            }
-            rank(&mut entries);
-            per_scenario.push(ScenarioRanking {
-                scenario: scenario.name.clone(),
-                entries,
+        let mut tables: Vec<Vec<ScoreEntry>> = vec![Vec::new(); matrix.scenarios.len()];
+        for outcome in sorted {
+            let Some(entries) = tables.get_mut(outcome.spec.scenario_idx) else {
+                continue;
+            };
+            let brownout = outcome.report.brownout_rate();
+            let utilization = outcome.report.utilization;
+            let mape = outcome.summary.mape;
+            entries.push(ScoreEntry {
+                rank: 0,
+                predictor: outcome.predictor.clone(),
+                manager: outcome.manager.clone(),
+                score: service_score(brownout, utilization, mape),
+                predictions: outcome.summary.count,
+                peak_candidates: outcome.cost.peak_candidates,
+                mape,
+                worst_mape: mape,
+                brownout_rate: brownout,
+                utilization,
+                mean_duty: outcome.report.mean_duty,
             });
         }
-        per_scenario
+        matrix
+            .scenarios
+            .iter()
+            .zip(tables)
+            .map(|(scenario, mut entries)| {
+                rank(&mut entries);
+                ScenarioRanking {
+                    scenario: scenario.name.clone(),
+                    entries,
+                }
+            })
+            .collect()
     }
 
     /// The overall table as a pure function of the per-scenario tables —
@@ -1124,6 +1129,48 @@ mod tests {
         assert!(card.per_scenario[0].entries.is_empty());
         assert_eq!(card.overall.len(), 4);
         assert!(card.overall.iter().all(|e| e.score.is_finite()));
+    }
+
+    #[test]
+    fn build_is_independent_of_outcome_order() {
+        let matrix = three_scenario_matrix();
+        let full = FleetEngine::new(11).run(&matrix).unwrap().outcomes;
+        let without_middle: Vec<_> = full
+            .iter()
+            .filter(|o| o.spec.scenario_idx != 1)
+            .cloned()
+            .collect();
+        for (outcomes, middle_is_empty) in [(full, false), (without_middle, true)] {
+            let in_job_order = Scorecard::build(&matrix, &outcomes, 11);
+            let reversed: Vec<_> = outcomes.iter().rev().cloned().collect();
+            assert_eq!(
+                Scorecard::build(&matrix, &reversed, 11).to_json_string(),
+                in_job_order.to_json_string(),
+            );
+            // Every matrix scenario keeps its table, in matrix order; a
+            // scenario without outcomes keeps an empty one.
+            let tables: Vec<_> = in_job_order
+                .per_scenario
+                .iter()
+                .map(|r| (r.scenario.as_str(), r.entries.is_empty()))
+                .collect();
+            assert_eq!(
+                tables,
+                [
+                    ("desert-clear-sky", false),
+                    ("marine-fog", middle_is_empty),
+                    ("continental-storms", false),
+                ]
+            );
+            // An outcome outside the matrix reaches no table.
+            let mut stray = outcomes[0].clone();
+            stray.spec.scenario_idx = matrix.scenarios.len();
+            let with_stray: Vec<_> = reversed.into_iter().chain([stray]).collect();
+            assert_eq!(
+                Scorecard::build(&matrix, &with_stray, 11).per_scenario,
+                in_job_order.per_scenario
+            );
+        }
     }
 
     fn three_scenario_matrix() -> FleetMatrix {

@@ -19,8 +19,7 @@
 //! [`FleetCache`]** carries the whole loop: a (scenario, predictor,
 //! manager) job is evaluated exactly once no matter how many rounds or
 //! passes ask for it, and a cached answer is byte-identical to a fresh
-//! one. That incremental re-scoring is what makes the loop affordable —
-//! the `fleet_tuner` bench measures the difference.
+//! one. That incremental re-scoring is what makes the loop affordable.
 
 use crate::regime::{group_by_regime, Regime};
 use crate::report::{RegimeRow, TunedParams, TuningReport};
