@@ -9,7 +9,7 @@
 //! reached: polar night, monsoon onset, hardware faults.
 
 use crate::faults::FaultSpec;
-use crate::fleet_faults::{FalloffProfile, FleetFault, SpatialFalloff};
+use crate::fleet_faults::{FleetFault, SpatialFalloff};
 use crate::json::Json;
 use harvest_sim::{EnergyStorage, Load, NodeConfig, SolarPanel};
 use solar_synth::{Site, SiteConfig, SiteConfigBuilder, StreamVersion, WeatherModel};
@@ -739,31 +739,6 @@ impl Catalog {
         ]
     }
 
-    /// Graded variants of the built-in fleet events for spread-out
-    /// generated fleets: the same storm/soiling energy, but severity
-    /// decays with geodesic distance from an epicenter (cosine-tapered
-    /// storm centred on the 41°N belt, linear soiling plume from the
-    /// subtropics) instead of switching hard at a band edge — nearby
-    /// scenarios are hit hardest, distant ones shrug.
-    pub fn builtin_graded_fleet_events() -> Vec<FleetFault> {
-        vec![
-            FleetFault::RegionalStorm {
-                window_start_day: 21,
-                window_end_day: 35,
-                duration_days: 6,
-                depth: 0.75,
-                region: SpatialFalloff::new(41.0, 2600.0, FalloffProfile::Cosine),
-            },
-            FleetFault::SeasonalSoiling {
-                window_start_day: 25,
-                window_end_day: 32,
-                duration_days: 10,
-                max_loss: 0.3,
-                region: SpatialFalloff::new(28.0, 5500.0, FalloffProfile::Linear),
-            },
-        ]
-    }
-
     /// Adds a scenario after validating it; names must be unique.
     pub fn push(&mut self, scenario: Scenario) -> Result<(), String> {
         scenario.validate()?;
@@ -901,28 +876,18 @@ mod tests {
     #[test]
     fn builtin_fleet_events_validate_and_touch_the_catalog() {
         let catalog = Catalog::builtin();
-        for events in [
-            Catalog::builtin_fleet_events(),
-            Catalog::builtin_graded_fleet_events(),
-        ] {
-            assert!(!events.is_empty());
-            for event in &events {
-                event.validate().unwrap();
-                assert!(
-                    catalog
-                        .scenarios()
-                        .iter()
-                        .any(|s| event.affects(s).unwrap()),
-                    "{event:?} affects no builtin scenario"
-                );
-            }
+        let events = Catalog::builtin_fleet_events();
+        assert!(!events.is_empty());
+        for event in &events {
+            event.validate().unwrap();
+            assert!(
+                catalog
+                    .scenarios()
+                    .iter()
+                    .any(|s| event.affects(s).unwrap()),
+                "{event:?} affects no builtin scenario"
+            );
         }
-        // The graded storm really grades: mid-falloff severity sits
-        // strictly between the epicentral value and zero.
-        let graded_storm = &Catalog::builtin_graded_fleet_events()[0];
-        let peak = graded_storm.severity_at(41.0);
-        let edgeward = graded_storm.severity_at(55.0);
-        assert!(peak > 0.0 && edgeward > 0.0 && edgeward < peak);
     }
 
     #[test]

@@ -51,7 +51,9 @@
 //! assert_eq!(winner.rank, 1);
 //! ```
 
+mod cache;
 mod catalog;
+mod delta;
 mod engine;
 mod faults;
 mod fleet_faults;
@@ -59,6 +61,7 @@ mod generators;
 mod matrix;
 mod scorecard;
 mod series;
+mod unit;
 
 // The JSON layer moved down into `fleet_obs` (the observability crate
 // sits below this one in the dependency graph); re-exported here so
@@ -69,9 +72,10 @@ pub use catalog::{Catalog, Climate, NodeProfile, Scenario, SiteSpec};
 // The trace stream version travels with catalogs, templates, and the
 // engine's ledger; re-exported so fleet users never import the synth
 // crate just to name V1/V2.
+pub use cache::{FleetCache, PruneStats};
+pub use delta::FleetDelta;
 pub use engine::{
-    FleetCache, FleetDelta, FleetEngine, FleetResult, JobOutcome, PassBreakdown, PruneStats,
-    QuarantinedScenario, ShardedFleetResult,
+    FleetEngine, FleetResult, JobOutcome, PassBreakdown, QuarantinedScenario, ShardedFleetResult,
 };
 pub use faults::{storage_capacity_factor, FaultInjector, FaultSpec};
 pub use fleet_faults::{FalloffProfile, FleetFault, SpatialFalloff};

@@ -63,7 +63,7 @@ impl TraceCachePolicy {
 /// One retained series' memory footprint: the struct itself and its
 /// two slot vectors. **Both** the cache's accounting
 /// ([`FleetCache::trace_bytes`](crate::FleetCache::trace_bytes)) and
-/// the retention estimate (the admission loop in `evaluate_matrix`) go
+/// the retention estimate (the admission loop in `FleetCache::admit`) go
 /// through this helper, so the bytes a [`TraceCachePolicy`] budgets
 /// against are the bytes the cache reports once the series is kept.
 pub(crate) fn series_footprint_bytes(slots: usize) -> usize {

@@ -1,0 +1,516 @@
+//! A work unit: all of one scenario's fresh jobs, evaluated over one
+//! walk of the scenario's slot series.
+//!
+//! # Slot series
+//!
+//! The paper scores a predictor on two values per slot: the sample at
+//! the slot boundary (what the predictor observes) and the slot's mean
+//! power (the reference it is judged against). A scenario's
+//! `SlotSeries` holds exactly those, as two flat vectors (16 B per
+//! slot), plus the generator state at its end. It is the engine's only
+//! slot source: every fresh job of a scenario — the whole predictor ×
+//! manager block — is fed from **one walk over one series**, and
+//! synthesis runs at most once per scenario per run. Growing the
+//! candidate axis therefore adds per-slot arithmetic, never whole
+//! passes; [`PassBreakdown::total`] exposes the count.
+//!
+//! A work unit gets its series in one of three ways: from the
+//! [`FleetCache`](crate::FleetCache) as is, from the cache extended in
+//! place by the appended days (a day-append), or by draining one
+//! [`solar_synth::SlotStream`] cold. The series also supplies the
+//! paper's ROI reference peak (the maximum dimmed slot mean, final slot
+//! excluded) before the walk starts, so every prediction record folds
+//! straight into one O(1) [`StreamingEval`] per distinct predictor.
+//! Which series outlive the run is the cache's retention decision.
+//!
+//! The work-unit granularity is the scenario, so parallelism is across
+//! scenarios: at fleet scale (hundreds of regimes) that saturates any
+//! core count, while a few-scenario × many-predictor matrix trades
+//! per-job parallelism for the shared-kernel savings below — the right
+//! trade everywhere the workspace runs today, revisit if wide matrices
+//! on many-core boxes become a primary shape.
+//!
+//! Within a pass, each slot is evaluated in two conceptual halves that
+//! share one fault realization (injectors are pure functions of the
+//! shared seed and slot sequence, and measurement corruption never
+//! depends on the harvest argument — pinned by a faults test):
+//!
+//! 1. a *metrics half* scoring predictions against the true slot means
+//!    under the paper's protocol, with measurement faults corrupting
+//!    the predictors' inputs — prediction accuracy under adversity;
+//! 2. a *simulation half* closing the management loop with physical
+//!    faults applied — what the accuracy buys (brownouts, utilization).
+//!
+//! Because both halves observe the identical corrupted stream, each
+//! *distinct predictor* computes its prediction once per slot: float
+//! WCMA candidates fold into a shared
+//! [`solar_predict::CandidateBank`] (one `E_{D×N}` history, one μ/η
+//! column walk per distinct D, one Φ per distinct (D, K)), other
+//! predictors run one owned instance — and every manager pairing reuses
+//! that prediction stream and its metrics summary. Per-candidate
+//! arithmetic is unchanged throughout, so every outcome is
+//! bit-identical to a per-job solo run (property-tested in core, pinned
+//! end to end by the engine equality tests and the golden 200-regime
+//! digest).
+
+use crate::cache::UnitCheckpoint;
+use crate::catalog::Scenario;
+use crate::engine::{FleetEngine, JobOutcome, PassBreakdown, RunPlan};
+use crate::faults::{storage_capacity_factor, FaultInjector};
+use crate::matrix::{FleetMatrix, JobSpec, ManagerSpec, PredictorSpec, SoloPredictor};
+use crate::series::{RoiPeak, SlotSeries};
+use fleet_obs::Collector;
+use harvest_sim::{NoFaults, NodeConfig, NodeMachine, SlotHook, SolarPanel};
+use pred_metrics::{
+    ErrorSummary, EvalProtocol, PredictionRecord, RecordSink, RunCost, StreamingEval,
+};
+use solar_predict::{CandidateBank, WcmaParams};
+use solar_synth::{SynthCounters, TraceGenerator};
+use solar_trace::SlotsPerDay;
+use std::sync::{Arc, Mutex};
+
+/// A distinct predictor's prediction source within a work unit: a
+/// candidate of the unit's shared float-WCMA bank, or an owned
+/// instance.
+#[derive(Clone)]
+enum Kernel {
+    Banked(usize),
+    Solo(Box<dyn SoloPredictor>),
+}
+
+/// Every state machine a work unit advances slot by slot: the shared
+/// fault realization, one kernel and one protocol accumulator per
+/// distinct predictor, and one simulation machine per job. The unit
+/// owns all of them, so a clone at a day boundary is its resume point.
+#[derive(Clone)]
+pub(crate) struct UnitMachines {
+    protocol: EvalProtocol,
+    roi_peak: f64,
+    panel: SolarPanel,
+    slot_seconds: f64,
+    /// The fault injector: its sequential dropout RNG draws exactly
+    /// once per slot, so a clone continues the cold keystream verbatim.
+    injector: FaultInjector,
+    kernels: Vec<Kernel>,
+    bank: Option<CandidateBank>,
+    evals: Vec<StreamingEval>,
+    /// Each kernel's latest prediction: what its jobs plan with, and
+    /// the predicted half of the record that slot opened.
+    predictions: Vec<f64>,
+    /// The `(day, slot, reference mean)` of the record the previous
+    /// slot opened — shared by every kernel — or `None` if the protocol
+    /// discarded that slot.
+    open: Option<(u32, u32, f64)>,
+    /// One simulation machine per job: storage and duty state is where
+    /// the manager axis matters.
+    sims: Vec<NodeMachine<ManagerSpec, NoFaults>>,
+    /// Each job's kernel, in unit job order.
+    job_kernel: Vec<usize>,
+}
+
+impl UnitMachines {
+    /// Fresh machines for a scenario's `jobs` (in matrix job order),
+    /// judged against `roi_peak`.
+    ///
+    /// Distinct predictors among the jobs get one kernel each: the
+    /// metrics half and the simulation half's *predictions* are pure
+    /// functions of (scenario, predictor) — managers only steer duty —
+    /// so all per-slot kernel work and record assembly happens once per
+    /// distinct predictor, and every job reuses its predictor's summary
+    /// and prediction stream. One kernel serves *both* halves, because
+    /// measurement corruption never depends on the harvest argument
+    /// (pinned by a faults.rs test). Float WCMA folds into one shared
+    /// bank; everything else gets one owned instance.
+    fn cold(
+        matrix: &FleetMatrix,
+        jobs: impl Iterator<Item = JobSpec>,
+        node_config: &NodeConfig,
+        slots: SlotsPerDay,
+        injector: FaultInjector,
+        roi_peak: f64,
+    ) -> Result<Self, String> {
+        let protocol = EvalProtocol::paper();
+        let (n, slot_seconds) = (slots.get(), slots.slot_seconds_f64());
+        let mut distinct: Vec<usize> = Vec::new();
+        let mut job_kernel = Vec::new();
+        let mut sims = Vec::new();
+        for job in jobs {
+            let kernel = match distinct.iter().position(|&p| p == job.predictor_idx) {
+                Some(kernel) => kernel,
+                None => {
+                    distinct.push(job.predictor_idx);
+                    distinct.len() - 1
+                }
+            };
+            job_kernel.push(kernel);
+            sims.push(NodeMachine::with_external_predictions(
+                matrix.managers[job.manager_idx].clone(),
+                node_config,
+                NoFaults,
+                slot_seconds,
+                n,
+            ));
+        }
+        let mut bank_params = Vec::new();
+        let kernels = distinct
+            .iter()
+            .map(|&predictor_idx| match matrix.predictors[predictor_idx] {
+                PredictorSpec::Wcma { alpha, days, k } => {
+                    bank_params
+                        .push(WcmaParams::new(alpha, days, k, n).map_err(|e| e.to_string())?);
+                    Ok(Kernel::Banked(bank_params.len() - 1))
+                }
+                ref spec => Ok(Kernel::Solo(spec.kernel(n)?)),
+            })
+            .collect::<Result<Vec<_>, String>>()?;
+        let bank = if bank_params.is_empty() {
+            None
+        } else {
+            Some(CandidateBank::new(bank_params).map_err(|e| e.to_string())?)
+        };
+        Ok(UnitMachines {
+            protocol,
+            roi_peak,
+            panel: node_config.panel,
+            slot_seconds,
+            injector,
+            evals: vec![StreamingEval::new(protocol, roi_peak); kernels.len()],
+            predictions: vec![0.0; kernels.len()],
+            kernels,
+            bank,
+            open: None,
+            sims,
+            job_kernel,
+        })
+    }
+
+    /// Walks one day. The corruption realization happens once per slot
+    /// and serves both halves: the metrics half records predictions
+    /// against ground-truth references scaled by the day's
+    /// climate-dimming factor — dimming is physical sky state, so
+    /// accuracy is judged against the sky that actually existed (a
+    /// predictor perfectly tracking a la-niña year must not register
+    /// phantom MAPE against the counterfactual clean year); sensor
+    /// faults and panel soiling leave the references untouched. The
+    /// simulation half absorbs the corrupted physical harvest and plans
+    /// each job's duty from its predictor's shared prediction.
+    ///
+    /// A record opened at slot t completes at slot t+1 with that slot's
+    /// reference start. The protocol's record filter depends only on
+    /// (day, reference mean, peak), all shared, so it is decided once
+    /// per slot for every kernel, and discarded slots open no record.
+    ///
+    /// Kept out of line: inlined into the unit's setup code, the slot
+    /// loop took about 1.45× as long on the tuner's wide candidate
+    /// banks.
+    #[inline(never)]
+    fn walk_day(&mut self, day: usize, starts: &[f64], means: &[f64]) {
+        let sky = self.injector.sky_factor(day);
+        for (slot, (&start_sample, &mean_power)) in starts.iter().zip(means).enumerate() {
+            let mut harvest_j = self.panel.power_w(mean_power) * self.slot_seconds;
+            let mut observed = start_sample;
+            self.injector
+                .on_slot(day, slot, &mut harvest_j, &mut observed);
+            let ref_start = start_sample * sky;
+            let ref_mean = mean_power * sky;
+            let bank_predictions = self
+                .bank
+                .as_mut()
+                .map(|bank| bank.observe_and_predict(observed));
+            for ((kernel, eval), prediction) in self
+                .kernels
+                .iter_mut()
+                .zip(&mut self.evals)
+                .zip(&mut self.predictions)
+            {
+                if let Some((day, slot, actual_mean)) = self.open {
+                    eval.push_record(PredictionRecord {
+                        day,
+                        slot,
+                        predicted: *prediction,
+                        actual_start: ref_start,
+                        actual_mean,
+                    });
+                }
+                *prediction = match kernel {
+                    Kernel::Banked(candidate) => {
+                        bank_predictions.as_ref().expect("bank built")[*candidate]
+                    }
+                    Kernel::Solo(predictor) => predictor.observe_and_predict(observed),
+                };
+            }
+            self.open = self
+                .protocol
+                .includes(day as u32, ref_mean, self.roi_peak)
+                .then_some((day as u32, slot as u32, ref_mean));
+            for (sim, &kernel) in self.sims.iter_mut().zip(&self.job_kernel) {
+                sim.absorb_corrupted(harvest_j);
+                sim.plan_with(self.predictions[kernel]);
+            }
+        }
+    }
+}
+
+/// One schedulable unit of a fleet run: **all** of one scenario's fresh
+/// jobs, evaluated over a single walk of the scenario's slot series.
+pub(crate) struct WorkUnit {
+    pub(crate) scenario_idx: usize,
+    /// Fresh job indices, in matrix job order.
+    pub(crate) job_indices: Vec<usize>,
+    /// Whether the cache keeps the scenario's series whole after the
+    /// run (else only its generator tail).
+    pub(crate) retained: bool,
+    /// A validated day-append resume point: the walk covers only the
+    /// appended days, continuing every machine from this state.
+    pub(crate) resume: Option<Arc<UnitCheckpoint>>,
+    /// The series taken out of the cache for this unit — whole, or a
+    /// bare tail when the unit resumes — or `None` to synthesize cold.
+    /// Behind a mutex only so the parallel map can move it out.
+    pub(crate) series: Mutex<Option<SlotSeries>>,
+}
+
+/// What evaluating one work unit yields.
+pub(crate) struct UnitOutcomes {
+    /// `(job index, outcome)` pairs, in unit job order.
+    pub(crate) outcomes: Vec<(usize, JobOutcome)>,
+    /// The synthesis passes the unit spent.
+    pub(crate) passes: PassBreakdown,
+    /// The end-of-horizon machine state for the next day-append, when
+    /// the pass was checkpointable.
+    pub(crate) checkpoint: Option<UnitCheckpoint>,
+    /// The series the unit walked, for the cache to keep whole or as a
+    /// tail.
+    pub(crate) series: SlotSeries,
+}
+
+impl WorkUnit {
+    /// The universal fast path: **one walk over one slot series**
+    /// drives every fresh job's state machines simultaneously, in named
+    /// steps — bring the series to the horizon, take the ROI peak (with
+    /// its peak fallback) and build or clone the machines, walk, build
+    /// the outcomes, record the ledger, capture the checkpoint.
+    ///
+    /// Jobs whose predictor is float WCMA are additionally folded into
+    /// one shared [`CandidateBank`] serving both pass halves (metrics,
+    /// simulation): every such job of a scenario sees the identical
+    /// observation stream (its fault injector realizes from the same
+    /// seed), so the bank computes each candidate's predictions once per
+    /// slot with the per-candidate arithmetic unchanged — bit-identical
+    /// to a solo run, pinned by core property tests and the engine
+    /// equality tests. Records fold into one [`StreamingEval`] per
+    /// distinct predictor, judged against the ROI peak taken from the
+    /// series before the walk.
+    ///
+    /// With a resume point, the unit clones the checkpoint's machines
+    /// and walks only the appended days; the output is bit-identical to
+    /// a cold full-horizon pass (pinned by engine tests).
+    pub(crate) fn evaluate(
+        &self,
+        engine: &FleetEngine,
+        plan: &RunPlan,
+    ) -> Result<UnitOutcomes, String> {
+        let scenario = &plan.matrix.scenarios[self.scenario_idx];
+        let name = &scenario.name;
+        let _unit_span = engine.collector.span_scenario("fleet/simulate", name);
+        let mut run = UnitRun::new(engine, plan, self)?;
+        let taken = self.series.lock().expect("unit series lock").take();
+        let mut series = run.series_at_horizon(taken)?;
+        let (roi, mut machines, resumed_from) = run.machines(&mut series)?;
+        for (day, starts, means) in series.days_from(resumed_from.unwrap_or(0), run.slots.get()) {
+            machines.walk_day(day, starts, means);
+        }
+        let (outcomes, summaries) = run.outcomes(&machines, series.footprint_bytes());
+        run.record(resumed_from, &machines, &summaries);
+        let fresh_jobs = self.job_indices.len();
+        Ok(UnitOutcomes {
+            outcomes,
+            passes: run.passes,
+            checkpoint: UnitCheckpoint::capture(scenario, fresh_jobs, &plan.keys, roi, machines),
+            series,
+        })
+    }
+}
+
+/// One unit's evaluation in progress: the unit and its run's plan, its
+/// scenario's node and fault seed, its synthesis source, and what
+/// synthesis has cost so far.
+struct UnitRun<'a> {
+    unit: &'a WorkUnit,
+    plan: &'a RunPlan,
+    scenario: &'a Scenario,
+    collector: &'a Collector,
+    slots: SlotsPerDay,
+    node_config: NodeConfig,
+    fault_seed: u64,
+    generator: TraceGenerator,
+    passes: PassBreakdown,
+    /// Keystream/normal-draw totals across this unit's syntheses;
+    /// merged into the ledger once at the end of the unit, never per
+    /// slot.
+    synth_cost: SynthCounters,
+}
+
+impl<'a> UnitRun<'a> {
+    fn new(engine: &'a FleetEngine, plan: &'a RunPlan, unit: &'a WorkUnit) -> Result<Self, String> {
+        let scenario = &plan.matrix.scenarios[unit.scenario_idx];
+        let slots = SlotsPerDay::new(scenario.slots_per_day).map_err(|e| e.to_string())?;
+        let capacity_factor = storage_capacity_factor(&scenario.faults);
+        let node_config = scenario.node.node_config(capacity_factor)?;
+        Ok(UnitRun {
+            unit,
+            plan,
+            scenario,
+            collector: &engine.collector,
+            slots,
+            node_config,
+            fault_seed: engine.scenario_seed(scenario) ^ 0xFA01,
+            generator: engine.generator(scenario)?,
+            passes: PassBreakdown::default(),
+            synth_cost: SynthCounters::default(),
+        })
+    }
+
+    /// The scenario's whole series, synthesized cold.
+    fn cold_series(&mut self) -> Result<SlotSeries, String> {
+        self.passes.trace_generations += 1;
+        let (series, counters) = SlotSeries::cold(&self.generator, self.scenario.days, self.slots)?;
+        self.synth_cost.add(counters);
+        Ok(series)
+    }
+
+    /// The unit's series brought to the scenario's horizon: the taken
+    /// one extended in place from its tail, or synthesized cold when
+    /// the unit has none.
+    fn series_at_horizon(&mut self, taken: Option<SlotSeries>) -> Result<SlotSeries, String> {
+        let Some(mut series) = taken else {
+            return self.cold_series();
+        };
+        if series.days() < self.scenario.days {
+            self.passes.trace_extensions += 1;
+            let counters = series.extend(&self.generator, self.scenario.days, self.slots)?;
+            self.synth_cost.add(counters);
+        }
+        Ok(series)
+    }
+
+    /// The ROI reference peak of a resume from `checkpoint`: the
+    /// checkpointed running peak continued over the appended days, or
+    /// `None` if that moves it — the checkpointed accumulators judged
+    /// the prefix against a stale peak, so the unit falls back to a
+    /// cold walk (`delta/peak_fallbacks`).
+    fn resumed_peak(&self, checkpoint: &UnitCheckpoint, series: &SlotSeries) -> Option<RoiPeak> {
+        let mut roi = checkpoint.roi;
+        let (from_day, n) = (checkpoint.scenario.days, self.slots.get());
+        roi.absorb(series, from_day, n, &checkpoint.machines.injector);
+        if roi.peak.to_bits() == checkpoint.roi.peak.to_bits() {
+            return Some(roi);
+        }
+        self.collector
+            .count_scenario(&self.scenario.name, "delta/peak_fallbacks", 1);
+        None
+    }
+
+    /// The machines the walk starts from, the ROI peak they judge
+    /// against, and the day they resume at: a clone of the resume
+    /// point's machines while its peak holds, else fresh machines over
+    /// the whole horizon. Every job of a scenario realizes the
+    /// *identical* fault corruption (injectors are pure functions of
+    /// the shared seed and the slot sequence), so the unit realizes it
+    /// exactly once per slot — one injector shared by all jobs and both
+    /// pass halves. A series holding only appended days is synthesized
+    /// whole first.
+    fn machines(
+        &mut self,
+        series: &mut SlotSeries,
+    ) -> Result<(RoiPeak, UnitMachines, Option<usize>), String> {
+        if let Some(checkpoint) = self.unit.resume.as_deref() {
+            if let Some(roi) = self.resumed_peak(checkpoint, series) {
+                let days = checkpoint.scenario.days;
+                return Ok((roi, checkpoint.machines.clone(), Some(days)));
+            }
+        }
+        let (scenario, n) = (self.scenario, self.slots.get());
+        let injector = FaultInjector::new(&scenario.faults, self.fault_seed, scenario.days, n);
+        if !series.is_full() {
+            *series = self.cold_series()?;
+        }
+        let mut roi = RoiPeak::default();
+        roi.absorb(series, 0, n, &injector);
+        let (plan, config, slots) = (self.plan, &self.node_config, self.slots);
+        let jobs = self.unit.job_indices.iter().map(|&idx| plan.jobs[idx]);
+        let machines = UnitMachines::cold(&plan.matrix, jobs, config, slots, injector, roi.peak)?;
+        Ok((roi, machines, None))
+    }
+
+    /// One outcome per job, and one summary per distinct predictor:
+    /// every job of a manager pairing reuses its predictor's summary
+    /// verbatim (the metrics pass never depended on the manager). Both
+    /// are finished from copies, so the live machines can become the
+    /// next checkpoint.
+    fn outcomes(
+        &self,
+        machines: &UnitMachines,
+        peak_trace_bytes: usize,
+    ) -> (Vec<(usize, JobOutcome)>, Vec<ErrorSummary>) {
+        let (plan, keys) = (self.plan, &self.plan.keys);
+        let evals = machines.evals.iter();
+        let summaries: Vec<ErrorSummary> = evals.map(|eval| eval.clone().finish()).collect();
+        let reports = machines.sims.iter().map(|sim| sim.clone().finish());
+        let jobs = self.unit.job_indices.iter().zip(&machines.job_kernel);
+        let outcomes = jobs
+            .zip(reports)
+            .map(|((&job_idx, &kernel_slot), report)| {
+                let job = &plan.jobs[job_idx];
+                let peak_candidates = plan.matrix.predictors[job.predictor_idx].candidate_count();
+                let outcome = JobOutcome {
+                    scenario: self.scenario.name.clone(),
+                    predictor: keys.predictors[job.predictor_idx].clone(),
+                    manager: keys.managers[job.manager_idx].clone(),
+                    spec: *job,
+                    summary: summaries[kernel_slot],
+                    report,
+                    cost: RunCost {
+                        peak_candidates,
+                        peak_trace_bytes,
+                    },
+                };
+                (job_idx, outcome)
+            })
+            .collect();
+        (outcomes, summaries)
+    }
+
+    /// The unit's ledger entries, computed arithmetically — one batch
+    /// of counter updates per scenario, nothing per slot (a no-op
+    /// collector skips each). Slot counters reflect work actually done
+    /// this pass: a unit `resumed` at a day only walked the appended
+    /// days.
+    fn record(&self, resumed: Option<usize>, machines: &UnitMachines, summaries: &[ErrorSummary]) {
+        let collector = self.collector;
+        let count = |key: &str, n: u64| collector.count_scenario(&self.scenario.name, key, n);
+        let processed_days = self.scenario.days - resumed.unwrap_or(0);
+        let processed_slots = processed_days * self.slots.get();
+        count("slots/processed", processed_slots as u64);
+        count("jobs/fresh", self.unit.job_indices.len() as u64);
+        if resumed.is_some() {
+            count("delta/resumed_units", 1);
+            count("delta/appended_days", processed_days as u64);
+        }
+        // Distribution plane, still at unit granularity: the unit's
+        // slot volume and one MAPE sample per distinct predictor —
+        // deterministic inputs, so the histograms stay byte-pinned.
+        collector.observe("fleet/unit_slots", processed_slots as f64);
+        for summary in summaries {
+            collector.observe("score/mape", summary.mape);
+        }
+        let banked = machines.bank.as_ref().map_or(0, CandidateBank::len);
+        count("bank/banked_candidates", banked as u64);
+        let solo = machines.kernels.len() - banked;
+        count("bank/solo_predictors", solo as u64);
+        count("faults/injected_specs", self.scenario.faults.len() as u64);
+        if self.synth_cost != SynthCounters::default() {
+            count("synth/keystream_blocks", self.synth_cost.keystream_blocks);
+            count("synth/normal_draws", self.synth_cost.normal_draws);
+        }
+    }
+}
