@@ -521,7 +521,7 @@ impl FleetEngine {
                 .unwrap_or_else(|payload| {
                     Err(format!(
                         "scenario {scenario_name:?}: work unit panicked: {}",
-                        panic_message(&payload)
+                        panic_message(&*payload)
                     ))
                 })
             })
@@ -690,6 +690,8 @@ pub(crate) mod tests {
             .unwrap_err();
         assert!(err.contains("desert-clear-sky"), "{err}");
         assert!(err.contains("panicked"), "{err}");
+        // The panic's own message, not a stand-in for its payload.
+        assert!(err.contains("chaos: injected work-unit panic"), "{err}");
     }
 
     #[test]
@@ -727,6 +729,44 @@ pub(crate) mod tests {
                 .is_empty(),
             "the quarantined scenario's table is empty, not wrong"
         );
+    }
+
+    #[test]
+    fn an_invalid_manager_set_after_assembly_fails_its_units() {
+        // The matrix's fields are public, so a manager can change after
+        // `FleetMatrix::new` validated it. A duty outside [0, 1] and a
+        // NaN gain (which would plan duty 0 forever, silently) both fail
+        // every unit that runs the manager, by name.
+        let invalid = [
+            ManagerSpec::FixedDuty { duty: 1.5 },
+            ManagerSpec::EnergyNeutral {
+                target_soc: 0.5,
+                gain: f64::NAN,
+            },
+        ];
+        for manager in invalid {
+            let mut matrix = small_matrix();
+            matrix.managers[1] = manager;
+            let err = FleetEngine::new(42).run(&matrix).unwrap_err();
+            assert!(err.contains("desert-clear-sky"), "{err}");
+            let result = FleetEngine::new(42)
+                .with_quarantine(true)
+                .run(&matrix)
+                .unwrap();
+            let quarantined: Vec<&str> = result
+                .quarantined
+                .iter()
+                .map(|q| q.scenario.as_str())
+                .collect();
+            assert_eq!(quarantined, ["desert-clear-sky", "aging-node"]);
+            for failure in &result.quarantined {
+                assert!(failure.error.contains(&failure.scenario), "{failure:?}");
+            }
+            assert!(result.outcomes.is_empty());
+            assert!(result.scorecard.overall.is_empty());
+            let tables = &result.scorecard.per_scenario;
+            assert!(tables.iter().all(|table| table.entries.is_empty()));
+        }
     }
 
     #[test]

@@ -7,9 +7,7 @@
 
 use crate::catalog::Scenario;
 use crate::fleet_faults::FleetFault;
-use harvest_sim::{
-    EnergyNeutralManager, FixedDutyManager, GreedyManager, PowerManager, SlotContext,
-};
+use harvest_sim::{DutyRule, EnergyNeutralManager, PowerManager, SlotContext};
 use param_explore::ParamGrid;
 use solar_predict::{
     CausalDynamicWcma, EwmaPredictor, FixedWcmaPredictor, MovingAveragePredictor,
@@ -316,6 +314,22 @@ impl ManagerSpec {
         Box::new(self.clone())
     }
 
+    /// The built-in rule the spec names — what a job's lane in the
+    /// engine's [`NodeLanes`](harvest_sim::NodeLanes) plans with.
+    pub(crate) fn rule(&self) -> DutyRule {
+        match *self {
+            ManagerSpec::EnergyNeutral { target_soc, gain } => {
+                DutyRule::EnergyNeutral(EnergyNeutralManager {
+                    target_soc,
+                    gain,
+                    ..Default::default()
+                })
+            }
+            ManagerSpec::Greedy => DutyRule::Greedy,
+            ManagerSpec::FixedDuty { duty } => DutyRule::FixedDuty(duty),
+        }
+    }
+
     /// The default policy set: tuned energy-neutral plus both baselines.
     pub fn default_set() -> Vec<ManagerSpec> {
         vec![
@@ -332,16 +346,7 @@ impl ManagerSpec {
 /// Plans exactly as the policy the spec names.
 impl PowerManager for ManagerSpec {
     fn plan_duty(&mut self, ctx: &SlotContext) -> f64 {
-        match *self {
-            ManagerSpec::EnergyNeutral { target_soc, gain } => EnergyNeutralManager {
-                target_soc,
-                gain,
-                ..Default::default()
-            }
-            .plan_duty(ctx),
-            ManagerSpec::Greedy => GreedyManager.plan_duty(ctx),
-            ManagerSpec::FixedDuty { duty } => FixedDutyManager::new(duty).plan_duty(ctx),
-        }
+        self.rule().plan_duty(ctx)
     }
 
     fn name(&self) -> &str {

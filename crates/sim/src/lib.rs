@@ -22,9 +22,14 @@
 //! * [`NodeMachine`] — the same loop as a slot-stepped state machine,
 //!   generic over how it holds its manager and hook.
 //!   [`NodeSimulation`] borrows both as trait objects, which is how
-//!   [`simulate_node_hooked`] drives it; the `scenario-fleet` engine
-//!   owns them, so its machines are `Clone` and a clone taken at a day
-//!   boundary is a resume checkpoint.
+//!   [`simulate_node_hooked`] drives it.
+//! * [`NodeLanes`] — many nodes of one configuration, one lane per
+//!   node with its own [`DutyRule`], stepped a day at a time in
+//!   vectorized blocks and bit-identical to one [`NodeMachine`] per
+//!   lane (both call the same storage-step and duty-rule value
+//!   functions). It is the `scenario-fleet` engine's job plane, one
+//!   lane per job; a clone taken at a day boundary is a resume
+//!   checkpoint.
 //!
 //! # Example
 //!
@@ -55,6 +60,7 @@
 
 mod error;
 mod hook;
+mod lanes;
 mod load;
 mod manager;
 mod node;
@@ -64,9 +70,10 @@ mod stream;
 
 pub use error::SimError;
 pub use hook::{NoFaults, SlotHook};
+pub use lanes::NodeLanes;
 pub use load::Load;
 pub use manager::{
-    EnergyNeutralManager, FixedDutyManager, GreedyManager, PowerManager, SlotContext,
+    DutyRule, EnergyNeutralManager, FixedDutyManager, GreedyManager, PowerManager, SlotContext,
 };
 pub use node::{simulate_node, simulate_node_hooked, NodeConfig, NodeReport};
 pub use panel::SolarPanel;

@@ -59,6 +59,14 @@ impl Load {
     /// Panics if `duty` is outside `[0, 1]`.
     pub fn power_w(&self, duty: f64) -> f64 {
         assert!((0.0..=1.0).contains(&duty), "duty {duty} out of [0, 1]");
+        self.mean_power_w(duty)
+    }
+
+    /// [`Load::power_w`] without the range check, for callers that
+    /// check their duties themselves (a machine when it plans one, the
+    /// lanes once per day).
+    #[inline]
+    pub(crate) fn mean_power_w(&self, duty: f64) -> f64 {
         duty * self.active_w + (1.0 - duty) * self.sleep_w
     }
 

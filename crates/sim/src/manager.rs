@@ -78,14 +78,47 @@ impl Default for EnergyNeutralManager {
     }
 }
 
-impl PowerManager for EnergyNeutralManager {
-    fn plan_duty(&mut self, ctx: &SlotContext) -> f64 {
+impl EnergyNeutralManager {
+    /// The planned duty as a pure value function of `ctx`: the one copy
+    /// of the rule, which [`PowerManager::plan_duty`] and every
+    /// energy-neutral lane of a [`NodeLanes`](crate::NodeLanes) call.
+    ///
+    /// The clamp is [`f64::clamp`] without its bounds check (which
+    /// [`PowerManager::plan_duty`] keeps), so a loop of lanes stays
+    /// branch-free: `-0.0` and NaN pass through exactly as `clamp`
+    /// passes them.
+    #[inline]
+    pub(crate) fn duty(&self, ctx: &SlotContext) -> f64 {
         let soc = ctx.storage_level_j / ctx.storage_capacity_j;
         let correction_w =
             self.gain * (soc - self.target_soc) * ctx.storage_capacity_j / ctx.slot_seconds;
         let budget_w = (ctx.predicted_harvest_w + correction_w).max(0.0);
         let duty = (budget_w - ctx.load_sleep_w) / (ctx.load_active_w - ctx.load_sleep_w);
-        duty.clamp(self.min_duty, self.max_duty)
+        if duty < self.min_duty {
+            self.min_duty
+        } else if duty > self.max_duty {
+            self.max_duty
+        } else {
+            duty
+        }
+    }
+
+    /// Whether the duty bounds can clamp: `min_duty ≤ max_duty`, neither
+    /// NaN — what [`f64::clamp`] asserts.
+    pub(crate) fn bounds_are_ordered(&self) -> bool {
+        self.min_duty <= self.max_duty
+    }
+}
+
+impl PowerManager for EnergyNeutralManager {
+    fn plan_duty(&mut self, ctx: &SlotContext) -> f64 {
+        assert!(
+            self.bounds_are_ordered(),
+            "min_duty {} > max_duty {}, or either is NaN",
+            self.min_duty,
+            self.max_duty
+        );
+        self.duty(ctx)
     }
 
     fn name(&self) -> &str {
@@ -133,6 +166,37 @@ impl PowerManager for FixedDutyManager {
 
     fn name(&self) -> &str {
         "fixed-duty"
+    }
+}
+
+/// A built-in manager as plain data: the rule one lane of a
+/// [`NodeLanes`](crate::NodeLanes) plans with. As a [`PowerManager`] it
+/// plans exactly as the manager it names.
+#[derive(Copy, Clone, Debug, PartialEq)]
+pub enum DutyRule {
+    /// [`EnergyNeutralManager`].
+    EnergyNeutral(EnergyNeutralManager),
+    /// [`GreedyManager`].
+    Greedy,
+    /// [`FixedDutyManager`] at this duty.
+    FixedDuty(f64),
+}
+
+impl PowerManager for DutyRule {
+    fn plan_duty(&mut self, ctx: &SlotContext) -> f64 {
+        match self {
+            DutyRule::EnergyNeutral(manager) => manager.plan_duty(ctx),
+            DutyRule::Greedy => GreedyManager.plan_duty(ctx),
+            DutyRule::FixedDuty(duty) => FixedDutyManager::new(*duty).plan_duty(ctx),
+        }
+    }
+
+    fn name(&self) -> &str {
+        match self {
+            DutyRule::EnergyNeutral(manager) => manager.name(),
+            DutyRule::Greedy => GreedyManager.name(),
+            DutyRule::FixedDuty(_) => "fixed-duty",
+        }
     }
 }
 

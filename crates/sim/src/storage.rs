@@ -124,18 +124,9 @@ impl EnergyStorage {
     /// and how much was lost (conversion loss plus overflow).
     #[inline]
     pub fn charge(&mut self, energy_j: f64) -> ChargeOutcome {
-        let energy_j = energy_j.max(0.0);
-        let convertible = energy_j * self.charge_efficiency;
-        // `room` is clamped at zero: filling to capacity can land one ulp
-        // above it, and a negative room must never turn into a negative
-        // store.
-        let room = (self.capacity_j - self.level_j).max(0.0);
-        let stored = convertible.min(room);
-        self.level_j = (self.level_j + stored).min(self.capacity_j);
-        ChargeOutcome {
-            stored_j: stored,
-            wasted_j: energy_j - stored,
-        }
+        let (level_j, outcome) = self.charged(self.level_j, energy_j);
+        self.level_j = level_j;
+        outcome
     }
 
     /// Requests `energy_j` for the load; returns the energy actually
@@ -143,24 +134,62 @@ impl EnergyStorage {
     /// `delivered / discharge_efficiency`.
     #[inline]
     pub fn discharge(&mut self, energy_j: f64) -> f64 {
-        let energy_j = energy_j.max(0.0);
-        let need = energy_j / self.discharge_efficiency;
-        if self.level_j >= need {
-            self.level_j -= need;
-            energy_j
-        } else {
-            let delivered = self.level_j * self.discharge_efficiency;
-            self.level_j = 0.0;
-            delivered
-        }
+        let (level_j, delivered) = self.discharged(self.level_j, energy_j);
+        self.level_j = level_j;
+        delivered
     }
 
     /// Applies leakage over `dt_s` seconds; returns the energy leaked.
     #[inline]
     pub fn leak(&mut self, dt_s: f64) -> f64 {
-        let loss = (self.leakage_w * dt_s).min(self.level_j);
-        self.level_j -= loss;
+        let (level_j, loss) = self.leaked(self.level_j, dt_s);
+        self.level_j = level_j;
         loss
+    }
+
+    // The three storage steps as value functions of a level, with this
+    // store supplying only its parameters: the one copy of the storage
+    // arithmetic, shared by the methods above, `NodeMachine` and the
+    // lanes of `NodeLanes`. Each is branch-light and pure, so a loop of
+    // lanes if-converts and vectorizes.
+
+    /// [`EnergyStorage::charge`] from `level_j`: the new level and the
+    /// outcome.
+    #[inline]
+    pub(crate) fn charged(&self, level_j: f64, energy_j: f64) -> (f64, ChargeOutcome) {
+        let energy_j = energy_j.max(0.0);
+        let convertible = energy_j * self.charge_efficiency;
+        // `room` is clamped at zero: filling to capacity can land one ulp
+        // above it, and a negative room must never turn into a negative
+        // store.
+        let room = (self.capacity_j - level_j).max(0.0);
+        let stored = convertible.min(room);
+        let outcome = ChargeOutcome {
+            stored_j: stored,
+            wasted_j: energy_j - stored,
+        };
+        ((level_j + stored).min(self.capacity_j), outcome)
+    }
+
+    /// [`EnergyStorage::discharge`] from `level_j`: the new level and
+    /// the energy delivered.
+    #[inline]
+    pub(crate) fn discharged(&self, level_j: f64, energy_j: f64) -> (f64, f64) {
+        let energy_j = energy_j.max(0.0);
+        let need = energy_j / self.discharge_efficiency;
+        if level_j >= need {
+            (level_j - need, energy_j)
+        } else {
+            (0.0, level_j * self.discharge_efficiency)
+        }
+    }
+
+    /// [`EnergyStorage::leak`] from `level_j`: the new level and the
+    /// energy leaked.
+    #[inline]
+    pub(crate) fn leaked(&self, level_j: f64, dt_s: f64) -> (f64, f64) {
+        let loss = (self.leakage_w * dt_s).min(level_j);
+        (level_j - loss, loss)
     }
 }
 

@@ -1,10 +1,12 @@
-//! The slot-stepped node loop as a push-style state machine, so the
-//! fleet engine can advance many machines slot by slot over one shared
-//! slot source without a full-horizon trace per job.
+//! The slot-stepped node loop as a push-style state machine, and the
+//! value functions that are the loop's one copy of the slot
+//! accounting.
 //!
 //! [`simulate_node_hooked`](crate::simulate_node_hooked) drives one
-//! machine over a view's slots, so view-driven runs and the engine's
-//! slot-stepped machines share one set of accounting steps.
+//! machine over a view's slots; the fleet engine's job plane,
+//! [`NodeLanes`](crate::NodeLanes), steps one lane per job through the
+//! same [`absorb`] and duty rule, so view-driven runs and the engine
+//! share one set of accounting steps.
 
 use crate::hook::SlotHook;
 use crate::manager::{PowerManager, SlotContext};
@@ -27,8 +29,9 @@ use crate::node::{NodeConfig, NodeReport};
 pub struct NodeMachine<M, H> {
     manager: M,
     hook: H,
+    /// The node's parameters; its storage's level is the initial one.
     config: NodeConfig,
-    storage_initial_j: f64,
+    level_j: f64,
     slot_s: f64,
     report: NodeReport,
     duty_sum: f64,
@@ -55,22 +58,12 @@ impl<M: PowerManager, H: SlotHook> NodeMachine<M, H> {
         slot_seconds: f64,
         slots_per_day: usize,
     ) -> Self {
-        assert!(
-            slot_seconds > 0.0,
-            "slot duration {slot_seconds} must be positive"
-        );
-        let day_seconds = slots_per_day as f64 * slot_seconds;
-        assert!(
-            (day_seconds - 86_400.0).abs() < 1e-6,
-            "predictor configured for N={slots_per_day} but slots of {slot_seconds} s make a {day_seconds} s day",
-        );
-        let config = config.clone();
-        let storage_initial_j = config.storage.level_j();
+        check_slotting(slot_seconds, slots_per_day);
         NodeMachine {
             manager,
             hook,
-            config,
-            storage_initial_j,
+            config: config.clone(),
+            level_j: config.storage.level_j(),
             slot_s: slot_seconds,
             report: NodeReport::default(),
             duty_sum: 0.0,
@@ -108,39 +101,27 @@ impl<M: PowerManager, H: SlotHook> NodeMachine<M, H> {
     #[inline]
     pub fn absorb_corrupted(&mut self, harvest_j: f64) {
         let harvest_j = harvest_j.max(0.0);
-
-        // 1. Harvest the slot's actual energy.
         self.report.harvested_j += harvest_j;
-        let charge = self.config.storage.charge(harvest_j);
-        self.report.charge_waste_j += charge.wasted_j;
-
-        // 2. Run the load at the planned duty.
-        let want_j = self.config.load.energy_j(self.planned_duty, self.slot_s);
-        let level_before = self.config.storage.level_j();
-        let delivered = self.config.storage.discharge(want_j);
-        let withdrawn = level_before - self.config.storage.level_j();
-        self.report.consumed_j += delivered;
-        self.report.discharge_loss_j += withdrawn - delivered;
-        if delivered + 1e-12 < want_j {
-            self.report.brownouts += 1;
-        }
-
-        // 3. Leakage.
-        self.report.leaked_j += self.config.storage.leak(self.slot_s);
+        let (level_j, flows) = absorb(
+            &self.config,
+            self.slot_s,
+            self.level_j,
+            self.planned_duty,
+            harvest_j,
+        );
+        self.level_j = level_j;
+        self.report.charge_waste_j += flows.charge_waste_j;
+        self.report.consumed_j += flows.consumed_j;
+        self.report.discharge_loss_j += flows.discharge_loss_j;
+        self.report.brownouts += usize::from(flows.brownout);
+        self.report.leaked_j += flows.leaked_j;
     }
 
     /// The post-prediction half of a slot (step 4): plan the next slot's
     /// duty from `predicted` — however it was computed.
     #[inline]
     pub fn plan_with(&mut self, predicted: f64) {
-        let ctx = SlotContext {
-            predicted_harvest_w: self.config.panel.power_w(predicted),
-            storage_level_j: self.config.storage.level_j(),
-            storage_capacity_j: self.config.storage.capacity_j(),
-            slot_seconds: self.slot_s,
-            load_active_w: self.config.load.active_w(),
-            load_sleep_w: self.config.load.sleep_w(),
-        };
+        let ctx = slot_context(&self.config, self.slot_s, self.level_j, predicted);
         self.planned_duty = self.manager.plan_duty(&ctx);
         assert!(
             (0.0..=1.0).contains(&self.planned_duty),
@@ -153,23 +134,111 @@ impl<M: PowerManager, H: SlotHook> NodeMachine<M, H> {
     }
 
     /// Finalizes the accounting and returns the report.
-    pub fn finish(mut self) -> NodeReport {
-        self.report.stored_delta_j = self.config.storage.level_j() - self.storage_initial_j;
-        self.report.mean_duty = if self.report.slots > 0 {
-            self.duty_sum / self.report.slots as f64
-        } else {
-            0.0
-        };
-        // Released energy = harvest + net storage drawdown = consumed +
-        // every loss term, so the ratio is a true fraction.
-        let released = self.report.harvested_j - self.report.stored_delta_j;
-        self.report.utilization = if released > 0.0 {
-            self.report.consumed_j / released
-        } else {
-            0.0
-        };
-        self.report
+    pub fn finish(self) -> NodeReport {
+        let initial_j = self.config.storage.level_j();
+        finish_report(self.report, self.level_j - initial_j, self.duty_sum)
     }
+}
+
+/// The guard shared by every machine and lane set: slots of
+/// `slot_seconds` must be positive and make `slots_per_day` one day.
+pub(crate) fn check_slotting(slot_seconds: f64, slots_per_day: usize) {
+    assert!(
+        slot_seconds > 0.0,
+        "slot duration {slot_seconds} must be positive"
+    );
+    let day_seconds = slots_per_day as f64 * slot_seconds;
+    assert!(
+        (day_seconds - 86_400.0).abs() < 1e-6,
+        "predictor configured for N={slots_per_day} but slots of {slot_seconds} s make a {day_seconds} s day",
+    );
+}
+
+/// What steps 1–3 of one slot add to a node's ledger.
+#[derive(Copy, Clone, Debug)]
+pub(crate) struct SlotFlows {
+    pub(crate) charge_waste_j: f64,
+    pub(crate) consumed_j: f64,
+    pub(crate) discharge_loss_j: f64,
+    pub(crate) leaked_j: f64,
+    /// The store could not fully power the planned duty.
+    pub(crate) brownout: bool,
+}
+
+/// Steps 1–3 of a slot as a value function: a store at `level_j` takes
+/// the slot's (non-negative) `harvest_j`, runs the load at `duty`, and
+/// leaks. Returns the new level and the slot's flows. The one copy of
+/// the slot's accounting, shared by [`NodeMachine`] and every lane of a
+/// [`NodeLanes`](crate::NodeLanes); `config.storage` supplies only its
+/// parameters.
+#[inline]
+pub(crate) fn absorb(
+    config: &NodeConfig,
+    slot_s: f64,
+    level_j: f64,
+    duty: f64,
+    harvest_j: f64,
+) -> (f64, SlotFlows) {
+    let storage = &config.storage;
+    // 1. Harvest the slot's actual energy.
+    let (level_j, charge) = storage.charged(level_j, harvest_j);
+    // 2. Run the load at the planned duty.
+    let want_j = config.load.mean_power_w(duty) * slot_s;
+    let (drawn_level_j, delivered) = storage.discharged(level_j, want_j);
+    let withdrawn = level_j - drawn_level_j;
+    // 3. Leakage.
+    let (level_j, leaked_j) = storage.leaked(drawn_level_j, slot_s);
+    let flows = SlotFlows {
+        charge_waste_j: charge.wasted_j,
+        consumed_j: delivered,
+        discharge_loss_j: withdrawn - delivered,
+        leaked_j,
+        brownout: delivered + 1e-12 < want_j,
+    };
+    (level_j, flows)
+}
+
+/// What a manager sees when it plans from `predicted` with the store
+/// at `level_j`.
+#[inline]
+pub(crate) fn slot_context(
+    config: &NodeConfig,
+    slot_s: f64,
+    level_j: f64,
+    predicted: f64,
+) -> SlotContext {
+    SlotContext {
+        predicted_harvest_w: config.panel.power_w(predicted),
+        storage_level_j: level_j,
+        storage_capacity_j: config.storage.capacity_j(),
+        slot_seconds: slot_s,
+        load_active_w: config.load.active_w(),
+        load_sleep_w: config.load.sleep_w(),
+    }
+}
+
+/// Completes a report whose store moved by `stored_delta_j` and whose
+/// planned duties summed to `duty_sum`.
+pub(crate) fn finish_report(
+    mut report: NodeReport,
+    stored_delta_j: f64,
+    duty_sum: f64,
+) -> NodeReport {
+    report.stored_delta_j = stored_delta_j;
+    report.mean_duty = if report.slots > 0 {
+        duty_sum / report.slots as f64
+    } else {
+        0.0
+    };
+    // Released energy = harvest + net storage drawdown = consumed +
+    // every loss term, so the ratio is a true fraction.
+    let released = report.harvested_j - report.stored_delta_j;
+    report.utilization = if released > 0.0 {
+        report.consumed_j / released
+    } else {
+        0.0
+    };
+    report
 }
 
 #[cfg(test)]

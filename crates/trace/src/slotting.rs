@@ -80,8 +80,6 @@ pub struct SlotView<'a> {
     starts: Vec<f64>,
     /// Per-slot mean power, flat-indexed.
     means: Vec<f64>,
-    /// Largest mean slot power over the whole view.
-    peak_mean: f64,
 }
 
 impl<'a> SlotView<'a> {
@@ -106,12 +104,9 @@ impl<'a> SlotView<'a> {
         let total_slots = trace.days() * n.get();
         let mut starts = Vec::with_capacity(total_slots);
         let mut means = Vec::with_capacity(total_slots);
-        let mut peak_mean = 0.0_f64;
         for chunk in trace.samples().chunks_exact(samples_per_slot) {
             starts.push(chunk[0]);
-            let mean = chunk.iter().sum::<f64>() / samples_per_slot as f64;
-            peak_mean = peak_mean.max(mean);
-            means.push(mean);
+            means.push(chunk.iter().sum::<f64>() / samples_per_slot as f64);
         }
         Ok(SlotView {
             trace,
@@ -119,7 +114,6 @@ impl<'a> SlotView<'a> {
             samples_per_slot,
             starts,
             means,
-            peak_mean,
         })
     }
 
@@ -189,20 +183,9 @@ impl<'a> SlotView<'a> {
         self.mean_power(day, slot) * self.slot_seconds()
     }
 
-    /// Slot-start samples as a flat series (day-major).
-    pub fn start_series(&self) -> &[f64] {
-        &self.starts
-    }
-
     /// Mean slot powers as a flat series (day-major).
     pub fn mean_series(&self) -> &[f64] {
         &self.means
-    }
-
-    /// The largest mean slot power in the view; the paper's region of
-    /// interest keeps slots whose mean is at least 10% of this peak.
-    pub fn peak_mean_power(&self) -> f64 {
-        self.peak_mean
     }
 
     /// Iterates over all slots in time order, yielding
@@ -289,18 +272,6 @@ mod tests {
             let diff = (slot_total - t.total_energy_j()).abs();
             assert!(diff < 1e-6 * t.total_energy_j().max(1.0), "N={n}: {diff}");
         }
-    }
-
-    #[test]
-    fn peak_mean_is_max_of_means() {
-        let t = ramp_trace(1);
-        let v = SlotView::new(&t, SlotsPerDay::new(48).unwrap()).unwrap();
-        let max = v
-            .mean_series()
-            .iter()
-            .copied()
-            .fold(f64::NEG_INFINITY, f64::max);
-        assert_eq!(v.peak_mean_power(), max);
     }
 
     #[test]
