@@ -78,15 +78,6 @@ impl EwmaPredictor {
     pub fn gamma(&self) -> f64 {
         self.gamma
     }
-
-    /// The current per-slot estimate, if that slot has been observed.
-    pub fn estimate(&self, slot: usize) -> Option<f64> {
-        if slot < self.slots_per_day && self.seen[slot] {
-            Some(self.estimates[slot])
-        } else {
-            None
-        }
-    }
 }
 
 impl Predictor for EwmaPredictor {
@@ -169,20 +160,10 @@ mod tests {
     }
 
     #[test]
-    fn estimate_accessor() {
-        let mut p = EwmaPredictor::new(0.5, 3).unwrap();
-        assert_eq!(p.estimate(0), None);
-        p.observe_and_predict(8.0);
-        assert_eq!(p.estimate(0), Some(8.0));
-        assert_eq!(p.estimate(7), None);
-    }
-
-    #[test]
     fn reset_clears_estimates() {
         let mut p = EwmaPredictor::new(0.5, 3).unwrap();
         p.observe_and_predict(8.0);
         p.reset();
-        assert_eq!(p.estimate(0), None);
         assert_eq!(p.observe_and_predict(3.0), 3.0);
     }
 
@@ -193,9 +174,10 @@ mod tests {
             p.observe_and_predict(100.0);
             p.observe_and_predict(100.0);
         }
-        // One dark day barely moves the estimate with small gamma.
+        // One dark day barely moves the estimate with small gamma: the
+        // day's last slot predicts tomorrow's first from it.
         p.observe_and_predict(0.0);
-        let est = p.estimate(0).unwrap();
+        let est = p.observe_and_predict(100.0);
         assert!(est > 60.0, "estimate {est}");
     }
 }

@@ -59,11 +59,6 @@ impl Q16 {
         }
     }
 
-    /// Converts an integer, saturating.
-    pub fn from_int(value: i32) -> Q16 {
-        Q16(value.saturating_mul(1 << 16))
-    }
-
     /// The ratio `num / den` as Q16, saturating; `den == 0` yields
     /// [`Q16::ONE`] (the WCMA-neutral value).
     pub fn from_ratio(num: i32, den: i32) -> Q16 {
@@ -82,11 +77,6 @@ impl Q16 {
     /// The raw fixed-point bits.
     pub fn raw(self) -> i32 {
         self.0
-    }
-
-    /// Builds a value from raw fixed-point bits.
-    pub fn from_raw(raw: i32) -> Q16 {
-        Q16(raw)
     }
 
     /// Saturating multiplication.
@@ -391,7 +381,7 @@ mod tests {
     #[test]
     fn display_and_raw_round_trip() {
         let q = Q16::from_f64(1.25);
-        assert_eq!(Q16::from_raw(q.raw()), q);
+        assert_eq!(q.raw(), 5 << 14);
         assert_eq!(q.to_string(), "1.25000");
         assert_eq!(f64::from(q), 1.25);
     }

@@ -49,17 +49,6 @@ pub struct WcmaParams {
 }
 
 impl WcmaParams {
-    /// The paper's α grid: 0.0, 0.1, …, 1.0.
-    pub fn paper_alpha_grid() -> Vec<f64> {
-        (0..=10).map(|i| i as f64 / 10.0).collect()
-    }
-
-    /// The paper's D range: 2 ..= 20.
-    pub const PAPER_DAYS: std::ops::RangeInclusive<usize> = 2..=20;
-
-    /// The paper's K range: 1 ..= 6.
-    pub const PAPER_K: std::ops::RangeInclusive<usize> = 1..=6;
-
     /// Creates parameters, validating every field.
     ///
     /// # Errors
@@ -105,19 +94,6 @@ impl WcmaParams {
     /// The day-start window policy.
     pub fn k_policy(&self) -> KWindowPolicy {
         self.k_policy
-    }
-
-    /// Returns a copy with a different α (validated).
-    ///
-    /// # Errors
-    ///
-    /// [`ParamError::InvalidAlpha`] if out of range.
-    pub fn with_alpha(mut self, alpha: f64) -> Result<Self, ParamError> {
-        if !alpha.is_finite() || !(0.0..=1.0).contains(&alpha) {
-            return Err(ParamError::InvalidAlpha { alpha });
-        }
-        self.alpha = alpha;
-        Ok(self)
     }
 }
 
@@ -268,23 +244,6 @@ mod tests {
             WcmaParams::new(0.5, 10, 1, 1),
             Err(ParamError::InvalidSlots { .. })
         ));
-    }
-
-    #[test]
-    fn with_alpha_validates() {
-        let p = WcmaParams::new(0.5, 10, 2, 48).unwrap();
-        assert_eq!(p.with_alpha(0.9).unwrap().alpha(), 0.9);
-        assert!(p.with_alpha(2.0).is_err());
-    }
-
-    #[test]
-    fn paper_grids_match_section_iv() {
-        let alphas = WcmaParams::paper_alpha_grid();
-        assert_eq!(alphas.len(), 11);
-        assert_eq!(alphas[0], 0.0);
-        assert_eq!(alphas[10], 1.0);
-        assert_eq!(WcmaParams::PAPER_DAYS, 2..=20);
-        assert_eq!(WcmaParams::PAPER_K, 1..=6);
     }
 
     #[test]

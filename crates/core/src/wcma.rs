@@ -140,11 +140,6 @@ impl WcmaPredictor {
         self.last_terms
     }
 
-    /// Number of complete days observed so far (saturating at D).
-    pub fn days_observed(&self) -> usize {
-        self.history.days_stored()
-    }
-
     /// Computes `Φ_K` from the ratio ring. Entry `i` (most recent first)
     /// carries weight `θ(i) = (K − i) / K`; missing or out-of-policy
     /// entries are treated per the configured [`KWindowPolicy`].
@@ -396,7 +391,6 @@ mod tests {
         let mut p = WcmaPredictor::new(params(0.5, 4, 2, n));
         run_days(&mut p, &day, 3);
         p.reset();
-        assert_eq!(p.days_observed(), 0);
         assert!(p.last_terms().is_none());
         // Behaves like a fresh predictor: warm-up persistence.
         assert_eq!(p.observe_and_predict(123.0), 123.0);

@@ -164,13 +164,13 @@ proptest! {
     fn ewma_estimates_stay_within_observed_range(trace in trace_strategy(6)) {
         let v = view(&trace);
         let mut p = EwmaPredictor::new(0.5, N).unwrap();
-        run_predictor(&v, &mut p);
-        for slot in 0..N {
-            if let Some(est) = p.estimate(slot) {
-                let lo = (0..v.days()).map(|d| v.start_sample(d, slot)).fold(f64::INFINITY, f64::min);
-                let hi = (0..v.days()).map(|d| v.start_sample(d, slot)).fold(0.0, f64::max);
-                prop_assert!(est >= lo - 1e-9 && est <= hi + 1e-9);
-            }
+        // From day 1 on, every slot has an estimate, and the
+        // prediction made at a slot's boundary is the next slot's.
+        for r in run_predictor(&v, &mut p).iter().filter(|r| r.day >= 1) {
+            let (est, slot) = (r.predicted, (r.slot as usize + 1) % N);
+            let lo = (0..v.days()).map(|d| v.start_sample(d, slot)).fold(f64::INFINITY, f64::min);
+            let hi = (0..v.days()).map(|d| v.start_sample(d, slot)).fold(0.0, f64::max);
+            prop_assert!(est >= lo - 1e-9 && est <= hi + 1e-9);
         }
     }
 

@@ -69,11 +69,6 @@ impl Context {
         }
     }
 
-    /// A small context (90 days) for integration tests.
-    pub fn quick() -> Self {
-        Context::with_days(90)
-    }
-
     /// The generated data sets in Table I order.
     pub fn datasets(&self) -> &[Dataset] {
         &self.datasets

@@ -43,7 +43,7 @@ pub fn run(ctx: &Context) -> ExperimentOutput {
         );
         let mut wcma_guideline =
             WcmaPredictor::new(WcmaParams::new(0.7, 10, 2, n).expect("guideline values"));
-        let mut ewma = EwmaPredictor::new(0.5, n).expect("valid gamma");
+        let mut ewma = EwmaPredictor::new(EwmaPredictor::DEFAULT_GAMMA, n).expect("valid gamma");
         let mut mavg = MovingAveragePredictor::new(10, n).expect("valid days");
         let mut pers = PersistencePredictor::new(n);
         table.push_row(vec![

@@ -57,7 +57,7 @@ pub fn run(ctx: &Context) -> ExperimentOutput {
         ),
         (
             "EWMA + energy-neutral".into(),
-            Box::new(EwmaPredictor::new(0.5, n).expect("valid gamma")),
+            Box::new(EwmaPredictor::new(EwmaPredictor::DEFAULT_GAMMA, n).expect("valid gamma")),
             Box::new(EnergyNeutralManager::default()),
         ),
         (

@@ -13,7 +13,7 @@
 //! ```no_run
 //! use paper_repro::{Context, experiments};
 //!
-//! // Full-year contexts are expensive; see `Context::quick` for tests.
+//! // Full-year contexts are expensive; see `Context::with_days` for tests.
 //! let ctx = Context::paper();
 //! let output = experiments::table1::run(&ctx);
 //! println!("{}", output.tables[0].1);

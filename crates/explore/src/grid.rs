@@ -97,15 +97,6 @@ impl ParamGrid {
         self.alphas.len() * self.days.len() * self.ks.len()
     }
 
-    /// Largest D in the grid.
-    pub fn d_max(&self) -> usize {
-        self.days
-            .iter()
-            .copied()
-            .max()
-            .expect("non-empty by construction")
-    }
-
     /// Largest K in the grid.
     pub fn k_max(&self) -> usize {
         *self.ks.last().expect("non-empty by construction")
@@ -264,7 +255,10 @@ mod tests {
     fn paper_grid_dimensions() {
         let g = ParamGrid::paper();
         assert_eq!(g.configs(), 1254);
-        assert_eq!(g.d_max(), 20);
+        assert_eq!(g.alphas().len(), 11);
+        assert_eq!((g.alphas()[0], g.alphas()[10]), (0.0, 1.0));
+        assert_eq!(g.days(), (2..=20).collect::<Vec<_>>());
+        assert_eq!(g.ks(), (1..=6).collect::<Vec<_>>());
         assert_eq!(g.k_max(), 6);
         assert_eq!(g, ParamGrid::default());
     }

@@ -32,35 +32,6 @@ pub fn smallest_adequate_d(result: &SweepResult, margin: f64) -> Option<usize> {
         .min()
 }
 
-/// The absolute MAPE penalty (fraction) of fixing K to `k` versus the
-/// global optimum — the paper's "K = 2 is very close to minimum" check.
-///
-/// Returns `None` if `k` is not on the grid or nothing was evaluated.
-pub fn k_penalty(result: &SweepResult, k: usize) -> Option<f64> {
-    if result.eval_count() == 0 {
-        return None;
-    }
-    let best = result.best_by_mape().mape;
-    result.best_at_k(k).map(|c| c.mape - best)
-}
-
-/// The absolute MAPE penalty (fraction) of fixing α to the guideline
-/// value versus the global optimum.
-///
-/// Returns `None` if `alpha` is not on the grid or nothing was evaluated.
-pub fn alpha_penalty(result: &SweepResult, alpha: f64) -> Option<f64> {
-    if result.eval_count() == 0 {
-        return None;
-    }
-    let ai = result.grid().alpha_index(alpha)?;
-    let best = result.best_by_mape().mape;
-    let best_at_alpha = (0..result.grid().days().len())
-        .flat_map(|di| (0..result.grid().ks().len()).map(move |ki| (di, ki)))
-        .map(|(di, ki)| result.mape(ai, di, ki))
-        .fold(f64::INFINITY, f64::min);
-    Some(best_at_alpha - best)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -98,22 +69,12 @@ mod tests {
         let view = SlotView::new(&trace, SlotsPerDay::new(24).unwrap()).unwrap();
         let result = sweep(&view, &ParamGrid::paper(), &EvalProtocol::paper());
 
-        // Penalties are non-negative and zero at the optimum's own values.
         let best = result.best_by_mape();
-        assert_eq!(k_penalty(&result, best.k).map(|p| p < 1e-15), Some(true));
-        for k in 1..=6 {
-            assert!(k_penalty(&result, k).unwrap() >= -1e-15);
-        }
-        assert!(alpha_penalty(&result, best.alpha).unwrap() < 1e-15);
 
         // A huge margin admits the smallest D; a zero margin admits at
         // least the optimum's D.
         assert_eq!(smallest_adequate_d(&result, 1.0), Some(2));
         let tight = smallest_adequate_d(&result, 0.0).unwrap();
         assert!(tight <= best.days);
-
-        // Missing grid values yield None.
-        assert!(k_penalty(&result, 9).is_none());
-        assert!(alpha_penalty(&result, 0.33).is_none());
     }
 }

@@ -70,16 +70,6 @@ impl ArtifactError {
             kind,
         }
     }
-
-    /// True when the file held a structurally valid envelope whose
-    /// bytes did not survive — the signature of torn/flipped storage
-    /// (as opposed to a wrong path or a foreign file).
-    pub fn is_corruption(&self) -> bool {
-        matches!(
-            self.kind,
-            ArtifactErrorKind::Truncated { .. } | ArtifactErrorKind::ChecksumMismatch { .. }
-        )
-    }
 }
 
 impl fmt::Display for ArtifactError {
@@ -306,7 +296,6 @@ mod tests {
         // Truncated payload.
         std::fs::write(&path, &full[..full.len() - 3]).unwrap();
         let err = read_artifact(&path, "shard-run").unwrap_err();
-        assert!(err.is_corruption(), "{err}");
         assert!(matches!(err.kind, ArtifactErrorKind::Truncated { .. }));
         assert!(err.to_string().contains("at byte"), "{err}");
 

@@ -65,13 +65,6 @@ impl Workload {
         }
     }
 
-    /// Evaluate on the v2 synthesis stream (generated kinds only —
-    /// [`Workload::matrix`] rejects the combination otherwise).
-    pub fn with_v2(mut self, v2: bool) -> Self {
-        self.v2 = v2;
-        self
-    }
-
     /// Override the worker-thread count.
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = Some(threads);
@@ -300,9 +293,11 @@ mod tests {
         for workload in [
             Workload::new(42, WorkloadKind::Tiny),
             Workload::new(7, WorkloadKind::Smoke).with_threads(1),
-            Workload::new(2026, WorkloadKind::Golden200)
-                .with_v2(true)
-                .with_threads(2),
+            Workload {
+                v2: true,
+                ..Workload::new(2026, WorkloadKind::Golden200)
+            }
+            .with_threads(2),
             Workload::new(9, WorkloadKind::Generated { count: 16 }),
         ] {
             let (parsed, rest) = Workload::from_args(workload.to_args()).unwrap();
@@ -326,7 +321,10 @@ mod tests {
                     "--shard-out",
                     "out.artifact",
                 ][..],
-                Workload::new(2026, WorkloadKind::Golden200).with_v2(true),
+                Workload {
+                    v2: true,
+                    ..Workload::new(2026, WorkloadKind::Golden200)
+                },
                 &["--shard", "1/2", "--fail", "--shard-out", "out.artifact"][..],
             ),
             (
@@ -375,10 +373,12 @@ mod tests {
         let matrix = Workload::new(1, WorkloadKind::Tiny).matrix().unwrap();
         assert_eq!(matrix.job_count(), 3);
         assert!(matrix.fleet_faults.is_empty());
-        let err = Workload::new(1, WorkloadKind::Tiny)
-            .with_v2(true)
-            .matrix()
-            .unwrap_err();
+        let err = Workload {
+            v2: true,
+            ..Workload::new(1, WorkloadKind::Tiny)
+        }
+        .matrix()
+        .unwrap_err();
         assert!(err.contains("--v2"), "{err}");
     }
 
@@ -389,10 +389,12 @@ mod tests {
             .unwrap();
         assert_eq!(matrix.scenarios.len(), 200);
         assert_eq!(matrix.job_count(), 200);
-        let v2 = Workload::new(2026, WorkloadKind::Golden200)
-            .with_v2(true)
-            .matrix()
-            .unwrap();
+        let v2 = Workload {
+            v2: true,
+            ..Workload::new(2026, WorkloadKind::Golden200)
+        }
+        .matrix()
+        .unwrap();
         assert!(v2.scenarios.iter().all(|s| s.name.ends_with("-v2")));
     }
 }

@@ -179,66 +179,66 @@ impl CalibratedCycleModel {
     }
 }
 
-/// A runtime-counting shadow of the incremental WCMA firmware kernel:
-/// walks the same arithmetic the firmware performs for one prediction and
-/// tallies operations, cross-checking [`PredictionKernel::op_counts`].
-///
-/// `history` is the stored per-slot mean for each of the K window slots
-/// plus the target slot (values only affect nothing — counting is
-/// data-independent — but realistic inputs keep the walk honest).
-pub fn counted_prediction(
-    kernel: &PredictionKernel,
-    history_mu: &[f64],
-    window: &[f64],
-) -> (f64, OpCounts) {
-    assert_eq!(window.len(), kernel.k(), "window must hold K values");
-    assert_eq!(
-        history_mu.len(),
-        kernel.k() + 1,
-        "need K window means plus the target mean"
-    );
-    let mut ops = OpCounts::default();
-    // Incremental mean update of the just-measured slot: subtract the
-    // evicted sample, add the new one, divide by D.
-    let mut mu_update = history_mu[0] - 0.0;
-    ops.adds += 1;
-    mu_update += window[kernel.k() - 1];
-    ops.adds += 1;
-    let _mu = mu_update / 1.0;
-    ops.divs += 1;
-
-    // Φ: K ratio divides, K weighted multiplies, K accumulating adds,
-    // one normalizing divide.
-    let mut num = 0.0;
-    for (i, &v) in window.iter().enumerate() {
-        let eta = v / history_mu[i].max(f64::MIN_POSITIVE);
-        ops.divs += 1;
-        let weighted = eta * ((i + 1) as f64 / kernel.k() as f64);
-        ops.muls += 1;
-        num += weighted;
-        ops.adds += 1;
-    }
-    let phi = num / 1.0;
-    ops.divs += 1;
-
-    // Blend.
-    let cond = history_mu[kernel.k()] * phi;
-    ops.muls += 1;
-    let weighted_cond = (1.0 - kernel.alpha()) * cond;
-    ops.muls += 1;
-    let mut prediction = weighted_cond;
-    if kernel.persistence_path() {
-        prediction += kernel.alpha() * window[kernel.k() - 1];
-        ops.muls += 1;
-    }
-    prediction += 0.0;
-    ops.adds += 1;
-    (prediction, ops)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A runtime-counting shadow of the incremental WCMA firmware kernel:
+    /// walks the same arithmetic the firmware performs for one prediction and
+    /// tallies operations, cross-checking [`PredictionKernel::op_counts`].
+    ///
+    /// `history` is the stored per-slot mean for each of the K window slots
+    /// plus the target slot (values only affect nothing — counting is
+    /// data-independent — but realistic inputs keep the walk honest).
+    fn counted_prediction(
+        kernel: &PredictionKernel,
+        history_mu: &[f64],
+        window: &[f64],
+    ) -> (f64, OpCounts) {
+        assert_eq!(window.len(), kernel.k(), "window must hold K values");
+        assert_eq!(
+            history_mu.len(),
+            kernel.k() + 1,
+            "need K window means plus the target mean"
+        );
+        let mut ops = OpCounts::default();
+        // Incremental mean update of the just-measured slot: subtract the
+        // evicted sample, add the new one, divide by D.
+        let mut mu_update = history_mu[0] - 0.0;
+        ops.adds += 1;
+        mu_update += window[kernel.k() - 1];
+        ops.adds += 1;
+        let _mu = mu_update / 1.0;
+        ops.divs += 1;
+
+        // Φ: K ratio divides, K weighted multiplies, K accumulating adds,
+        // one normalizing divide.
+        let mut num = 0.0;
+        for (i, &v) in window.iter().enumerate() {
+            let eta = v / history_mu[i].max(f64::MIN_POSITIVE);
+            ops.divs += 1;
+            let weighted = eta * ((i + 1) as f64 / kernel.k() as f64);
+            ops.muls += 1;
+            num += weighted;
+            ops.adds += 1;
+        }
+        let phi = num / 1.0;
+        ops.divs += 1;
+
+        // Blend.
+        let cond = history_mu[kernel.k()] * phi;
+        ops.muls += 1;
+        let weighted_cond = (1.0 - kernel.alpha()) * cond;
+        ops.muls += 1;
+        let mut prediction = weighted_cond;
+        if kernel.persistence_path() {
+            prediction += kernel.alpha() * window[kernel.k() - 1];
+            ops.muls += 1;
+        }
+        prediction += 0.0;
+        ops.adds += 1;
+        (prediction, ops)
+    }
 
     const NJ_PER_CYCLE: f64 = 1.5e-9;
 

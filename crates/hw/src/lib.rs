@@ -26,8 +26,9 @@
 //!   *structure* behind the calibrated numbers and supports design
 //!   exploration (fixed-point ablation).
 //!
-//! [`schedule`] combines either model with the [`Supply`] and [`AdcModel`]
-//! into per-day budgets and the overhead-% figures of the paper's Fig. 6.
+//! [`SamplingSchedule`] combines either model with the [`Supply`] and
+//! [`AdcModel`] into per-day budgets ([`DailyBudget`]) and the overhead-%
+//! figures of the paper's Fig. 6.
 //!
 //! # Example
 //!
@@ -46,7 +47,7 @@
 
 pub mod kernel;
 pub mod memory;
-pub mod schedule;
+mod schedule;
 mod supply;
 
 pub use kernel::{CalibratedCycleModel, OpCostModel, OpCounts, PredictionKernel};

@@ -29,11 +29,6 @@ impl PredictionRecord {
     pub fn error(&self) -> f64 {
         self.actual_mean - self.predicted
     }
-
-    /// Signed error against the slot-start sample (Eq. 6): `e − ê`.
-    pub fn error_prime(&self) -> f64 {
-        self.actual_start - self.predicted
-    }
 }
 
 /// An append-only log of prediction outcomes for one run of a predictor
@@ -153,7 +148,6 @@ mod tests {
             actual_mean: 11.0,
         };
         assert_eq!(r.error(), 1.0);
-        assert_eq!(r.error_prime(), 2.0);
     }
 
     #[test]

@@ -55,12 +55,6 @@ impl RoiFilter {
     pub fn includes(&self, value: f64, peak: f64) -> bool {
         value >= self.threshold(peak)
     }
-
-    /// Boolean mask over a reference series using the series' own peak.
-    pub fn mask(&self, reference: &[f64]) -> Vec<bool> {
-        let peak = reference.iter().copied().fold(0.0, f64::max);
-        reference.iter().map(|&v| self.includes(v, peak)).collect()
-    }
 }
 
 impl Default for RoiFilter {
@@ -88,17 +82,9 @@ mod tests {
     }
 
     #[test]
-    fn mask_uses_series_peak() {
-        let roi = RoiFilter::paper();
-        let series = [0.0, 5.0, 50.0, 100.0, 1000.0];
-        let mask = roi.mask(&series);
-        assert_eq!(mask, vec![false, false, false, true, true]);
-    }
-
-    #[test]
     fn zero_threshold_keeps_everything() {
         let roi = RoiFilter::new(0.0);
-        assert!(roi.mask(&[0.0, 1.0, 2.0]).iter().all(|&b| b));
+        assert!([0.0, 1.0, 2.0].iter().all(|&v| roi.includes(v, 2.0)));
     }
 
     #[test]

@@ -383,15 +383,6 @@ impl ReportDiff {
         }
     }
 
-    /// Whether the deterministic planes matched exactly.
-    pub fn deterministic_clean(&self) -> bool {
-        self.counter_deltas.is_empty()
-            && self.gauge_deltas.is_empty()
-            && self.label_changes.is_empty()
-            && self.scenario_drift.is_empty()
-            && self.histogram_deltas.is_empty()
-    }
-
     /// Machine-readable form for archives and tooling.
     pub fn to_json(&self) -> Json {
         let counters = |deltas: &[CounterDelta]| {
@@ -680,6 +671,15 @@ mod tests {
     use super::*;
     use crate::spans::{build_tree, SpanRecord};
 
+    /// Whether the deterministic planes matched exactly.
+    fn deterministic_clean(diff: &ReportDiff) -> bool {
+        diff.counter_deltas.is_empty()
+            && diff.gauge_deltas.is_empty()
+            && diff.label_changes.is_empty()
+            && diff.scenario_drift.is_empty()
+            && diff.histogram_deltas.is_empty()
+    }
+
     fn report_with(counters: &[(&str, u64)], scenario: &str, slots: u64) -> RunReport {
         let mut ledger = Ledger::new();
         for (key, n) in counters {
@@ -704,7 +704,7 @@ mod tests {
         let a = report_with(&[("jobs/evaluated", 12)], "desert", 960);
         let diff = ReportDiff::compute(&a, &a.clone(), &DiffConfig::default());
         assert_eq!(diff.verdict, Verdict::Clean);
-        assert!(diff.deterministic_clean());
+        assert!(deterministic_clean(&diff));
         assert!(diff.span_deltas.is_empty());
         assert!(diff.render_text().contains("verdict: clean"));
         assert!(diff.render_markdown().contains("No findings"));
@@ -783,7 +783,7 @@ mod tests {
         let diff = ReportDiff::compute(&base, &with_span(40_000_000), &config);
         assert_eq!(diff.verdict, Verdict::Regressed);
         assert!(diff.span_deltas[0].regressed);
-        assert!(diff.deterministic_clean());
+        assert!(deterministic_clean(&diff));
         // A generous ratio turns the same blowup into mere drift.
         let generous = DiffConfig {
             wall_regress_ratio: 50.0,

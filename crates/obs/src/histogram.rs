@@ -126,25 +126,6 @@ impl Histogram {
         }
     }
 
-    /// The smallest bucket lower edge at or above quantile `q`
-    /// (0 ≤ q ≤ 1) over the bucketed observations, ignoring `zeros`.
-    /// `None` when no bucketed observations exist.
-    pub fn quantile_edge(&self, q: f64) -> Option<f64> {
-        let total: u64 = self.buckets.values().sum();
-        if total == 0 {
-            return None;
-        }
-        let rank = ((q.clamp(0.0, 1.0) * total as f64).ceil() as u64).max(1);
-        let mut seen = 0u64;
-        for (&index, &n) in &self.buckets {
-            seen += n;
-            if seen >= rank {
-                return Some(bucket_lower_edge(index));
-            }
-        }
-        None
-    }
-
     /// Deterministic JSON: `{"zeros": n, "buckets": {"<index>": n}}`,
     /// bucket keys in ascending numeric order.
     pub fn to_json(&self) -> Json {
@@ -332,20 +313,6 @@ mod tests {
         assert!(parse(r#"{"zeros": 0, "buckets": {"9999": 1}}"#).is_err());
         assert!(parse(r#"{"zeros": 0, "buckets": {"0": -2}}"#).is_err());
         assert!(parse(r#"{"zeros": -1, "buckets": {}}"#).is_err());
-    }
-
-    #[test]
-    fn quantile_edge_walks_the_cumulative_counts() {
-        let mut hist = Histogram::new();
-        for _ in 0..9 {
-            hist.observe(1.0);
-        }
-        hist.observe(1000.0);
-        assert_eq!(hist.quantile_edge(0.5), Some(1.0));
-        assert_eq!(hist.quantile_edge(0.0), Some(1.0));
-        let p99 = hist.quantile_edge(0.99).unwrap();
-        assert!(p99 <= 1000.0 && p99 > 512.0, "p99 edge near 1000: {p99}");
-        assert_eq!(Histogram::new().quantile_edge(0.5), None);
     }
 
     #[test]

@@ -9,7 +9,6 @@
 //! reached: polar night, monsoon onset, hardware faults.
 
 use crate::faults::FaultSpec;
-use crate::fleet_faults::{FleetFault, SpatialFalloff};
 use crate::json::Json;
 use harvest_sim::{EnergyStorage, Load, NodeConfig, SolarPanel};
 use solar_synth::{Site, SiteConfig, SiteConfigBuilder, StreamVersion, WeatherModel};
@@ -711,34 +710,6 @@ impl Catalog {
         catalog
     }
 
-    /// The built-in correlated fleet-wide events: a mid-latitude storm
-    /// belt (one shared onset darkens every 30–52°N scenario for the
-    /// same six days, expressed as a flat-profile [`SpatialFalloff`]
-    /// band) and a fleet-wide pollen season (every panel soils on the
-    /// same ramp while pyranometers stay clean). Attach to a matrix
-    /// with [`crate::FleetMatrix::with_fleet_faults`]; the engine
-    /// realizes each event from one shared seed and projects it into
-    /// every affected scenario — the correlation that independent
-    /// per-scenario faults cannot express.
-    pub fn builtin_fleet_events() -> Vec<FleetFault> {
-        vec![
-            FleetFault::RegionalStorm {
-                window_start_day: 21,
-                window_end_day: 35,
-                duration_days: 6,
-                depth: 0.75,
-                region: SpatialFalloff::band(30.0, 52.0),
-            },
-            FleetFault::SeasonalSoiling {
-                window_start_day: 25,
-                window_end_day: 32,
-                duration_days: 10,
-                max_loss: 0.3,
-                region: SpatialFalloff::global(),
-            },
-        ]
-    }
-
     /// Adds a scenario after validating it; names must be unique.
     pub fn push(&mut self, scenario: Scenario) -> Result<(), String> {
         scenario.validate()?;
@@ -871,23 +842,6 @@ mod tests {
             assert!((faded.storage.capacity_j() - config.storage.capacity_j() * 0.5).abs() < 1e-9);
         }
         assert!(NodeProfile::Mote.node_config(0.0).is_err());
-    }
-
-    #[test]
-    fn builtin_fleet_events_validate_and_touch_the_catalog() {
-        let catalog = Catalog::builtin();
-        let events = Catalog::builtin_fleet_events();
-        assert!(!events.is_empty());
-        for event in &events {
-            event.validate().unwrap();
-            assert!(
-                catalog
-                    .scenarios()
-                    .iter()
-                    .any(|s| event.affects(s).unwrap()),
-                "{event:?} affects no builtin scenario"
-            );
-        }
     }
 
     #[test]

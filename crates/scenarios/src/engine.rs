@@ -773,7 +773,7 @@ pub(crate) mod tests {
     fn streaming_only_policy_is_byte_identical_and_never_materializes() {
         let matrix = small_matrix();
         let materialized = FleetEngine::new(5).run(&matrix).unwrap();
-        let engine = FleetEngine::new(5).with_trace_cache(TraceCachePolicy::streaming_only());
+        let engine = FleetEngine::new(5).with_trace_cache(TraceCachePolicy::bounded(0));
         let mut cache = engine.new_cache();
         let streamed = engine.run_cached(&matrix, &mut cache).unwrap();
         assert_eq!(streamed.streamed_jobs, matrix.job_count());
@@ -818,7 +818,7 @@ pub(crate) mod tests {
         assert_eq!(TraceCachePolicy::default(), TraceCachePolicy::unbounded());
         assert_eq!(TraceCachePolicy::unbounded().budget_bytes(), None);
         assert_eq!(TraceCachePolicy::bounded(512).budget_bytes(), Some(512));
-        assert_eq!(TraceCachePolicy::streaming_only().budget_bytes(), Some(0));
+        assert_eq!(TraceCachePolicy::bounded(0).budget_bytes(), Some(0));
 
         // A zero budget admits no series; the scorecard must not move by
         // a byte relative to the unbounded run, and the ledger names the
@@ -873,7 +873,7 @@ pub(crate) mod tests {
         assert!(long.scenarios[2].days >= 3 * 365);
         let collector = Collector::recording();
         let streaming = FleetEngine::new(17)
-            .with_trace_cache(TraceCachePolicy::streaming_only())
+            .with_trace_cache(TraceCachePolicy::bounded(0))
             .with_collector(collector.clone())
             .run(&long)
             .unwrap();
@@ -1235,7 +1235,7 @@ pub(crate) mod tests {
         // synthesizes the appended days from the stored generator tail
         // alone.
         let matrix = small_matrix();
-        let engine = FleetEngine::new(43).with_trace_cache(TraceCachePolicy::streaming_only());
+        let engine = FleetEngine::new(43).with_trace_cache(TraceCachePolicy::bounded(0));
         let mut cache = engine.new_cache();
         engine.run_cached(&matrix, &mut cache).unwrap();
 
@@ -1245,7 +1245,7 @@ pub(crate) mod tests {
         }
         let collector = Collector::recording();
         let incremental = FleetEngine::new(43)
-            .with_trace_cache(TraceCachePolicy::streaming_only())
+            .with_trace_cache(TraceCachePolicy::bounded(0))
             .with_collector(collector.clone())
             .run_cached(&grown, &mut cache)
             .unwrap();
@@ -1262,7 +1262,7 @@ pub(crate) mod tests {
             );
         }
         let cold = FleetEngine::new(43)
-            .with_trace_cache(TraceCachePolicy::streaming_only())
+            .with_trace_cache(TraceCachePolicy::bounded(0))
             .run(&grown)
             .unwrap();
         assert_eq!(
@@ -1322,7 +1322,7 @@ pub(crate) mod tests {
 
         // Off a bare tail the unit holds only the appended days, so the
         // fallback synthesizes the whole series once more.
-        let streaming = FleetEngine::new(47).with_trace_cache(TraceCachePolicy::streaming_only());
+        let streaming = FleetEngine::new(47).with_trace_cache(TraceCachePolicy::bounded(0));
         let mut cache = streaming.new_cache();
         streaming.run_cached(&matrix, &mut cache).unwrap();
         let collector = Collector::recording();

@@ -341,13 +341,6 @@ impl FleetFault {
         }
     }
 
-    /// Whether the event touches `scenario` at all (nonzero severity at
-    /// the scenario's latitude).
-    pub fn affects(&self, scenario: &Scenario) -> Result<bool, String> {
-        let latitude = scenario.site_config()?.latitude_deg;
-        Ok(self.severity_at(latitude) > 0.0)
-    }
-
     /// Projects the realized event into `scenario`'s fault list: the
     /// [`FaultSpec`]s to append — severity graded by the scenario's
     /// distance from the epicenter — or empty when the scenario sits
@@ -358,32 +351,24 @@ impl FleetFault {
     /// Propagates site-configuration errors from the latitude lookup.
     pub fn project(&self, event_seed: u64, scenario: &Scenario) -> Result<Vec<FaultSpec>, String> {
         let latitude = scenario.site_config()?.latitude_deg;
-        let weight = self.region().weight(latitude);
-        if weight <= 0.0 {
+        if self.region().weight(latitude) <= 0.0 {
             return Ok(Vec::new());
         }
         let onset = self.onset_day(event_seed);
         if onset >= scenario.days {
             return Ok(Vec::new());
         }
+        let severity = self.severity_at(latitude);
         Ok(match *self {
-            FleetFault::RegionalStorm {
-                duration_days,
-                depth,
-                ..
-            } => vec![FaultSpec::ClimateDimming {
+            FleetFault::RegionalStorm { duration_days, .. } => vec![FaultSpec::ClimateDimming {
                 start_day: onset,
                 duration_days,
-                factor: 1.0 - depth * weight,
+                factor: 1.0 - severity,
             }],
-            FleetFault::SeasonalSoiling {
-                duration_days,
-                max_loss,
-                ..
-            } => vec![FaultSpec::PanelSoiling {
+            FleetFault::SeasonalSoiling { duration_days, .. } => vec![FaultSpec::PanelSoiling {
                 start_day: onset,
                 duration_days,
-                max_loss: max_loss * weight,
+                max_loss: severity,
             }],
         })
     }

@@ -300,19 +300,6 @@ impl CatalogGenerator {
         }
     }
 
-    /// A generator over explicit templates (validated; families must be
-    /// unique).
-    pub fn with_templates(seed: u64, templates: Vec<RegimeTemplate>) -> Result<Self, String> {
-        if templates.is_empty() {
-            return Err("catalog generator needs at least one template".to_string());
-        }
-        for template in &templates {
-            template.validate()?;
-        }
-        check_unique("families", &templates, |t| t.family.clone())?;
-        Ok(CatalogGenerator { seed, templates })
-    }
-
     /// The builtin climate-family templates: five families spanning
     /// both hemispheres, the equatorial band, continuous
     /// cloudiness/turbidity shaping, three hardware tiers, and the
@@ -412,15 +399,6 @@ impl CatalogGenerator {
         self.templates.iter().map(RegimeTemplate::count).sum()
     }
 
-    /// Expands every template combination into a catalog.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first validation error.
-    pub fn expand_all(&self) -> Result<Catalog, String> {
-        self.generate(self.total())
-    }
-
     /// The first `count` scenarios in deterministic round-robin order
     /// across templates, so a small count still spans every climate
     /// family. Ids are unaffected by `count` (they derive from axis
@@ -480,7 +458,7 @@ mod tests {
             "builtin templates must expand to ≥200 regimes, got {}",
             generator.total()
         );
-        let catalog = generator.expand_all().unwrap();
+        let catalog = generator.generate(generator.total()).unwrap();
         assert_eq!(catalog.len(), generator.total());
         // Names are unique (Catalog::push enforces it; double-check).
         let mut names = catalog.names();
@@ -667,9 +645,6 @@ mod tests {
         ] {
             assert!(breakage.validate().is_err(), "{breakage:?}");
         }
-        // Duplicate families collide at generator assembly.
-        assert!(CatalogGenerator::with_templates(1, vec![base.clone(), base.clone()]).is_err());
-        assert!(CatalogGenerator::with_templates(1, vec![]).is_err());
         let generator = CatalogGenerator::new(1);
         assert!(generator.generate(0).is_err());
         assert!(generator.generate(generator.total() + 1).is_err());

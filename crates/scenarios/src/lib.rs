@@ -94,3 +94,9 @@ pub use solar_synth::StreamVersion;
 pub use fleet_obs::{
     Collector, DiffConfig, Histogram, Ledger, ReportDiff, RunArchive, RunReport, Verdict,
 };
+
+// The README's Rust snippets compile (and those that do not run a whole
+// fleet, run) as doctests of this crate.
+#[cfg(doctest)]
+#[doc = include_str!("../../../README.md")]
+struct ReadmeDoctests;

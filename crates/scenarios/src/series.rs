@@ -37,11 +37,6 @@ impl TraceCachePolicy {
         TraceCachePolicy::Bounded(bytes)
     }
 
-    /// Retain no series (a zero-byte budget).
-    pub fn streaming_only() -> Self {
-        Self::bounded(0)
-    }
-
     /// The budget in bytes; `None` means unbounded.
     pub fn budget_bytes(&self) -> Option<u64> {
         match *self {

@@ -19,12 +19,6 @@ pub trait SlotHook {
     fn on_slot(&mut self, day: usize, slot: usize, harvest_j: &mut f64, measured: &mut f64);
 }
 
-impl<H: SlotHook + ?Sized> SlotHook for &mut H {
-    fn on_slot(&mut self, day: usize, slot: usize, harvest_j: &mut f64, measured: &mut f64) {
-        (**self).on_slot(day, slot, harvest_j, measured);
-    }
-}
-
 /// The do-nothing hook: a faultless run.
 #[derive(Copy, Clone, Debug, Default)]
 pub struct NoFaults;

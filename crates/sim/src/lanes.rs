@@ -34,11 +34,11 @@ struct Lane {
 /// that holds them (1, 4 or 8), so a one-job unit pays for one lane.
 ///
 /// Each lane runs exactly the ops of
-/// [`NodeMachine::absorb_corrupted`](crate::NodeMachine::absorb_corrupted)
-/// and [`NodeMachine::plan_with`](crate::NodeMachine::plan_with), in
+/// [`NodeSimulation::absorb_corrupted`](crate::NodeSimulation::absorb_corrupted)
+/// and [`NodeSimulation::plan_with`](crate::NodeSimulation::plan_with), in
 /// the same order — both call the same value functions for the storage
 /// step and the energy-neutral rule — so lane `i` reports exactly what
-/// a [`NodeMachine`](crate::NodeMachine) with manager `rules[i]`
+/// a [`NodeSimulation`](crate::NodeSimulation) with manager `rules[i]`
 /// reports when fed the same harvests and lane `i`'s predictions
 /// (property-tested bit for bit).
 ///
@@ -88,11 +88,11 @@ impl NodeLanes {
     ///
     /// # Panics
     ///
-    /// Panics where [`NodeMachine::with_external_predictions`] does, and
+    /// Panics where [`NodeSimulation::with_external_predictions`] does, and
     /// on an energy-neutral rule whose duty bounds are unordered or NaN
     /// (which a machine's first plan would panic on).
     ///
-    /// [`NodeMachine::with_external_predictions`]: crate::NodeMachine::with_external_predictions
+    /// [`NodeSimulation::with_external_predictions`]: crate::NodeSimulation::with_external_predictions
     pub fn new(
         config: &NodeConfig,
         rules: impl IntoIterator<Item = DutyRule>,
@@ -146,17 +146,17 @@ impl NodeLanes {
 
     /// Advances every lane over a run of slots — a day, for checkpoints
     /// to fall on day boundaries. Slot `t` harvests `harvest_j[t]`
-    /// (already fault-hooked, as [`NodeMachine::absorb_corrupted`]
+    /// (already fault-hooked, as [`NodeSimulation::absorb_corrupted`]
     /// takes it), and lane `i` then plans from `predicted[t × len + i]`.
     ///
     /// # Panics
     ///
     /// Panics if `predicted` does not hold `len` predictions per slot,
-    /// and — after the run, like [`NodeMachine::plan_with`] at the first
+    /// and — after the run, like [`NodeSimulation::plan_with`] at the first
     /// offending slot — if any lane planned a duty outside `[0, 1]`.
     ///
-    /// [`NodeMachine::absorb_corrupted`]: crate::NodeMachine::absorb_corrupted
-    /// [`NodeMachine::plan_with`]: crate::NodeMachine::plan_with
+    /// [`NodeSimulation::absorb_corrupted`]: crate::NodeSimulation::absorb_corrupted
+    /// [`NodeSimulation::plan_with`]: crate::NodeSimulation::plan_with
     pub fn run_day(&mut self, harvest_j: &[f64], predicted: &[f64]) {
         assert_eq!(
             predicted.len(),
@@ -197,10 +197,10 @@ impl NodeLanes {
         }
     }
 
-    /// Lane `lane`'s report so far, as [`NodeMachine::finish`] would
+    /// Lane `lane`'s report so far, as [`NodeSimulation::finish`] would
     /// return it. The lanes keep running.
     ///
-    /// [`NodeMachine::finish`]: crate::NodeMachine::finish
+    /// [`NodeSimulation::finish`]: crate::NodeSimulation::finish
     ///
     /// # Panics
     ///
@@ -384,7 +384,7 @@ mod tests {
     use crate::load::Load;
     use crate::panel::SolarPanel;
     use crate::storage::EnergyStorage;
-    use crate::NodeMachine;
+    use crate::NodeSimulation;
     use proptest::prelude::*;
 
     const SLOTS: usize = 24;
@@ -524,10 +524,12 @@ mod tests {
         days: &[(Vec<f64>, Vec<f64>)],
     ) -> Vec<NodeReport> {
         let n = rules.len();
-        let mut machines: Vec<_> = rules
-            .iter()
-            .map(|&rule| {
-                NodeMachine::with_external_predictions(rule, config, NoFaults, SLOT_S, SLOTS)
+        let mut managers: Vec<(DutyRule, NoFaults)> =
+            rules.iter().map(|&rule| (rule, NoFaults)).collect();
+        let mut machines: Vec<_> = managers
+            .iter_mut()
+            .map(|(rule, hook)| {
+                NodeSimulation::with_external_predictions(rule, config, hook, SLOT_S, SLOTS)
             })
             .collect();
         for (harvest, predicted) in days {
@@ -538,7 +540,7 @@ mod tests {
                 }
             }
         }
-        machines.into_iter().map(NodeMachine::finish).collect()
+        machines.into_iter().map(NodeSimulation::finish).collect()
     }
 
     fn lane_reports(lanes: &NodeLanes) -> Vec<NodeReport> {
@@ -640,10 +642,11 @@ mod tests {
     #[test]
     fn no_slots_report_like_a_fresh_machine() {
         let lanes = NodeLanes::new(&plain_config(), [DutyRule::Greedy], SLOT_S, SLOTS);
-        let machine = NodeMachine::with_external_predictions(
-            DutyRule::Greedy,
+        let (mut rule, mut hook) = (DutyRule::Greedy, NoFaults);
+        let machine = NodeSimulation::with_external_predictions(
+            &mut rule,
             &plain_config(),
-            NoFaults,
+            &mut hook,
             SLOT_S,
             SLOTS,
         );

@@ -19,13 +19,12 @@
 //! * [`SlotHook`] / [`simulate_node_hooked`] — per-slot fault injection
 //!   (dead panels, corrupted sensors) that cannot break the energy
 //!   ledger,
-//! * [`NodeMachine`] — the same loop as a slot-stepped state machine,
-//!   generic over how it holds its manager and hook.
-//!   [`NodeSimulation`] borrows both as trait objects, which is how
+//! * [`NodeSimulation`] — the same loop as a slot-stepped state
+//!   machine over a borrowed manager and hook, which is how
 //!   [`simulate_node_hooked`] drives it.
 //! * [`NodeLanes`] — many nodes of one configuration, one lane per
 //!   node with its own [`DutyRule`], stepped a day at a time in
-//!   vectorized blocks and bit-identical to one [`NodeMachine`] per
+//!   vectorized blocks and bit-identical to one [`NodeSimulation`] per
 //!   lane (both call the same storage-step and duty-rule value
 //!   functions). It is the `scenario-fleet` engine's job plane, one
 //!   lane per job; a clone taken at a day boundary is a resume
@@ -78,4 +77,4 @@ pub use manager::{
 pub use node::{simulate_node, simulate_node_hooked, NodeConfig, NodeReport};
 pub use panel::SolarPanel;
 pub use storage::{ChargeOutcome, EnergyStorage};
-pub use stream::{NodeMachine, NodeSimulation};
+pub use stream::NodeSimulation;

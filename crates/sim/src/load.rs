@@ -75,13 +75,6 @@ impl Load {
     pub fn energy_j(&self, duty: f64, dt_s: f64) -> f64 {
         self.power_w(duty) * dt_s
     }
-
-    /// The duty cycle whose average power equals `budget_w`, clamped to
-    /// `[0, 1]` — the inverse of [`Load::power_w`], used by
-    /// energy-neutral managers.
-    pub fn duty_for_power(&self, budget_w: f64) -> f64 {
-        ((budget_w - self.sleep_w) / (self.active_w - self.sleep_w)).clamp(0.0, 1.0)
-    }
 }
 
 #[cfg(test)]
@@ -102,18 +95,6 @@ mod tests {
         assert_eq!(l.power_w(0.0), 0.01);
         assert_eq!(l.power_w(1.0), 0.1);
         assert!((l.power_w(0.5) - 0.055).abs() < 1e-12);
-    }
-
-    #[test]
-    fn duty_for_power_inverts_power() {
-        let l = Load::new(0.1, 0.01).unwrap();
-        for duty in [0.0, 0.25, 0.5, 1.0] {
-            let p = l.power_w(duty);
-            assert!((l.duty_for_power(p) - duty).abs() < 1e-12);
-        }
-        // Out-of-range budgets clamp.
-        assert_eq!(l.duty_for_power(1.0), 1.0);
-        assert_eq!(l.duty_for_power(0.0), 0.0);
     }
 
     #[test]

@@ -30,16 +30,6 @@ pub trait PowerManager {
     fn name(&self) -> &str;
 }
 
-impl<M: PowerManager + ?Sized> PowerManager for &mut M {
-    fn plan_duty(&mut self, ctx: &SlotContext) -> f64 {
-        (**self).plan_duty(ctx)
-    }
-
-    fn name(&self) -> &str {
-        (**self).name()
-    }
-}
-
 /// The prediction-driven energy-neutral controller (after Kansal et al.):
 /// spend what you expect to harvest, corrected toward a target state of
 /// charge.

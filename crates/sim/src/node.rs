@@ -121,12 +121,11 @@ pub fn simulate_node(
 /// so the energy-balance identity of [`NodeReport`] continues to hold
 /// under arbitrary faults (property-tested).
 ///
-/// Per slot it drives one [`NodeSimulation`] — the borrowed form of the
-/// [`NodeMachine`](crate::NodeMachine) the fleet engine owns and
-/// advances slot by slot — through the hooked harvest step, the
-/// predictor, and [`NodeMachine::plan_with`](crate::NodeMachine::plan_with),
-/// so view-driven and engine-driven simulations share one set of
-/// accounting steps.
+/// Per slot it drives one [`NodeSimulation`] through the hooked harvest
+/// step, the predictor, and [`NodeSimulation::plan_with`]. The fleet
+/// engine's [`NodeLanes`](crate::NodeLanes) step the same accounting
+/// value functions, so view-driven and engine-driven simulations share
+/// one set of accounting steps.
 ///
 /// # Panics
 ///

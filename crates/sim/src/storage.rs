@@ -139,17 +139,9 @@ impl EnergyStorage {
         delivered
     }
 
-    /// Applies leakage over `dt_s` seconds; returns the energy leaked.
-    #[inline]
-    pub fn leak(&mut self, dt_s: f64) -> f64 {
-        let (level_j, loss) = self.leaked(self.level_j, dt_s);
-        self.level_j = level_j;
-        loss
-    }
-
     // The three storage steps as value functions of a level, with this
     // store supplying only its parameters: the one copy of the storage
-    // arithmetic, shared by the methods above, `NodeMachine` and the
+    // arithmetic, shared by the methods above, `NodeSimulation` and the
     // lanes of `NodeLanes`. Each is branch-light and pure, so a loop of
     // lanes if-converts and vectorizes.
 
@@ -184,8 +176,8 @@ impl EnergyStorage {
         }
     }
 
-    /// [`EnergyStorage::leak`] from `level_j`: the new level and the
-    /// energy leaked.
+    /// Leakage over `dt_s` seconds from `level_j`: the new level and
+    /// the energy leaked.
     #[inline]
     pub(crate) fn leaked(&self, level_j: f64, dt_s: f64) -> (f64, f64) {
         let loss = (self.leakage_w * dt_s).min(level_j);
@@ -243,10 +235,10 @@ mod tests {
 
     #[test]
     fn leak_is_bounded_by_level() {
-        let mut s = EnergyStorage::with_losses(100.0, 1.0, 1.0, 1.0, 1.0).unwrap();
-        let leaked = s.leak(10.0);
+        let s = EnergyStorage::with_losses(100.0, 1.0, 1.0, 1.0, 1.0).unwrap();
+        let (level_j, leaked) = s.leaked(s.level_j(), 10.0);
         assert!((leaked - 1.0).abs() < 1e-12);
-        assert_eq!(s.level_j(), 0.0);
+        assert_eq!(level_j, 0.0);
     }
 
     #[test]

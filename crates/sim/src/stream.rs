@@ -12,23 +12,16 @@ use crate::hook::SlotHook;
 use crate::manager::{PowerManager, SlotContext};
 use crate::node::{NodeConfig, NodeReport};
 
-/// The node simulation as an incremental state machine, generic over
-/// how it holds its manager `M` and fault hook `H`. Predictions are
-/// computed *outside* the machine — by the caller's predictor or a
-/// shared multi-candidate kernel such as `solar_predict::CandidateBank`
-/// — so a slot is two calls: [`NodeMachine::absorb_corrupted`] (or
-/// the hooked `absorb_slot`) for steps 1–3, then
-/// [`NodeMachine::plan_with`] for step 4. Collect the report with
-/// [`NodeMachine::finish`].
-///
-/// A machine that owns a `Clone` manager and hook is itself `Clone`,
-/// and a clone taken at a day boundary is a checkpoint: fed the
-/// remaining slots, it reports exactly what the uninterrupted machine
-/// reports.
-#[derive(Clone)]
-pub struct NodeMachine<M, H> {
-    manager: M,
-    hook: H,
+/// The node simulation as an incremental state machine over a borrowed
+/// manager and fault hook. Predictions are computed *outside* the
+/// machine — by the caller's predictor or a shared multi-candidate
+/// kernel such as `solar_predict::CandidateBank` — so a slot is two
+/// calls: [`NodeSimulation::absorb_corrupted`] (or the hooked
+/// `absorb_slot`) for steps 1–3, then [`NodeSimulation::plan_with`]
+/// for step 4. Collect the report with [`NodeSimulation::finish`].
+pub struct NodeSimulation<'a> {
+    manager: &'a mut dyn PowerManager,
+    hook: &'a mut dyn SlotHook,
     /// The node's parameters; its storage's level is the initial one.
     config: NodeConfig,
     level_j: f64,
@@ -38,11 +31,7 @@ pub struct NodeMachine<M, H> {
     planned_duty: f64,
 }
 
-/// The machine over borrowed trait objects, as
-/// [`simulate_node_hooked`](crate::simulate_node_hooked) drives it.
-pub type NodeSimulation<'a> = NodeMachine<&'a mut dyn PowerManager, &'a mut dyn SlotHook>;
-
-impl<M: PowerManager, H: SlotHook> NodeMachine<M, H> {
+impl<'a> NodeSimulation<'a> {
     /// Starts a simulation of `config` at slot duration `slot_seconds`
     /// for predictions made at `slots_per_day` slots per day.
     ///
@@ -52,14 +41,14 @@ impl<M: PowerManager, H: SlotHook> NodeMachine<M, H> {
     /// slot_seconds` is not one day — running a predictor at the wrong
     /// N is always a bug.
     pub fn with_external_predictions(
-        manager: M,
+        manager: &'a mut dyn PowerManager,
         config: &NodeConfig,
-        hook: H,
+        hook: &'a mut dyn SlotHook,
         slot_seconds: f64,
         slots_per_day: usize,
     ) -> Self {
         check_slotting(slot_seconds, slots_per_day);
-        NodeMachine {
+        NodeSimulation {
             manager,
             hook,
             config: config.clone(),
@@ -75,7 +64,7 @@ impl<M: PowerManager, H: SlotHook> NodeMachine<M, H> {
     /// harvest, load, leakage) for the slot at `(day, slot)` with
     /// boundary sample `start_sample` and mean power `mean_power`,
     /// returning the fault-hooked measured sample the predictor
-    /// observes. Pair with [`NodeMachine::plan_with`].
+    /// observes. Pair with [`NodeSimulation::plan_with`].
     pub(crate) fn absorb_slot(
         &mut self,
         day: usize,
@@ -168,7 +157,7 @@ pub(crate) struct SlotFlows {
 /// Steps 1–3 of a slot as a value function: a store at `level_j` takes
 /// the slot's (non-negative) `harvest_j`, runs the load at `duty`, and
 /// leaks. Returns the new level and the slot's flows. The one copy of
-/// the slot's accounting, shared by [`NodeMachine`] and every lane of a
+/// the slot's accounting, shared by [`NodeSimulation`] and every lane of a
 /// [`NodeLanes`](crate::NodeLanes); `config.storage` supplies only its
 /// parameters.
 #[inline]
@@ -261,26 +250,6 @@ mod tests {
         }
     }
 
-    /// `(day, slot, start_sample, mean_power)` of `days` hourly days.
-    fn hourly_slots(day: &[f64], days: usize) -> Vec<(usize, usize, f64, f64)> {
-        (0..24 * days)
-            .map(|step| (step / 24, step % 24, day[step % 24], day[step % 24]))
-            .collect()
-    }
-
-    /// Feeds `slots` through the hooked half, `predictor`, and
-    /// `plan_with` — the per-slot order of `simulate_node_hooked`.
-    fn drive<M: PowerManager, H: SlotHook>(
-        sim: &mut NodeMachine<M, H>,
-        predictor: &mut impl Predictor,
-        slots: &[(usize, usize, f64, f64)],
-    ) {
-        for &(day, slot, start, mean) in slots {
-            let measured = sim.absorb_slot(day, slot, start, mean);
-            sim.plan_with(predictor.observe_and_predict(measured));
-        }
-    }
-
     #[test]
     fn external_predictions_match_the_owned_predictor_path() {
         // Driving the machine through absorb_corrupted + plan_with with
@@ -320,47 +289,6 @@ mod tests {
             external.plan_with(p2.observe_and_predict(start));
         }
         assert_eq!(owned, external.finish());
-    }
-
-    #[test]
-    fn cloned_machine_resumes_bit_identically() {
-        let day: Vec<f64> = (0..24)
-            .map(|h| {
-                if (6..18).contains(&h) {
-                    500.0 + h as f64
-                } else {
-                    0.0
-                }
-            })
-            .collect();
-        let slots = hourly_slots(&day, 10);
-        let params = WcmaParams::new(0.5, 5, 2, 24).unwrap();
-
-        let mut p1 = WcmaPredictor::new(params);
-        let mut m1 = EnergyNeutralManager::default();
-        let mut hook1 = NoFaults;
-        let mut uninterrupted =
-            NodeSimulation::with_external_predictions(&mut m1, &config(), &mut hook1, 3600.0, 24);
-        drive(&mut uninterrupted, &mut p1, &slots);
-        let uninterrupted = uninterrupted.finish();
-
-        // Drive an owned machine four days, clone it and its predictor
-        // at the day boundary, and feed the remaining days to both.
-        let mut p2 = WcmaPredictor::new(params);
-        let mut original = NodeMachine::with_external_predictions(
-            EnergyNeutralManager::default(),
-            &config(),
-            NoFaults,
-            3600.0,
-            24,
-        );
-        drive(&mut original, &mut p2, &slots[..4 * 24]);
-        let mut clone = original.clone();
-        let mut p3 = p2.clone();
-        drive(&mut original, &mut p2, &slots[4 * 24..]);
-        drive(&mut clone, &mut p3, &slots[4 * 24..]);
-        assert_eq!(original.finish(), uninterrupted);
-        assert_eq!(clone.finish(), uninterrupted);
     }
 
     #[test]

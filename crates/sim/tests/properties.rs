@@ -13,14 +13,12 @@ use solar_trace::{PowerTrace, Resolution, SlotView, SlotsPerDay};
 enum StorageOp {
     Charge(f64),
     Discharge(f64),
-    Leak(f64),
 }
 
 fn op_strategy() -> impl Strategy<Value = StorageOp> {
     prop_oneof![
         (0.0f64..500.0).prop_map(StorageOp::Charge),
         (0.0f64..500.0).prop_map(StorageOp::Discharge),
-        (0.0f64..3600.0).prop_map(StorageOp::Leak),
     ]
 }
 
@@ -54,10 +52,6 @@ proptest! {
                 StorageOp::Discharge(j) => {
                     let delivered = storage.discharge(j);
                     prop_assert!(delivered >= 0.0 && delivered <= j + 1e-9);
-                }
-                StorageOp::Leak(dt) => {
-                    let leaked = storage.leak(dt);
-                    prop_assert!(leaked >= 0.0);
                 }
             }
             prop_assert!(storage.level_j() >= -1e-9);

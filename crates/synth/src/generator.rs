@@ -112,24 +112,11 @@ impl TraceGenerator {
             .map(|(trace, conditions, _)| (trace, conditions))
     }
 
-    /// Like [`TraceGenerator::generate_days`], but also returns the
+    /// The batch generation with its per-day conditions and its
     /// deterministic synthesis-cost counters (keystream blocks
-    /// consumed, normal draws served) for the whole generation — the
-    /// values the fleet engine merges into its run ledger once per
-    /// work unit.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TraceError`] if `days` is zero.
-    pub fn generate_days_counted(
-        &self,
-        days: usize,
-    ) -> Result<(PowerTrace, SynthCounters), TraceError> {
-        self.generate_counted(days)
-            .map(|(trace, _, counters)| (trace, counters))
-    }
-
-    fn generate_counted(
+    /// consumed, normal draws served), which match a slot stream's over
+    /// the same days.
+    pub(crate) fn generate_counted(
         &self,
         days: usize,
     ) -> Result<(PowerTrace, Vec<DayCondition>, SynthCounters), TraceError> {
@@ -587,14 +574,6 @@ impl DayScratch {
             + self.transits.capacity() * std::mem::size_of::<Transit>()
             + (self.clear.capacity() + self.normal_panel.capacity()) * std::mem::size_of::<f64>()
     }
-
-    /// Peak bytes of the per-sample panels for a day of
-    /// `samples_per_day` samples: the clear-sky GHI and up to two
-    /// normals per sample. The few fronts and transits of a day are not
-    /// counted.
-    pub(crate) fn panel_bytes(samples_per_day: usize) -> usize {
-        3 * samples_per_day * std::mem::size_of::<f64>()
-    }
 }
 
 /// A resume point for trace synthesis at a day boundary: the carried
@@ -822,8 +801,8 @@ mod tests {
             (StreamVersion::V1, Site::Hsu.config()),
             (StreamVersion::V2, v2_config(Site::Hsu)),
         ] {
-            let (trace, counters) = TraceGenerator::new(site_config, 7)
-                .generate_days_counted(10)
+            let (trace, _, counters) = TraceGenerator::new(site_config, 7)
+                .generate_counted(10)
                 .unwrap();
             assert_eq!(trace.days(), 10);
             assert!(

@@ -40,17 +40,6 @@ pub fn sin_elevation(latitude_rad: f64, declination_rad: f64, hour_angle_rad: f6
         + latitude_rad.cos() * declination_rad.cos() * hour_angle_rad.cos()
 }
 
-/// Sine of solar elevation for a site latitude (degrees), day of year and
-/// local solar time in hours — the composed convenience used by the
-/// generator.
-pub fn sin_elevation_at(latitude_deg: f64, day_of_year: u32, solar_time_hours: f64) -> f64 {
-    sin_elevation(
-        latitude_deg.to_radians(),
-        declination_rad(day_of_year),
-        hour_angle_rad(solar_time_hours),
-    )
-}
-
 /// Extraterrestrial normal irradiance in W/m², accounting for the
 /// Earth–Sun distance variation:
 /// `G_on = G_sc (1 + 0.033 cos(2π n / 365))`.
@@ -61,7 +50,9 @@ pub fn extraterrestrial_normal(day_of_year: u32) -> f64 {
 /// The day-invariant solar constants of one (latitude, day-of-year)
 /// pair, hoisted out of per-slot loops.
 ///
-/// [`sin_elevation_at`] spends four transcendental calls per sample on
+/// Composed per sample, [`sin_elevation`] of a latitude, a day's
+/// [`declination_rad`] and a time's [`hour_angle_rad`] spends four
+/// transcendental calls per sample on
 /// quantities that only change once per day (declination, `sin φ sin δ`,
 /// `cos φ cos δ`) plus one on the hour angle, whose cosine grid depends
 /// only on the slot spacing. Generators compute a `DayGeometry` once per
@@ -73,10 +64,10 @@ pub fn extraterrestrial_normal(day_of_year: u32) -> f64 {
 /// # Example
 ///
 /// ```
-/// use solar_synth::geometry::{hour_angle_rad, sin_elevation_at, DayGeometry};
+/// use solar_synth::geometry::{declination_rad, hour_angle_rad, sin_elevation, DayGeometry};
 ///
 /// let day = DayGeometry::new(40.0, 172);
-/// let direct = sin_elevation_at(40.0, 172, 9.5);
+/// let direct = sin_elevation(40f64.to_radians(), declination_rad(172), hour_angle_rad(9.5));
 /// let hoisted = day.sin_elevation(hour_angle_rad(9.5).cos());
 /// assert_eq!(direct.to_bits(), hoisted.to_bits());
 /// ```
@@ -120,8 +111,8 @@ impl DayGeometry {
 
 /// The `cos ω` grid of a uniform slot spacing: entry `i` is
 /// `cos(hour_angle(i · step_hours))`, exactly the cosine
-/// [`sin_elevation_at`] would compute for the sample at `i · step_hours`
-/// local solar time. Depends only on the discretization, so one grid
+/// [`sin_elevation`] takes of [`hour_angle_rad`] for the sample at
+/// `i · step_hours` local solar time. Depends only on the discretization, so one grid
 /// serves every day of a stream.
 pub fn hour_cosine_grid(samples_per_day: usize, step_hours: f64) -> Vec<f64> {
     (0..samples_per_day)
@@ -149,6 +140,17 @@ pub fn day_length_hours(latitude_deg: f64, day_of_year: u32) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Sine of solar elevation for a site latitude (degrees), day of
+    /// year and local solar time in hours: the composed per-sample path
+    /// that [`DayGeometry`] hoists.
+    fn sin_elevation_at(latitude_deg: f64, day_of_year: u32, solar_time_hours: f64) -> f64 {
+        sin_elevation(
+            latitude_deg.to_radians(),
+            declination_rad(day_of_year),
+            hour_angle_rad(solar_time_hours),
+        )
+    }
 
     #[test]
     fn declination_is_bounded() {

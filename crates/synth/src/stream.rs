@@ -36,8 +36,9 @@ pub struct StreamedSlot {
 ///
 /// For the same `(config, seed, days, n)`, every yielded slot is
 /// bit-identical to `SlotView::new(&generator.generate_days(days)?, n)`
-/// — the buffered-day memory footprint ([`SlotStream::buffer_bytes`])
-/// is what replaces the full-horizon trace allocation.
+/// — the buffered day (its raw samples, plus the synthesis panels of
+/// clear-sky GHI and up to two normals per sample) is what replaces the
+/// full-horizon trace allocation.
 #[derive(Clone, Debug)]
 pub struct SlotStream {
     generator: TraceGenerator,
@@ -130,15 +131,6 @@ impl SlotStream {
     /// Total slots the stream will yield.
     pub fn total_slots(&self) -> usize {
         self.days * self.n
-    }
-
-    /// Peak bytes the stream holds for one day, regardless of horizon
-    /// length: the day's raw samples plus the synthesis panels
-    /// (clear-sky GHI per sample and up to two normals per sample). A
-    /// [`SynthCheckpoint`] carries none of it.
-    pub fn buffer_bytes(&self) -> usize {
-        let samples_per_day = self.generator.config().resolution.samples_per_day();
-        samples_per_day * std::mem::size_of::<f64>() + DayScratch::panel_bytes(samples_per_day)
     }
 
     /// Synthesis-cost counters at the stream's current position —
@@ -288,12 +280,15 @@ mod tests {
     #[test]
     fn slot_stream_buffer_is_one_day() {
         let generator = TraceGenerator::new(Site::Pfci.config(), 1);
-        let stream = generator
+        let mut stream = generator
             .slot_stream(1000, SlotsPerDay::new(48).unwrap())
             .unwrap();
+        for _ in stream.by_ref().take(3 * 48) {}
         // One day of 1-minute samples, its clear-sky panel and up to
-        // two normals per sample.
-        assert_eq!(stream.buffer_bytes(), 4 * 1440 * 8);
+        // two normals per sample (plus the day's few fronts and
+        // transits), however long the horizon.
+        let held = stream.day_buf.capacity() * 8 + stream.scratch.capacity_bytes();
+        assert!((1440 * 8..=5 * 1440 * 8).contains(&held), "{held} bytes");
         assert_eq!(stream.total_slots(), 48_000);
     }
 
@@ -344,7 +339,7 @@ mod tests {
         assert!(after.keystream_blocks > before.keystream_blocks);
         assert!(after.normal_draws > 0);
         // Counters must match the batch path's accounting exactly.
-        let (_, batch) = generator.generate_days_counted(3).unwrap();
+        let (_, _, batch) = generator.generate_counted(3).unwrap();
         assert_eq!(after, batch);
     }
 
@@ -383,7 +378,7 @@ mod tests {
             // Segment counters sum exactly to the cold-run total.
             let mut sum = prefix_counters;
             sum.add(resumed.counters());
-            let (_, cold) = generator.generate_days_counted(total_days).unwrap();
+            let (_, _, cold) = generator.generate_counted(total_days).unwrap();
             assert_eq!(sum, cold, "{version:?}: segment counters must add up");
         }
     }

@@ -104,9 +104,8 @@ pub struct ConditionParams {
 /// use solar_synth::WeatherModel;
 ///
 /// let model = WeatherModel::desert();
-/// let pi = model.stationary_distribution();
-/// // A desert site is clear most days.
-/// assert!(pi[0] > 0.7);
+/// // A clear desert day is most likely followed by another.
+/// assert!(model.transition[0][0] > 0.7);
 /// ```
 #[derive(Clone, Debug, PartialEq)]
 pub struct WeatherModel {
@@ -418,10 +417,14 @@ impl WeatherModel {
         }
         DayCondition::Overcast
     }
+}
 
+#[cfg(test)]
+impl WeatherModel {
     /// Stationary distribution of the day-condition chain (power
-    /// iteration), in `DayCondition::ALL` order.
-    pub fn stationary_distribution(&self) -> [f64; 3] {
+    /// iteration), in `DayCondition::ALL` order: the reference the
+    /// per-site climate tests check their presets against.
+    pub(crate) fn stationary_distribution(&self) -> [f64; 3] {
         let mut pi = [1.0 / 3.0; 3];
         for _ in 0..500 {
             let mut next = [0.0; 3];

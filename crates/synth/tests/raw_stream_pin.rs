@@ -40,24 +40,28 @@ fn with_version(mut config: SiteConfig, version: StreamVersion) -> SiteConfig {
     config
 }
 
-/// Hashes the batch samples, the slot stream at `n` slots per day and
-/// both counter readings of one `(config, seed, days)` generation.
+/// Hashes the batch samples and the slot stream at `n` slots per day of
+/// one `(config, seed, days)` generation, each followed by the
+/// stream's counter reading (the batch path draws exactly what the
+/// stream draws, which the crate's unit tests check).
 fn generation_digest(config: SiteConfig, seed: u64, days: usize, n: u32) -> u64 {
     let generator = TraceGenerator::new(config, seed);
+    let trace = generator.generate_days(days).unwrap();
+    let mut stream = generator
+        .slot_stream(days, SlotsPerDay::new(n).unwrap())
+        .unwrap();
+    let slots: Vec<_> = stream.by_ref().collect();
+    let counters = stream.counters();
     let mut bits = Bits::default();
-    let (trace, counters) = generator.generate_days_counted(days).unwrap();
     for &sample in trace.samples() {
         bits.f64(sample);
     }
     bits.counters(counters);
-    let mut stream = generator
-        .slot_stream(days, SlotsPerDay::new(n).unwrap())
-        .unwrap();
-    for slot in stream.by_ref() {
+    for slot in &slots {
         bits.f64(slot.start_sample);
         bits.f64(slot.mean_power);
     }
-    bits.counters(stream.counters());
+    bits.counters(counters);
     fnv1a_bytes(&bits.0)
 }
 

@@ -1,4 +1,4 @@
-//! Error type for trace construction, slotting and I/O.
+//! Error type for trace construction and slotting.
 
 use std::fmt;
 
@@ -50,20 +50,6 @@ pub enum TraceError {
         /// Trace resolution in seconds.
         resolution_seconds: u32,
     },
-    /// The requested down-sampling factor is invalid for this trace.
-    InvalidResampleFactor {
-        /// Requested factor.
-        factor: u32,
-    },
-    /// An I/O error during CSV reading or writing.
-    Io(std::io::Error),
-    /// A malformed line in a trace CSV file.
-    Parse {
-        /// 1-based line number.
-        line: usize,
-        /// Description of the problem.
-        message: String,
-    },
 }
 
 impl fmt::Display for TraceError {
@@ -105,36 +91,15 @@ impl fmt::Display for TraceError {
                     "slot duration for N={n} is not a multiple of the {resolution_seconds} s resolution"
                 )
             }
-            TraceError::InvalidResampleFactor { factor } => {
-                write!(f, "invalid resample factor {factor}")
-            }
-            TraceError::Io(err) => write!(f, "trace i/o error: {err}"),
-            TraceError::Parse { line, message } => {
-                write!(f, "trace parse error at line {line}: {message}")
-            }
         }
     }
 }
 
-impl std::error::Error for TraceError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            TraceError::Io(err) => Some(err),
-            _ => None,
-        }
-    }
-}
-
-impl From<std::io::Error> for TraceError {
-    fn from(err: std::io::Error) -> Self {
-        TraceError::Io(err)
-    }
-}
+impl std::error::Error for TraceError {}
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::error::Error as _;
 
     #[test]
     fn display_is_nonempty_and_lowercase() {
@@ -158,23 +123,12 @@ mod tests {
                 n: 7,
                 resolution_seconds: 300,
             },
-            TraceError::InvalidResampleFactor { factor: 0 },
-            TraceError::Parse {
-                line: 4,
-                message: "bad".into(),
-            },
         ];
         for err in cases {
             let msg = err.to_string();
             assert!(!msg.is_empty());
             assert!(msg.chars().next().unwrap().is_lowercase(), "{msg}");
         }
-    }
-
-    #[test]
-    fn io_error_has_source() {
-        let err = TraceError::from(std::io::Error::other("boom"));
-        assert!(err.source().is_some());
     }
 
     #[test]

@@ -10,11 +10,8 @@
 //!   slots per day, exposing exactly the three per-slot quantities the
 //!   DATE'10 paper's evaluation needs: the *slot-start sample* `e(i, j)`,
 //!   the *mean slot power* `ē`, and the *slot energy* `ē × T`.
-//! * [`resample`] — averaging down-sampler used to derive 5-minute data
-//!   from 1-minute data.
 //! * [`stats`] — summary statistics (peak, daily energy, variability
 //!   indices) used to characterise data sets (Table I context).
-//! * [`csv`] — a minimal self-describing text format for traces.
 //!
 //! # Example
 //!
@@ -41,10 +38,8 @@
 //! # }
 //! ```
 
-pub mod csv;
 mod error;
 pub mod hash;
-pub mod resample;
 mod slotting;
 pub mod stats;
 mod time;

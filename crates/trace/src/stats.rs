@@ -90,14 +90,6 @@ impl TraceStats {
             ramp_index,
         }
     }
-
-    /// Per-day energies in joules, oldest first.
-    pub fn daily_energies(trace: &PowerTrace) -> Vec<f64> {
-        trace
-            .iter_days()
-            .map(|d| d.iter().sum::<f64>() * trace.resolution().as_seconds_f64())
-            .collect()
-    }
 }
 
 impl fmt::Display for TraceStats {
@@ -138,9 +130,6 @@ mod tests {
         let t = PowerTrace::new("a", Resolution::from_minutes(60).unwrap(), samples).unwrap();
         let s = TraceStats::of(&t);
         assert!(s.daily_energy_cv > 0.4);
-        let daily = TraceStats::daily_energies(&t);
-        assert_eq!(daily.len(), 2);
-        assert!(daily[1] > daily[0]);
     }
 
     #[test]

@@ -150,28 +150,6 @@ impl PowerTrace {
     pub fn peak_power(&self) -> f64 {
         self.samples.iter().copied().fold(0.0, f64::max)
     }
-
-    /// Returns a new trace containing only days `range` (0-based,
-    /// half-open), with the same label and resolution.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TraceError::TooShort`] if the range is empty or out of
-    /// bounds.
-    pub fn slice_days(&self, range: std::ops::Range<usize>) -> Result<PowerTrace, TraceError> {
-        let spd = self.samples_per_day();
-        if range.start >= range.end || range.end > self.days() {
-            return Err(TraceError::TooShort {
-                provided: 0,
-                required: spd,
-            });
-        }
-        Ok(PowerTrace {
-            label: self.label.clone(),
-            resolution: self.resolution,
-            samples: self.samples[range.start * spd..range.end * spd].to_vec(),
-        })
-    }
 }
 
 impl fmt::Display for PowerTrace {
@@ -249,18 +227,6 @@ mod tests {
         let t = PowerTrace::new("t", hourly(), vec![2.0; 24]).unwrap();
         assert_eq!(t.total_energy_j(), 2.0 * 3600.0 * 24.0);
         assert_eq!(t.peak_power(), 2.0);
-    }
-
-    #[test]
-    fn slice_days_extracts_range() {
-        let mut s = vec![0.0; 72];
-        s[24..48].fill(5.0);
-        let t = PowerTrace::new("t", hourly(), s).unwrap();
-        let mid = t.slice_days(1..2).unwrap();
-        assert_eq!(mid.days(), 1);
-        assert!(mid.samples().iter().all(|&v| v == 5.0));
-        assert!(t.slice_days(2..2).is_err());
-        assert!(t.slice_days(1..4).is_err());
     }
 
     #[test]

@@ -598,7 +598,7 @@ mod tests {
             .tune(&tiny_scenarios())
             .unwrap();
         let mut streaming_config = tiny_config(13);
-        streaming_config.cache_policy = TraceCachePolicy::streaming_only();
+        streaming_config.cache_policy = TraceCachePolicy::bounded(0);
         let streaming = FleetTuner::new(streaming_config)
             .unwrap()
             .tune(&tiny_scenarios())

@@ -39,21 +39,28 @@ fn load_report(path: &str) -> Result<RunReport, String> {
     RunReport::from_json_str(&text).map_err(|err| format!("{path}: {err}"))
 }
 
+/// The value of threshold flag `name`: a finite, non-negative number.
+/// A NaN ratio would make every comparison false and pass any blow-up
+/// as clean, so a bad value is a usage error, never a default.
+fn threshold(name: &str, value: Option<String>) -> Result<f64, String> {
+    let value = value.ok_or_else(|| format!("usage: {name} needs a value"))?;
+    match value.parse::<f64>() {
+        Ok(number) if number.is_finite() && number >= 0.0 => Ok(number),
+        _ => Err(format!(
+            "usage: {name} needs a finite, non-negative number, got {value:?}"
+        )),
+    }
+}
+
 fn parse_diff_config(args: &mut Vec<String>) -> Result<DiffConfig, String> {
     let mut config = DiffConfig::default();
     let mut rest = Vec::new();
     let mut iter = args.drain(..);
     while let Some(arg) = iter.next() {
-        let mut grab = |name: &str| -> Result<f64, String> {
-            iter.next()
-                .ok_or_else(|| format!("{name} needs a value"))?
-                .parse()
-                .map_err(|err| format!("{name}: {err}"))
-        };
         match arg.as_str() {
-            "--wall-noise" => config.wall_noise_ratio = grab("--wall-noise")?,
-            "--wall-min-ms" => config.wall_min_ns = (grab("--wall-min-ms")? * 1e6) as u64,
-            "--wall-regress" => config.wall_regress_ratio = grab("--wall-regress")?,
+            "--wall-noise" => config.wall_noise_ratio = threshold(&arg, iter.next())?,
+            "--wall-min-ms" => config.wall_min_ns = (threshold(&arg, iter.next())? * 1e6) as u64,
+            "--wall-regress" => config.wall_regress_ratio = threshold(&arg, iter.next())?,
             _ => rest.push(arg),
         }
     }
@@ -70,7 +77,7 @@ fn take_flag(args: &mut Vec<String>, flag: &str) -> Result<Option<String>, Strin
             args.remove(at);
             Ok(Some(args.remove(at)))
         }
-        Some(_) => Err(format!("{flag} needs a value")),
+        Some(_) => Err(format!("usage: {flag} needs a value")),
     }
 }
 
@@ -112,7 +119,10 @@ fn cmd_diff(mut args: Vec<String>, findings: bool) -> Result<i32, String> {
 
 fn cmd_archive(mut args: Vec<String>) -> Result<i32, String> {
     let last = take_flag(&mut args, "--last")?
-        .map(|n| n.parse::<usize>().map_err(|err| format!("--last: {err}")))
+        .map(|n| {
+            n.parse::<usize>()
+                .map_err(|err| format!("usage: --last: {err}"))
+        })
         .transpose()?
         .unwrap_or(10);
     match args.as_slice() {

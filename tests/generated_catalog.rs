@@ -77,6 +77,15 @@ fn arbitrary_template() -> impl Strategy<Value = RegimeTemplate> {
         )
 }
 
+/// `template`'s scenarios under `seed`, as a validated catalog.
+fn expand(template: &RegimeTemplate, seed: u64) -> Catalog {
+    let mut catalog = Catalog::new();
+    for scenario in template.expand(seed).unwrap() {
+        catalog.push(scenario).unwrap();
+    }
+    catalog
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
@@ -85,8 +94,7 @@ proptest! {
         template in arbitrary_template(),
         seed in 0u64..1_000_000,
     ) {
-        let generator = CatalogGenerator::with_templates(seed, vec![template.clone()]).unwrap();
-        let catalog = generator.expand_all().unwrap();
+        let catalog = expand(&template, seed);
         prop_assert_eq!(catalog.len(), template.count());
         let mut seen = std::collections::BTreeSet::new();
         for scenario in catalog.scenarios() {
@@ -134,7 +142,7 @@ proptest! {
         ).unwrap();
         let materialized = FleetEngine::new(seed).run(&matrix).unwrap();
         let streaming_engine =
-            FleetEngine::new(seed).with_trace_cache(TraceCachePolicy::streaming_only());
+            FleetEngine::new(seed).with_trace_cache(TraceCachePolicy::bounded(0));
         let mut cache = streaming_engine.new_cache();
         let streamed = streaming_engine.run_cached(&matrix, &mut cache).unwrap();
         prop_assert_eq!(streamed.streamed_jobs, matrix.job_count());
@@ -185,7 +193,7 @@ proptest! {
         for (policy, kept) in [
             (TraceCachePolicy::unbounded(), count..=count),
             (TraceCachePolicy::bounded(about_one_series), 1..=count - 1),
-            (TraceCachePolicy::streaming_only(), 0..=0),
+            (TraceCachePolicy::bounded(0), 0..=0),
         ] {
             let engine = FleetEngine::new(seed).with_trace_cache(policy);
             let mut cache = engine.new_cache();
@@ -225,10 +233,7 @@ fn latitude_sweep(latitudes: Vec<f64>) -> Catalog {
         resolution_minutes: 5,
         stream_version: StreamVersion::V1,
     };
-    CatalogGenerator::with_templates(9, vec![template])
-        .unwrap()
-        .expand_all()
-        .unwrap()
+    expand(&template, 9)
 }
 
 #[test]

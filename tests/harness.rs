@@ -268,7 +268,10 @@ fn quarantined_artifact_is_kept_as_the_degradation_fallback() {
 fn golden_recovery(v2: bool, pinned_digest: u64) {
     let shard_count = 2;
     let seed = find_chaos_seed(crash_and_corrupt_storm(shard_count));
-    let workload = Workload::new(2026, WorkloadKind::Golden200).with_v2(v2);
+    let workload = Workload {
+        v2,
+        ..Workload::new(2026, WorkloadKind::Golden200)
+    };
     let mut config = SupervisorConfig::new(worker_bin(), workload, shard_count);
     config.artifact_dir = temp_dir(if v2 { "golden_v2" } else { "golden" });
     config.backoff_base = Duration::from_millis(5);

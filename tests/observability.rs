@@ -204,8 +204,9 @@ fn same_matrix_runs_diff_clean_across_thread_counts() {
     }
     let diff = ReportDiff::compute(&reports[0], &reports[1], &counters_only_config());
     assert_eq!(diff.verdict, Verdict::Clean);
-    assert!(diff.deterministic_clean());
     assert!(diff.counter_deltas.is_empty());
+    assert!(diff.gauge_deltas.is_empty());
+    assert!(diff.label_changes.is_empty());
     assert!(diff.histogram_deltas.is_empty());
     assert!(diff.scenario_drift.is_empty());
     // And the engine actually recorded distributions to compare: one

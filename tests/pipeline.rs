@@ -105,18 +105,3 @@ fn all_sites_generate_and_evaluate_at_all_paper_rates() {
         }
     }
 }
-
-#[test]
-fn trace_csv_round_trip_preserves_evaluation() {
-    let (trace, _) = view_for(Site::Ecsu, 48);
-    let mut buf = Vec::new();
-    solar_trace::csv::write_trace(&mut buf, &trace).unwrap();
-    let back = solar_trace::csv::read_trace(buf.as_slice()).unwrap();
-    assert_eq!(back, trace);
-    let view_a = SlotView::new(&trace, SlotsPerDay::new(48).unwrap()).unwrap();
-    let view_b = SlotView::new(&back, SlotsPerDay::new(48).unwrap()).unwrap();
-    let params = WcmaParams::new(0.7, 5, 2, 48).unwrap();
-    let a = run_predictor(&view_a, &mut WcmaPredictor::new(params));
-    let b = run_predictor(&view_b, &mut WcmaPredictor::new(params));
-    assert_eq!(a, b);
-}
