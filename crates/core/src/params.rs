@@ -247,6 +247,26 @@ mod tests {
     }
 
     #[test]
+    fn paper_grids_match_section_iv() {
+        // §IV-A explores α ∈ {0.0, 0.1, …, 1.0}, D ∈ [2, 20], K ∈ [1, 6]
+        // at 48 slots per day; every point of that grid must be valid.
+        let alphas: Vec<f64> = (0..=10).map(|i| i as f64 / 10.0).collect();
+        assert_eq!(alphas.len(), 11);
+        assert_eq!((alphas[0], alphas[10]), (0.0, 1.0));
+        let mut built = 0;
+        for &alpha in &alphas {
+            for days in 2..=20 {
+                for k in 1..=6 {
+                    let p = WcmaParams::new(alpha, days, k, 48).unwrap();
+                    assert_eq!((p.alpha(), p.days(), p.k()), (alpha, days, k));
+                    built += 1;
+                }
+            }
+        }
+        assert_eq!(built, 11 * 19 * 6);
+    }
+
+    #[test]
     fn builder_defaults_are_guidelines() {
         let p = WcmaParamsBuilder::default().build().unwrap();
         assert_eq!(p.alpha(), 0.7);
