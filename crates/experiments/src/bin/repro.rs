@@ -60,24 +60,27 @@ fn main() -> ExitCode {
 
     if args.ids.iter().any(|id| id == "list") {
         println!("available experiments:");
-        for id in experiments::ALL_IDS {
+        for (id, _) in experiments::ALL {
             println!("  {id}");
         }
         return ExitCode::SUCCESS;
     }
 
-    let ids: Vec<&str> = if args.ids.iter().any(|id| id == "all") {
-        experiments::ALL_IDS.to_vec()
+    let selected: Vec<_> = if args.ids.iter().any(|id| id == "all") {
+        experiments::ALL.to_vec()
     } else {
-        args.ids.iter().map(String::as_str).collect()
-    };
-
-    for id in &ids {
-        if experiments::ALL_IDS.iter().all(|known| known != id) {
-            eprintln!("unknown experiment {id:?}; try `repro list`");
-            return ExitCode::FAILURE;
+        let mut selected = Vec::new();
+        for id in &args.ids {
+            match experiments::ALL.iter().find(|(known, _)| known == id) {
+                Some(&experiment) => selected.push(experiment),
+                None => {
+                    eprintln!("unknown experiment {id:?}; try `repro list`");
+                    return ExitCode::FAILURE;
+                }
+            }
         }
-    }
+        selected
+    };
 
     eprintln!(
         "generating 6 data sets of {} days (seed {})...",
@@ -86,9 +89,9 @@ fn main() -> ExitCode {
     );
     let ctx = Context::with_days(args.days);
 
-    for id in ids {
+    for (id, run) in selected {
         let started = std::time::Instant::now();
-        let output = experiments::run_by_id(&ctx, id).expect("id validated above");
+        let output = run(&ctx);
         println!("\n=== {} ===", output.title);
         for (name, table) in &output.tables {
             if table.len() > 60 {

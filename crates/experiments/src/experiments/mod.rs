@@ -19,50 +19,29 @@ pub mod tradeoff;
 
 use crate::context::{Context, ExperimentOutput};
 
-/// All experiment ids, in the order `repro all` runs them.
-pub const ALL_IDS: [&str; 16] = [
-    "table1",
-    "fig2",
-    "table2",
-    "table3",
-    "fig7",
-    "table4",
-    "fig6",
-    "table5",
-    "baselines",
-    "fixedpoint",
-    "dynamic-causal",
-    "kpolicy",
-    "memory",
-    "diurnal",
-    "tradeoff",
-    "sim-impact",
-];
+/// What runs one experiment.
+type Run = fn(&Context) -> ExperimentOutput;
 
-/// Runs an experiment by id.
-///
-/// Returns `None` for an unknown id.
-pub fn run_by_id(ctx: &Context, id: &str) -> Option<ExperimentOutput> {
-    Some(match id {
-        "table1" => table1::run(ctx),
-        "fig2" => fig2::run(ctx),
-        "table2" => table2::run(ctx),
-        "table3" => table3::run(ctx),
-        "fig7" => fig7::run(ctx),
-        "table4" => table4::run(ctx),
-        "fig6" => fig6::run(ctx),
-        "table5" => table5::run(ctx),
-        "baselines" => baselines::run(ctx),
-        "fixedpoint" => fixedpoint::run(ctx),
-        "dynamic-causal" => dynamic_causal::run(ctx),
-        "kpolicy" => kpolicy::run(ctx),
-        "memory" => memory::run(ctx),
-        "diurnal" => diurnal::run(ctx),
-        "tradeoff" => tradeoff::run(ctx),
-        "sim-impact" => sim_impact::run(ctx),
-        _ => return None,
-    })
-}
+/// Every experiment's id and the function that runs it, in the order
+/// `repro all` runs them.
+pub const ALL: [(&str, Run); 16] = [
+    ("table1", table1::run),
+    ("fig2", fig2::run),
+    ("table2", table2::run),
+    ("table3", table3::run),
+    ("fig7", fig7::run),
+    ("table4", table4::run),
+    ("fig6", fig6::run),
+    ("table5", table5::run),
+    ("baselines", baselines::run),
+    ("fixedpoint", fixedpoint::run),
+    ("dynamic-causal", dynamic_causal::run),
+    ("kpolicy", kpolicy::run),
+    ("memory", memory::run),
+    ("diurnal", diurnal::run),
+    ("tradeoff", tradeoff::run),
+    ("sim-impact", sim_impact::run),
+];
 
 #[cfg(test)]
 mod tests {
@@ -71,11 +50,10 @@ mod tests {
     #[test]
     fn every_listed_id_runs() {
         let ctx = Context::with_days(30);
-        for id in ALL_IDS {
-            let out = run_by_id(&ctx, id).expect("listed id must run");
+        for (id, run) in ALL {
+            let out = run(&ctx);
             assert_eq!(out.id, id);
             assert!(!out.tables.is_empty(), "{id} produced no tables");
         }
-        assert!(run_by_id(&ctx, "nope").is_none());
     }
 }

@@ -3,8 +3,7 @@
 
 use crate::context::{Context, ExperimentOutput};
 use harvest_sim::{
-    simulate_node, EnergyNeutralManager, EnergyStorage, GreedyManager, Load, NodeConfig,
-    PowerManager, SolarPanel,
+    simulate_node, EnergyStorage, Load, ManagerSpec, NodeConfig, PowerManager, SolarPanel,
 };
 use param_explore::report::TextTable;
 use solar_predict::{
@@ -46,6 +45,10 @@ pub fn run(ctx: &Context) -> ExperimentOutput {
         "utilization %",
     ]);
 
+    let neutral = ManagerSpec::EnergyNeutral {
+        target_soc: 0.5,
+        gain: 0.25,
+    };
     type Run = (String, Box<dyn Predictor>, Box<dyn PowerManager>);
     let mut runs: Vec<Run> = vec![
         (
@@ -53,27 +56,27 @@ pub fn run(ctx: &Context) -> ExperimentOutput {
             Box::new(WcmaPredictor::new(
                 WcmaParams::new(0.7, 10, 2, n).expect("guideline"),
             )),
-            Box::new(EnergyNeutralManager::default()),
+            neutral.build(),
         ),
         (
             "EWMA + energy-neutral".into(),
             Box::new(EwmaPredictor::new(EwmaPredictor::DEFAULT_GAMMA, n).expect("valid gamma")),
-            Box::new(EnergyNeutralManager::default()),
+            neutral.build(),
         ),
         (
             "MovAvg + energy-neutral".into(),
             Box::new(MovingAveragePredictor::new(10, n).expect("valid days")),
-            Box::new(EnergyNeutralManager::default()),
+            neutral.build(),
         ),
         (
             "Persistence + energy-neutral".into(),
             Box::new(PersistencePredictor::new(n)),
-            Box::new(EnergyNeutralManager::default()),
+            neutral.build(),
         ),
         (
             "Greedy (no prediction)".into(),
             Box::new(PersistencePredictor::new(n)),
-            Box::new(GreedyManager),
+            ManagerSpec::Greedy.build(),
         ),
     ];
     for (name, predictor, manager) in &mut runs {

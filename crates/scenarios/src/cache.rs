@@ -253,7 +253,7 @@ impl FleetCache {
     ///
     /// # Errors
     ///
-    /// Returns an error if a fleet fault fails to project or a
+    /// Returns an error if a fleet fault is invalid or fails to project, or a
     /// scenario's site config is invalid.
     pub fn prune_to(&mut self, matrix: &FleetMatrix) -> Result<PruneStats, String> {
         // An unbound cache is empty, so any seed evicts nothing.

@@ -142,7 +142,8 @@ mod tests {
     use super::*;
     use crate::catalog::Scenario;
     use crate::engine::tests::small_matrix;
-    use crate::matrix::{ManagerSpec, PredictorSpec};
+    use crate::matrix::PredictorSpec;
+    use crate::ManagerSpec;
 
     #[test]
     fn delta_classification_covers_every_route() {

@@ -588,13 +588,18 @@ impl FleetEngine {
 /// The fleet-fault projection under `master_seed`: the engine's
 /// `fleet/project` phase, and [`FleetCache::prune_to`] for a cache that
 /// must compare incoming matrices against the projected keys its runs
-/// actually stored.
+/// actually stored. The matrix's fields are public, so every event is
+/// validated here, not only those [`FleetMatrix::with_fleet_faults`]
+/// attached.
 pub(crate) fn project_fleet_faults(
     matrix: &FleetMatrix,
     master_seed: u64,
 ) -> Result<FleetMatrix, String> {
     let mut effective = matrix.clone();
     for (index, fault) in matrix.fleet_faults.iter().enumerate() {
+        fault
+            .validate()
+            .map_err(|e| format!("fleet fault {index}: {e}"))?;
         let salted = format!("fleet-fault/{index}");
         let event_seed = solar_trace::hash::fnv1a(&salted) ^ master_seed.rotate_left(23);
         for scenario in &mut effective.scenarios {
@@ -622,8 +627,9 @@ pub(crate) mod tests {
     use super::*;
     use crate::catalog::Catalog;
     use crate::fleet_faults::FleetFault;
-    use crate::matrix::{ManagerSpec, PredictorSpec};
+    use crate::matrix::PredictorSpec;
     use crate::series::{series_footprint_bytes, SlotSeries};
+    use crate::ManagerSpec;
     use solar_trace::SlotsPerDay;
 
     pub(crate) fn small_matrix() -> FleetMatrix {
@@ -1493,5 +1499,30 @@ pub(crate) mod tests {
         engine.run_cached(&small_matrix(), &mut cache).unwrap();
         let stormy_cached = engine.run_cached(&matrix, &mut cache).unwrap();
         assert_eq!(stormy_cached.cached_jobs, 0);
+    }
+
+    #[test]
+    fn an_invalid_fleet_fault_set_after_assembly_is_rejected() {
+        // `with_fleet_faults` validates, but the field is public: a
+        // storm of depth 1.5 would project as a dimming factor of -0.5.
+        let mut matrix = small_matrix();
+        matrix.fleet_faults.push(FleetFault::RegionalStorm {
+            window_start_day: 22,
+            window_end_day: 30,
+            duration_days: 5,
+            depth: 1.5,
+            region: crate::SpatialFalloff::global(),
+        });
+        let engine = FleetEngine::new(8);
+        let err = engine.run(&matrix).unwrap_err();
+        assert!(
+            err.starts_with("fleet fault 0: ") && err.contains("1.5"),
+            "{err}"
+        );
+        let mut cache = engine.new_cache();
+        engine.run_cached(&small_matrix(), &mut cache).unwrap();
+        let err = cache.prune_to(&matrix).unwrap_err();
+        assert!(err.starts_with("fleet fault 0: "), "{err}");
+        assert!(!cache.is_empty(), "a rejected prune evicts nothing");
     }
 }

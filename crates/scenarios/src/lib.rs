@@ -80,13 +80,16 @@ pub use engine::{
 pub use faults::{storage_capacity_factor, FaultInjector, FaultSpec};
 pub use fleet_faults::{FalloffProfile, FleetFault, SpatialFalloff};
 pub use generators::{CatalogGenerator, FaultMix, RegimeTemplate};
-pub use matrix::{FleetMatrix, JobSpec, ManagerSpec, PredictorSpec};
+pub use matrix::{FleetMatrix, JobSpec, PredictorSpec};
 pub use scorecard::{
     CoverageManifest, MissingCoverage, ScenarioRanking, ScoreEntry, Scorecard, ScorecardShard,
     ShardManifest,
 };
 pub use series::TraceCachePolicy;
 pub use solar_synth::StreamVersion;
+// The built-in power managers live with the node simulator that runs
+// them; re-exported so matrices name them as fleet specs.
+pub use harvest_sim::ManagerSpec;
 
 // Observability handles, re-exported so engine users configure
 // collection — and consume reports (diff / archive / trace export) —

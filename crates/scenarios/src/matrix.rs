@@ -7,7 +7,7 @@
 
 use crate::catalog::Scenario;
 use crate::fleet_faults::FleetFault;
-use harvest_sim::{DutyRule, EnergyNeutralManager, PowerManager, SlotContext};
+use harvest_sim::ManagerSpec;
 use param_explore::ParamGrid;
 use solar_predict::{
     CausalDynamicWcma, EwmaPredictor, FixedWcmaPredictor, MovingAveragePredictor,
@@ -245,116 +245,6 @@ impl PredictorSpec {
             }
         }
         family
-    }
-}
-
-/// A buildable power-manager configuration.
-#[derive(Clone, Debug, PartialEq)]
-pub enum ManagerSpec {
-    /// Prediction-driven energy-neutral control.
-    EnergyNeutral {
-        /// Target state of charge in `[0, 1]`.
-        target_soc: f64,
-        /// Proportional correction gain per slot.
-        gain: f64,
-    },
-    /// Run flat out (no management).
-    Greedy,
-    /// Constant duty cycle.
-    FixedDuty {
-        /// Duty in `[0, 1]`.
-        duty: f64,
-    },
-}
-
-impl ManagerSpec {
-    /// Short stable label for reports and JSON.
-    pub fn label(&self) -> String {
-        match *self {
-            ManagerSpec::EnergyNeutral { target_soc, gain } => {
-                format!("neutral(soc={target_soc},g={gain})")
-            }
-            ManagerSpec::Greedy => "greedy".to_string(),
-            ManagerSpec::FixedDuty { duty } => format!("fixed(d={duty})"),
-        }
-    }
-
-    /// Validates parameter ranges, so a bad spec fails at matrix
-    /// assembly instead of panicking inside a fleet worker.
-    pub fn validate(&self) -> Result<(), String> {
-        match *self {
-            ManagerSpec::EnergyNeutral { target_soc, gain } => {
-                if !(target_soc.is_finite() && (0.0..=1.0).contains(&target_soc)) {
-                    return Err(format!(
-                        "energy-neutral target_soc {target_soc} not in [0, 1]"
-                    ));
-                }
-                if !(gain.is_finite() && gain >= 0.0) {
-                    return Err(format!("energy-neutral gain {gain} must be non-negative"));
-                }
-            }
-            ManagerSpec::Greedy => {}
-            ManagerSpec::FixedDuty { duty } => {
-                if !(duty.is_finite() && (0.0..=1.0).contains(&duty)) {
-                    return Err(format!("fixed duty {duty} not in [0, 1]"));
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// A fresh manager: the spec itself, boxed — every policy is
-    /// stateless, so the spec is the manager.
-    ///
-    /// # Panics
-    ///
-    /// A fixed duty outside `[0, 1]` panics when it plans; call
-    /// [`ManagerSpec::validate`] first (the fleet matrix does).
-    pub fn build(&self) -> Box<dyn PowerManager> {
-        Box::new(self.clone())
-    }
-
-    /// The built-in rule the spec names — what a job's lane in the
-    /// engine's [`NodeLanes`](harvest_sim::NodeLanes) plans with.
-    pub(crate) fn rule(&self) -> DutyRule {
-        match *self {
-            ManagerSpec::EnergyNeutral { target_soc, gain } => {
-                DutyRule::EnergyNeutral(EnergyNeutralManager {
-                    target_soc,
-                    gain,
-                    ..Default::default()
-                })
-            }
-            ManagerSpec::Greedy => DutyRule::Greedy,
-            ManagerSpec::FixedDuty { duty } => DutyRule::FixedDuty(duty),
-        }
-    }
-
-    /// The default policy set: tuned energy-neutral plus both baselines.
-    pub fn default_set() -> Vec<ManagerSpec> {
-        vec![
-            ManagerSpec::EnergyNeutral {
-                target_soc: 0.5,
-                gain: 0.25,
-            },
-            ManagerSpec::Greedy,
-            ManagerSpec::FixedDuty { duty: 0.3 },
-        ]
-    }
-}
-
-/// Plans exactly as the policy the spec names.
-impl PowerManager for ManagerSpec {
-    fn plan_duty(&mut self, ctx: &SlotContext) -> f64 {
-        self.rule().plan_duty(ctx)
-    }
-
-    fn name(&self) -> &str {
-        match self {
-            ManagerSpec::EnergyNeutral { .. } => "energy-neutral",
-            ManagerSpec::Greedy => "greedy",
-            ManagerSpec::FixedDuty { .. } => "fixed-duty",
-        }
     }
 }
 

@@ -964,7 +964,8 @@ mod tests {
     use super::*;
     use crate::catalog::Catalog;
     use crate::engine::FleetEngine;
-    use crate::matrix::{FleetMatrix, ManagerSpec, PredictorSpec};
+    use crate::matrix::{FleetMatrix, PredictorSpec};
+    use crate::ManagerSpec;
 
     fn run() -> (FleetMatrix, Scorecard) {
         let matrix = FleetMatrix::new(

@@ -42,8 +42,8 @@
 //!    faults applied — what the accuracy buys (brownouts, utilization).
 //!
 //! The simulation half is the job plane: one
-//! [`harvest_sim::NodeLanes`] lane per job, each with its manager's
-//! rule, all sharing the scenario's node. Nothing in the slot loop
+//! [`harvest_sim::NodeLanes`] lane per job, each with its manager,
+//! all sharing the scenario's node. Nothing in the slot loop
 //! reads it, so the loop only records each slot's corrupted harvest and
 //! each job's prediction in a day buffer, and one
 //! [`NodeLanes::run_day`](harvest_sim::NodeLanes::run_day) per day then
@@ -114,7 +114,7 @@ pub(crate) struct UnitMachines {
     /// discarded that slot.
     open: Option<(u32, u32, f64)>,
     /// The job plane: one lane per job, in unit job order, each with
-    /// its manager's rule. Storage and duty state is where the manager
+    /// its manager. Storage and duty state is where the manager
     /// axis matters.
     lanes: NodeLanes,
     /// Each job's kernel, in unit job order.
@@ -158,7 +158,7 @@ impl UnitMachines {
         let (n, slot_seconds) = (slots.get(), slots.slot_seconds_f64());
         let mut distinct: Vec<usize> = Vec::new();
         let mut job_kernel = Vec::new();
-        let mut rules = Vec::new();
+        let mut managers = Vec::new();
         for job in jobs {
             let kernel = match distinct.iter().position(|&p| p == job.predictor_idx) {
                 Some(kernel) => kernel,
@@ -172,7 +172,7 @@ impl UnitMachines {
             // changed since assembly validated it.
             let manager = &matrix.managers[job.manager_idx];
             manager.validate()?;
-            rules.push(manager.rule());
+            managers.push(manager.clone());
         }
         let mut bank_params = Vec::new();
         let kernels = distinct
@@ -202,7 +202,7 @@ impl UnitMachines {
             kernels,
             bank,
             open: None,
-            lanes: NodeLanes::new(node_config, rules, slot_seconds, n),
+            lanes: NodeLanes::new(node_config, managers, slot_seconds, n),
             job_kernel,
         })
     }

@@ -1,13 +1,13 @@
 //! The job plane as structure-of-arrays lanes: [`NodeLanes`].
 
-use crate::manager::{DutyRule, EnergyNeutralManager, PowerManager};
+use crate::manager::{energy_neutral_duty, ManagerSpec, PowerManager};
 use crate::node::{NodeConfig, NodeReport};
 use crate::stream::{absorb, check_slotting, finish_report, slot_context};
 
 /// One lane's state between days.
 #[derive(Clone, Debug)]
 struct Lane {
-    rule: DutyRule,
+    manager: ManagerSpec,
     level_j: f64,
     planned_duty: f64,
     duty_sum: f64,
@@ -19,12 +19,12 @@ struct Lane {
 }
 
 /// Many nodes of one [`NodeConfig`] stepped together a day at a time,
-/// one lane per node, each planning with its own [`DutyRule`].
+/// one lane per node, each planning with its own [`ManagerSpec`].
 ///
 /// A fleet scenario runs every (predictor, manager) job on one node
 /// under one corrupted harvest; the jobs differ only in the predictions
 /// they plan with and in their manager. Each job is one lane: its
-/// storage level, planned duty, report accumulators and rule.
+/// storage level, planned duty, report accumulators and manager.
 /// [`NodeLanes::run_day`] takes a day's harvests and every lane's
 /// predictions and walks the lanes through the day in blocks of up to
 /// sixteen, each block's state held in fixed-width `f64` arrays (locals
@@ -38,7 +38,7 @@ struct Lane {
 /// and [`NodeSimulation::plan_with`](crate::NodeSimulation::plan_with), in
 /// the same order — both call the same value functions for the storage
 /// step and the energy-neutral rule — so lane `i` reports exactly what
-/// a [`NodeSimulation`](crate::NodeSimulation) with manager `rules[i]`
+/// a [`NodeSimulation`](crate::NodeSimulation) with manager `managers[i]`
 /// reports when fed the same harvests and lane `i`'s predictions
 /// (property-tested bit for bit).
 ///
@@ -51,15 +51,18 @@ struct Lane {
 /// ```
 /// # use std::error::Error;
 /// # fn main() -> Result<(), Box<dyn Error>> {
-/// use harvest_sim::{DutyRule, EnergyNeutralManager, EnergyStorage, Load, NodeConfig, NodeLanes, SolarPanel};
+/// use harvest_sim::{EnergyStorage, Load, ManagerSpec, NodeConfig, NodeLanes, SolarPanel};
 ///
 /// let config = NodeConfig {
 ///     panel: SolarPanel::new(0.01, 0.15)?,
 ///     storage: EnergyStorage::new(200.0, 100.0)?,
 ///     load: Load::new(0.05, 0.0001)?,
 /// };
-/// let rules = [DutyRule::EnergyNeutral(EnergyNeutralManager::default()), DutyRule::Greedy];
-/// let mut lanes = NodeLanes::new(&config, rules, 3600.0, 24);
+/// let managers = [
+///     ManagerSpec::EnergyNeutral { target_soc: 0.5, gain: 0.25 },
+///     ManagerSpec::Greedy,
+/// ];
+/// let mut lanes = NodeLanes::new(&config, managers, 3600.0, 24);
 /// let harvest: Vec<f64> = (0..24).map(|h| if (6..18).contains(&h) { 30.0 } else { 0.0 }).collect();
 /// // Slot-major: both lanes' predictions for slot 0, then slot 1, …
 /// let predicted: Vec<f64> = harvest.iter().flat_map(|&h| [h * 50.0, h * 50.0]).collect();
@@ -82,47 +85,35 @@ pub struct NodeLanes {
 }
 
 impl NodeLanes {
-    /// One lane per rule, each starting from `config`'s storage level,
+    /// One lane per manager, each starting from `config`'s storage level,
     /// at slot duration `slot_seconds` for predictions made at
     /// `slots_per_day` slots per day.
     ///
     /// # Panics
     ///
-    /// Panics where [`NodeSimulation::with_external_predictions`] does, and
-    /// on an energy-neutral rule whose duty bounds are unordered or NaN
-    /// (which a machine's first plan would panic on).
+    /// Panics where [`NodeSimulation::with_external_predictions`] does.
     ///
     /// [`NodeSimulation::with_external_predictions`]: crate::NodeSimulation::with_external_predictions
     pub fn new(
         config: &NodeConfig,
-        rules: impl IntoIterator<Item = DutyRule>,
+        managers: impl IntoIterator<Item = ManagerSpec>,
         slot_seconds: f64,
         slots_per_day: usize,
     ) -> Self {
         check_slotting(slot_seconds, slots_per_day);
         let level_j = config.storage.level_j();
-        let lanes = rules
+        let lanes = managers
             .into_iter()
-            .map(|rule| {
-                if let DutyRule::EnergyNeutral(manager) = rule {
-                    assert!(
-                        manager.bounds_are_ordered(),
-                        "energy-neutral duty bounds [{}, {}] are unordered",
-                        manager.min_duty,
-                        manager.max_duty
-                    );
-                }
-                Lane {
-                    rule,
-                    level_j,
-                    planned_duty: 0.0,
-                    duty_sum: 0.0,
-                    consumed_j: 0.0,
-                    charge_waste_j: 0.0,
-                    discharge_loss_j: 0.0,
-                    leaked_j: 0.0,
-                    brownouts: 0,
-                }
+            .map(|manager| Lane {
+                manager,
+                level_j,
+                planned_duty: 0.0,
+                duty_sum: 0.0,
+                consumed_j: 0.0,
+                charge_waste_j: 0.0,
+                discharge_loss_j: 0.0,
+                leaked_j: 0.0,
+                brownouts: 0,
             })
             .collect();
         NodeLanes {
@@ -192,7 +183,7 @@ impl NodeLanes {
         if let Some(lane) = offender {
             panic!(
                 "lane {lane}: manager {} planned a duty outside [0, 1]",
-                self.lanes[lane].rule.name()
+                self.lanes[lane].manager.name()
             );
         }
     }
@@ -262,11 +253,9 @@ impl Run<'_> {
 /// slot loop. Lanes past the last real one are inert padding.
 #[derive(Clone, Copy)]
 struct Block<const W: usize> {
-    /// The rule as data every lane runs through: energy-neutral lanes
+    /// The manager as data every lane runs through: energy-neutral lanes
     /// take the clamped rule, the rest their fixed duty (1 for greedy).
     neutral: [bool; W],
-    min_duty: [f64; W],
-    max_duty: [f64; W],
     target_soc: [f64; W],
     gain: [f64; W],
     fixed: [f64; W],
@@ -284,13 +273,10 @@ struct Block<const W: usize> {
 
 impl<const W: usize> Block<W> {
     fn gather(lanes: &[Lane]) -> Self {
-        let inert = EnergyNeutralManager::default();
         let mut block = Block {
             neutral: [false; W],
-            min_duty: [inert.min_duty; W],
-            max_duty: [inert.max_duty; W],
-            target_soc: [inert.target_soc; W],
-            gain: [inert.gain; W],
+            target_soc: [0.0; W],
+            gain: [0.0; W],
             fixed: [0.0; W],
             level_j: [0.0; W],
             duty: [0.0; W],
@@ -303,16 +289,14 @@ impl<const W: usize> Block<W> {
             out_of_range: [false; W],
         };
         for (i, lane) in lanes.iter().enumerate() {
-            match lane.rule {
-                DutyRule::EnergyNeutral(manager) => {
+            match lane.manager {
+                ManagerSpec::EnergyNeutral { target_soc, gain } => {
                     block.neutral[i] = true;
-                    block.min_duty[i] = manager.min_duty;
-                    block.max_duty[i] = manager.max_duty;
-                    block.target_soc[i] = manager.target_soc;
-                    block.gain[i] = manager.gain;
+                    block.target_soc[i] = target_soc;
+                    block.gain[i] = gain;
                 }
-                DutyRule::Greedy => block.fixed[i] = 1.0,
-                DutyRule::FixedDuty(duty) => block.fixed[i] = duty,
+                ManagerSpec::Greedy => block.fixed[i] = 1.0,
+                ManagerSpec::FixedDuty { duty } => block.fixed[i] = duty,
             }
             block.level_j[i] = lane.level_j;
             block.duty[i] = lane.planned_duty;
@@ -355,15 +339,9 @@ impl<const W: usize> Block<W> {
             self.brownouts[i] += usize::from(flows.brownout);
             self.leaked_j[i] += flows.leaked_j;
             let ctx = slot_context(config, slot_s, level_j, predicted);
-            let rule = EnergyNeutralManager {
-                min_duty: self.min_duty[i],
-                max_duty: self.max_duty[i],
-                target_soc: self.target_soc[i],
-                gain: self.gain[i],
-            };
             // Every lane computes the rule, so the choice is a select,
             // not a branch around its three divisions.
-            let neutral = rule.duty(&ctx);
+            let neutral = energy_neutral_duty(self.target_soc[i], self.gain[i], &ctx);
             let duty = if self.neutral[i] {
                 neutral
             } else {
@@ -450,21 +428,25 @@ mod tests {
         (config, charge == 1.0)
     }
 
-    fn rule(draws: &mut Draws) -> DutyRule {
-        match draws.pick(4) {
-            0 => DutyRule::Greedy,
-            1 => DutyRule::FixedDuty(draws.range(0.0, 1.0)),
-            2 => DutyRule::EnergyNeutral(EnergyNeutralManager {
-                min_duty: 0.1,
-                max_duty: 0.9,
+    /// A manager, with the edges drawn often: a fixed duty of exactly 0
+    /// or 1, and an energy-neutral gain of 0 (no storage correction).
+    fn manager(draws: &mut Draws) -> ManagerSpec {
+        match draws.pick(5) {
+            0 => ManagerSpec::Greedy,
+            1 => ManagerSpec::FixedDuty {
+                duty: draws.range(0.0, 1.0),
+            },
+            2 => ManagerSpec::FixedDuty {
+                duty: draws.pick(2) as f64,
+            },
+            3 => ManagerSpec::EnergyNeutral {
+                target_soc: draws.unit(),
+                gain: 0.0,
+            },
+            _ => ManagerSpec::EnergyNeutral {
                 target_soc: draws.unit(),
                 gain: draws.range(0.0, 2.0),
-            }),
-            _ => DutyRule::EnergyNeutral(EnergyNeutralManager {
-                target_soc: draws.unit(),
-                gain: draws.range(0.0, 2.0),
-                ..EnergyNeutralManager::default()
-            }),
+            },
         }
     }
 
@@ -517,19 +499,21 @@ mod tests {
             .collect()
     }
 
-    /// One machine per rule, fed the same days slot by slot.
+    /// One machine per manager, fed the same days slot by slot.
     fn machine_reports(
         config: &NodeConfig,
-        rules: &[DutyRule],
+        managers: &[ManagerSpec],
         days: &[(Vec<f64>, Vec<f64>)],
     ) -> Vec<NodeReport> {
-        let n = rules.len();
-        let mut managers: Vec<(DutyRule, NoFaults)> =
-            rules.iter().map(|&rule| (rule, NoFaults)).collect();
-        let mut machines: Vec<_> = managers
+        let n = managers.len();
+        let mut owned: Vec<(ManagerSpec, NoFaults)> = managers
+            .iter()
+            .map(|manager| (manager.clone(), NoFaults))
+            .collect();
+        let mut machines: Vec<_> = owned
             .iter_mut()
-            .map(|(rule, hook)| {
-                NodeSimulation::with_external_predictions(rule, config, hook, SLOT_S, SLOTS)
+            .map(|(manager, hook)| {
+                NodeSimulation::with_external_predictions(manager, config, hook, SLOT_S, SLOTS)
             })
             .collect();
         for (harvest, predicted) in days {
@@ -563,13 +547,13 @@ mod tests {
             let (mut brownouts, mut overflows) = (0, 0);
             for count in [1, 3, 8, 9, 15, 16, 17] {
                 let (config, ideal_charger) = config(&mut draws);
-                let rules: Vec<DutyRule> = (0..count).map(|_| rule(&mut draws)).collect();
+                let managers: Vec<ManagerSpec> = (0..count).map(|_| manager(&mut draws)).collect();
                 let days = days(&mut draws, 3, count);
-                let mut lanes = NodeLanes::new(&config, rules.iter().copied(), SLOT_S, SLOTS);
+                let mut lanes = NodeLanes::new(&config, managers.clone(), SLOT_S, SLOTS);
                 for (harvest, predicted) in &days {
                     lanes.run_day(harvest, predicted);
                 }
-                let machines = machine_reports(&config, &rules, &days);
+                let machines = machine_reports(&config, &managers, &days);
                 assert_bit_equal(&lane_reports(&lanes), &machines);
                 brownouts += machines.iter().filter(|r| r.brownouts > 0).count();
                 if ideal_charger {
@@ -586,13 +570,13 @@ mod tests {
             let mut draws = Draws(seed);
             let count = [1, 9, 15, 17][draws.pick(4) as usize];
             let (config, _) = config(&mut draws);
-            let rules: Vec<DutyRule> = (0..count).map(|_| rule(&mut draws)).collect();
+            let managers: Vec<ManagerSpec> = (0..count).map(|_| manager(&mut draws)).collect();
             let days = days(&mut draws, 4, count);
-            let mut uninterrupted = NodeLanes::new(&config, rules.iter().copied(), SLOT_S, SLOTS);
+            let mut uninterrupted = NodeLanes::new(&config, managers.clone(), SLOT_S, SLOTS);
             for (harvest, predicted) in &days {
                 uninterrupted.run_day(harvest, predicted);
             }
-            let mut original = NodeLanes::new(&config, rules.iter().copied(), SLOT_S, SLOTS);
+            let mut original = NodeLanes::new(&config, managers.clone(), SLOT_S, SLOTS);
             for (harvest, predicted) in &days[..2] {
                 original.run_day(harvest, predicted);
             }
@@ -604,7 +588,7 @@ mod tests {
             let expected = lane_reports(&uninterrupted);
             assert_bit_equal(&lane_reports(&original), &expected);
             assert_bit_equal(&lane_reports(&checkpoint), &expected);
-            assert_bit_equal(&expected, &machine_reports(&config, &rules, &days));
+            assert_bit_equal(&expected, &machine_reports(&config, &managers, &days));
         }
     }
 
@@ -619,32 +603,21 @@ mod tests {
     #[test]
     #[should_panic(expected = "lane 2: manager fixed-duty planned a duty outside [0, 1]")]
     fn an_out_of_range_duty_fails_the_day() {
-        let rules = [
-            DutyRule::Greedy,
-            DutyRule::FixedDuty(0.5),
-            DutyRule::FixedDuty(1.5),
+        let managers = [
+            ManagerSpec::Greedy,
+            ManagerSpec::FixedDuty { duty: 0.5 },
+            ManagerSpec::FixedDuty { duty: 1.5 },
         ];
-        let mut lanes = NodeLanes::new(&plain_config(), rules, SLOT_S, SLOTS);
+        let mut lanes = NodeLanes::new(&plain_config(), managers, SLOT_S, SLOTS);
         lanes.run_day(&[1.0; SLOTS], &[100.0; 3 * SLOTS]);
     }
 
     #[test]
-    #[should_panic(expected = "unordered")]
-    fn unordered_duty_bounds_are_rejected() {
-        let rule = DutyRule::EnergyNeutral(EnergyNeutralManager {
-            min_duty: 0.8,
-            max_duty: 0.2,
-            ..EnergyNeutralManager::default()
-        });
-        let _ = NodeLanes::new(&plain_config(), [rule], SLOT_S, SLOTS);
-    }
-
-    #[test]
     fn no_slots_report_like_a_fresh_machine() {
-        let lanes = NodeLanes::new(&plain_config(), [DutyRule::Greedy], SLOT_S, SLOTS);
-        let (mut rule, mut hook) = (DutyRule::Greedy, NoFaults);
+        let lanes = NodeLanes::new(&plain_config(), [ManagerSpec::Greedy], SLOT_S, SLOTS);
+        let (mut manager, mut hook) = (ManagerSpec::Greedy, NoFaults);
         let machine = NodeSimulation::with_external_predictions(
-            &mut rule,
+            &mut manager,
             &plain_config(),
             &mut hook,
             SLOT_S,

@@ -11,9 +11,9 @@
 //!   efficiencies and leakage,
 //! * [`SolarPanel`] — irradiance → electrical power,
 //! * [`Load`] — a duty-cycled consumer (sensor node),
-//! * [`PowerManager`] implementations — a prediction-driven
-//!   energy-neutral controller (after Kansal et al.), plus greedy and
-//!   fixed-duty baselines,
+//! * [`ManagerSpec`] — the built-in [`PowerManager`] policies as plain
+//!   data: a prediction-driven energy-neutral controller (after Kansal
+//!   et al.), plus greedy and fixed-duty baselines,
 //! * [`simulate_node`] — a slot-stepped simulation with full energy
 //!   accounting (conservation is property-tested),
 //! * [`SlotHook`] / [`simulate_node_hooked`] — per-slot fault injection
@@ -23,9 +23,9 @@
 //!   machine over a borrowed manager and hook, which is how
 //!   [`simulate_node_hooked`] drives it.
 //! * [`NodeLanes`] — many nodes of one configuration, one lane per
-//!   node with its own [`DutyRule`], stepped a day at a time in
+//!   node with its own [`ManagerSpec`], stepped a day at a time in
 //!   vectorized blocks and bit-identical to one [`NodeSimulation`] per
-//!   lane (both call the same storage-step and duty-rule value
+//!   lane (both call the same storage-step and energy-neutral value
 //!   functions). It is the `scenario-fleet` engine's job plane, one
 //!   lane per job; a clone taken at a day boundary is a resume
 //!   checkpoint.
@@ -35,7 +35,7 @@
 //! ```
 //! # use std::error::Error;
 //! # fn main() -> Result<(), Box<dyn Error>> {
-//! use harvest_sim::{simulate_node, EnergyNeutralManager, EnergyStorage, Load, NodeConfig, SolarPanel};
+//! use harvest_sim::{simulate_node, EnergyStorage, Load, ManagerSpec, NodeConfig, SolarPanel};
 //! use solar_predict::{WcmaParams, WcmaPredictor};
 //! use solar_trace::{PowerTrace, Resolution, SlotsPerDay, SlotView};
 //!
@@ -50,7 +50,7 @@
 //!     load: Load::new(0.05, 0.0001)?,               // 50 mW active
 //! };
 //! let mut predictor = WcmaPredictor::new(WcmaParams::new(0.5, 5, 2, 24)?);
-//! let mut manager = EnergyNeutralManager::default();
+//! let mut manager = ManagerSpec::EnergyNeutral { target_soc: 0.5, gain: 0.25 };
 //! let report = simulate_node(&view, &mut predictor, &mut manager, &config);
 //! assert!(report.energy_balance_error_j() < 1e-6);
 //! # Ok(())
@@ -71,9 +71,7 @@ pub use error::SimError;
 pub use hook::{NoFaults, SlotHook};
 pub use lanes::NodeLanes;
 pub use load::Load;
-pub use manager::{
-    DutyRule, EnergyNeutralManager, FixedDutyManager, GreedyManager, PowerManager, SlotContext,
-};
+pub use manager::{ManagerSpec, PowerManager, SlotContext};
 pub use node::{simulate_node, simulate_node_hooked, NodeConfig, NodeReport};
 pub use panel::SolarPanel;
 pub use storage::{ChargeOutcome, EnergyStorage};

@@ -157,7 +157,7 @@ pub fn simulate_node_hooked(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::manager::{EnergyNeutralManager, FixedDutyManager, GreedyManager};
+    use crate::manager::ManagerSpec;
     use solar_predict::{PersistencePredictor, WcmaParams, WcmaPredictor};
     use solar_trace::{PowerTrace, Resolution, SlotsPerDay};
 
@@ -182,7 +182,10 @@ mod tests {
         let trace = solar_trace(20);
         let view = SlotView::new(&trace, SlotsPerDay::new(24).unwrap()).unwrap();
         let mut predictor = WcmaPredictor::new(WcmaParams::new(0.5, 5, 2, 24).unwrap());
-        let mut manager = EnergyNeutralManager::default();
+        let mut manager = ManagerSpec::EnergyNeutral {
+            target_soc: 0.5,
+            gain: 0.25,
+        };
         let report = simulate_node(&view, &mut predictor, &mut manager, &config());
         assert!(report.energy_balance_error_j() < 1e-6, "{report:?}");
         assert_eq!(report.slots, 480);
@@ -197,7 +200,7 @@ mod tests {
         let mut cfg = config();
         cfg.storage = EnergyStorage::new(100.0, 50.0).unwrap();
         let mut predictor = PersistencePredictor::new(24);
-        let mut manager = GreedyManager;
+        let mut manager = ManagerSpec::Greedy;
         let report = simulate_node(&view, &mut predictor, &mut manager, &cfg);
         assert!(report.brownouts > 0, "{report}");
     }
@@ -209,11 +212,14 @@ mod tests {
         let cfg = config();
 
         let mut wcma = WcmaPredictor::new(WcmaParams::new(0.3, 5, 2, 24).unwrap());
-        let mut neutral = EnergyNeutralManager::default();
+        let mut neutral = ManagerSpec::EnergyNeutral {
+            target_soc: 0.5,
+            gain: 0.25,
+        };
         let managed = simulate_node(&view, &mut wcma, &mut neutral, &cfg);
 
         let mut pers = PersistencePredictor::new(24);
-        let mut greedy = GreedyManager;
+        let mut greedy = ManagerSpec::Greedy;
         let unmanaged = simulate_node(&view, &mut pers, &mut greedy, &cfg);
 
         assert!(
@@ -227,7 +233,7 @@ mod tests {
         let trace = solar_trace(5);
         let view = SlotView::new(&trace, SlotsPerDay::new(24).unwrap()).unwrap();
         let mut predictor = PersistencePredictor::new(24);
-        let mut manager = FixedDutyManager::new(0.3);
+        let mut manager = ManagerSpec::FixedDuty { duty: 0.3 };
         let report = simulate_node(&view, &mut predictor, &mut manager, &config());
         assert!((report.mean_duty - 0.3).abs() < 1e-12);
     }
@@ -250,7 +256,7 @@ mod tests {
         let trace = solar_trace(2);
         let view = SlotView::new(&trace, SlotsPerDay::new(24).unwrap()).unwrap();
         let mut predictor = PersistencePredictor::new(48);
-        let mut manager = GreedyManager;
+        let mut manager = ManagerSpec::Greedy;
         let _ = simulate_node(&view, &mut predictor, &mut manager, &config());
     }
 }

@@ -234,13 +234,18 @@ pub(crate) fn finish_report(
 mod tests {
     use super::*;
     use crate::hook::NoFaults;
-    use crate::manager::EnergyNeutralManager;
+    use crate::manager::ManagerSpec;
     use crate::node::simulate_node;
     use crate::panel::SolarPanel;
     use crate::storage::EnergyStorage;
     use crate::Load;
     use solar_predict::{Predictor, WcmaParams, WcmaPredictor};
     use solar_trace::{PowerTrace, Resolution, SlotView, SlotsPerDay};
+
+    const NEUTRAL: ManagerSpec = ManagerSpec::EnergyNeutral {
+        target_soc: 0.5,
+        gain: 0.25,
+    };
 
     fn config() -> NodeConfig {
         NodeConfig {
@@ -270,11 +275,11 @@ mod tests {
         let view = SlotView::new(&trace, SlotsPerDay::new(24).unwrap()).unwrap();
 
         let mut p1 = WcmaPredictor::new(WcmaParams::new(0.5, 5, 2, 24).unwrap());
-        let mut m1 = EnergyNeutralManager::default();
+        let mut m1 = NEUTRAL;
         let owned = simulate_node(&view, &mut p1, &mut m1, &config());
 
         let mut p2 = WcmaPredictor::new(WcmaParams::new(0.5, 5, 2, 24).unwrap());
-        let mut m2 = EnergyNeutralManager::default();
+        let mut m2 = NEUTRAL;
         let mut hook = NoFaults;
         let cfg = config();
         let mut external = NodeSimulation::with_external_predictions(
@@ -293,7 +298,7 @@ mod tests {
 
     #[test]
     fn empty_stream_yields_empty_report() {
-        let mut m = EnergyNeutralManager::default();
+        let mut m = NEUTRAL;
         let mut hook = NoFaults;
         let report =
             NodeSimulation::with_external_predictions(&mut m, &config(), &mut hook, 3600.0, 24)
@@ -304,9 +309,20 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "manager fixed-duty produced duty 1.5")]
+    fn an_out_of_range_duty_fails_at_its_first_plan() {
+        let mut m = ManagerSpec::FixedDuty { duty: 1.5 };
+        let cfg = config();
+        let mut hook = NoFaults;
+        let mut sim =
+            NodeSimulation::with_external_predictions(&mut m, &cfg, &mut hook, 3600.0, 24);
+        sim.plan_with(0.0);
+    }
+
+    #[test]
     #[should_panic(expected = "must be positive")]
     fn zero_slot_duration_panics() {
-        let mut m = EnergyNeutralManager::default();
+        let mut m = NEUTRAL;
         let cfg = config();
         let mut hook = NoFaults;
         let _ = NodeSimulation::with_external_predictions(&mut m, &cfg, &mut hook, 0.0, 24);
@@ -317,7 +333,7 @@ mod tests {
     fn mismatched_discretization_panics() {
         // A predictor built for N=24 fed 48-slot (1800 s) days is the
         // silent-corruption case the guard exists for.
-        let mut m = EnergyNeutralManager::default();
+        let mut m = NEUTRAL;
         let cfg = config();
         let mut hook = NoFaults;
         let _ = NodeSimulation::with_external_predictions(&mut m, &cfg, &mut hook, 1800.0, 24);

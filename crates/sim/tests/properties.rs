@@ -1,10 +1,7 @@
 //! Property tests for the node simulator: storage invariants and energy
 //! conservation under arbitrary operation sequences and configurations.
 
-use harvest_sim::{
-    simulate_node, EnergyNeutralManager, EnergyStorage, FixedDutyManager, Load, NodeConfig,
-    SolarPanel,
-};
+use harvest_sim::{simulate_node, EnergyStorage, Load, ManagerSpec, NodeConfig, SolarPanel};
 use proptest::prelude::*;
 use solar_predict::PersistencePredictor;
 use solar_trace::{PowerTrace, Resolution, SlotView, SlotsPerDay};
@@ -92,7 +89,7 @@ proptest! {
             load: Load::new(0.05, 0.0001).unwrap(),
         };
         let mut predictor = PersistencePredictor::new(n);
-        let mut manager = FixedDutyManager::new(duty);
+        let mut manager = ManagerSpec::FixedDuty { duty };
         let report = simulate_node(&view, &mut predictor, &mut manager, &config);
         prop_assert!(
             report.energy_balance_error_j() < 1e-6 * report.harvested_j.max(1.0),
@@ -111,9 +108,7 @@ proptest! {
         target in 0.0f64..=1.0,
     ) {
         use harvest_sim::{PowerManager, SlotContext};
-        let mut manager = EnergyNeutralManager {
-            min_duty: 0.0,
-            max_duty: 1.0,
+        let mut manager = ManagerSpec::EnergyNeutral {
             target_soc: target,
             gain,
         };

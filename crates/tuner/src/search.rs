@@ -54,18 +54,6 @@ pub struct SearchResult {
     pub evaluated: usize,
 }
 
-fn specs_of(grid: &ParamGrid) -> Vec<(f64, usize, usize)> {
-    let mut specs = Vec::with_capacity(grid.configs());
-    for &alpha in grid.alphas() {
-        for &days in grid.days() {
-            for &k in grid.ks() {
-                specs.push((alpha, days, k));
-            }
-        }
-    }
-    specs
-}
-
 /// Runs the search. `score` receives a batch of WCMA specs and returns
 /// one score per spec, in order (lower is better); it is called once
 /// per round with only the candidates not scored in earlier rounds.
@@ -78,32 +66,32 @@ pub fn search_wcma(
     budget: &SearchBudget,
     mut score: impl FnMut(&[PredictorSpec]) -> Result<Vec<f64>, String>,
 ) -> Result<SearchResult, String> {
-    let mut seen: Vec<(f64, usize, usize)> = Vec::new();
+    let mut seen: Vec<PredictorSpec> = Vec::new();
     let mut best: Option<((f64, usize, usize), f64)> = None;
     let mut rounds = 0;
     let mut current = grid.clone();
 
     loop {
-        let fresh: Vec<(f64, usize, usize)> = specs_of(&current)
+        let fresh: Vec<PredictorSpec> = PredictorSpec::family_from_grid(&current)
             .into_iter()
             .filter(|c| !seen.contains(c))
             .take(budget.max_candidates.saturating_sub(seen.len()))
             .collect();
         if !fresh.is_empty() {
-            let batch: Vec<PredictorSpec> = fresh
-                .iter()
-                .map(|&(alpha, days, k)| PredictorSpec::Wcma { alpha, days, k })
-                .collect();
-            let scores = score(&batch)?;
-            if scores.len() != batch.len() {
+            let scores = score(&fresh)?;
+            if scores.len() != fresh.len() {
                 return Err(format!(
                     "evaluator returned {} scores for {} candidates",
                     scores.len(),
-                    batch.len()
+                    fresh.len()
                 ));
             }
-            for (&candidate, &value) in fresh.iter().zip(&scores) {
-                seen.push(candidate);
+            for (spec, &value) in fresh.into_iter().zip(&scores) {
+                let PredictorSpec::Wcma { alpha, days, k } = spec else {
+                    unreachable!("a grid family holds only WCMA specs");
+                };
+                let candidate = (alpha, days, k);
+                seen.push(spec);
                 // Strict improvement plus deterministic tie-break on the
                 // parameter triple, so the winner never depends on
                 // evaluation order.
@@ -130,7 +118,10 @@ pub fn search_wcma(
             .refined_around(alpha, days, k)
             .expect("incumbent is on the current grid");
         // Converged: refinement produced nothing new to score.
-        if specs_of(&refined).iter().all(|c| seen.contains(c)) {
+        if PredictorSpec::family_from_grid(&refined)
+            .iter()
+            .all(|c| seen.contains(c))
+        {
             break;
         }
         current = refined;

@@ -9,8 +9,7 @@
 //! ```
 
 use harvest_sim::{
-    simulate_node, EnergyNeutralManager, EnergyStorage, GreedyManager, Load, NodeConfig,
-    PowerManager, SolarPanel,
+    simulate_node, EnergyStorage, Load, ManagerSpec, NodeConfig, PowerManager, SolarPanel,
 };
 use solar_predict::{PersistencePredictor, Predictor, WcmaParams, WcmaPredictor};
 use solar_synth::{Site, TraceGenerator};
@@ -34,22 +33,26 @@ fn run() -> Result<(), Box<dyn Error>> {
         "predictor + policy", "brownout %", "mean duty", "utilization %"
     );
 
+    let neutral = ManagerSpec::EnergyNeutral {
+        target_soc: 0.5,
+        gain: 0.25,
+    };
     type Run<'a> = (&'a str, Box<dyn Predictor>, Box<dyn PowerManager>);
     let mut runs: Vec<Run> = vec![
         (
             "WCMA + energy-neutral",
             Box::new(WcmaPredictor::new(WcmaParams::new(0.7, 10, 2, 48)?)),
-            Box::new(EnergyNeutralManager::default()),
+            neutral.build(),
         ),
         (
             "persistence + energy-neutral",
             Box::new(PersistencePredictor::new(48)),
-            Box::new(EnergyNeutralManager::default()),
+            neutral.build(),
         ),
         (
             "greedy (no prediction)",
             Box::new(PersistencePredictor::new(48)),
-            Box::new(GreedyManager),
+            ManagerSpec::Greedy.build(),
         ),
     ];
 

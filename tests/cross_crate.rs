@@ -2,9 +2,7 @@
 //! kernel, the simulator against synthetic traces, and fixed point
 //! against f64 on realistic data.
 
-use harvest_sim::{
-    simulate_node, EnergyNeutralManager, EnergyStorage, Load, NodeConfig, SolarPanel,
-};
+use harvest_sim::{simulate_node, EnergyStorage, Load, ManagerSpec, NodeConfig, SolarPanel};
 use msp430_energy::{CalibratedCycleModel, OpCostModel, PredictionKernel, Supply};
 use pred_metrics::EvalProtocol;
 use solar_predict::fixed_point::FixedWcmaPredictor;
@@ -58,7 +56,10 @@ fn node_conserves_energy_on_every_site() {
             .unwrap();
         let view = SlotView::new(&trace, SlotsPerDay::new(48).unwrap()).unwrap();
         let mut predictor = WcmaPredictor::new(WcmaParams::new(0.7, 10, 2, 48).unwrap());
-        let mut manager = EnergyNeutralManager::default();
+        let mut manager = ManagerSpec::EnergyNeutral {
+            target_soc: 0.5,
+            gain: 0.25,
+        };
         let report = simulate_node(&view, &mut predictor, &mut manager, &config);
         assert!(
             report.energy_balance_error_j() < 1e-6 * report.harvested_j.max(1.0),

@@ -1,9 +1,7 @@
 //! Fleet-engine integration tests: determinism across thread counts,
 //! fault-proof energy accounting, and the param_explore bridge.
 
-use harvest_sim::{
-    simulate_node_hooked, EnergyNeutralManager, EnergyStorage, Load, NodeConfig, SolarPanel,
-};
+use harvest_sim::{simulate_node_hooked, EnergyStorage, Load, NodeConfig, SolarPanel};
 use param_explore::ParamGrid;
 use proptest::prelude::*;
 use scenario_fleet::{
@@ -246,7 +244,10 @@ proptest! {
             load: Load::new(0.05, 0.0005).unwrap(),
         };
         let mut predictor = WcmaPredictor::new(WcmaParams::new(0.7, 5, 2, 24).unwrap());
-        let mut manager = EnergyNeutralManager::default();
+        let mut manager = ManagerSpec::EnergyNeutral {
+            target_soc: 0.5,
+            gain: 0.25,
+        };
         let mut injector = FaultInjector::new(&faults, seed, 30, 24);
         let report = simulate_node_hooked(
             &view,
