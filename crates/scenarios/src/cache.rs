@@ -29,7 +29,8 @@
 //! 48-slot scenario. Retention never shows in the output: a kept and a
 //! freshly synthesized series are bit-identical (the synth crate pins
 //! the stream's resume contract), so outcomes are byte-identical under
-//! every policy.
+//! every policy. Nothing is ever evicted: what a run stores stays until
+//! the cache is dropped.
 //!
 //! # Day-append checkpoints
 //!
@@ -39,13 +40,13 @@
 //! days. Capture and resume apply the same rule, [`checkpointable`].
 
 use crate::catalog::Scenario;
-use crate::engine::{project_fleet_faults, JobOutcome};
+use crate::engine::JobOutcome;
 use crate::faults::FaultSpec;
 use crate::matrix::{FleetMatrix, JobSpec};
 use crate::series::{series_footprint_bytes, RoiPeak, SlotSeries, TraceCachePolicy};
 use crate::unit::{UnitMachines, UnitOutcomes, WorkUnit};
 use fleet_obs::Collector;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Whether `scenario` carries a trace-gap fault, whose placement is
@@ -155,28 +156,13 @@ impl RunKeys {
     }
 }
 
-/// What [`FleetCache::prune_to`] evicted, so an incremental loop can
-/// fold the dropped jobs' cost into its own running aggregate before
-/// the entries disappear from [`FleetCache::cost`].
-#[derive(Copy, Clone, Debug, Default, PartialEq)]
-pub struct PruneStats {
-    /// Job outcomes evicted.
-    pub evicted_outcomes: usize,
-    /// Retained slot series evicted.
-    pub evicted_traces: usize,
-    /// Bytes of series footprint released.
-    pub evicted_trace_bytes: usize,
-    /// Aggregate cost of the evicted job outcomes.
-    pub evicted_cost: pred_metrics::CostAggregate,
-}
-
 /// Memo of slot series, job outcomes, and day-boundary resume state across
 /// runs of one engine — the incremental re-scoring state. Create with
 /// [`FleetEngine::new_cache`](crate::FleetEngine::new_cache); feed to
 /// [`FleetEngine::run_cached`](crate::FleetEngine::run_cached). The
 /// cache is bound to the master seed of the first engine that runs it
-/// and refuses to serve any other. It never evicts on its own — call
-/// [`FleetCache::prune_to`] from loops that retire scenarios.
+/// and refuses to serve any other. It never evicts: an entry lives as
+/// long as the cache.
 #[derive(Clone, Debug, Default)]
 pub struct FleetCache {
     pub(crate) master_seed: Option<u64>,
@@ -229,55 +215,13 @@ impl FleetCache {
         scenario.extends(stored).then_some(series)
     }
 
-    /// Aggregate cost of every distinct job outcome the cache
-    /// **currently holds** — one entry per (scenario, predictor,
-    /// manager) triple, order-independent despite the map. Entries
-    /// evicted by [`FleetCache::prune_to`] leave this aggregate; the
-    /// eviction returns their cost in [`PruneStats::evicted_cost`] so
-    /// a loop tracking lifetime totals can accumulate it separately.
+    /// Aggregate cost of every distinct job outcome the cache holds —
+    /// one entry per (scenario, predictor, manager) triple,
+    /// order-independent despite the map. The cache never evicts, so
+    /// this covers every job its runs evaluated.
     pub fn cost(&self) -> pred_metrics::CostAggregate {
         let outcomes = self.outcomes.values().flat_map(HashMap::values);
         pred_metrics::CostAggregate::of(outcomes.map(|o| o.cost))
-    }
-
-    /// Evicts every slot series, outcome, and resume checkpoint
-    /// belonging to scenarios **not** in `matrix` (after
-    /// fleet-fault projection under the cache's bound seed, so the
-    /// keys compared are the ones runs actually store). Call this from
-    /// loops whose scenario set shrinks or rolls forward — the cache
-    /// never evicts on its own, so a tuner sweeping hundreds of
-    /// regimes would otherwise hold every retired series to the end.
-    ///
-    /// Returns what was dropped; fold [`PruneStats::evicted_cost`]
-    /// into your own aggregate if you report lifetime totals.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if a fleet fault is invalid or fails to project, or a
-    /// scenario's site config is invalid.
-    pub fn prune_to(&mut self, matrix: &FleetMatrix) -> Result<PruneStats, String> {
-        // An unbound cache is empty, so any seed evicts nothing.
-        let effective = project_fleet_faults(matrix, self.master_seed.unwrap_or_default())?;
-        let scenarios = effective.scenarios.iter();
-        let keep_jsons: HashSet<String> = scenarios.clone().map(|s| s.to_json().render()).collect();
-        let keep_names: HashSet<&str> = scenarios.map(|s| s.name.as_str()).collect();
-        let keep_json = |json: &String| keep_jsons.contains(json);
-        let keep_name = |name: &String| keep_names.contains(name.as_str());
-        let evicted = self.outcomes.iter().filter(|(json, _)| !keep_json(json));
-        let evicted = evicted.flat_map(|(_, block)| block.values());
-        let evicted_cost = pred_metrics::CostAggregate::of(evicted.map(|o| o.cost));
-        let before_outcomes = self.len();
-        let before_traces = self.trace_count();
-        let before_bytes = self.trace_bytes();
-        self.outcomes.retain(|json, _| keep_json(json));
-        self.series.retain(|name, _| keep_name(name));
-        self.checkpoints.retain(|name, _| keep_name(name));
-        Ok(PruneStats {
-            evicted_outcomes: before_outcomes - self.len(),
-            evicted_traces: before_traces - self.trace_count(),
-            evicted_trace_bytes: before_bytes - self.trace_bytes(),
-            evicted_cost,
-        })
     }
 
     /// Each scenario's jobs the cache cannot answer, in matrix job
@@ -474,40 +418,6 @@ mod tests {
         let cold = FleetEngine::new(67).run(&grown).unwrap();
         assert_eq!(
             result.scorecard.to_json_string(),
-            cold.scorecard.to_json_string()
-        );
-    }
-
-    #[test]
-    fn prune_to_evicts_exactly_the_entries_the_matrix_no_longer_wants() {
-        let matrix = small_matrix();
-        let engine = FleetEngine::new(59);
-        let mut cache = engine.new_cache();
-        engine.run_cached(&matrix, &mut cache).unwrap();
-        let bytes_before = cache.trace_bytes();
-
-        let mut narrowed = matrix.clone();
-        narrowed.scenarios.remove(1);
-        let stats = cache.prune_to(&narrowed).unwrap();
-        let jobs_per_scenario = matrix.predictors.len() * matrix.managers.len();
-        assert_eq!(stats.evicted_outcomes, jobs_per_scenario);
-        assert_eq!(stats.evicted_traces, 1);
-        assert!(stats.evicted_trace_bytes > 0);
-        assert_eq!(
-            cache.trace_bytes(),
-            bytes_before - stats.evicted_trace_bytes
-        );
-        assert_eq!(cache.trace_count(), 1);
-
-        // Pruning to the same matrix is a no-op.
-        assert_eq!(cache.prune_to(&narrowed).unwrap(), PruneStats::default());
-
-        // The surviving scenario still replays entirely from cache.
-        let warm = engine.run_cached(&narrowed, &mut cache).unwrap();
-        assert_eq!(warm.cached_jobs, narrowed.job_count());
-        let cold = FleetEngine::new(59).run(&narrowed).unwrap();
-        assert_eq!(
-            warm.scorecard.to_json_string(),
             cold.scorecard.to_json_string()
         );
     }

@@ -443,12 +443,25 @@ impl FleetEngine {
     /// affected scenario's fault list. Every event realizes from one
     /// shared seed, so it hits all its scenarios on the same days; the
     /// projected faults live in the scenario (and hence its JSON/cache
-    /// key), so caching and determinism need no special cases.
+    /// key), so caching and determinism need no special cases. The
+    /// matrix's fields are public, so every event is validated here,
+    /// not only those [`FleetMatrix::with_fleet_faults`] attached.
     fn project(&self, matrix: &FleetMatrix) -> Result<FleetMatrix, String> {
         let _span = self.collector.span("fleet/project");
         let events = matrix.fleet_faults.len() as u64;
         self.collector.count("faults/fleet_events", events);
-        let effective = project_fleet_faults(matrix, self.master_seed)?;
+        let mut effective = matrix.clone();
+        for (index, fault) in matrix.fleet_faults.iter().enumerate() {
+            fault
+                .validate()
+                .map_err(|e| format!("fleet fault {index}: {e}"))?;
+            let salted = format!("fleet-fault/{index}");
+            let event_seed = solar_trace::hash::fnv1a(&salted) ^ self.master_seed.rotate_left(23);
+            for scenario in &mut effective.scenarios {
+                scenario.faults.extend(fault.project(event_seed, scenario)?);
+            }
+        }
+        effective.fleet_faults.clear();
         let specs = effective.scenarios.iter().map(|s| s.faults.len() as u64);
         self.collector.count("faults/fault_specs", specs.sum());
         Ok(effective)
@@ -583,31 +596,6 @@ impl FleetEngine {
         let config = scenario.site_config()?;
         Ok(TraceGenerator::new(config, self.scenario_seed(scenario)))
     }
-}
-
-/// The fleet-fault projection under `master_seed`: the engine's
-/// `fleet/project` phase, and [`FleetCache::prune_to`] for a cache that
-/// must compare incoming matrices against the projected keys its runs
-/// actually stored. The matrix's fields are public, so every event is
-/// validated here, not only those [`FleetMatrix::with_fleet_faults`]
-/// attached.
-pub(crate) fn project_fleet_faults(
-    matrix: &FleetMatrix,
-    master_seed: u64,
-) -> Result<FleetMatrix, String> {
-    let mut effective = matrix.clone();
-    for (index, fault) in matrix.fleet_faults.iter().enumerate() {
-        fault
-            .validate()
-            .map_err(|e| format!("fleet fault {index}: {e}"))?;
-        let salted = format!("fleet-fault/{index}");
-        let event_seed = solar_trace::hash::fnv1a(&salted) ^ master_seed.rotate_left(23);
-        for scenario in &mut effective.scenarios {
-            scenario.faults.extend(fault.project(event_seed, scenario)?);
-        }
-    }
-    effective.fleet_faults.clear();
-    Ok(effective)
 }
 
 /// Best-effort text of a caught panic payload (`panic!` carries `&str`
@@ -1394,25 +1382,6 @@ pub(crate) mod tests {
             first.scorecard.to_json_string()
         );
         assert_eq!(cache.len(), 3 * per_scenario, "both versions counted");
-
-        // Pruning to the original matrix evicts the edited version only.
-        let edited_cost = pred_metrics::CostAggregate::of(
-            second
-                .outcomes
-                .iter()
-                .filter(|o| o.scenario == edited.scenarios[1].name)
-                .map(|o| o.cost),
-        );
-        let stats = cache.prune_to(&matrix).unwrap();
-        assert_eq!(stats.evicted_outcomes, per_scenario);
-        assert_eq!(stats.evicted_cost, edited_cost);
-        assert_eq!(cache.len(), matrix.job_count());
-        let fourth = engine.run_cached(&matrix, &mut cache).unwrap();
-        assert_eq!(fourth.cached_jobs, matrix.job_count());
-        assert_eq!(
-            fourth.scorecard.to_json_string(),
-            first.scorecard.to_json_string()
-        );
     }
 
     #[test]
@@ -1472,7 +1441,7 @@ pub(crate) mod tests {
             }])
             .unwrap();
         let engine = FleetEngine::new(8);
-        let effective = project_fleet_faults(&matrix, 8).unwrap();
+        let effective = engine.project(&matrix).unwrap();
         assert!(effective.fleet_faults.is_empty());
         for scenario in &effective.scenarios {
             assert!(
@@ -1519,10 +1488,5 @@ pub(crate) mod tests {
             err.starts_with("fleet fault 0: ") && err.contains("1.5"),
             "{err}"
         );
-        let mut cache = engine.new_cache();
-        engine.run_cached(&small_matrix(), &mut cache).unwrap();
-        let err = cache.prune_to(&matrix).unwrap_err();
-        assert!(err.starts_with("fleet fault 0: "), "{err}");
-        assert!(!cache.is_empty(), "a rejected prune evicts nothing");
     }
 }

@@ -72,7 +72,7 @@ pub use catalog::{Catalog, Climate, NodeProfile, Scenario, SiteSpec};
 // The trace stream version travels with catalogs, templates, and the
 // engine's ledger; re-exported so fleet users never import the synth
 // crate just to name V1/V2.
-pub use cache::{FleetCache, PruneStats};
+pub use cache::FleetCache;
 pub use delta::FleetDelta;
 pub use engine::{
     FleetEngine, FleetResult, JobOutcome, PassBreakdown, QuarantinedScenario, ShardedFleetResult,

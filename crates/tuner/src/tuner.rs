@@ -16,10 +16,13 @@
 //!
 //! Every score is a full [`FleetEngine`] evaluation (metrics pass +
 //! managed-simulation pass, faults included), and **one shared
-//! [`FleetCache`]** carries the whole loop: a (scenario, predictor,
-//! manager) job is evaluated exactly once no matter how many rounds or
-//! passes ask for it, and a cached answer is byte-identical to a fresh
-//! one. That incremental re-scoring is what makes the loop affordable.
+//! [`FleetCache`]** carries the whole loop to its end: a (scenario,
+//! predictor, manager) job is evaluated exactly once no matter how many
+//! rounds or passes ask for it, and a cached answer is byte-identical
+//! to a fresh one. That incremental re-scoring is what makes the loop
+//! affordable. The cache is never pruned: the global pass already holds
+//! every scenario, so dropping a finished regime would not lower the
+//! peak, and the report's cost is simply what the cache holds.
 
 use crate::regime::{group_by_regime, Regime};
 use crate::report::{RegimeRow, TunedParams, TuningReport};
@@ -48,9 +51,6 @@ pub struct TunerConfig {
     pub dynamic_decays: Vec<f64>,
     /// The dynamic selector's candidate α set.
     pub dynamic_alphas: Vec<f64>,
-    /// The dynamic selector's K ceiling (clamped to the regime's
-    /// discretization).
-    pub dynamic_k_max: usize,
     /// Trace-cache policy of every engine evaluation (bounded budgets
     /// stream the overflow; results are byte-identical either way).
     pub cache_policy: TraceCachePolicy,
@@ -77,7 +77,6 @@ impl TunerConfig {
             }],
             dynamic_decays: vec![0.7, 0.85, 0.95],
             dynamic_alphas: vec![0.0, 0.25, 0.5, 0.75, 1.0],
-            dynamic_k_max: 6,
             cache_policy: TraceCachePolicy::default(),
         }
     }
@@ -112,9 +111,6 @@ impl TunerConfig {
         if self.dynamic_alphas.is_empty() {
             return Err("tuner needs at least one dynamic alpha candidate".to_string());
         }
-        if self.dynamic_k_max == 0 {
-            return Err("dynamic k_max must be at least 1".to_string());
-        }
         if self.budget.max_candidates == 0 {
             return Err("search budget must allow at least one candidate".to_string());
         }
@@ -128,6 +124,24 @@ pub const GUIDELINE: TunedParams = TunedParams {
     days: 10,
     k: 2,
 };
+
+/// The dynamic selector's K ceiling, clamped to each regime's coarsest
+/// discretization.
+const DYNAMIC_K_MAX: usize = 6;
+
+/// The dynamic selector's candidates, one per configured decay, at
+/// history depth `days` with the K ceiling clamped below `slots`.
+fn dynamic_specs(config: &TunerConfig, days: usize, slots: usize) -> Vec<PredictorSpec> {
+    let k_max = DYNAMIC_K_MAX.min(slots - 1).max(1);
+    let spec = |&score_decay: &f64| PredictorSpec::DynamicCausal {
+        days,
+        k_max,
+        alphas: config.dynamic_alphas.clone(),
+        score_decay,
+        buckets: None,
+    };
+    config.dynamic_decays.iter().map(spec).collect()
+}
 
 /// The per-regime tuning loop.
 #[derive(Clone, Debug)]
@@ -224,9 +238,18 @@ impl FleetTuner {
     ///
     /// # Errors
     ///
-    /// Rejects configurations with empty manager or decay axes.
+    /// Rejects configurations with empty manager or decay axes, and
+    /// dynamic decays or α values the selector kernel refuses.
     pub fn new(config: TunerConfig) -> Result<Self, String> {
         config.validate()?;
+        // The kernel's own rule, checked before any pass runs rather
+        // than at the first regime's deployment pass. Any N above the K
+        // ceiling leaves only the decay and α rules to fail.
+        let slots = DYNAMIC_K_MAX + 1;
+        for spec in dynamic_specs(&config, GUIDELINE.days, slots) {
+            spec.build(slots)
+                .map_err(|e| format!("dynamic selector {}: {e}", spec.label()))?;
+        }
         let mut engine = FleetEngine::new(config.master_seed).with_trace_cache(config.cache_policy);
         if let Some(threads) = config.threads {
             engine = engine.with_threads(threads);
@@ -246,11 +269,6 @@ impl FleetTuner {
         self.engine = self.engine.with_collector(collector.clone());
         self.collector = collector;
         self
-    }
-
-    /// The engine every evaluation runs through.
-    pub fn engine(&self) -> &FleetEngine {
-        &self.engine
     }
 
     /// Runs the whole loop over a scenario set.
@@ -279,54 +297,20 @@ impl FleetTuner {
         self.record_search("global", &global_searched);
         drop(global_span);
 
-        // Pass 2 + 3: per-regime search and deployment scoring. A
-        // finished regime's cache entries are dead weight for every
-        // later pass (regimes partition the scenario set), so the loop
-        // prunes the cache down to the still-pending regimes after each
-        // one — peak cache footprint tracks the *largest* regime, not
-        // the whole fleet. Evicted cost is folded back into the report
-        // so the ledger still covers the whole loop.
-        let mut rows = Vec::new();
-        let mut evicted_cost = pred_metrics::CostAggregate::default();
-        let regimes = group_by_regime(scenarios);
-        for (index, (regime, members)) in regimes.iter().enumerate() {
-            let row = self.tune_regime(*regime, members.clone(), global, &mut cache)?;
-            rows.push(row);
-            let pending: Vec<Scenario> = regimes[index + 1..]
-                .iter()
-                .flat_map(|(_, members)| members.iter().cloned())
-                .collect();
-            if !pending.is_empty() {
-                let keep =
-                    FleetMatrix::new(vec![GUIDELINE.spec()], config.managers.clone(), pending)?;
-                let stats = cache.prune_to(&keep)?;
-                evicted_cost.merge(&stats.evicted_cost);
-                if self.collector.is_enabled() && stats.evicted_outcomes > 0 {
-                    self.collector.count_scenario(
-                        regime.as_str(),
-                        "tuner/evicted_outcomes",
-                        stats.evicted_outcomes as u64,
-                    );
-                    self.collector.count_scenario(
-                        regime.as_str(),
-                        "tuner/evicted_trace_bytes",
-                        stats.evicted_trace_bytes as u64,
-                    );
-                }
-            }
-        }
+        // Pass 2 + 3: per-regime search and deployment scoring, on the
+        // same cache.
+        let rows = group_by_regime(scenarios)
+            .into_iter()
+            .map(|(regime, members)| self.tune_regime(regime, members, global, &mut cache))
+            .collect::<Result<Vec<_>, String>>()?;
         self.collector.count("tuner/regimes", rows.len() as u64);
 
-        // Every distinct job the loop evaluated, counted once: what the
-        // cache still holds plus what the round pruning evicted.
-        let mut cost = cache.cost();
-        cost.merge(&evicted_cost);
         Ok(TuningReport {
             master_seed: config.master_seed,
             global,
             global_overall_score,
             regimes: rows,
-            cost,
+            cost: cache.cost(),
         })
     }
 
@@ -361,19 +345,7 @@ impl FleetTuner {
         let q16_score = eval.score(&[tuned.q16_spec()])?[0];
         // … and the dynamic selector's threshold search, its K ceiling
         // clamped to the regime's coarsest discretization.
-        let k_max = config.dynamic_k_max.min(min_slots - 1).max(1);
-        let dynamic_specs: Vec<PredictorSpec> = config
-            .dynamic_decays
-            .iter()
-            .map(|&score_decay| PredictorSpec::DynamicCausal {
-                days: tuned.days,
-                k_max,
-                alphas: config.dynamic_alphas.clone(),
-                score_decay,
-                buckets: None,
-            })
-            .collect();
-        let dynamic_scores = eval.score(&dynamic_specs)?;
+        let dynamic_scores = eval.score(&dynamic_specs(config, tuned.days, min_slots))?;
         let (dynamic_decay, dynamic_score) = config
             .dynamic_decays
             .iter()
@@ -514,10 +486,11 @@ mod tests {
         // The inner engine recorded into the same collector, including
         // its distribution plane.
         assert!(ledger.counter("jobs/evaluated") > 0);
-        // Round pruning evicted the finished first regime (desert) once
-        // the loop moved on to marine; the report above proved the
-        // fold-back kept the cost ledger whole.
-        assert!(ledger.scenario_counter("desert", "tuner/evicted_outcomes") > 0);
+        // The report's cost counts every distinct job exactly once.
+        assert_eq!(
+            observed.cost.jobs as u64,
+            ledger.counter("cache/job_misses")
+        );
         assert!(ledger.histogram("score/mape").unwrap().count() > 0);
         assert!(ledger.histogram("fleet/unit_slots").unwrap().count() > 0);
         let report = collector.report();
@@ -557,9 +530,9 @@ mod tests {
         // With a grid this bad (α ∈ {0, 1}, D = 5, K = 1) the guideline
         // can win; either way the winner must score no worse than it.
         let tuner = FleetTuner::new(tiny_config(5)).unwrap();
-        let mut cache = tuner.engine().new_cache();
+        let mut cache = tuner.engine.new_cache();
         let managers = tuner.config.managers.clone();
-        let mut eval = Evaluator::new(tuner.engine(), &mut cache, &managers, tiny_scenarios());
+        let mut eval = Evaluator::new(&tuner.engine, &mut cache, &managers, tiny_scenarios());
         let guideline_score = eval.score(&[GUIDELINE.spec()]).unwrap()[0];
         let report = FleetTuner::new(tiny_config(5))
             .unwrap()
@@ -580,8 +553,15 @@ mod tests {
         let mut config = tiny_config(1);
         config.dynamic_alphas.clear();
         assert!(FleetTuner::new(config).is_err());
+        // Decays outside [0, 1) or NaN and α outside [0, 1] fail at
+        // construction, before any pass runs.
+        for decay in [1.0, f64::NAN] {
+            let mut config = tiny_config(1);
+            config.dynamic_decays = vec![0.85, decay];
+            assert!(FleetTuner::new(config).is_err(), "decay {decay}");
+        }
         let mut config = tiny_config(1);
-        config.dynamic_k_max = 0;
+        config.dynamic_alphas = vec![0.0, 1.5];
         assert!(FleetTuner::new(config).is_err());
         let mut config = tiny_config(1);
         config.budget.max_candidates = 0;
