@@ -220,7 +220,10 @@ mod tests {
         predictor: &mut dyn Predictor,
         observe: impl Fn(f64) -> f64,
     ) -> PredictionLog {
-        let mut feed = PredictionFeed::new(PredictionLog::new(view.slots_per_day()));
+        let mut feed = PredictionFeed::new(PredictionLog::with_capacity(
+            view.slots_per_day(),
+            view.days() * view.slots_per_day(),
+        ));
         for (id, start, mean) in view.iter() {
             let predicted = predictor.observe_and_predict(observe(start));
             feed.on_slot(id.day as usize, id.slot as usize, predicted, start, mean);

@@ -51,14 +51,10 @@ pub struct Context {
 }
 
 impl Context {
-    /// The paper's full setup: 365-day data sets, days 21–365 evaluated,
-    /// 10% region of interest, full parameter grid.
-    pub fn paper() -> Self {
-        Context::with_days(365)
-    }
-
-    /// A reduced setup for tests and quick runs: `days` days of data
-    /// (protocol warm-up unchanged at 20 days).
+    /// The paper's setup over `days` days of data: days 21 onward
+    /// evaluated, 10% region of interest, full parameter grid. The paper
+    /// uses 365 days; tests and quick runs pass fewer (the protocol
+    /// warm-up stays at 20 days).
     pub fn with_days(days: usize) -> Self {
         Context {
             datasets: all_datasets(days),

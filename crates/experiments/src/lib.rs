@@ -13,8 +13,8 @@
 //! ```no_run
 //! use paper_repro::{Context, experiments};
 //!
-//! // Full-year contexts are expensive; see `Context::with_days` for tests.
-//! let ctx = Context::paper();
+//! // The paper's full year; tests and quick runs pass fewer days.
+//! let ctx = Context::with_days(365);
 //! let output = experiments::table1::run(&ctx);
 //! println!("{}", output.tables[0].1);
 //! ```

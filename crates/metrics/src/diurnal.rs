@@ -18,7 +18,7 @@ use crate::summary::EvalProtocol;
 /// ```
 /// use pred_metrics::{DiurnalProfile, EvalProtocol, PredictionLog, PredictionRecord};
 ///
-/// let mut log = PredictionLog::new(4);
+/// let mut log = PredictionLog::with_capacity(4, 160);
 /// for day in 20..60u32 {
 ///     for slot in 0..4u32 {
 ///         log.push(PredictionRecord {
@@ -106,7 +106,7 @@ mod tests {
     fn log_with_day_structure() -> PredictionLog {
         // 8 slots: 0-1 and 6-7 "night" (zero mean), 2-5 "day" with slot 3
         // badly predicted.
-        let mut log = PredictionLog::new(8);
+        let mut log = PredictionLog::with_capacity(8, 480);
         for day in 20..80u32 {
             for slot in 0..8u32 {
                 let mean = match slot {
@@ -157,7 +157,8 @@ mod tests {
 
     #[test]
     fn empty_log_profile() {
-        let profile = DiurnalProfile::of(&PredictionLog::new(4), &EvalProtocol::paper());
+        let profile =
+            DiurnalProfile::of(&PredictionLog::with_capacity(4, 0), &EvalProtocol::paper());
         assert_eq!(profile.coverage(), 0.0);
         assert!(profile.worst_slot().is_none());
     }

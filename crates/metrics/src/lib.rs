@@ -6,11 +6,13 @@
 //! * A prediction for slot `t` should be compared to the **mean power of
 //!   slot `t`** (`ē`, Eq. 7) because that is what determines harvested
 //!   energy — not to the single sample at the slot boundary (Eq. 6).
-//!   This crate computes both: [`ErrorFunction::Mape`] over mean-power
-//!   references and the primed variant over start samples.
+//!   This crate computes both: [`ErrorSummary::mape`] over mean-power
+//!   references and [`ErrorSummary::mape_prime`] over start samples.
+//!   [`EvalProtocol::evaluate`] and [`StreamingEval`] fold one set of
+//!   accumulators into those fields.
 //! * The average should be **MAPE** (scale-free, robust to outliers), not
-//!   RMSE (outlier-dominated) or MAE (scale-dependent); all are provided
-//!   for comparison.
+//!   RMSE (outlier-dominated) or MAE (scale-dependent); [`ErrorSummary`]
+//!   carries all of them (and the mean bias) for comparison.
 //! * Only slots in the **region of interest** count: mean power at least
 //!   10% of the trace peak ([`RoiFilter`]), evaluated from day 21 onward
 //!   so the D=20 history is full ([`EvalProtocol`]).
@@ -20,7 +22,7 @@
 //! ```
 //! use pred_metrics::{EvalProtocol, PredictionLog, PredictionRecord};
 //!
-//! let mut log = PredictionLog::new(4);
+//! let mut log = PredictionLog::with_capacity(4, 120);
 //! for day in 0..30u32 {
 //!     for slot in 0..4u32 {
 //!         log.push(PredictionRecord {
@@ -49,9 +51,7 @@ mod summary;
 pub use aggregate::SummaryAggregate;
 pub use cost::{CostAggregate, RunCost};
 pub use diurnal::DiurnalProfile;
-pub use error_fn::{
-    ErrorFunction, MaeAccumulator, MapeAccumulator, MbeAccumulator, RmseAccumulator,
-};
+pub use error_fn::{MaeAccumulator, MapeAccumulator, MbeAccumulator, RmseAccumulator};
 pub use record::{PredictionLog, PredictionRecord};
 pub use roi::RoiFilter;
 pub use summary::{ErrorSummary, EvalProtocol, RecordSink, StreamingEval};

@@ -39,7 +39,7 @@ impl PredictionRecord {
 /// ```
 /// use pred_metrics::{PredictionLog, PredictionRecord};
 ///
-/// let mut log = PredictionLog::new(48);
+/// let mut log = PredictionLog::with_capacity(48, 1);
 /// log.push(PredictionRecord {
 ///     day: 21, slot: 30, predicted: 410.0, actual_start: 400.0, actual_mean: 402.0,
 /// });
@@ -53,14 +53,6 @@ pub struct PredictionLog {
 }
 
 impl PredictionLog {
-    /// Creates an empty log for a given slot count per day.
-    pub fn new(slots_per_day: usize) -> Self {
-        PredictionLog {
-            slots_per_day,
-            records: Vec::new(),
-        }
-    }
-
     /// Creates an empty log with pre-allocated capacity.
     pub fn with_capacity(slots_per_day: usize, capacity: usize) -> Self {
         PredictionLog {
@@ -152,7 +144,7 @@ mod tests {
 
     #[test]
     fn log_grows_and_iterates() {
-        let mut log = PredictionLog::new(24);
+        let mut log = PredictionLog::with_capacity(24, 3);
         assert!(log.is_empty());
         log.push(record(0, 5.0));
         log.extend([record(1, 7.0), record(2, 3.0)]);

@@ -221,7 +221,7 @@ mod tests {
     use crate::record::PredictionRecord;
 
     fn make_log() -> PredictionLog {
-        let mut log = PredictionLog::new(2);
+        let mut log = PredictionLog::with_capacity(2, 0);
         // Day 0: should be excluded by warm-up.
         log.push(PredictionRecord {
             day: 0,
@@ -269,7 +269,7 @@ mod tests {
 
     #[test]
     fn empty_log_gives_zeros() {
-        let summary = EvalProtocol::paper().evaluate(&PredictionLog::new(48));
+        let summary = EvalProtocol::paper().evaluate(&PredictionLog::with_capacity(48, 0));
         assert_eq!(summary.count, 0);
         assert_eq!(summary.mape, 0.0);
     }

@@ -280,15 +280,12 @@ impl Ledger {
                 .collect::<Result<BTreeMap<_, _>, String>>()?,
             _ => return Err("ledger section \"scenarios\" must be an object".to_string()),
         };
-        // Optional for back-compat: `fleet-run-report/1` ledgers
-        // predate the histogram plane.
-        let histograms = match value.get("histograms") {
-            None => BTreeMap::new(),
-            Some(Json::Obj(pairs)) => pairs
+        let histograms = match value.req("histograms")? {
+            Json::Obj(pairs) => pairs
                 .iter()
                 .map(|(name, hist)| Ok((name.clone(), Histogram::from_json(hist)?)))
                 .collect::<Result<BTreeMap<_, _>, String>>()?,
-            Some(_) => return Err("ledger section \"histograms\" must be an object".to_string()),
+            _ => return Err("ledger section \"histograms\" must be an object".to_string()),
         };
         Ok(Ledger {
             counters,
@@ -297,11 +294,6 @@ impl Ledger {
             labels,
             histograms,
         })
-    }
-
-    /// Parses a ledger from JSON text.
-    pub fn from_json_str(text: &str) -> Result<Ledger, String> {
-        Self::from_json(&Json::parse(text)?)
     }
 
     /// A compact text summary: labels and gauges first, then run-level
@@ -337,6 +329,10 @@ impl Ledger {
 mod tests {
     use super::*;
 
+    fn parse(text: &str) -> Result<Ledger, String> {
+        Ledger::from_json(&Json::parse(text)?)
+    }
+
     fn sample() -> Ledger {
         let mut ledger = Ledger::new();
         ledger.count("synth/trace_generations", 3);
@@ -367,7 +363,7 @@ mod tests {
         b.count_scenario("desert", "slots/processed", 1920);
         b.count("synth/trace_generations", 3);
         assert_eq!(a.to_json_string(), b.to_json_string());
-        let back = Ledger::from_json_str(&a.to_json_string()).unwrap();
+        let back = parse(&a.to_json_string()).unwrap();
         assert_eq!(back, a);
     }
 
@@ -409,14 +405,14 @@ mod tests {
 
     #[test]
     fn from_json_rejects_malformed_sections() {
-        assert!(Ledger::from_json_str("{}").is_err());
-        let bad = r#"{"counters": {"a": -1}, "gauges": {}, "labels": {}, "scenarios": {}}"#;
-        assert!(Ledger::from_json_str(bad).is_err());
-        let bad = r#"{"counters": {}, "gauges": {}, "labels": {"a": 3}, "scenarios": {}}"#;
-        assert!(Ledger::from_json_str(bad).is_err());
+        assert!(parse("{}").is_err());
+        let bad = r#"{"counters": {"a": -1}, "gauges": {}, "histograms": {}, "labels": {}, "scenarios": {}}"#;
+        assert!(parse(bad).is_err());
+        let bad = r#"{"counters": {}, "gauges": {}, "histograms": {}, "labels": {"a": 3}, "scenarios": {}}"#;
+        assert!(parse(bad).is_err());
         let bad =
             r#"{"counters": {}, "gauges": {}, "histograms": [], "labels": {}, "scenarios": {}}"#;
-        assert!(Ledger::from_json_str(bad).is_err());
+        assert!(parse(bad).is_err());
     }
 
     #[test]
@@ -439,19 +435,19 @@ mod tests {
         whole.count("jobs/evaluated", 2);
         assert_eq!(merged.to_json_string(), whole.to_json_string());
         assert_eq!(merged.histogram("score/mape").unwrap().count(), 3);
-        let back = Ledger::from_json_str(&merged.to_json_string()).unwrap();
+        let back = parse(&merged.to_json_string()).unwrap();
         assert_eq!(back, merged);
         assert!(merged.render_text().contains("score/mape ~ count 3"));
     }
 
     #[test]
-    fn histogram_section_is_optional_on_parse_for_v1_ledgers() {
-        let v1 =
+    fn a_ledger_without_histograms_is_rejected_naming_the_section() {
+        let text =
             r#"{"counters": {"jobs/evaluated": 4}, "gauges": {}, "labels": {}, "scenarios": {}}"#;
-        let ledger = Ledger::from_json_str(v1).unwrap();
-        assert_eq!(ledger.counter("jobs/evaluated"), 4);
-        assert!(ledger.histograms().next().is_none());
-        // Re-rendering emits the (empty) section in the /2 shape.
-        assert!(ledger.to_json_string().contains("\"histograms\""));
+        let err = parse(text).unwrap_err();
+        assert!(err.contains("\"histograms\""), "{err}");
+        // The same ledger with an empty section parses.
+        let text = r#"{"counters": {"jobs/evaluated": 4}, "gauges": {}, "histograms": {}, "labels": {}, "scenarios": {}}"#;
+        assert_eq!(parse(text).unwrap().counter("jobs/evaluated"), 4);
     }
 }

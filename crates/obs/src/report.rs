@@ -12,10 +12,8 @@ use crate::json::Json;
 use crate::ledger::Ledger;
 use crate::spans::{format_ns, ScenarioTiming, SpanNode};
 
-/// The original report schema (no histogram section).
-const SCHEMA_V1: &str = "fleet-run-report/1";
-/// The current report schema (ledger carries histograms).
-const SCHEMA_V2: &str = "fleet-run-report/2";
+/// The report schema (`/2`: the ledger carries histograms).
+const SCHEMA: &str = "fleet-run-report/2";
 
 /// One run's full observability output.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -44,14 +42,12 @@ impl RunReport {
         }
     }
 
-    /// JSON form: `{schema, ledger, wall_ns, spans, scenario_top}`.
-    ///
-    /// Reports render as `fleet-run-report/2` — the `/2` schema added
-    /// the ledger's `histograms` section. [`RunReport::from_json`]
-    /// still reads `/1` documents (their histogram plane is empty).
+    /// JSON form: `{schema, ledger, wall_ns, spans, scenario_top}`,
+    /// tagged `fleet-run-report/2` (the ledger carries its `histograms`
+    /// section).
     pub fn to_json(&self) -> Json {
         Json::obj([
-            ("schema", Json::Str(SCHEMA_V2.to_string())),
+            ("schema", Json::Str(SCHEMA.to_string())),
             ("ledger", self.ledger.to_json()),
             ("wall_ns", Json::Num(self.wall_ns as f64)),
             ("spans", self.spans.to_json()),
@@ -76,14 +72,13 @@ impl RunReport {
     ///
     /// # Errors
     ///
-    /// Rejects unknown schema tags and structurally invalid sections,
-    /// so a consumer (e.g. the CI report check) fails loudly instead of
-    /// reading half a document. Both `/1` and `/2` parse: the ledger's
-    /// histogram section is optional, which is exactly the `/1`→`/2`
-    /// difference.
+    /// Rejects any schema tag but `fleet-run-report/2` (naming the tag
+    /// it found) and structurally invalid sections, so a consumer (e.g.
+    /// the CI report check) fails loudly instead of reading half a
+    /// document.
     pub fn from_json(value: &Json) -> Result<RunReport, String> {
         let schema = value.req_str("schema")?;
-        if schema != SCHEMA_V1 && schema != SCHEMA_V2 {
+        if schema != SCHEMA {
             return Err(format!("unsupported run-report schema {schema:?}"));
         }
         let scenario_top = match value.req("scenario_top")? {
@@ -173,17 +168,6 @@ mod tests {
         let report = sample();
         let back = RunReport::from_json_str(&report.to_json_string()).unwrap();
         assert_eq!(back, report);
-    }
-
-    #[test]
-    fn v1_reports_still_parse_and_rerender_as_v2() {
-        let mut json = sample().to_json();
-        if let Json::Obj(pairs) = &mut json {
-            pairs[0].1 = Json::Str(SCHEMA_V1.to_string());
-        }
-        let report = RunReport::from_json(&json).unwrap();
-        assert_eq!(report.ledger.counter("jobs/evaluated"), 12);
-        assert!(report.to_json_string().contains(SCHEMA_V2));
     }
 
     #[test]

@@ -13,6 +13,10 @@
 //! Correlation therefore costs nothing downstream: caching, streaming,
 //! sharding, and byte-determinism all see ordinary scenarios whose JSON
 //! (and hence cache identity) already carries the projected faults.
+//! Events themselves are built in code and have no JSON form: a matrix
+//! takes them through [`FleetMatrix::with_fleet_faults`].
+//!
+//! [`FleetMatrix::with_fleet_faults`]: crate::FleetMatrix::with_fleet_faults
 //!
 //! # Spatial falloff
 //!
@@ -30,7 +34,6 @@
 
 use crate::catalog::Scenario;
 use crate::faults::FaultSpec;
-use crate::json::Json;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
@@ -50,30 +53,6 @@ pub enum FalloffProfile {
 }
 
 impl FalloffProfile {
-    /// All profiles.
-    pub const ALL: [FalloffProfile; 3] = [
-        FalloffProfile::Flat,
-        FalloffProfile::Linear,
-        FalloffProfile::Cosine,
-    ];
-
-    /// Stable identifier used in JSON.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            FalloffProfile::Flat => "flat",
-            FalloffProfile::Linear => "linear",
-            FalloffProfile::Cosine => "cosine",
-        }
-    }
-
-    /// Parses the JSON identifier.
-    pub fn from_code(s: &str) -> Result<FalloffProfile, String> {
-        FalloffProfile::ALL
-            .into_iter()
-            .find(|p| p.as_str() == s)
-            .ok_or_else(|| format!("unknown falloff profile {s:?}"))
-    }
-
     /// Weight at normalized distance `frac = d / radius` in `[0, 1]`.
     fn weight_at(self, frac: f64) -> f64 {
         match self {
@@ -128,15 +107,12 @@ impl SpatialFalloff {
     ///
     /// This constructor is **order-insensitive**: the covered band is
     /// the one between the two edges whichever way they are passed
-    /// (the half-span takes the larger edge deviation). The legacy
-    /// *JSON* path deliberately stays stricter — inverted
-    /// `min`/`max_latitude_deg` documents were a parse error and still
-    /// are (see [`FleetFault::from_json`]).
-    pub fn band(min_latitude_deg: f64, max_latitude_deg: f64) -> Self {
-        let epicenter_latitude_deg = (min_latitude_deg + max_latitude_deg) / 2.0;
-        let half_span_deg = (max_latitude_deg - epicenter_latitude_deg)
+    /// (the half-span takes the larger edge deviation).
+    pub fn band(min_deg: f64, max_deg: f64) -> Self {
+        let epicenter_latitude_deg = (min_deg + max_deg) / 2.0;
+        let half_span_deg = (max_deg - epicenter_latitude_deg)
             .abs()
-            .max((min_latitude_deg - epicenter_latitude_deg).abs());
+            .max((min_deg - epicenter_latitude_deg).abs());
         SpatialFalloff {
             epicenter_latitude_deg,
             radius_km: (half_span_deg * Self::KM_PER_LATITUDE_DEGREE).max(f64::MIN_POSITIVE),
@@ -181,30 +157,6 @@ impl SpatialFalloff {
             return 0.0;
         }
         self.profile.weight_at(distance / self.radius_km).max(0.0)
-    }
-
-    /// JSON form (`{"epicenter_latitude_deg": ..., "radius_km": ...,
-    /// "falloff": ...}`).
-    pub fn to_json(&self) -> Json {
-        Json::obj([
-            (
-                "epicenter_latitude_deg",
-                Json::Num(self.epicenter_latitude_deg),
-            ),
-            ("radius_km", Json::Num(self.radius_km)),
-            ("falloff", Json::Str(self.profile.as_str().into())),
-        ])
-    }
-
-    /// Parses and validates the JSON form.
-    pub fn from_json(value: &Json) -> Result<SpatialFalloff, String> {
-        let region = SpatialFalloff {
-            epicenter_latitude_deg: value.req_num("epicenter_latitude_deg")?,
-            radius_km: value.req_num("radius_km")?,
-            profile: FalloffProfile::from_code(value.req_str("falloff")?)?,
-        };
-        region.validate()?;
-        Ok(region)
     }
 }
 
@@ -372,97 +324,6 @@ impl FleetFault {
             }],
         })
     }
-
-    /// JSON form (`{"kind": ..., "region": {...}, ...}`).
-    pub fn to_json(&self) -> Json {
-        match *self {
-            FleetFault::RegionalStorm {
-                window_start_day,
-                window_end_day,
-                duration_days,
-                depth,
-                ref region,
-            } => Json::obj([
-                ("kind", Json::Str("regional_storm".into())),
-                ("window_start_day", Json::Num(window_start_day as f64)),
-                ("window_end_day", Json::Num(window_end_day as f64)),
-                ("duration_days", Json::Num(duration_days as f64)),
-                ("depth", Json::Num(depth)),
-                ("region", region.to_json()),
-            ]),
-            FleetFault::SeasonalSoiling {
-                window_start_day,
-                window_end_day,
-                duration_days,
-                max_loss,
-                ref region,
-            } => Json::obj([
-                ("kind", Json::Str("seasonal_soiling".into())),
-                ("window_start_day", Json::Num(window_start_day as f64)),
-                ("window_end_day", Json::Num(window_end_day as f64)),
-                ("duration_days", Json::Num(duration_days as f64)),
-                ("max_loss", Json::Num(max_loss)),
-                ("region", region.to_json()),
-            ]),
-        }
-    }
-
-    /// Parses and validates the JSON form. Legacy documents are
-    /// accepted: a storm carrying `min_latitude_deg`/`max_latitude_deg`
-    /// instead of a `region` parses as the equivalent flat band, and a
-    /// soiling event with no `region` parses as fleet-wide.
-    pub fn from_json(value: &Json) -> Result<FleetFault, String> {
-        let region_of = |value: &Json,
-                         kind: &str,
-                         fleet_wide_default: bool|
-         -> Result<SpatialFalloff, String> {
-            if let Some(region) = value.get("region") {
-                return SpatialFalloff::from_json(region);
-            }
-            if value.get("min_latitude_deg").is_some() {
-                let min = value.req_num("min_latitude_deg")?;
-                let max = value.req_num("max_latitude_deg")?;
-                // Preserve the legacy band's own validation:
-                // inverted bands were rejected, not normalized.
-                if !(min.is_finite() && max.is_finite() && min <= max) {
-                    return Err(format!("{kind} latitude band is inverted"));
-                }
-                // Legacy bands had unbounded edges ("everything
-                // north of 50°" written as max = 999). Sites live
-                // within ±85°, so clamping the edges into ±90
-                // keeps membership identical while the converted
-                // epicenter stays in validation range.
-                return Ok(SpatialFalloff::band(
-                    min.clamp(-90.0, 90.0),
-                    max.clamp(-90.0, 90.0),
-                ));
-            }
-            if fleet_wide_default {
-                Ok(SpatialFalloff::global())
-            } else {
-                Err(format!("{kind} needs a region (or a legacy latitude band)"))
-            }
-        };
-        let fault = match value.req_str("kind")? {
-            "regional_storm" => FleetFault::RegionalStorm {
-                window_start_day: value.req_index("window_start_day")? as usize,
-                window_end_day: value.req_index("window_end_day")? as usize,
-                duration_days: value.req_index("duration_days")? as usize,
-                depth: value.req_num("depth")?,
-                region: region_of(value, "regional_storm", false)?,
-            },
-            "seasonal_soiling" => FleetFault::SeasonalSoiling {
-                window_start_day: value.req_index("window_start_day")? as usize,
-                window_end_day: value.req_index("window_end_day")? as usize,
-                duration_days: value.req_index("duration_days")? as usize,
-                max_loss: value.req_num("max_loss")?,
-                region: region_of(value, "seasonal_soiling", true)?,
-            },
-            other => return Err(format!("unknown fleet fault kind {other:?}")),
-        };
-        fault.validate()?;
-        Ok(fault)
-    }
 }
 
 #[cfg(test)]
@@ -519,7 +380,11 @@ mod tests {
 
     #[test]
     fn severity_is_monotone_in_distance_and_zero_beyond_radius() {
-        for profile in FalloffProfile::ALL {
+        for profile in [
+            FalloffProfile::Flat,
+            FalloffProfile::Linear,
+            FalloffProfile::Cosine,
+        ] {
             let region = SpatialFalloff::new(40.0, 2000.0, profile);
             region.validate().unwrap();
             // Weight at the epicenter is full for every profile.
@@ -541,35 +406,6 @@ mod tests {
             assert_eq!(region.weight(40.0 - 18.1), 0.0, "{profile:?}");
             // Symmetric north/south of the epicenter.
             assert_eq!(region.weight(45.0), region.weight(35.0), "{profile:?}");
-        }
-    }
-
-    #[test]
-    fn legacy_band_parsing_keeps_the_old_acceptance_rules() {
-        let legacy = |min: f64, max: f64| {
-            Json::obj([
-                ("kind", Json::Str("regional_storm".into())),
-                ("window_start_day", Json::Num(21.0)),
-                ("window_end_day", Json::Num(35.0)),
-                ("duration_days", Json::Num(6.0)),
-                ("depth", Json::Num(0.75)),
-                ("min_latitude_deg", Json::Num(min)),
-                ("max_latitude_deg", Json::Num(max)),
-            ])
-        };
-        // Inverted bands were a legacy parse error — they still are.
-        assert!(FleetFault::from_json(&legacy(52.0, 30.0)).is_err());
-        // Unbounded edges were legal ("everything north of 50°"): the
-        // conversion clamps them into range, membership unchanged for
-        // every real site latitude (±85°).
-        let north = FleetFault::from_json(&legacy(50.0, 999.0)).unwrap();
-        assert_eq!(north.severity_at(70.0), 0.75);
-        assert_eq!(north.severity_at(85.0), 0.75);
-        assert_eq!(north.severity_at(49.0), 0.0);
-        // A band entirely past the pole matched nothing, and still does.
-        let beyond = FleetFault::from_json(&legacy(91.0, 999.0)).unwrap();
-        for latitude in [-85.0, 0.0, 49.0, 85.0] {
-            assert_eq!(beyond.severity_at(latitude), 0.0);
         }
     }
 
@@ -598,19 +434,17 @@ mod tests {
         assert_eq!(region.weight(40.0), 1.0);
         assert_eq!(region.weight(40.1), 0.0);
         assert_eq!(region.weight(39.9), 0.0);
-        // And the legacy JSON document round-trips through parsing.
-        let legacy = Json::obj([
-            ("kind", Json::Str("regional_storm".into())),
-            ("window_start_day", Json::Num(21.0)),
-            ("window_end_day", Json::Num(35.0)),
-            ("duration_days", Json::Num(6.0)),
-            ("depth", Json::Num(0.75)),
-            ("min_latitude_deg", Json::Num(40.0)),
-            ("max_latitude_deg", Json::Num(40.0)),
-        ]);
-        let parsed = FleetFault::from_json(&legacy).unwrap();
-        assert_eq!(parsed.severity_at(40.0), 0.75);
-        assert_eq!(parsed.severity_at(40.5), 0.0);
+        // A storm over that band hits exactly that latitude.
+        let storm = FleetFault::RegionalStorm {
+            window_start_day: 21,
+            window_end_day: 35,
+            duration_days: 6,
+            depth: 0.75,
+            region,
+        };
+        storm.validate().unwrap();
+        assert_eq!(storm.severity_at(40.0), 0.75);
+        assert_eq!(storm.severity_at(40.5), 0.0);
     }
 
     #[test]
@@ -694,58 +528,6 @@ mod tests {
             (fault.severity_at(33.45) - (1.0 - far_factor)).abs() < 1e-12,
             "severity_at must agree with the projection"
         );
-    }
-
-    #[test]
-    fn json_round_trips_both_kinds_and_accepts_legacy_bands() {
-        let soiling = FleetFault::SeasonalSoiling {
-            window_start_day: 20,
-            window_end_day: 30,
-            duration_days: 15,
-            max_loss: 0.3,
-            region: SpatialFalloff::new(28.0, 5500.0, FalloffProfile::Linear),
-        };
-        for fault in [storm(), soiling] {
-            let text = fault.to_json().render_pretty();
-            let back = FleetFault::from_json(&Json::parse(&text).unwrap()).unwrap();
-            assert_eq!(back, fault);
-            // Byte-exact round trip of the rendered form.
-            assert_eq!(back.to_json().render_pretty(), text);
-        }
-        assert!(
-            FleetFault::from_json(&Json::obj([("kind", Json::Str("locusts".into()))])).is_err()
-        );
-        // Legacy storm document: a latitude band, no region object.
-        let legacy = Json::obj([
-            ("kind", Json::Str("regional_storm".into())),
-            ("window_start_day", Json::Num(21.0)),
-            ("window_end_day", Json::Num(35.0)),
-            ("duration_days", Json::Num(6.0)),
-            ("depth", Json::Num(0.75)),
-            ("min_latitude_deg", Json::Num(30.0)),
-            ("max_latitude_deg", Json::Num(52.0)),
-        ]);
-        let parsed = FleetFault::from_json(&legacy).unwrap();
-        assert_eq!(*parsed.region(), SpatialFalloff::band(30.0, 52.0));
-        // Legacy soiling document: no region at all ⇒ fleet-wide.
-        let legacy_soiling = Json::obj([
-            ("kind", Json::Str("seasonal_soiling".into())),
-            ("window_start_day", Json::Num(25.0)),
-            ("window_end_day", Json::Num(32.0)),
-            ("duration_days", Json::Num(10.0)),
-            ("max_loss", Json::Num(0.3)),
-        ]);
-        let parsed = FleetFault::from_json(&legacy_soiling).unwrap();
-        assert_eq!(*parsed.region(), SpatialFalloff::global());
-        // A storm with neither a region nor a band is rejected.
-        let bare = Json::obj([
-            ("kind", Json::Str("regional_storm".into())),
-            ("window_start_day", Json::Num(21.0)),
-            ("window_end_day", Json::Num(35.0)),
-            ("duration_days", Json::Num(6.0)),
-            ("depth", Json::Num(0.75)),
-        ]);
-        assert!(FleetFault::from_json(&bare).is_err());
     }
 
     #[test]

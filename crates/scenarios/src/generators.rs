@@ -43,14 +43,6 @@ pub enum FaultMix {
 }
 
 impl FaultMix {
-    /// All presets.
-    pub const ALL: [FaultMix; 4] = [
-        FaultMix::Clean,
-        FaultMix::Aging,
-        FaultMix::Gappy,
-        FaultMix::Dimmed,
-    ];
-
     /// Stable identifier used in generated ids.
     pub fn as_str(self) -> &'static str {
         match self {

@@ -829,11 +829,6 @@ impl ShardManifest {
                 .collect::<Result<Vec<_>, String>>()?,
         })
     }
-
-    /// Parses a manifest from JSON text.
-    pub fn from_json_str(text: &str) -> Result<ShardManifest, String> {
-        Self::from_json(&Json::parse(text)?)
-    }
 }
 
 /// One scenario a degraded run could not score, and why.
@@ -931,11 +926,6 @@ impl CoverageManifest {
                 })
                 .collect::<Result<Vec<_>, String>>()?,
         })
-    }
-
-    /// Parses a coverage manifest from JSON text.
-    pub fn from_json_str(text: &str) -> Result<CoverageManifest, String> {
-        Self::from_json(&Json::parse(text)?)
     }
 
     /// A terminal summary: one line per hole, or a completeness note.
@@ -1104,7 +1094,8 @@ mod tests {
             assert_eq!(back.cost.jobs, shard.cost.jobs);
         }
         let manifest_text = sharded.manifest.to_json().render_pretty();
-        let manifest_back = ShardManifest::from_json_str(&manifest_text).unwrap();
+        let manifest_back =
+            ShardManifest::from_json(&Json::parse(&manifest_text).unwrap()).unwrap();
         assert_eq!(manifest_back, sharded.manifest);
     }
 
@@ -1283,7 +1274,9 @@ mod tests {
             .iter()
             .any(|m| m.scenario == quarantined_scenario));
         // The coverage manifest round-trips through its JSON form.
-        let back = CoverageManifest::from_json_str(&coverage.to_json().render_pretty()).unwrap();
+        let back =
+            CoverageManifest::from_json(&Json::parse(&coverage.to_json().render_pretty()).unwrap())
+                .unwrap();
         assert_eq!(back, coverage);
         assert!(coverage.render_text().contains("DEGRADED"));
 

@@ -18,7 +18,8 @@
 //! cargo run --release --example fleet_report -- trace report.json --out trace.json
 //! ```
 //!
-//! Report files are `fleet-run-report/1` or `/2` documents.
+//! Report files are `fleet-run-report/2` documents; a file of any other
+//! schema fails to load (exit 3).
 //!
 //! Exit codes follow the workspace convention (documented in
 //! `fleet_harness::exit`; this crate sits below the harness, so the

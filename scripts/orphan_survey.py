@@ -1,12 +1,22 @@
 #!/usr/bin/env python3
 """Orphan survey: public library items that nothing names.
 
-An orphan is a `pub` `fn`, `const`, `struct`, `enum`, `trait`, `type`,
-`static` or `mod` declared before the first `#[cfg(test)]` of a
-`crates/*/src/**/*.rs` file whose name, as a whole word, appears
-nowhere else in that file before its tests and in no other non-test
-`.rs` file under `crates/*/src`, `examples/` or `perfbench/src`.
-`//` lines and `pub use` statements are ignored throughout.
+The survey reads every `pub` `fn`, `const`, `struct`, `enum`, `trait`,
+`type`, `static` or `mod` declared before the first `#[cfg(test)]` of
+a `crates/*/src/**/*.rs` file, and looks for a caller in the non-test
+`.rs` files under `crates/*/src`, `examples/` and `perfbench/src`
+(each cut at its first `#[cfg(test)]`). `//` lines and `pub use`
+statements are ignored throughout. An item is an orphan when:
+
+- free items (not inside an `impl`, `mod` excepted): its name, as a
+  whole word, appears nowhere outside its own definition and the
+  `impl` blocks of the type it names;
+- associated consts and associated fns without a `self` receiver: no
+  line says `Type::name`, and no line inside `Type`'s own `impl`
+  blocks says `Self::name`, outside the item's own body;
+- methods that take `self`, and `mod`s: its name, as a whole word,
+  appears on no line but its own declaration (a `.name(` receiver
+  cannot be resolved by name alone).
 
 Also prints the library line count: non-blank, non-`//` lines before
 the first `#[cfg(test)]` of every `crates/*/src/**/*.rs` file.
@@ -29,13 +39,26 @@ ALLOWED = {
     "the README's documented way in",
     "FleetCache::trace_count": "the engine and generated-catalog tests read "
     "how many series a run retained",
+    "ScorecardShard::from_json_str": "the README's shard-merge recipe names it",
+    "Scenario::from_json_str": "the README's way to parse a scenario; its "
+    "round trip is the test that the scenario-JSON cache key is lossless",
+    "EnergyStorage::new": "the constructor in the harvest_sim crate-doc example",
+    "EvalProtocol::new": "the metrics property tests vary the ROI thresholds "
+    "with it",
+    "CoverageManifest::from_json": "the round-trip oracle for the "
+    "coverage.json the supervisor writes",
+    "SpatialFalloff::band": "the README's correlated-faults example builds "
+    "its storm belt with it",
+    "SpatialFalloff::global": "the fleet-wide region of the stream-shard "
+    "pollen season and the engine's fleet-fault tests",
 }
 
 ITEM = re.compile(
     r"^(\s*)pub\s+(?:(?:const|unsafe|async|extern\s+\"C\")\s+)*"
-    r"(?:fn|const|struct|enum|trait|type|static|mod)\s+([A-Za-z_]\w*)"
+    r"(fn|const|struct|enum|trait|type|static|mod)\s+([A-Za-z_]\w*)"
 )
 IMPL = re.compile(r"^impl(?:<.*?>)?\s+(?:.*?\s+for\s+)?([A-Za-z_]\w*)")
+RECEIVER = re.compile(r"\(\s*(?:&\s*(?:'\w+\s+)?)?(?:mut\s+)?self\b")
 
 
 def library_lines(path):
@@ -52,15 +75,58 @@ def library_lines(path):
 
 
 def code_lines(path):
-    """[`library_lines`] without `pub use` statements."""
+    """[`library_lines`] without `pub use` statements, as (line number,
+    text, impl owner) triples; the owner is the type whose `impl` block
+    holds the line, or None."""
     lines = []
     in_use = False
+    owner = None
     for number, text in library_lines(path):
         if in_use or text.strip().startswith("pub use "):
             in_use = not text.rstrip().endswith(";")
             continue
-        lines.append((number, text))
+        impl = IMPL.match(text)
+        if impl:
+            owner = impl.group(1)
+        lines.append((number, text, owner))
+        if text.startswith("}"):
+            owner = None
     return lines
+
+
+def indent_of(text):
+    return len(text) - len(text.lstrip())
+
+
+def body_end(lines, start):
+    """Index of the last line of the item declared at `lines[start]`:
+    the first line from there, at the item's indent, that ends in `}`
+    or `;`."""
+    indent = indent_of(lines[start][1])
+    for index in range(start, len(lines)):
+        text = lines[index][1]
+        if indent_of(text) == indent and text.rstrip().endswith(("}", ";")):
+            return index
+    return len(lines) - 1
+
+
+def takes_self(lines, start, name):
+    """Whether the fn declared at `lines[start]` has a `self` receiver."""
+    signature = ""
+    for _, text, _ in lines[start:]:
+        signature += " " + text.strip()
+        if "{" in text or text.rstrip().endswith(";"):
+            break
+    rest = signature[re.search(r"\bfn\s+%s\b" % re.escape(name), signature).end() :]
+    rest = rest.lstrip()
+    if rest.startswith("<"):
+        depth = 0
+        for offset, char in enumerate(rest):
+            depth += {"<": 1, ">": -1}.get(char, 0)
+            if depth == 0:
+                rest = rest[offset + 1 :].lstrip()
+                break
+    return RECEIVER.match(rest) is not None
 
 
 def main():
@@ -69,37 +135,45 @@ def main():
     scope = library + sorted(root.glob("examples/**/*.rs"))
     scope += sorted(root.glob("perfbench/src/**/*.rs"))
     texts = {path: code_lines(path) for path in scope}
+    blobs = {path: "\n".join(text for _, text, _ in lines) for path, lines in texts.items()}
+
+    def named(name, pattern, skip, keep=lambda owner: True):
+        """Whether `pattern` matches a line outside `skip` (a file and
+        an index range) whose impl owner passes `keep`."""
+        skip_path, first, last = skip
+        return any(
+            pattern.search(text)
+            for path, lines in texts.items()
+            if name in blobs[path]
+            for index, (_, text, owner) in enumerate(lines)
+            if not (path == skip_path and first <= index <= last) and keep(owner)
+        )
 
     line_count = sum(len(library_lines(path)) for path in library)
     orphans = []
     declared = set()
     for path in library:
         lines = texts[path]
-        owner = None
-        for number, text in lines:
-            impl = IMPL.match(text)
-            if impl:
-                owner = impl.group(1)
-            elif text.startswith("}"):
-                owner = None
+        for index, (number, text, owner) in enumerate(lines):
             item = ITEM.match(text)
             if not item:
                 continue
-            indent, name = item.groups()
-            qualified = f"{owner}::{name}" if indent and owner else name
+            indent, kind, name = item.groups()
+            associated = bool(indent and owner)
+            qualified = f"{owner}::{name}" if associated else name
             declared.add(qualified)
             word = re.compile(r"\b%s\b" % re.escape(name))
-            named = any(
-                word.search(other)
-                for other_number, other in lines
-                if other_number != number
-            ) or any(
-                word.search(other)
-                for other_path, other_lines in texts.items()
-                if other_path != path
-                for _, other in other_lines
-            )
-            if not named:
+            body = (path, index, body_end(lines, index))
+            if associated and (kind == "const" or not takes_self(lines, index, name)):
+                path_to = r"\b%s\s*::\s*" + re.escape(name) + r"\b"
+                called = named(name, re.compile(path_to % re.escape(owner)), body) or named(
+                    name, re.compile(path_to % "Self"), body, lambda o: o == owner
+                )
+            elif not associated and kind != "mod":
+                called = named(name, word, body, lambda o: o != name)
+            else:
+                called = named(name, word, (path, index, index))
+            if not called:
                 orphans.append((path.relative_to(root), number, qualified))
 
     for path, number, qualified in orphans:

@@ -21,6 +21,7 @@ use fleet_harness::{
     WorkloadKind,
 };
 use proptest::prelude::*;
+use scenario_fleet::json::Json;
 use scenario_fleet::{Collector, CoverageManifest};
 
 /// The worker binary Cargo built alongside this test.
@@ -203,8 +204,11 @@ fn retry_exhaustion_degrades_with_accurate_coverage_and_exit_code() {
 
     // Coverage survives its own serialisation (the supervisor example
     // writes exactly this document).
-    let round_trip = CoverageManifest::from_json_str(&run.coverage.to_json().render_pretty());
-    assert_eq!(round_trip.unwrap(), run.coverage);
+    let round_trip = Json::parse(&run.coverage.to_json().render_pretty()).unwrap();
+    assert_eq!(
+        CoverageManifest::from_json(&round_trip).unwrap(),
+        run.coverage
+    );
     assert!(run.coverage.render_text().contains("DEGRADED"));
 
     let ledger = collector.ledger().to_json_string();

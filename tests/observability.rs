@@ -18,8 +18,8 @@
 //!    `Verdict::Clean` under a generous wall threshold, a perturbed
 //!    matrix diffs to `Regressed` with ranked findings, the archive
 //!    trends appended reports, the chrome-trace export is a valid
-//!    event array, and committed `fleet-run-report/1` documents still
-//!    parse.
+//!    event array, and a report of another schema than
+//!    `fleet-run-report/2` is rejected by name.
 
 use scenario_fleet::{
     Catalog, Collector, DiffConfig, FleetEngine, FleetMatrix, Ledger, ManagerSpec, PredictorSpec,
@@ -310,23 +310,12 @@ fn chrome_trace_export_is_a_valid_complete_event_array() {
 }
 
 #[test]
-fn committed_v1_report_fixture_still_parses_and_rerenders_as_v2() {
-    let fixture = include_str!("data/run_report_v1.json");
-    let report = RunReport::from_json_str(fixture).expect("/1 fixture parses");
-    assert_eq!(report.ledger.counter("jobs/evaluated"), 36);
-    assert_eq!(
-        report
-            .ledger
-            .scenario_counter("marine-fog", "slots/processed"),
-        5760
-    );
-    assert_eq!(report.scenario_top.len(), 3);
-    assert!(report.ledger.histograms().next().is_none());
-    // Round-trip: the re-render upgrades the schema tag, keeps the data.
-    let rendered = report.to_json_string();
-    assert!(rendered.contains("fleet-run-report/2"));
-    let back = RunReport::from_json_str(&rendered).expect("re-parse");
-    assert_eq!(back, report);
+fn a_v1_report_is_rejected_naming_its_schema() {
+    let v2 = RunReport::empty().to_json_string();
+    RunReport::from_json_str(&v2).expect("a /2 report parses");
+    let v1 = v2.replace("fleet-run-report/2", "fleet-run-report/1");
+    let err = RunReport::from_json_str(&v1).expect_err("/1 reports are not read");
+    assert!(err.contains("fleet-run-report/1"), "{err}");
 }
 
 #[test]

@@ -3,6 +3,7 @@
 //! orderings, bounded-memory multi-year evaluation, and correlated
 //! fleet-wide faults.
 
+use scenario_fleet::json::Json;
 use scenario_fleet::{
     Catalog, Climate, FaultSpec, FleetEngine, FleetFault, FleetMatrix, ManagerSpec, NodeProfile,
     PredictorSpec, Scenario, Scorecard, ScorecardShard, ShardManifest, SiteSpec, SpatialFalloff,
@@ -63,7 +64,8 @@ fn merged_shards_match_monolithic_across_threads_and_orderings() {
         // And through the serialized form: shards written to JSON and
         // parsed back still merge to the identical document.
         let manifest_json = sharded.manifest.to_json().render_pretty();
-        let parsed_manifest = ShardManifest::from_json_str(&manifest_json).unwrap();
+        let parsed_manifest =
+            ShardManifest::from_json(&Json::parse(&manifest_json).unwrap()).unwrap();
         let parsed_shards: Vec<ScorecardShard> = sharded
             .shards
             .iter()
