@@ -1,4 +1,5 @@
-//! Property-based tests for the predictor invariants of DESIGN.md §6.
+//! Property-based tests for the predictor invariants: on random traces,
+//! each predictor agrees with its naive or limiting form.
 
 use proptest::prelude::*;
 use solar_predict::fixed_point::FixedWcmaPredictor;

@@ -4,8 +4,8 @@
 //! repro [--days DAYS] [--out DIR] (all | list | <experiment-id>...)
 //! ```
 //!
-//! Experiment ids are the DESIGN.md §4 identifiers (`table1` … `table5`,
-//! `fig2`, `fig6`, `fig7`, plus the ablations). Tables print to stdout
+//! Experiment ids (`repro list` prints them) are `table1` … `table5`,
+//! `fig2`, `fig6`, `fig7`, plus the ablations. Tables print to stdout
 //! and are saved as CSV under `--out` (default `target/experiments`).
 
 use paper_repro::{experiments, Context};

@@ -10,8 +10,8 @@ use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
 
-/// The rendered output of one experiment: an id matching DESIGN.md §4 and
-/// one or more named tables.
+/// The rendered output of one experiment: its `repro` id and one or
+/// more named tables.
 #[derive(Clone, Debug)]
 pub struct ExperimentOutput {
     /// Experiment id ("table3", "fig6", …).

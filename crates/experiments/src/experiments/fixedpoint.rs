@@ -14,7 +14,7 @@ pub const N: u32 = 48;
 /// of the f64 WCMA against the Q16.16 kernel an MCU would run, plus the
 /// per-prediction cycle/energy cost of each arithmetic style.
 ///
-/// Expected outcome (recorded in EXPERIMENTS.md): the accuracy penalty of
+/// Expected outcome: the accuracy penalty of
 /// fixed point is orders of magnitude below the prediction error itself,
 /// while the cycle cost drops several-fold — supporting fixed-point
 /// deployment as the §IV-B cost discussion implies.

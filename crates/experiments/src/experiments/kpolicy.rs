@@ -1,7 +1,7 @@
 //! Ablation — the day-start K-window policy is immaterial.
 //!
-//! DESIGN.md calls out that the paper leaves the K window's behaviour at
-//! the first slots of a day unspecified. This experiment runs both
+//! The paper leaves the K window's behaviour at the first slots of a
+//! day unspecified. This experiment runs both
 //! readings and shows the MAPE difference is negligible inside the
 //! region of interest (night surrounds midnight, so the wrapped ratios
 //! are the neutral η = 1 either way).

@@ -1,4 +1,5 @@
-//! One module per paper artifact (see DESIGN.md §4 for the index).
+//! One module per paper artifact; [`ALL`] is the index `repro list`
+//! prints.
 
 pub mod baselines;
 pub mod diurnal;

@@ -105,8 +105,8 @@ mod tests {
             // MAPE@K=2 is close to the optimum (the paper's K guideline).
             // The bound is loose and restricted to N >= 48 here because
             // this unit test evaluates only ~38 days; the full-year run
-            // lands well under 1 point at every N (recorded in
-            // EXPERIMENTS.md).
+            // lands well under 1 point at every N (`repro table3`, column
+            // MAPE@K=2).
             for r in real.iter().filter(|r| r.n >= 48) {
                 if let Some(k2) = r.mape_at_k2 {
                     assert!(

@@ -4,9 +4,9 @@
 //!
 //! Each experiment is a library function producing paper-style
 //! [`param_explore::report::TextTable`]s; the `repro` binary prints them
-//! and saves CSVs under `target/experiments/`. The per-experiment mapping
-//! to the paper is catalogued in DESIGN.md §4 and the measured-vs-paper
-//! comparison lives in EXPERIMENTS.md.
+//! and saves CSVs under `target/experiments/`. Each experiment module's
+//! doc names the paper table or figure it regenerates, or the ablation
+//! or extension it adds, and `repro list` prints the experiment ids.
 //!
 //! # Example
 //!

@@ -1,4 +1,4 @@
-//! Property tests for the exploration engines (DESIGN.md §6): the sweep
+//! Property tests for the exploration engines: the sweep
 //! must equal naive per-configuration evaluation, and the clairvoyant
 //! bound must never lose to any fixed configuration.
 

@@ -14,6 +14,13 @@
 //!   [`RunOutcome::Failed`] when nothing at all survived) with a
 //!   distinct exit code.
 //!
+//! Each shard is one state machine — launch an attempt, poll it, settle
+//! it (accept, retry after backoff, degrade to the quarantined fallback,
+//! or give up) — and the settled shards meet in one merge,
+//! [`Scorecard::merge_shards_partial`], for every outcome. **The outcome
+//! is read off the coverage that merge returns**: Complete when nothing
+//! is missing, Failed when nothing is covered, Degraded otherwise.
+//!
 //! Failure classification is explicit: a nonzero exit is a *worker
 //! failure*, a deadline overrun is a *timeout* (the worker is killed),
 //! an artifact that fails its checksum or schema is *corrupt*, and a
@@ -21,13 +28,20 @@
 //! hope of a clean pass — but kept, so retry exhaustion can still
 //! degrade to it rather than lose the whole shard.
 //!
+//! **No worker outlives the supervisor**: a running worker is owned by
+//! its shard's state, and dropping that state kills and reaps the
+//! process — on a timeout, on an error return (say, a retry that cannot
+//! spawn), and on a panic.
+//!
 //! Everything the supervisor observes lands as `harness/*` counters on
-//! the deterministic ledger plane: under a fixed chaos seed the whole
-//! failure storm — spawns, retries, kills, corrupt artifacts — is
-//! replayable and diffable, so CI pins it like any other counter.
+//! the deterministic ledger plane, beside the merge's own `merge/*`
+//! counters (scenario tables, never shards, so every split of a run
+//! records the same ones): under a fixed chaos seed the whole failure
+//! storm — spawns, retries, kills, corrupt artifacts — is replayable
+//! and diffable, so CI pins it like any other counter.
 
 use std::collections::BTreeMap;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
@@ -146,22 +160,29 @@ impl SupervisorConfig {
     }
 }
 
-/// One shard's supervision state machine.
+/// One shard's supervision state machine:
+/// `Pending → Running → (Pending → Running)* → Settled`.
 enum ShardState {
-    /// Waiting (for a slot in time, not resources): eligible at the
-    /// given instant, about to spend attempt `attempt`.
-    Pending { attempt: u32, eligible_at: Instant },
-    /// A worker process is running attempt `attempt`.
-    Running {
-        child: Child,
-        attempt: u32,
-        deadline: Instant,
-        out_path: PathBuf,
-    },
-    /// A mergeable artifact was accepted.
-    Done,
-    /// Retry budget exhausted with nothing mergeable.
-    Exhausted,
+    /// Waiting (for a slot in time, not resources) to launch the
+    /// slot's next attempt.
+    Pending { eligible_at: Instant },
+    /// A worker process is running the slot's latest attempt.
+    Running { worker: Worker, deadline: Instant },
+    /// No further attempts; the slot's `artifact` says whether one was
+    /// accepted.
+    Settled,
+}
+
+/// A spawned worker process, killed and reaped when dropped — on a
+/// timeout, on every early return, on a panic — so no worker outlives
+/// the supervisor. Killing an already-reaped child is a no-op.
+struct Worker(Child);
+
+impl Drop for Worker {
+    fn drop(&mut self) {
+        let _ = self.0.kill();
+        let _ = self.0.wait();
+    }
 }
 
 struct ShardSlot {
@@ -171,18 +192,29 @@ struct ShardSlot {
     /// Latest valid-but-quarantined artifact, kept as a degradation
     /// fallback.
     quarantined_fallback: Option<ShardRunArtifact>,
+    /// Attempts launched so far: the running attempt is
+    /// `attempts - 1`, the next one to launch is `attempts`.
     attempts: u32,
     last_error: Option<String>,
+}
+
+/// Where attempt `attempt` of shard `shard` lands its artifact.
+fn attempt_path(config: &SupervisorConfig, shard: usize, attempt: u32) -> PathBuf {
+    config
+        .artifact_dir
+        .join(format!("shard_{shard}_attempt_{attempt}.artifact"))
 }
 
 /// Runs a supervised N-process evaluation of `config.workload`.
 ///
 /// # Errors
 ///
-/// Configuration-level problems only (bad shard counts, unspawnable
-/// worker program, un-shardable matrix). Worker failures — crashes,
-/// timeouts, corruption, chaos — are *handled*, not returned: they
-/// surface as retries and, past the budget, as degraded coverage.
+/// Configuration-level problems only (bad shard counts, a
+/// `fail_shards` index outside the run, unspawnable worker program,
+/// un-shardable matrix). Worker failures — crashes, timeouts,
+/// corruption, chaos — are *handled*, not returned: they surface as
+/// retries and, past the budget, as degraded coverage. Every worker
+/// still running when an error returns is killed and reaped first.
 pub fn run_supervisor(
     config: &SupervisorConfig,
     collector: &Collector,
@@ -190,8 +222,17 @@ pub fn run_supervisor(
     if config.max_attempts == 0 {
         return Err("max_attempts must be at least 1".to_string());
     }
-    let (_, expected_manifest) = config.workload.shard_plan(config.shard_count)?;
-    let expected_manifest_json = expected_manifest.to_json().render_pretty();
+    let (_, manifest) = config.workload.shard_plan(config.shard_count)?;
+    if let Some(shard) = config
+        .fail_shards
+        .iter()
+        .find(|&&s| s >= config.shard_count)
+    {
+        return Err(format!(
+            "fail shard {shard} is out of range for {} shards",
+            config.shard_count
+        ));
+    }
     std::fs::create_dir_all(&config.artifact_dir)
         .map_err(|e| format!("artifact dir {:?}: {e}", config.artifact_dir))?;
 
@@ -201,231 +242,228 @@ pub fn run_supervisor(
     let start = Instant::now();
     let mut slots: Vec<ShardSlot> = (0..config.shard_count)
         .map(|_| ShardSlot {
-            state: ShardState::Pending {
-                attempt: 0,
-                eligible_at: start,
-            },
+            state: ShardState::Pending { eligible_at: start },
             artifact: None,
             quarantined_fallback: None,
             attempts: 0,
             last_error: None,
         })
         .collect();
-
     loop {
-        let mut all_settled = true;
-        for (shard_index, slot) in slots.iter_mut().enumerate() {
+        for (shard, slot) in slots.iter_mut().enumerate() {
             match &mut slot.state {
-                ShardState::Done | ShardState::Exhausted => continue,
-                ShardState::Pending {
-                    attempt,
-                    eligible_at,
-                } => {
-                    all_settled = false;
-                    if Instant::now() < *eligible_at {
-                        continue;
+                ShardState::Settled => {}
+                ShardState::Pending { eligible_at } => {
+                    if Instant::now() >= *eligible_at {
+                        slot.launch(shard, config, collector)?;
                     }
-                    let attempt = *attempt;
-                    let worker = WorkerConfig {
-                        shard_index,
-                        shard_count: config.shard_count,
-                        out_path: config
-                            .artifact_dir
-                            .join(format!("shard_{shard_index}_attempt_{attempt}.artifact")),
-                        chaos: config.chaos_seed.map(|seed| ChaosSpec { seed, attempt }),
-                        fail: config.fail_shards.contains(&shard_index),
-                    };
-                    let child = Command::new(&config.worker_program)
-                        .args(config.workload.to_args())
-                        .args(worker.to_args())
-                        .stdout(Stdio::null())
-                        .stderr(Stdio::null())
-                        .spawn()
-                        .map_err(|e| format!("spawn {:?}: {e}", config.worker_program))?;
-                    collector.count("harness/spawns", 1);
-                    if attempt > 0 {
-                        collector.count("harness/retries", 1);
-                    }
-                    slot.attempts = attempt + 1;
-                    slot.state = ShardState::Running {
-                        child,
-                        attempt,
-                        deadline: Instant::now() + config.timeout,
-                        out_path: worker.out_path,
-                    };
                 }
-                ShardState::Running {
-                    child,
-                    attempt,
-                    deadline,
-                    out_path,
-                } => {
-                    all_settled = false;
-                    let attempt = *attempt;
-                    let failure: Option<String> = match child.try_wait() {
-                        Err(e) => Some(format!("wait failed: {e}")),
-                        Ok(None) => {
-                            if Instant::now() < *deadline {
-                                continue;
-                            }
-                            // Hung worker: kill, reap, classify.
-                            let _ = child.kill();
-                            let _ = child.wait();
-                            collector.count("harness/timeouts", 1);
-                            collector.count("harness/kills", 1);
-                            Some(format!("timed out after {:?}", config.timeout))
-                        }
-                        Ok(Some(status)) if !status.success() => {
-                            collector.count("harness/worker_failures", 1);
-                            Some(format!("worker exited with {status}"))
-                        }
-                        Ok(Some(_)) => match ShardRunArtifact::read(out_path) {
-                            Err(e) => {
-                                collector.count("harness/corrupt_artifacts", 1);
-                                Some(format!("artifact rejected: {e}"))
-                            }
-                            Ok(artifact) => {
-                                match validate_artifact(
-                                    &artifact,
-                                    shard_index,
-                                    config,
-                                    &expected_manifest_json,
-                                ) {
-                                    Err(e) => {
-                                        collector.count("harness/corrupt_artifacts", 1);
-                                        Some(format!("artifact rejected: {e}"))
-                                    }
-                                    Ok(()) if artifact.quarantined.is_empty() => {
-                                        collector.count("harness/completed_shards", 1);
-                                        slot.artifact = Some(artifact);
-                                        slot.state = ShardState::Done;
-                                        continue;
-                                    }
-                                    Ok(()) => {
-                                        // Valid but wounded: keep it as
-                                        // the degradation fallback and
-                                        // retry for a clean pass.
-                                        collector.count("harness/quarantine_retries", 1);
-                                        let names: Vec<&str> = artifact
-                                            .quarantined
-                                            .iter()
-                                            .map(|q| q.scenario.as_str())
-                                            .collect();
-                                        let error =
-                                            format!("quarantined scenarios: {}", names.join(", "));
-                                        slot.quarantined_fallback = Some(artifact);
-                                        Some(error)
-                                    }
-                                }
-                            }
-                        },
-                    };
-                    let failure = failure.expect("every fall-through path classifies a failure");
-                    slot.last_error = Some(failure);
-                    if attempt + 1 >= config.max_attempts {
-                        if let Some(fallback) = slot.quarantined_fallback.take() {
-                            // Exhausted, but a quarantined artifact is
-                            // still a partial shard — degrade to it
-                            // rather than lose every scenario in it.
-                            collector.count("harness/degraded_shards", 1);
-                            collector.count(
-                                "harness/quarantined_scenarios",
-                                fallback.quarantined.len() as u64,
-                            );
-                            slot.artifact = Some(fallback);
-                            slot.state = ShardState::Done;
-                        } else {
-                            collector.count("harness/exhausted_shards", 1);
-                            slot.state = ShardState::Exhausted;
-                        }
-                    } else {
-                        // Exponential backoff: base · 2^(retry - 1).
-                        let backoff = config.backoff_base * 2u32.pow(attempt.min(16));
-                        slot.state = ShardState::Pending {
-                            attempt: attempt + 1,
-                            eligible_at: Instant::now() + backoff,
-                        };
+                ShardState::Running { worker, deadline } => {
+                    let path = attempt_path(config, shard, slot.attempts - 1);
+                    let ended = poll(
+                        worker, *deadline, &path, shard, config, &manifest, collector,
+                    );
+                    if let Some(ended) = ended {
+                        slot.settle(ended, config, collector);
                     }
                 }
             }
         }
-        if all_settled {
+        if slots.iter().all(|s| matches!(s.state, ShardState::Settled)) {
             break;
         }
         std::thread::sleep(Duration::from_millis(2));
     }
+    assemble(slots, manifest, collector)
+}
 
-    // Assembly. Artifacts are absorbed in shard order — never
-    // completion order — so the merged ledger is deterministic.
+impl ShardSlot {
+    /// Spawns the slot's next attempt.
+    fn launch(
+        &mut self,
+        shard: usize,
+        config: &SupervisorConfig,
+        collector: &Collector,
+    ) -> Result<(), String> {
+        let attempt = self.attempts;
+        let worker = WorkerConfig {
+            shard_index: shard,
+            shard_count: config.shard_count,
+            out_path: attempt_path(config, shard, attempt),
+            chaos: config.chaos_seed.map(|seed| ChaosSpec { seed, attempt }),
+            fail: config.fail_shards.contains(&shard),
+        };
+        let child = Command::new(&config.worker_program)
+            .args(config.workload.to_args())
+            .args(worker.to_args())
+            .stdout(Stdio::null())
+            .stderr(Stdio::null())
+            .spawn()
+            .map_err(|e| format!("spawn {:?}: {e}", config.worker_program))?;
+        collector.count("harness/spawns", 1);
+        if attempt > 0 {
+            collector.count("harness/retries", 1);
+        }
+        self.attempts = attempt + 1;
+        self.state = ShardState::Running {
+            worker: Worker(child),
+            deadline: Instant::now() + config.timeout,
+        };
+        Ok(())
+    }
+
+    /// Settles an ended attempt: accept a clean artifact, or record the
+    /// failure and retry after backoff — or, with the budget spent,
+    /// degrade to the quarantined fallback or give up. Leaving
+    /// `Running` drops the worker, which kills a timed-out one.
+    fn settle(
+        &mut self,
+        ended: Result<ShardRunArtifact, String>,
+        config: &SupervisorConfig,
+        collector: &Collector,
+    ) {
+        let failure = match ended {
+            Ok(artifact) if artifact.quarantined.is_empty() => {
+                collector.count("harness/completed_shards", 1);
+                self.artifact = Some(artifact);
+                self.state = ShardState::Settled;
+                return;
+            }
+            Ok(artifact) => {
+                // Valid but wounded: keep it as the degradation
+                // fallback and retry for a clean pass.
+                collector.count("harness/quarantine_retries", 1);
+                let names: Vec<&str> = artifact
+                    .quarantined
+                    .iter()
+                    .map(|q| q.scenario.as_str())
+                    .collect();
+                let error = format!("quarantined scenarios: {}", names.join(", "));
+                self.quarantined_fallback = Some(artifact);
+                error
+            }
+            Err(error) => error,
+        };
+        self.last_error = Some(failure);
+        if self.attempts < config.max_attempts {
+            // Exponential backoff: base · 2^(retry - 1).
+            let backoff = config.backoff_base * 2u32.pow((self.attempts - 1).min(16));
+            self.state = ShardState::Pending {
+                eligible_at: Instant::now() + backoff,
+            };
+            return;
+        }
+        // Exhausted, but a quarantined artifact is still a partial
+        // shard — degrade to it rather than lose every scenario in it.
+        self.artifact = self.quarantined_fallback.take();
+        match &self.artifact {
+            Some(fallback) => {
+                collector.count("harness/degraded_shards", 1);
+                collector.count(
+                    "harness/quarantined_scenarios",
+                    fallback.quarantined.len() as u64,
+                );
+            }
+            None => collector.count("harness/exhausted_shards", 1),
+        }
+        self.state = ShardState::Settled;
+    }
+}
+
+/// Looks at a running attempt once: `None` while it runs inside its
+/// deadline, else its valid artifact or its classified failure — a
+/// nonzero exit is a worker failure, a deadline overrun a timeout, an
+/// unreadable or mismatched artifact a corrupt one.
+fn poll(
+    worker: &mut Worker,
+    deadline: Instant,
+    path: &Path,
+    shard: usize,
+    config: &SupervisorConfig,
+    manifest: &ShardManifest,
+    collector: &Collector,
+) -> Option<Result<ShardRunArtifact, String>> {
+    let status = match worker.0.try_wait() {
+        Err(e) => return Some(Err(format!("wait failed: {e}"))),
+        Ok(None) if Instant::now() < deadline => return None,
+        Ok(None) => {
+            // Hung: `settle` drops the worker, which kills and reaps it.
+            collector.count("harness/timeouts", 1);
+            collector.count("harness/kills", 1);
+            return Some(Err(format!("timed out after {:?}", config.timeout)));
+        }
+        Ok(Some(status)) => status,
+    };
+    if !status.success() {
+        collector.count("harness/worker_failures", 1);
+        return Some(Err(format!("worker exited with {status}")));
+    }
+    let accepted = ShardRunArtifact::read(path)
+        .map_err(|e| e.to_string())
+        .and_then(|artifact| {
+            validate_artifact(&artifact, shard, config, manifest)?;
+            Ok(artifact)
+        });
+    Some(accepted.map_err(|e| {
+        collector.count("harness/corrupt_artifacts", 1);
+        format!("artifact rejected: {e}")
+    }))
+}
+
+/// Merges the settled slots, in shard order — never completion order —
+/// so the merged ledger is deterministic. The one merge is partial:
+/// the outcome is read off the coverage it returns.
+fn assemble(
+    slots: Vec<ShardSlot>,
+    manifest: ShardManifest,
+    collector: &Collector,
+) -> Result<SupervisorRun, String> {
     let mut shard_docs: Vec<ScorecardShard> = Vec::new();
     let mut shard_reasons: BTreeMap<usize, String> = BTreeMap::new();
     let mut scenario_reasons: BTreeMap<String, String> = BTreeMap::new();
-    let mut degraded = false;
-    for (shard_index, slot) in slots.iter().enumerate() {
-        match &slot.artifact {
-            Some(artifact) => {
-                collector
-                    .absorb_ledger(&artifact.ledger)
-                    .map_err(|e| format!("shard {shard_index} ledger: {e}"))?;
-                for q in &artifact.quarantined {
-                    degraded = true;
-                    scenario_reasons.insert(
-                        q.scenario.clone(),
-                        format!("work unit panicked: {}", q.error),
-                    );
-                }
-                shard_docs.push(artifact.shard.clone());
-            }
-            None => {
-                degraded = true;
-                shard_reasons.insert(
-                    shard_index,
-                    format!(
-                        "retry budget exhausted after {} attempts: {}",
-                        slot.attempts,
-                        slot.last_error.as_deref().unwrap_or("no error recorded")
-                    ),
-                );
-            }
-        }
-    }
-
-    let shards: Vec<ShardStatus> = slots
-        .iter()
-        .enumerate()
-        .map(|(shard_index, slot)| ShardStatus {
+    let mut shards: Vec<ShardStatus> = Vec::new();
+    for (shard_index, slot) in slots.into_iter().enumerate() {
+        shards.push(ShardStatus {
             shard_index,
             attempts: slot.attempts,
             completed: slot.artifact.is_some(),
             quarantined: slot.artifact.as_ref().map_or(0, |a| a.quarantined.len()),
             last_error: slot.last_error.clone(),
-        })
-        .collect();
-
-    let (outcome, scorecard, coverage) = if !degraded {
-        let scorecard =
-            Scorecard::merge_shards_observed(&expected_manifest, &shard_docs, collector)?;
-        let coverage = CoverageManifest {
-            covered: expected_manifest
-                .scenarios
-                .iter()
-                .map(|(name, _)| name.clone())
-                .collect(),
-            missing: Vec::new(),
+        });
+        let Some(artifact) = slot.artifact else {
+            shard_reasons.insert(
+                shard_index,
+                format!(
+                    "retry budget exhausted after {} attempts: {}",
+                    slot.attempts,
+                    slot.last_error.as_deref().unwrap_or("no error recorded")
+                ),
+            );
+            continue;
         };
-        (RunOutcome::Complete, Some(scorecard), coverage)
-    } else {
-        let (scorecard, coverage) = Scorecard::merge_shards_partial(
-            &expected_manifest,
-            &shard_docs,
-            &shard_reasons,
-            &scenario_reasons,
-        )?;
-        if coverage.covered.is_empty() {
-            (RunOutcome::Failed, None, coverage)
-        } else {
-            (RunOutcome::Degraded, Some(scorecard), coverage)
+        collector
+            .absorb_ledger(&artifact.ledger)
+            .map_err(|e| format!("shard {shard_index} ledger: {e}"))?;
+        for q in artifact.quarantined {
+            scenario_reasons.insert(q.scenario, format!("work unit panicked: {}", q.error));
         }
+        shard_docs.push(artifact.shard);
+    }
+
+    let (scorecard, coverage) =
+        Scorecard::merge_shards_partial(&manifest, &shard_docs, &shard_reasons, &scenario_reasons)?;
+    // The merge ledger counts scenario tables, never shards, so every
+    // shard split of one run records the same `merge/*` counters.
+    collector.count("merge/scenario_tables", manifest.scenarios.len() as u64);
+    for ranking in &scorecard.per_scenario {
+        collector.count_scenario(&ranking.scenario, "merge/merged_tables", 1);
+    }
+    let outcome = if coverage.missing.is_empty() {
+        RunOutcome::Complete
+    } else if coverage.covered.is_empty() {
+        RunOutcome::Failed
+    } else {
+        RunOutcome::Degraded
     };
     collector.label("harness/outcome", outcome.name());
     collector.gauge("harness/covered_scenarios", coverage.covered.len() as u64);
@@ -433,21 +471,21 @@ pub fn run_supervisor(
 
     Ok(SupervisorRun {
         outcome,
-        scorecard,
+        scorecard: (outcome != RunOutcome::Failed).then_some(scorecard),
         coverage,
-        manifest: expected_manifest,
+        manifest,
         shards,
     })
 }
 
 /// Cross-checks a structurally valid artifact against what the
 /// supervisor expects of this shard: right coordinates, right seed, and
-/// a manifest byte-identical to the supervisor's own derivation.
+/// the manifest of the supervisor's own derivation.
 fn validate_artifact(
     artifact: &ShardRunArtifact,
     shard_index: usize,
     config: &SupervisorConfig,
-    expected_manifest_json: &str,
+    manifest: &ShardManifest,
 ) -> Result<(), String> {
     if artifact.shard_index != shard_index || artifact.shard.shard_index != shard_index {
         return Err(format!(
@@ -467,7 +505,7 @@ fn validate_artifact(
             artifact.shard.master_seed, config.workload.seed
         ));
     }
-    if artifact.manifest.to_json().render_pretty() != expected_manifest_json {
+    if artifact.manifest != *manifest {
         return Err("manifest disagrees with the supervisor's derivation".to_string());
     }
     Ok(())

@@ -47,7 +47,6 @@
 use crate::engine::JobOutcome;
 use crate::json::Json;
 use crate::matrix::FleetMatrix;
-use fleet_obs::Collector;
 use pred_metrics::{CostAggregate, ErrorSummary, SummaryAggregate};
 use rayon::prelude::*;
 use std::collections::BTreeMap;
@@ -410,26 +409,6 @@ impl Scorecard {
         ))
     }
 
-    /// [`Scorecard::merge_shards`] with the merge recorded into a run
-    /// ledger: counts the scenario tables reassembled
-    /// (`merge/scenario_tables`) — deliberately *not* the shard count,
-    /// which would differ between shard splits of the same run and
-    /// break the ledger's byte-identity across splits.
-    pub fn merge_shards_observed(
-        manifest: &ShardManifest,
-        shards: &[ScorecardShard],
-        collector: &Collector,
-    ) -> Result<Scorecard, String> {
-        let merged = Self::merge_shards(manifest, shards)?;
-        if collector.is_enabled() {
-            collector.count("merge/scenario_tables", manifest.scenarios.len() as u64);
-            for ranking in &merged.per_scenario {
-                collector.count_scenario(&ranking.scenario, "merge/merged_tables", 1);
-            }
-        }
-        Ok(merged)
-    }
-
     /// Merges whatever shards survived, reporting the holes.
     ///
     /// This is the graceful-degradation counterpart of
@@ -441,7 +420,9 @@ impl Scorecard {
     /// a reason — an honest partial answer, never a silently wrong
     /// one. With every shard present and no empty tables, the output
     /// scorecard is byte-identical to [`Scorecard::merge_shards`] and
-    /// the coverage manifest is complete (a test pins this).
+    /// the coverage manifest is complete (a test pins this), which is
+    /// why the multi-process harness merges every run through here and
+    /// reads its outcome off the coverage.
     ///
     /// `shard_reasons` explains absent shard indices;
     /// `scenario_reasons` annotates scenarios whose tables came back
@@ -846,8 +827,9 @@ pub struct MissingCoverage {
 /// the scenarios whose ranking tables made it into the scorecard, in
 /// manifest (global matrix) order; `missing` names each hole with the
 /// reason it exists. A complete run has an empty `missing` list. The
-/// harness attaches this to every degraded scorecard so a partial
-/// answer is explicit, never mistaken for a full one.
+/// harness attaches this to every supervised scorecard and derives the
+/// run's outcome from it, so a partial answer is explicit, never
+/// mistaken for a full one.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct CoverageManifest {
     /// Scenarios present in the merged scorecard, manifest order.

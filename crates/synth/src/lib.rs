@@ -4,7 +4,7 @@
 //! irradiance traces from six US sites. Those traces are not
 //! redistributable here, so this crate synthesizes physically grounded
 //! replacements that preserve every property the prediction study depends
-//! on (see DESIGN.md §2):
+//! on:
 //!
 //! 1. the deterministic 24-hour / seasonal envelope — from real solar
 //!    [`geometry`] and a [`clearsky`] model,

@@ -1,5 +1,6 @@
-//! Property-based tests for the trace substrate invariants listed in
-//! DESIGN.md §6.
+//! Property-based tests for the trace substrate invariants: slot
+//! energies, slot means and slot-to-sample indexing agree with the
+//! underlying samples.
 
 use proptest::prelude::*;
 use solar_trace::{PowerTrace, Resolution, SlotView, SlotsPerDay};

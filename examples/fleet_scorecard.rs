@@ -189,8 +189,7 @@ fn run(args: Args) -> Result<i32, String> {
             matrix.job_count(),
             "the sharded pass must be answered entirely from the warm cache"
         );
-        let merged =
-            Scorecard::merge_shards_observed(&sharded.manifest, &sharded.shards, &collector)?;
+        let merged = Scorecard::merge_shards(&sharded.manifest, &sharded.shards)?;
         assert_eq!(
             merged.to_json_string(),
             result.scorecard.to_json_string(),

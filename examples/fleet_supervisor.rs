@@ -13,13 +13,15 @@
 //!   `fleet_worker` parses it;
 //! * `--shards N` (default 2) — worker processes to split across;
 //! * `--timeout-ms N` / `--retries N` / `--backoff-ms N` — supervision
-//!   policy (defaults: 10 min, 4 attempts, 25 ms doubling backoff);
+//!   policy (defaults: `SupervisorConfig::new`'s 10 min, 4 attempts,
+//!   25 ms doubling backoff);
 //! * `--chaos SEED` — deterministic fault injection: workers crash,
 //!   stall, and corrupt their artifacts on a schedule that is a pure
 //!   function of the seed, and the supervisor must recover;
 //! * `--fail-shard I` (repeatable) — degradation drill: shard `I`
 //!   fails unconditionally, exhausts its retries, and the run degrades
-//!   to a partial scorecard with explicit coverage;
+//!   to a partial scorecard with explicit coverage (an `I` outside
+//!   `--shards` is an error, exit 3);
 //! * `--out DIR` (default `target/fleet_supervisor`) — artifacts plus
 //!   the merged `scorecard.json` and `coverage.json` (atomic writes);
 //! * `--report PATH` — write the supervisor's run report (harness
@@ -63,16 +65,11 @@ fn parse_args() -> Result<Args, String> {
     let defaults = ["--workload", "smoke", "--seed", "42"].map(String::from);
     let (workload, rest) =
         Workload::from_args(defaults.into_iter().chain(std::env::args().skip(1)))?;
-    let mut shards = 2usize;
-    let mut timeout = Duration::from_secs(600);
-    let mut retries = fleet_harness::MAX_FAIL_ATTEMPTS + 1;
-    let mut backoff = Duration::from_millis(25);
-    let mut chaos = None;
-    let mut fail_shards = Vec::new();
+    // Policy flags overwrite `SupervisorConfig::new`'s defaults.
+    let mut config = SupervisorConfig::new(default_worker()?, workload, 2);
     let mut out_dir = std::path::PathBuf::from("target/fleet_supervisor");
     let mut report = None;
     let mut expect_digest = None;
-    let mut worker = None;
 
     let mut args = rest.into_iter();
     let next = |args: &mut dyn Iterator<Item = String>, flag: &str| {
@@ -81,24 +78,30 @@ fn parse_args() -> Result<Args, String> {
     while let Some(arg) = args.next() {
         let parse_err = |e: std::num::ParseIntError| format!("{arg}: {e}");
         match arg.as_str() {
-            "--shards" => shards = next(&mut args, "--shards")?.parse().map_err(parse_err)?,
+            "--shards" => {
+                config.shard_count = next(&mut args, "--shards")?.parse().map_err(parse_err)?
+            }
             "--timeout-ms" => {
-                timeout = Duration::from_millis(
+                config.timeout = Duration::from_millis(
                     next(&mut args, "--timeout-ms")?
                         .parse()
                         .map_err(parse_err)?,
                 )
             }
-            "--retries" => retries = next(&mut args, "--retries")?.parse().map_err(parse_err)?,
+            "--retries" => {
+                config.max_attempts = next(&mut args, "--retries")?.parse().map_err(parse_err)?
+            }
             "--backoff-ms" => {
-                backoff = Duration::from_millis(
+                config.backoff_base = Duration::from_millis(
                     next(&mut args, "--backoff-ms")?
                         .parse()
                         .map_err(parse_err)?,
                 )
             }
-            "--chaos" => chaos = Some(next(&mut args, "--chaos")?.parse().map_err(parse_err)?),
-            "--fail-shard" => fail_shards.push(
+            "--chaos" => {
+                config.chaos_seed = Some(next(&mut args, "--chaos")?.parse().map_err(parse_err)?)
+            }
+            "--fail-shard" => config.fail_shards.push(
                 next(&mut args, "--fail-shard")?
                     .parse()
                     .map_err(parse_err)?,
@@ -108,21 +111,10 @@ fn parse_args() -> Result<Args, String> {
             "--expect-digest" => {
                 expect_digest = Some(parse_digest(&next(&mut args, "--expect-digest")?)?)
             }
-            "--worker" => worker = Some(std::path::PathBuf::from(next(&mut args, "--worker")?)),
+            "--worker" => config.worker_program = next(&mut args, "--worker")?.into(),
             other => return Err(format!("unknown argument {other:?}")),
         }
     }
-
-    let worker_program = match worker {
-        Some(path) => path,
-        None => default_worker()?,
-    };
-    let mut config = SupervisorConfig::new(worker_program, workload, shards);
-    config.timeout = timeout;
-    config.max_attempts = retries;
-    config.backoff_base = backoff;
-    config.chaos_seed = chaos;
-    config.fail_shards = fail_shards;
     config.artifact_dir = out_dir.join("artifacts");
     Ok(Args {
         config,

@@ -22,7 +22,7 @@ use fleet_harness::{
 };
 use proptest::prelude::*;
 use scenario_fleet::json::Json;
-use scenario_fleet::{Collector, CoverageManifest};
+use scenario_fleet::{Collector, CoverageManifest, Ledger};
 
 /// The worker binary Cargo built alongside this test.
 fn worker_bin() -> PathBuf {
@@ -260,6 +260,106 @@ fn quarantined_artifact_is_kept_as_the_degradation_fallback() {
     assert!(
         ledger.contains("\"harness/quarantined_scenarios\": 1"),
         "{ledger}"
+    );
+    std::fs::remove_dir_all(&config.artifact_dir).unwrap();
+}
+
+#[test]
+fn an_out_of_range_fail_shard_is_rejected_before_any_spawn() {
+    let mut config = tiny_config("fail_range", 2);
+    config.fail_shards = vec![5];
+
+    let collector = Collector::recording();
+    let error = run_supervisor(&config, &collector).unwrap_err();
+    assert!(error.contains("fail shard 5"), "{error}");
+    assert_eq!(collector.ledger().counter("harness/spawns"), 0);
+    std::fs::remove_dir_all(&config.artifact_dir).unwrap();
+}
+
+/// Every `merge/*` counter a ledger holds, run-level (scope `""`) and
+/// per scenario.
+fn merge_counters(ledger: &Ledger) -> Vec<(String, String, u64)> {
+    let mut counters: Vec<(String, String, u64)> = ledger
+        .counter_keys()
+        .filter(|key| key.starts_with("merge/"))
+        .map(|key| (String::new(), key.to_string(), ledger.counter(key)))
+        .collect();
+    for scenario in ledger.scenario_names() {
+        for key in ledger.scenario_counter_keys(scenario) {
+            if key.starts_with("merge/") {
+                let n = ledger.scenario_counter(scenario, key);
+                counters.push((scenario.to_string(), key.to_string(), n));
+            }
+        }
+    }
+    counters
+}
+
+#[test]
+fn the_merge_ledger_is_the_same_for_every_shard_split() {
+    // The supervisor counts scenario tables, never shards, so one run
+    // split 1 or 3 ways records the same merge ledger.
+    let merge_ledger = |shard_count: usize| {
+        let config = tiny_config(&format!("merge_{shard_count}"), shard_count);
+        let collector = Collector::recording();
+        let run = run_supervisor(&config, &collector).unwrap();
+        assert_eq!(run.outcome, RunOutcome::Complete);
+        std::fs::remove_dir_all(&config.artifact_dir).unwrap();
+        merge_counters(&collector.ledger())
+    };
+    let whole = merge_ledger(1);
+    // Two run-level counters plus one merged table per tiny scenario.
+    assert_eq!(whole.len(), 5, "{whole:?}");
+    assert!(whole.contains(&(String::new(), "merge/scenario_tables".to_string(), 3)));
+    assert_eq!(merge_ledger(3), whole);
+}
+
+/// A retry whose spawn fails returns an error, and must kill and reap
+/// every worker still running before it does. Shard 0 records its pid
+/// and sleeps for an hour; shard 1 waits for that pid, deletes the
+/// worker program and fails, so its retry cannot spawn.
+#[cfg(unix)]
+#[test]
+fn a_failed_respawn_kills_and_reaps_every_running_worker() {
+    use std::os::unix::fs::PermissionsExt;
+
+    let mut config = tiny_config("reap", 2);
+    let pid_file = config.artifact_dir.join("shard_0.pid");
+    let program = config.artifact_dir.join("worker.sh");
+    let script = format!(
+        r#"#!/bin/sh
+case "$*" in
+  *"--shard 0/2"*) echo $$ > "{pid}"; exec sleep 3600 ;;
+esac
+n=0
+while [ ! -s "{pid}" ] && [ $n -lt 1000 ]; do sleep 0.01; n=$((n + 1)); done
+rm -f "$0"
+exit 1
+"#,
+        pid = pid_file.display()
+    );
+    std::fs::write(&program, script).unwrap();
+    std::fs::set_permissions(&program, std::fs::Permissions::from_mode(0o755)).unwrap();
+    config.worker_program = program;
+
+    let error = run_supervisor(&config, &Collector::noop()).unwrap_err();
+    assert!(error.contains("spawn"), "{error}");
+    let pid = std::fs::read_to_string(&pid_file).unwrap();
+    let signal = |signal: &str| {
+        std::process::Command::new("sh")
+            .args(["-c", &format!("kill -{signal} {} 2>/dev/null", pid.trim())])
+            .status()
+            .unwrap()
+            .success()
+    };
+    let alive = signal("0");
+    if alive {
+        signal("9");
+    }
+    assert!(
+        !alive,
+        "shard 0's worker (pid {}) outlived the supervisor",
+        pid.trim()
     );
     std::fs::remove_dir_all(&config.artifact_dir).unwrap();
 }

@@ -1,5 +1,5 @@
 //! Qualitative paper-shape assertions: the trends the reproduction must
-//! preserve regardless of absolute numbers (see EXPERIMENTS.md).
+//! preserve regardless of absolute numbers.
 //!
 //! These run on ~110-day data sets to stay fast in debug builds; the
 //! `repro` binary regenerates the full-year numbers.
