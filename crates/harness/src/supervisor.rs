@@ -22,7 +22,9 @@
 //! is missing, Failed when nothing is covered, Degraded otherwise.
 //!
 //! Failure classification is explicit: a nonzero exit is a *worker
-//! failure*, a deadline overrun is a *timeout* (the worker is killed),
+//! failure* (its reason ends with the last line the worker wrote to
+//! stderr, kept in a file beside the attempt's artifact while the
+//! worker runs), a deadline overrun is a *timeout* (the worker is killed),
 //! an artifact that fails its checksum or schema is *corrupt*, and a
 //! valid artifact carrying quarantined scenarios is retried in the
 //! hope of a clean pass — but kept, so retry exhaustion can still
@@ -41,6 +43,8 @@
 //! and diffable, so CI pins it like any other counter.
 
 use std::collections::BTreeMap;
+use std::fs::File;
+use std::io::{Read, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
@@ -173,15 +177,38 @@ enum ShardState {
     Settled,
 }
 
-/// A spawned worker process, killed and reaped when dropped — on a
-/// timeout, on every early return, on a panic — so no worker outlives
-/// the supervisor. Killing an already-reaped child is a no-op.
-struct Worker(Child);
+/// A spawned worker process and the file its stderr goes to — a file,
+/// not a pipe: nothing reads a pipe while the worker runs, so a worker
+/// that writes a lot would block on it. Dropping it — on settling, on
+/// a timeout, on every early return, on a panic — kills and reaps the
+/// process and removes the file, so no worker outlives the supervisor
+/// and the artifact dir keeps only artifacts. Killing an already-reaped
+/// child is a no-op.
+struct Worker {
+    child: Child,
+    stderr: PathBuf,
+}
+
+impl Worker {
+    /// The last non-empty line of the worker's stderr, read from the
+    /// file's final 4 KiB.
+    fn last_stderr_line(&self) -> Option<String> {
+        let mut file = File::open(&self.stderr).ok()?;
+        let len = file.metadata().ok()?.len();
+        file.seek(SeekFrom::Start(len.saturating_sub(4096))).ok()?;
+        let mut tail = Vec::new();
+        file.read_to_end(&mut tail).ok()?;
+        let tail = String::from_utf8_lossy(&tail);
+        let line = tail.lines().map(str::trim).rfind(|line| !line.is_empty())?;
+        Some(line.to_string())
+    }
+}
 
 impl Drop for Worker {
     fn drop(&mut self) {
-        let _ = self.0.kill();
-        let _ = self.0.wait();
+        let _ = self.child.kill();
+        let _ = self.child.wait();
+        let _ = std::fs::remove_file(&self.stderr);
     }
 }
 
@@ -286,27 +313,33 @@ impl ShardSlot {
         collector: &Collector,
     ) -> Result<(), String> {
         let attempt = self.attempts;
+        let out_path = attempt_path(config, shard, attempt);
+        let stderr = out_path.with_extension("stderr");
         let worker = WorkerConfig {
             shard_index: shard,
             shard_count: config.shard_count,
-            out_path: attempt_path(config, shard, attempt),
+            out_path,
             chaos: config.chaos_seed.map(|seed| ChaosSpec { seed, attempt }),
             fail: config.fail_shards.contains(&shard),
         };
-        let child = Command::new(&config.worker_program)
+        let log = File::create(&stderr).map_err(|e| format!("worker stderr {stderr:?}: {e}"))?;
+        let spawned = Command::new(&config.worker_program)
             .args(config.workload.to_args())
             .args(worker.to_args())
             .stdout(Stdio::null())
-            .stderr(Stdio::null())
-            .spawn()
-            .map_err(|e| format!("spawn {:?}: {e}", config.worker_program))?;
+            .stderr(log)
+            .spawn();
+        let child = spawned.map_err(|e| {
+            let _ = std::fs::remove_file(&stderr);
+            format!("spawn {:?}: {e}", config.worker_program)
+        })?;
         collector.count("harness/spawns", 1);
         if attempt > 0 {
             collector.count("harness/retries", 1);
         }
         self.attempts = attempt + 1;
         self.state = ShardState::Running {
-            worker: Worker(child),
+            worker: Worker { child, stderr },
             deadline: Instant::now() + config.timeout,
         };
         Ok(())
@@ -372,8 +405,10 @@ impl ShardSlot {
 
 /// Looks at a running attempt once: `None` while it runs inside its
 /// deadline, else its valid artifact or its classified failure — a
-/// nonzero exit is a worker failure, a deadline overrun a timeout, an
-/// unreadable or mismatched artifact a corrupt one.
+/// nonzero exit is a worker failure (its reason ends with the last
+/// line the worker wrote to stderr, if it wrote any), a deadline
+/// overrun a timeout, an unreadable or mismatched artifact a corrupt
+/// one.
 fn poll(
     worker: &mut Worker,
     deadline: Instant,
@@ -383,7 +418,7 @@ fn poll(
     manifest: &ShardManifest,
     collector: &Collector,
 ) -> Option<Result<ShardRunArtifact, String>> {
-    let status = match worker.0.try_wait() {
+    let status = match worker.child.try_wait() {
         Err(e) => return Some(Err(format!("wait failed: {e}"))),
         Ok(None) if Instant::now() < deadline => return None,
         Ok(None) => {
@@ -396,7 +431,11 @@ fn poll(
     };
     if !status.success() {
         collector.count("harness/worker_failures", 1);
-        return Some(Err(format!("worker exited with {status}")));
+        let failure = format!("worker exited with {status}");
+        return Some(Err(match worker.last_stderr_line() {
+            Some(line) => format!("{failure}: {line}"),
+            None => failure,
+        }));
     }
     let accepted = ShardRunArtifact::read(path)
         .map_err(|e| e.to_string())

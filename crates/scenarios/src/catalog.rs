@@ -236,27 +236,6 @@ pub enum NodeProfile {
     /// A mains-class gateway/edge node: 0.1 m² panel, 50 kJ battery,
     /// 1.2 W active.
     Gateway,
-    /// Explicit hardware.
-    Custom {
-        /// Panel area in m².
-        panel_m2: f64,
-        /// Panel conversion efficiency in `(0, 1]`.
-        panel_efficiency: f64,
-        /// Storage capacity in joules.
-        capacity_j: f64,
-        /// Initial state of charge in `[0, 1]`.
-        initial_soc: f64,
-        /// Charge efficiency in `(0, 1]`.
-        charge_efficiency: f64,
-        /// Discharge efficiency in `(0, 1]`.
-        discharge_efficiency: f64,
-        /// Storage leakage in watts.
-        leakage_w: f64,
-        /// Load active power in watts.
-        active_w: f64,
-        /// Load sleep power in watts.
-        sleep_w: f64,
-    },
 }
 
 impl NodeProfile {
@@ -266,7 +245,6 @@ impl NodeProfile {
             NodeProfile::TinyMote => "tiny-mote",
             NodeProfile::Mote => "mote",
             NodeProfile::Gateway => "gateway",
-            NodeProfile::Custom { .. } => "custom",
         }
     }
 
@@ -303,56 +281,11 @@ impl NodeProfile {
             }
             NodeProfile::Mote => build(0.01, 0.15, 2000.0, 0.5, 0.9, 0.9, 0.001, 0.05, 0.0005),
             NodeProfile::Gateway => build(0.1, 0.18, 50_000.0, 0.5, 0.92, 0.92, 0.01, 1.2, 0.02),
-            NodeProfile::Custom {
-                panel_m2,
-                panel_efficiency,
-                capacity_j,
-                initial_soc,
-                charge_efficiency,
-                discharge_efficiency,
-                leakage_w,
-                active_w,
-                sleep_w,
-            } => build(
-                panel_m2,
-                panel_efficiency,
-                capacity_j,
-                initial_soc,
-                charge_efficiency,
-                discharge_efficiency,
-                leakage_w,
-                active_w,
-                sleep_w,
-            ),
         }
     }
 
     fn to_json(&self) -> Json {
-        match *self {
-            NodeProfile::Custom {
-                panel_m2,
-                panel_efficiency,
-                capacity_j,
-                initial_soc,
-                charge_efficiency,
-                discharge_efficiency,
-                leakage_w,
-                active_w,
-                sleep_w,
-            } => Json::obj([
-                ("profile", Json::Str("custom".into())),
-                ("panel_m2", Json::Num(panel_m2)),
-                ("panel_efficiency", Json::Num(panel_efficiency)),
-                ("capacity_j", Json::Num(capacity_j)),
-                ("initial_soc", Json::Num(initial_soc)),
-                ("charge_efficiency", Json::Num(charge_efficiency)),
-                ("discharge_efficiency", Json::Num(discharge_efficiency)),
-                ("leakage_w", Json::Num(leakage_w)),
-                ("active_w", Json::Num(active_w)),
-                ("sleep_w", Json::Num(sleep_w)),
-            ]),
-            _ => Json::obj([("profile", Json::Str(self.name().into()))]),
-        }
+        Json::obj([("profile", Json::Str(self.name().into()))])
     }
 
     fn from_json(value: &Json) -> Result<NodeProfile, String> {
@@ -360,17 +293,6 @@ impl NodeProfile {
             "tiny-mote" => Ok(NodeProfile::TinyMote),
             "mote" => Ok(NodeProfile::Mote),
             "gateway" => Ok(NodeProfile::Gateway),
-            "custom" => Ok(NodeProfile::Custom {
-                panel_m2: value.req_num("panel_m2")?,
-                panel_efficiency: value.req_num("panel_efficiency")?,
-                capacity_j: value.req_num("capacity_j")?,
-                initial_soc: value.req_num("initial_soc")?,
-                charge_efficiency: value.req_num("charge_efficiency")?,
-                discharge_efficiency: value.req_num("discharge_efficiency")?,
-                leakage_w: value.req_num("leakage_w")?,
-                active_w: value.req_num("active_w")?,
-                sleep_w: value.req_num("sleep_w")?,
-            }),
             other => Err(format!("unknown node profile {other:?}")),
         }
     }

@@ -41,8 +41,8 @@ impl FleetDelta {
     ///
     /// The classification is deliberately conservative: only changes
     /// with a dedicated cheap path classify. Manager-axis changes,
-    /// fleet-fault changes, predictor *growth* or reordering, and mixed
-    /// day-append + scenario-edit batches are errors — run those
+    /// predictor *growth* or reordering, and mixed day-append +
+    /// scenario-edit batches are errors — run those
     /// through [`FleetEngine::run_cached`](crate::FleetEngine::run_cached)
     /// directly (still warm for every untouched scenario), or split them
     /// into single-kind deltas.
@@ -62,12 +62,6 @@ impl FleetDelta {
         if before_managers != after_managers {
             return Err(
                 "manager axis changed: no delta path exists, run the matrix with run_cached"
-                    .to_string(),
-            );
-        }
-        if before.fleet_faults != after.fleet_faults {
-            return Err(
-                "fleet faults changed: they project into every scenario, run with run_cached"
                     .to_string(),
             );
         }
@@ -236,12 +230,6 @@ mod tests {
         if before_managers != after_managers {
             return Err(
                 "manager axis changed: no delta path exists, run the matrix with run_cached"
-                    .to_string(),
-            );
-        }
-        if before.fleet_faults != after.fleet_faults {
-            return Err(
-                "fleet faults changed: they project into every scenario, run with run_cached"
                     .to_string(),
             );
         }

@@ -3,18 +3,17 @@
 //! [`Scorecard`], monolithic or sharded.
 //!
 //! A run is a sequence of phases, one function each, each under its
-//! span: fleet-fault projection, run keys and the fresh-job filter,
-//! retention admission, the parallel unit walks (`crate::unit`), cache
-//! fill and assembly in job order (`crate::cache`), and scoring.
+//! span: run keys and the fresh-job filter, retention admission, the
+//! parallel unit walks (`crate::unit`), cache fill and assembly in job
+//! order (`crate::cache`), and scoring.
 //!
 //! # Determinism
 //!
 //! Every random draw is derived from the engine's master seed by stable
 //! hashing — scenario traces from `(master, scenario name)`, fault
-//! realizations likewise, fleet-wide events from `(master, event
-//! index)` — and each job re-derives its own state from those seeds.
-//! Jobs share nothing mutable, and reduction sorts by job index, so the
-//! engine's output (including rendered scorecard JSON) is
+//! realizations likewise — and each job re-derives its own state from
+//! those seeds. Jobs share nothing mutable, and reduction sorts by job
+//! index, so the engine's output (including rendered scorecard JSON) is
 //! **byte-identical for a given matrix and seed regardless of thread
 //! count, trace-cache policy, shard count, or cache warmth**.
 //! Integration tests pin all four properties.
@@ -23,8 +22,8 @@
 //!
 //! The engine reports on itself through an optional
 //! [`fleet_obs::Collector`] ([`FleetEngine::with_collector`]): phase
-//! spans (`fleet/project` → `keys` → `admission` → `simulate` →
-//! `fill` → `assemble` → `score`) on the timing plane, and
+//! spans (`fleet/keys` → `admission` → `simulate` → `fill` →
+//! `assemble` → `score`) on the timing plane, and
 //! deterministic ledger counters — retention decisions with the trace
 //! budget, synthesis passes, cache hits, slot counts, bank sizes, fault
 //! specs — recorded at **work-unit granularity** (one batch of counter
@@ -154,10 +153,9 @@ pub struct ShardedFleetResult {
 }
 
 /// One run's read-only plan, shared by its phases and work units: the
-/// effective matrix (fleet faults projected in), its jobs in matrix
-/// order, and its cache keys.
-pub(crate) struct RunPlan {
-    pub(crate) matrix: FleetMatrix,
+/// matrix, its jobs in matrix order, and its cache keys.
+pub(crate) struct RunPlan<'m> {
+    pub(crate) matrix: &'m FleetMatrix,
     pub(crate) jobs: Vec<JobSpec>,
     pub(crate) keys: RunKeys,
 }
@@ -279,10 +277,10 @@ impl FleetEngine {
         // The run's phases, one function each under its span.
         self.install(|| {
             let _run_span = self.collector.span("fleet");
-            let (plan, fresh) = self.keys(self.project(matrix)?, cache);
+            let (plan, fresh) = self.keys(matrix, cache);
             let retained = {
                 let _span = self.collector.span("fleet/admission");
-                cache.admit(&plan.matrix, self.cache_policy, &self.collector)
+                cache.admit(plan.matrix, self.cache_policy, &self.collector)
             };
             let units = self.units(&plan, &retained, fresh, cache);
             let evaluated = self.walk(&plan, &units);
@@ -300,7 +298,7 @@ impl FleetEngine {
             drop((plan.jobs, plan.keys, units));
             let scorecard = {
                 let _span = self.collector.span("fleet/score");
-                Scorecard::build(&plan.matrix, &outcomes, self.master_seed)
+                Scorecard::build(plan.matrix, &outcomes, self.master_seed)
             };
             let scenarios = plan.matrix.scenarios.len() as u64;
             self.collector.count("score/scenarios_ranked", scenarios);
@@ -439,46 +437,24 @@ impl FleetEngine {
         }
     }
 
-    /// Projects the matrix's correlated fleet-wide events into each
-    /// affected scenario's fault list. Every event realizes from one
-    /// shared seed, so it hits all its scenarios on the same days; the
-    /// projected faults live in the scenario (and hence its JSON/cache
-    /// key), so caching and determinism need no special cases. The
-    /// matrix's fields are public, so every event is validated here,
-    /// not only those [`FleetMatrix::with_fleet_faults`] attached.
-    fn project(&self, matrix: &FleetMatrix) -> Result<FleetMatrix, String> {
-        let _span = self.collector.span("fleet/project");
-        let events = matrix.fleet_faults.len() as u64;
-        self.collector.count("faults/fleet_events", events);
-        let mut effective = matrix.clone();
-        for (index, fault) in matrix.fleet_faults.iter().enumerate() {
-            fault
-                .validate()
-                .map_err(|e| format!("fleet fault {index}: {e}"))?;
-            let salted = format!("fleet-fault/{index}");
-            let event_seed = solar_trace::hash::fnv1a(&salted) ^ self.master_seed.rotate_left(23);
-            for scenario in &mut effective.scenarios {
-                scenario.faults.extend(fault.project(event_seed, scenario)?);
-            }
-        }
-        effective.fleet_faults.clear();
-        let specs = effective.scenarios.iter().map(|s| s.faults.len() as u64);
-        self.collector.count("faults/fault_specs", specs.sum());
-        Ok(effective)
-    }
-
     /// The run's plan, and each scenario's fresh jobs — the ones the
     /// cache cannot answer, grouped into **one work unit per
     /// scenario**: the unit's single series walk feeds every fresh
     /// job's machines, so adding candidates to the matrix adds per-slot
     /// arithmetic, never whole passes.
-    fn keys(&self, matrix: FleetMatrix, cache: &FleetCache) -> (RunPlan, Vec<Vec<usize>>) {
+    fn keys<'m>(
+        &self,
+        matrix: &'m FleetMatrix,
+        cache: &FleetCache,
+    ) -> (RunPlan<'m>, Vec<Vec<usize>>) {
         let span = self.collector.span("fleet/keys");
-        let keys = RunKeys::of(&matrix);
+        let keys = RunKeys::of(matrix);
         let jobs = matrix.jobs();
         let fresh = cache.fresh_jobs(&keys);
         drop(span);
         let collector = &self.collector;
+        let specs = matrix.scenarios.iter().map(|s| s.faults.len() as u64);
+        collector.count("faults/fault_specs", specs.sum());
         let fresh_jobs: usize = fresh.iter().map(Vec::len).sum();
         collector.count("jobs/evaluated", jobs.len() as u64);
         collector.count("cache/job_hits", (jobs.len() - fresh_jobs) as u64);
@@ -614,7 +590,6 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 pub(crate) mod tests {
     use super::*;
     use crate::catalog::Catalog;
-    use crate::fleet_faults::FleetFault;
     use crate::matrix::PredictorSpec;
     use crate::series::{series_footprint_bytes, SlotSeries};
     use crate::ManagerSpec;
@@ -1426,67 +1401,6 @@ pub(crate) mod tests {
         assert!(
             b.report.harvested_j < 0.6 * a.report.harvested_j,
             "the physical harvest must halve"
-        );
-    }
-
-    #[test]
-    fn fleet_faults_project_into_every_affected_scenario() {
-        let matrix = small_matrix()
-            .with_fleet_faults(vec![FleetFault::RegionalStorm {
-                window_start_day: 22,
-                window_end_day: 30,
-                duration_days: 5,
-                depth: 0.8,
-                region: crate::SpatialFalloff::global(),
-            }])
-            .unwrap();
-        let engine = FleetEngine::new(8);
-        let effective = engine.project(&matrix).unwrap();
-        assert!(effective.fleet_faults.is_empty());
-        for scenario in &effective.scenarios {
-            assert!(
-                scenario
-                    .faults
-                    .iter()
-                    .any(|f| matches!(f, crate::FaultSpec::ClimateDimming { .. })),
-                "{} missing the storm projection",
-                scenario.name
-            );
-        }
-        // The storm measurably hurts: compare against the clean matrix.
-        let clean = FleetEngine::new(8).run(&small_matrix()).unwrap();
-        let stormy = FleetEngine::new(8).run(&matrix).unwrap();
-        let harvested =
-            |r: &FleetResult| r.outcomes.iter().map(|o| o.report.harvested_j).sum::<f64>();
-        assert!(
-            harvested(&stormy) < harvested(&clean),
-            "a fleet-wide storm must reduce total harvest"
-        );
-        // And the cache keeps clean/stormy scenarios apart (their JSON
-        // differs), so a warm clean cache cannot answer stormy jobs.
-        let mut cache = engine.new_cache();
-        engine.run_cached(&small_matrix(), &mut cache).unwrap();
-        let stormy_cached = engine.run_cached(&matrix, &mut cache).unwrap();
-        assert_eq!(stormy_cached.cached_jobs, 0);
-    }
-
-    #[test]
-    fn an_invalid_fleet_fault_set_after_assembly_is_rejected() {
-        // `with_fleet_faults` validates, but the field is public: a
-        // storm of depth 1.5 would project as a dimming factor of -0.5.
-        let mut matrix = small_matrix();
-        matrix.fleet_faults.push(FleetFault::RegionalStorm {
-            window_start_day: 22,
-            window_end_day: 30,
-            duration_days: 5,
-            depth: 1.5,
-            region: crate::SpatialFalloff::global(),
-        });
-        let engine = FleetEngine::new(8);
-        let err = engine.run(&matrix).unwrap_err();
-        assert!(
-            err.starts_with("fleet fault 0: ") && err.contains("1.5"),
-            "{err}"
         );
     }
 }

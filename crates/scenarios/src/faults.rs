@@ -57,9 +57,8 @@ pub enum FaultSpec {
     /// the metrics-pass references by the same factor (see
     /// [`FaultInjector::sky_factor`]): accuracy is judged against the
     /// dimmed sky, not the counterfactual clean one. Deterministic (no
-    /// RNG), so a fleet-wide event projected into many scenarios hits
-    /// them all on the same days — the correlation the independent fault
-    /// kinds cannot express.
+    /// RNG): the same span in several scenarios hits them all on the
+    /// same days.
     ClimateDimming {
         /// First affected day (0-based).
         start_day: usize,

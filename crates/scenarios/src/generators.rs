@@ -139,20 +139,6 @@ impl RegimeTemplate {
         check_unique("latitudes_deg", &self.latitudes_deg, |v| v.to_bits())?;
         check_unique("cloudiness", &self.cloudiness, |v| v.to_bits())?;
         check_unique("turbidity", &self.turbidity, |v| v.to_bits())?;
-        // Ids embed NodeProfile::name(), and every Custom variant
-        // renders as the same "custom" segment — stable ids therefore
-        // require the named preset tiers.
-        if self
-            .nodes
-            .iter()
-            .any(|n| matches!(n, NodeProfile::Custom { .. }))
-        {
-            return Err(format!(
-                "template {:?}: custom node profiles have no stable id segment; \
-                 use the preset tiers (tiny-mote / mote / gateway)",
-                self.family
-            ));
-        }
         check_unique("nodes", &self.nodes, |n| n.name())?;
         check_unique("fault_mixes", &self.fault_mixes, |m| m.as_str())?;
         // Per-axis range checks delegate to `SiteConfigBuilder` (one
@@ -617,21 +603,6 @@ mod tests {
             },
             RegimeTemplate {
                 days: 10,
-                ..base.clone()
-            },
-            // Custom hardware has no stable id segment.
-            RegimeTemplate {
-                nodes: vec![NodeProfile::Custom {
-                    panel_m2: 0.01,
-                    panel_efficiency: 0.15,
-                    capacity_j: 2000.0,
-                    initial_soc: 0.5,
-                    charge_efficiency: 0.9,
-                    discharge_efficiency: 0.9,
-                    leakage_w: 0.001,
-                    active_w: 0.05,
-                    sleep_w: 0.0005,
-                }],
                 ..base.clone()
             },
         ] {

@@ -17,9 +17,7 @@
 //! * [`CatalogGenerator`] — parameterized catalog generation: climate
 //!   [`RegimeTemplate`]s (latitude sweeps, cloudiness/turbidity axes,
 //!   hardware tiers, [`FaultMix`] presets) expanded deterministically
-//!   into hundreds of stable-id scenarios from one seed, with
-//!   correlated fleet events graded by geodesic [`SpatialFalloff`]
-//!   instead of a hard latitude band;
+//!   into hundreds of stable-id scenarios from one seed;
 //! * [`FleetMatrix`] — a predictor-family × power-manager × scenario
 //!   product, with predictor families reusable from
 //!   [`param_explore::ParamGrid`]s
@@ -56,7 +54,6 @@ mod catalog;
 mod delta;
 mod engine;
 mod faults;
-mod fleet_faults;
 mod generators;
 mod matrix;
 mod scorecard;
@@ -78,7 +75,6 @@ pub use engine::{
     FleetEngine, FleetResult, JobOutcome, PassBreakdown, QuarantinedScenario, ShardedFleetResult,
 };
 pub use faults::{storage_capacity_factor, FaultInjector, FaultSpec};
-pub use fleet_faults::{FalloffProfile, FleetFault, SpatialFalloff};
 pub use generators::{CatalogGenerator, FaultMix, RegimeTemplate};
 pub use matrix::{FleetMatrix, JobSpec, PredictorSpec};
 pub use scorecard::{

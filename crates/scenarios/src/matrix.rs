@@ -6,7 +6,6 @@
 //! stateful stream processors and must never be shared between runs.
 
 use crate::catalog::Scenario;
-use crate::fleet_faults::FleetFault;
 use harvest_sim::ManagerSpec;
 use param_explore::ParamGrid;
 use solar_predict::{
@@ -268,10 +267,6 @@ pub struct FleetMatrix {
     pub managers: Vec<ManagerSpec>,
     /// Scenario list.
     pub scenarios: Vec<Scenario>,
-    /// Correlated fleet-wide events, projected into every affected
-    /// scenario's fault list by the engine (empty = independent faults
-    /// only). Attach with [`FleetMatrix::with_fleet_faults`].
-    pub fleet_faults: Vec<FleetFault>,
 }
 
 impl FleetMatrix {
@@ -302,17 +297,7 @@ impl FleetMatrix {
             predictors,
             managers,
             scenarios,
-            fleet_faults: Vec::new(),
         })
-    }
-
-    /// Attaches correlated fleet-wide events after validating them.
-    pub fn with_fleet_faults(mut self, fleet_faults: Vec<FleetFault>) -> Result<Self, String> {
-        for fault in &fleet_faults {
-            fault.validate()?;
-        }
-        self.fleet_faults = fleet_faults;
-        Ok(self)
     }
 
     /// Total number of jobs.

@@ -367,7 +367,7 @@ impl WorkUnit {
 /// synthesis has cost so far.
 struct UnitRun<'a> {
     unit: &'a WorkUnit,
-    plan: &'a RunPlan,
+    plan: &'a RunPlan<'a>,
     scenario: &'a Scenario,
     collector: &'a Collector,
     slots: SlotsPerDay,
@@ -382,7 +382,11 @@ struct UnitRun<'a> {
 }
 
 impl<'a> UnitRun<'a> {
-    fn new(engine: &'a FleetEngine, plan: &'a RunPlan, unit: &'a WorkUnit) -> Result<Self, String> {
+    fn new(
+        engine: &'a FleetEngine,
+        plan: &'a RunPlan<'a>,
+        unit: &'a WorkUnit,
+    ) -> Result<Self, String> {
         let scenario = &plan.matrix.scenarios[unit.scenario_idx];
         let slots = SlotsPerDay::new(scenario.slots_per_day).map_err(|e| e.to_string())?;
         let capacity_factor = storage_capacity_factor(&scenario.faults);
@@ -469,7 +473,7 @@ impl<'a> UnitRun<'a> {
         roi.absorb(series, 0, n, &injector);
         let (plan, config, slots) = (self.plan, &self.node_config, self.slots);
         let jobs = self.unit.job_indices.iter().map(|&idx| plan.jobs[idx]);
-        let machines = UnitMachines::cold(&plan.matrix, jobs, config, slots, injector, roi.peak)
+        let machines = UnitMachines::cold(plan.matrix, jobs, config, slots, injector, roi.peak)
             .map_err(|error| format!("scenario {:?}: {error}", scenario.name))?;
         Ok((roi, machines, None))
     }

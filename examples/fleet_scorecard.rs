@@ -206,8 +206,9 @@ fn run(args: Args) -> Result<i32, String> {
             fleet_obs::fsio::write_atomic_str(&path, &shard.to_json().render_pretty())?;
         }
         println!(
-            "sharded into {shard_count} shards (target/fleet_manifest.json + shards); \
-             merge verified byte-identical"
+            "sharded into {} shards (target/fleet_manifest.json + shards); \
+             merge verified byte-identical",
+            sharded.manifest.shard_count
         );
     }
 

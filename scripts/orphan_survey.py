@@ -35,8 +35,6 @@ from pathlib import Path
 
 # Orphans kept on purpose, with the reason.
 ALLOWED = {
-    "FleetMatrix::with_fleet_faults": "validates fleet faults built in code; "
-    "the README's documented way in",
     "FleetCache::trace_count": "the engine and generated-catalog tests read "
     "how many series a run retained",
     "ScorecardShard::from_json_str": "the README's shard-merge recipe names it",
@@ -47,10 +45,6 @@ ALLOWED = {
     "with it",
     "CoverageManifest::from_json": "the round-trip oracle for the "
     "coverage.json the supervisor writes",
-    "SpatialFalloff::band": "the README's correlated-faults example builds "
-    "its storm belt with it",
-    "SpatialFalloff::global": "the fleet-wide region of the stream-shard "
-    "pollen season and the engine's fleet-fault tests",
 }
 
 ITEM = re.compile(

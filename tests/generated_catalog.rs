@@ -21,9 +21,9 @@
 use fleet_tuner::{group_by_regime, Regime};
 use proptest::prelude::*;
 use scenario_fleet::{
-    Catalog, CatalogGenerator, Climate, Collector, FalloffProfile, FaultMix, FleetDelta,
-    FleetEngine, FleetFault, FleetMatrix, ManagerSpec, NodeProfile, PredictorSpec, RegimeTemplate,
-    Scenario, Scorecard, SiteSpec, SpatialFalloff, StreamVersion, TraceCachePolicy,
+    Catalog, CatalogGenerator, Climate, Collector, FaultMix, FleetDelta, FleetEngine, FleetMatrix,
+    ManagerSpec, NodeProfile, PredictorSpec, RegimeTemplate, Scenario, Scorecard, StreamVersion,
+    TraceCachePolicy,
 };
 
 /// The regime a generated (Shaped) scenario must land in.
@@ -216,122 +216,6 @@ proptest! {
             );
         }
     }
-}
-
-/// A fixed-axis latitude sweep for the falloff tests below.
-fn latitude_sweep(latitudes: Vec<f64>) -> Catalog {
-    let template = RegimeTemplate {
-        family: "sweep".to_string(),
-        climate: Climate::Temperate,
-        latitudes_deg: latitudes,
-        cloudiness: vec![1.0],
-        turbidity: vec![0.0],
-        nodes: vec![NodeProfile::Mote],
-        fault_mixes: vec![FaultMix::Clean],
-        days: 30,
-        slots_per_day: 48,
-        resolution_minutes: 5,
-        stream_version: StreamVersion::V1,
-    };
-    expand(&template, 9)
-}
-
-#[test]
-fn graded_storm_severity_fades_monotonically_across_a_generated_sweep() {
-    let catalog = latitude_sweep(vec![40.0, 46.0, 52.0, 58.0, 64.0]);
-    let storm = FleetFault::RegionalStorm {
-        window_start_day: 21,
-        window_end_day: 28,
-        duration_days: 4,
-        depth: 0.8,
-        region: SpatialFalloff::new(40.0, 2200.0, FalloffProfile::Cosine),
-    };
-    // Severity is monotonically non-increasing with distance from the
-    // epicenter, and the projected dimming factors track it exactly.
-    let mut previous = f64::INFINITY;
-    for scenario in catalog.scenarios() {
-        let latitude = match scenario.site {
-            SiteSpec::Shaped { latitude_deg, .. } => latitude_deg,
-            _ => unreachable!("generated scenarios are Shaped"),
-        };
-        let severity = storm.severity_at(latitude);
-        assert!(
-            severity <= previous + 1e-12,
-            "severity rose at {latitude}° ({severity} > {previous})"
-        );
-        previous = severity;
-        let projected = storm.project(5, scenario).unwrap();
-        if severity > 0.0 {
-            match projected[..] {
-                [scenario_fleet::FaultSpec::ClimateDimming { factor, .. }] => {
-                    assert!((factor - (1.0 - severity)).abs() < 1e-12)
-                }
-                ref other => panic!("unexpected projection {other:?}"),
-            }
-        } else {
-            assert!(projected.is_empty(), "beyond the radius nothing projects");
-        }
-    }
-    // 2200 km ≈ 19.8°: 58°N is inside (graded), 64°N is beyond → zero.
-    assert!(storm.severity_at(58.0) > 0.0);
-    assert_eq!(storm.severity_at(64.0), 0.0);
-}
-
-#[test]
-fn graded_fleet_events_thread_through_the_engine() {
-    // Three generated sites: at the epicenter, mid-falloff, and beyond
-    // the radius. The engine projects the graded storm into each before
-    // running, so harvest falls where the storm reaches and the distant
-    // site's outcome is untouched bit-for-bit.
-    let catalog = latitude_sweep(vec![40.0, 52.0, 64.0]);
-    let storm = FleetFault::RegionalStorm {
-        window_start_day: 21,
-        window_end_day: 28,
-        duration_days: 6,
-        depth: 0.8,
-        region: SpatialFalloff::new(40.0, 2200.0, FalloffProfile::Cosine),
-    };
-    let matrix = |faults: Vec<FleetFault>| {
-        FleetMatrix::new(
-            vec![PredictorSpec::Wcma {
-                alpha: 0.7,
-                days: 10,
-                k: 2,
-            }],
-            vec![ManagerSpec::Greedy],
-            catalog.scenarios().to_vec(),
-        )
-        .unwrap()
-        .with_fleet_faults(faults)
-        .unwrap()
-    };
-    let engine = FleetEngine::new(12);
-    let clean = engine.run(&matrix(vec![])).unwrap();
-    let stormy = engine.run(&matrix(vec![storm])).unwrap();
-    let harvested = |result: &scenario_fleet::FleetResult, idx: usize| {
-        result
-            .outcomes
-            .iter()
-            .find(|o| o.spec.scenario_idx == idx)
-            .unwrap()
-            .report
-            .harvested_j
-    };
-    // Epicentral and mid-falloff sites lose harvest, the epicentral one
-    // by a larger fraction (deeper dimming).
-    let epicenter_ratio = harvested(&stormy, 0) / harvested(&clean, 0);
-    let mid_ratio = harvested(&stormy, 1) / harvested(&clean, 1);
-    assert!(epicenter_ratio < 1.0, "epicenter must lose harvest");
-    assert!(
-        epicenter_ratio < mid_ratio && mid_ratio < 1.0,
-        "falloff must grade the loss: {epicenter_ratio} vs {mid_ratio}"
-    );
-    // Beyond the radius: bit-identical outcome.
-    assert_eq!(
-        harvested(&stormy, 2),
-        harvested(&clean, 2),
-        "a site beyond the radius must be untouched"
-    );
 }
 
 /// Seed of the pinned 200-regime run.

@@ -29,10 +29,21 @@ fn worker_bin() -> PathBuf {
     PathBuf::from(env!("CARGO_BIN_EXE_fleet_worker"))
 }
 
-fn temp_dir(tag: &str) -> PathBuf {
+/// A test's own directory under the system temp dir, removed with
+/// everything in it when the guard drops, so a failing test (its panic
+/// unwinds through the guard) leaves nothing behind either.
+struct TempDir(PathBuf);
+
+impl Drop for TempDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+fn temp_dir(tag: &str) -> TempDir {
     let dir = std::env::temp_dir().join(format!("harness_it_{tag}_{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    dir
+    TempDir(dir)
 }
 
 /// Finds the first chaos seed whose failure schedule for `shards`
@@ -65,13 +76,13 @@ fn crash_and_corrupt_storm(shards: usize) -> impl Fn(&ChaosPlan) -> bool {
     }
 }
 
-fn tiny_config(tag: &str, shard_count: usize) -> SupervisorConfig {
+fn tiny_config(dir: &TempDir, shard_count: usize) -> SupervisorConfig {
     let mut config = SupervisorConfig::new(
         worker_bin(),
         Workload::new(42, WorkloadKind::Tiny),
         shard_count,
     );
-    config.artifact_dir = temp_dir(tag);
+    config.artifact_dir = dir.0.clone();
     config.backoff_base = Duration::from_millis(5);
     config.timeout = Duration::from_secs(120);
     config
@@ -91,7 +102,8 @@ fn reference_scorecard(workload: &Workload) -> String {
 fn crash_and_corruption_storm_recovers_byte_identically() {
     let shard_count = 2;
     let seed = find_chaos_seed(crash_and_corrupt_storm(shard_count));
-    let mut config = tiny_config("storm", shard_count);
+    let dir = temp_dir("storm");
+    let mut config = tiny_config(&dir, shard_count);
     config.chaos_seed = Some(seed);
 
     let collector = Collector::recording();
@@ -124,7 +136,6 @@ fn crash_and_corruption_storm_recovers_byte_identically() {
         "corruption was scheduled, so it must have been detected:\n{ledger}"
     );
     assert!(ledger.contains("\"harness/outcome\": \"complete\""));
-    std::fs::remove_dir_all(&config.artifact_dir).unwrap();
 }
 
 #[test]
@@ -138,7 +149,8 @@ fn stalled_worker_is_killed_and_the_retry_recovers() {
             .collect();
         all.len() == 1 && all[0] == ChaosMode::Stall
     });
-    let mut config = tiny_config("stall", shard_count);
+    let dir = temp_dir("stall");
+    let mut config = tiny_config(&dir, shard_count);
     config.chaos_seed = Some(seed);
     // The stalled worker sleeps for an hour; the supervisor must not.
     config.timeout = Duration::from_secs(3);
@@ -153,13 +165,13 @@ fn stalled_worker_is_killed_and_the_retry_recovers() {
     let ledger = collector.ledger().to_json_string();
     assert!(ledger.contains("\"harness/timeouts\": 1"), "{ledger}");
     assert!(ledger.contains("\"harness/kills\": 1"), "{ledger}");
-    std::fs::remove_dir_all(&config.artifact_dir).unwrap();
 }
 
 #[test]
 fn retry_exhaustion_degrades_with_accurate_coverage_and_exit_code() {
     let shard_count = 3;
-    let mut config = tiny_config("exhaust", shard_count);
+    let dir = temp_dir("exhaust");
+    let mut config = tiny_config(&dir, shard_count);
     config.fail_shards = vec![1];
     config.max_attempts = 2;
 
@@ -220,7 +232,6 @@ fn retry_exhaustion_degrades_with_accurate_coverage_and_exit_code() {
         ledger.contains("\"harness/outcome\": \"degraded\""),
         "{ledger}"
     );
-    std::fs::remove_dir_all(&config.artifact_dir).unwrap();
 }
 
 #[test]
@@ -232,7 +243,8 @@ fn quarantined_artifact_is_kept_as_the_degradation_fallback() {
     let seed = find_chaos_seed(|plan| {
         failing_modes(plan, 0) == vec![ChaosMode::PanicUnit] && failing_modes(plan, 1).is_empty()
     });
-    let mut config = tiny_config("quarantine", shard_count);
+    let dir = temp_dir("quarantine");
+    let mut config = tiny_config(&dir, shard_count);
     config.chaos_seed = Some(seed);
     config.max_attempts = 1;
 
@@ -261,19 +273,18 @@ fn quarantined_artifact_is_kept_as_the_degradation_fallback() {
         ledger.contains("\"harness/quarantined_scenarios\": 1"),
         "{ledger}"
     );
-    std::fs::remove_dir_all(&config.artifact_dir).unwrap();
 }
 
 #[test]
 fn an_out_of_range_fail_shard_is_rejected_before_any_spawn() {
-    let mut config = tiny_config("fail_range", 2);
+    let dir = temp_dir("fail_range");
+    let mut config = tiny_config(&dir, 2);
     config.fail_shards = vec![5];
 
     let collector = Collector::recording();
     let error = run_supervisor(&config, &collector).unwrap_err();
     assert!(error.contains("fail shard 5"), "{error}");
     assert_eq!(collector.ledger().counter("harness/spawns"), 0);
-    std::fs::remove_dir_all(&config.artifact_dir).unwrap();
 }
 
 /// Every `merge/*` counter a ledger holds, run-level (scope `""`) and
@@ -300,11 +311,11 @@ fn the_merge_ledger_is_the_same_for_every_shard_split() {
     // The supervisor counts scenario tables, never shards, so one run
     // split 1 or 3 ways records the same merge ledger.
     let merge_ledger = |shard_count: usize| {
-        let config = tiny_config(&format!("merge_{shard_count}"), shard_count);
+        let dir = temp_dir(&format!("merge_{shard_count}"));
+        let config = tiny_config(&dir, shard_count);
         let collector = Collector::recording();
         let run = run_supervisor(&config, &collector).unwrap();
         assert_eq!(run.outcome, RunOutcome::Complete);
-        std::fs::remove_dir_all(&config.artifact_dir).unwrap();
         merge_counters(&collector.ledger())
     };
     let whole = merge_ledger(1);
@@ -314,6 +325,18 @@ fn the_merge_ledger_is_the_same_for_every_shard_split() {
     assert_eq!(merge_ledger(3), whole);
 }
 
+/// Writes `script` as the executable worker program `worker.sh` in
+/// `dir`.
+#[cfg(unix)]
+fn script_worker(dir: &TempDir, script: &str) -> PathBuf {
+    use std::os::unix::fs::PermissionsExt;
+
+    let program = dir.0.join("worker.sh");
+    std::fs::write(&program, script).unwrap();
+    std::fs::set_permissions(&program, std::fs::Permissions::from_mode(0o755)).unwrap();
+    program
+}
+
 /// A retry whose spawn fails returns an error, and must kill and reap
 /// every worker still running before it does. Shard 0 records its pid
 /// and sleeps for an hour; shard 1 waits for that pid, deletes the
@@ -321,11 +344,9 @@ fn the_merge_ledger_is_the_same_for_every_shard_split() {
 #[cfg(unix)]
 #[test]
 fn a_failed_respawn_kills_and_reaps_every_running_worker() {
-    use std::os::unix::fs::PermissionsExt;
-
-    let mut config = tiny_config("reap", 2);
+    let dir = temp_dir("reap");
+    let mut config = tiny_config(&dir, 2);
     let pid_file = config.artifact_dir.join("shard_0.pid");
-    let program = config.artifact_dir.join("worker.sh");
     let script = format!(
         r#"#!/bin/sh
 case "$*" in
@@ -338,9 +359,7 @@ exit 1
 "#,
         pid = pid_file.display()
     );
-    std::fs::write(&program, script).unwrap();
-    std::fs::set_permissions(&program, std::fs::Permissions::from_mode(0o755)).unwrap();
-    config.worker_program = program;
+    config.worker_program = script_worker(&dir, &script);
 
     let error = run_supervisor(&config, &Collector::noop()).unwrap_err();
     assert!(error.contains("spawn"), "{error}");
@@ -361,7 +380,40 @@ exit 1
         "shard 0's worker (pid {}) outlived the supervisor",
         pid.trim()
     );
-    std::fs::remove_dir_all(&config.artifact_dir).unwrap();
+}
+
+/// A failing worker's own last stderr line reaches the run's reason.
+/// The worker writes well past a pipe's buffer first, so a supervisor
+/// that piped stderr without reading it would hang the worker, and it
+/// ends with a blank line, which the reason skips.
+#[cfg(unix)]
+#[test]
+fn a_failed_workers_last_stderr_line_reaches_the_reason() {
+    let dir = temp_dir("stderr");
+    let mut config = tiny_config(&dir, 1);
+    config.max_attempts = 1;
+    let script = r#"#!/bin/sh
+yes "progress: still working" | head -n 8000 >&2
+echo "cannot write artifact: disk full" >&2
+echo >&2
+exit 3
+"#;
+    config.worker_program = script_worker(&dir, script);
+
+    let run = run_supervisor(&config, &Collector::noop()).unwrap();
+    assert_eq!(run.outcome, RunOutcome::Failed);
+    let wanted = "worker exited with exit status: 3: cannot write artifact: disk full";
+    assert_eq!(run.shards[0].last_error.as_deref(), Some(wanted));
+    for missing in &run.coverage.missing {
+        assert!(missing.reason.ends_with(wanted), "{}", missing.reason);
+    }
+    // The stderr file lives only as long as its attempt.
+    let left: Vec<_> = std::fs::read_dir(&config.artifact_dir)
+        .unwrap()
+        .map(|entry| entry.unwrap().file_name())
+        .filter(|name| name != "worker.sh")
+        .collect();
+    assert!(left.is_empty(), "{left:?}");
 }
 
 /// Golden-workload recovery: the acceptance bar of the harness. A
@@ -376,8 +428,9 @@ fn golden_recovery(v2: bool, pinned_digest: u64) {
         v2,
         ..Workload::new(2026, WorkloadKind::Golden200)
     };
+    let dir = temp_dir(if v2 { "golden_v2" } else { "golden" });
     let mut config = SupervisorConfig::new(worker_bin(), workload, shard_count);
-    config.artifact_dir = temp_dir(if v2 { "golden_v2" } else { "golden" });
+    config.artifact_dir = dir.0.clone();
     config.backoff_base = Duration::from_millis(5);
     config.chaos_seed = Some(seed);
 
@@ -391,7 +444,6 @@ fn golden_recovery(v2: bool, pinned_digest: u64) {
         digest, pinned_digest,
         "supervised multi-process recovery drifted off the golden digest"
     );
-    std::fs::remove_dir_all(&config.artifact_dir).unwrap();
 }
 
 #[test]
@@ -444,7 +496,7 @@ proptest! {
         }
 
         let dir = temp_dir("proptest");
-        let path = dir.join(format!("mut_{}.artifact", std::process::id()));
+        let path = dir.0.join(format!("mut_{}.artifact", std::process::id()));
         std::fs::write(&path, &mutated).unwrap();
         let result = fleet_harness::artifact::read_artifact(
             &path,

@@ -1,13 +1,11 @@
 //! Integration tests for the streaming slot pipeline and sharded
 //! scorecards: merge determinism across thread counts and shard
-//! orderings, bounded-memory multi-year evaluation, and correlated
-//! fleet-wide faults.
+//! orderings, and bounded-memory multi-year evaluation.
 
 use scenario_fleet::json::Json;
 use scenario_fleet::{
-    Catalog, Climate, FaultSpec, FleetEngine, FleetFault, FleetMatrix, ManagerSpec, NodeProfile,
-    PredictorSpec, Scenario, Scorecard, ScorecardShard, ShardManifest, SiteSpec, SpatialFalloff,
-    TraceCachePolicy,
+    Catalog, Climate, FleetEngine, FleetMatrix, ManagerSpec, NodeProfile, PredictorSpec, Scenario,
+    Scorecard, ScorecardShard, ShardManifest, SiteSpec, TraceCachePolicy,
 };
 
 /// The default catalog matrix (every builtin regime, multi-year entries
@@ -164,151 +162,5 @@ fn three_year_twelve_scenario_matrix_runs_under_a_bounded_trace_budget() {
     assert_eq!(
         result.scorecard.to_json_string(),
         unbounded.scorecard.to_json_string()
-    );
-}
-
-/// A storm-band fleet: three mid-latitude scenarios inside the band and
-/// one southern control outside it, on brownout-prone hardware.
-fn storm_band_matrix(fleet_faults: Vec<FleetFault>) -> FleetMatrix {
-    let catalog = Catalog::builtin();
-    let scenarios = vec![
-        catalog.get("desert-clear-sky").unwrap().clone(),
-        catalog.get("four-seasons").unwrap().clone(),
-        catalog.get("continental-storms").unwrap().clone(),
-        catalog.get("southern-four-seasons").unwrap().clone(),
-    ];
-    FleetMatrix::new(
-        PredictorSpec::guideline_family(),
-        vec![ManagerSpec::EnergyNeutral {
-            target_soc: 0.5,
-            gain: 0.25,
-        }],
-        scenarios,
-    )
-    .unwrap()
-    .with_fleet_faults(fleet_faults)
-    .unwrap()
-}
-
-/// A mid-latitude storm belt (one shared onset darkens every 30–52°
-/// scenario for the same six days) and a fleet-wide pollen season
-/// (every panel soils on the same ramp while pyranometers stay clean).
-fn storm_belt_and_pollen_season() -> Vec<FleetFault> {
-    vec![
-        FleetFault::RegionalStorm {
-            window_start_day: 21,
-            window_end_day: 35,
-            duration_days: 6,
-            depth: 0.75,
-            region: SpatialFalloff::band(30.0, 52.0),
-        },
-        FleetFault::SeasonalSoiling {
-            window_start_day: 25,
-            window_end_day: 32,
-            duration_days: 10,
-            max_loss: 0.3,
-            region: SpatialFalloff::global(),
-        },
-    ]
-}
-
-#[test]
-fn correlated_storm_measurably_reorders_the_fault_regime_ranking() {
-    // Seed chosen so the reorder below is deterministic (42 and 7 both
-    // exhibit it; pinned on 42, the repo's canonical seed).
-    let seed = 42;
-    let correlated = FleetEngine::new(seed)
-        .run(&storm_band_matrix(storm_belt_and_pollen_season()))
-        .unwrap();
-
-    // The independent counterpart: the same storm energy, but each
-    // scenario draws its own onset (per-scenario seeds) instead of one
-    // shared event — the pre-FleetFault way of modelling storms.
-    let mut independent_matrix = storm_band_matrix(vec![]);
-    for (idx, scenario) in independent_matrix.scenarios.iter_mut().enumerate() {
-        // An event projects nothing into a scenario outside its region.
-        for event in storm_belt_and_pollen_season() {
-            // A distinct event seed per scenario = uncorrelated onsets.
-            let per_scenario_seed = 0x5EED ^ (idx as u64).wrapping_mul(0x9E37_79B9);
-            scenario
-                .faults
-                .extend(event.project(per_scenario_seed, scenario).unwrap());
-        }
-    }
-    let independent = FleetEngine::new(seed).run(&independent_matrix).unwrap();
-
-    // The storm days differ between the two fault models...
-    let onsets: Vec<Vec<&FaultSpec>> = independent_matrix
-        .scenarios
-        .iter()
-        .map(|s| s.faults.iter().collect())
-        .collect();
-    assert!(
-        !onsets.is_empty(),
-        "independent matrix must carry projected faults"
-    );
-
-    // ...and the rankings measurably reorder: at least one scenario's
-    // ranked combo order changes between correlated and independent
-    // fault realizations.
-    let order = |card: &Scorecard| -> Vec<Vec<String>> {
-        card.per_scenario
-            .iter()
-            .map(|r| {
-                r.entries
-                    .iter()
-                    .map(|e| format!("{}+{}", e.predictor, e.manager))
-                    .collect()
-            })
-            .collect()
-    };
-    assert_ne!(
-        order(&correlated.scorecard),
-        order(&independent.scorecard),
-        "correlated vs independent faults must reorder at least one fault-regime ranking"
-    );
-    // Pin the specific reorder the docs cite: on continental-storms at
-    // this seed, the shared-onset storm ranks ewma above ma while the
-    // staggered independent onsets rank ma above ewma.
-    let continental_order = |card: &Scorecard| -> Vec<String> {
-        card.per_scenario
-            .iter()
-            .find(|r| r.scenario == "continental-storms")
-            .expect("continental-storms is in the matrix")
-            .entries
-            .iter()
-            .map(|e| e.predictor.split('(').next().unwrap().to_string())
-            .collect()
-    };
-    let corr = continental_order(&correlated.scorecard);
-    let ind = continental_order(&independent.scorecard);
-    assert_ne!(corr, ind, "continental-storms must reorder");
-    let position =
-        |ranking: &[String], label: &str| ranking.iter().position(|p| p == label).expect(label);
-    assert!(
-        position(&corr, "ewma") < position(&corr, "ma"),
-        "correlated: ewma above ma, got {corr:?}"
-    );
-    assert!(
-        position(&ind, "ma") < position(&ind, "ewma"),
-        "independent: ma above ewma, got {ind:?}"
-    );
-
-    // Sanity: the correlated storm verifiably darkened the in-band
-    // scenarios (the southern control keeps its clean trace harvest).
-    let clean = FleetEngine::new(seed)
-        .run(&storm_band_matrix(vec![]))
-        .unwrap();
-    let harvested = |result: &scenario_fleet::FleetResult, name: &str| {
-        result
-            .outcomes
-            .iter()
-            .filter(|o| o.scenario == name)
-            .map(|o| o.report.harvested_j)
-            .sum::<f64>()
-    };
-    assert!(
-        harvested(&correlated, "four-seasons") < harvested(&clean, "four-seasons"),
-        "in-band scenario must lose harvest to the storm"
     );
 }
