@@ -16,6 +16,9 @@
 //!              [--chaos SEED --attempt K] [--fail]
 //! ```
 //!
+//! `--threads T` pins the engine's worker threads; `0`, like leaving
+//! the flag out, means all available cores.
+//!
 //! Exit codes follow [`fleet_harness::exit`].
 
 use fleet_harness::{exit, run_worker, WorkerConfig, Workload};

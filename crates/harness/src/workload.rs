@@ -50,7 +50,8 @@ pub struct Workload {
     /// Evaluate on the v2 (lane-order) synthesis stream. Only the
     /// generated kinds carry a stream version.
     pub v2: bool,
-    /// Worker-thread override (rayon default otherwise).
+    /// The engine's worker-thread count (`--threads`); `None` or `0`
+    /// means all available cores.
     pub threads: Option<usize>,
 }
 

@@ -38,14 +38,13 @@ use crate::cache::{FleetCache, RunKeys};
 use crate::catalog::Scenario;
 use crate::delta::FleetDelta;
 use crate::matrix::{FleetMatrix, JobSpec};
+use crate::parallel::{ordered_map, ALL_CORES};
 use crate::scorecard::{Scorecard, ScorecardShard, ShardManifest};
 use crate::series::TraceCachePolicy;
 use crate::unit::{UnitOutcomes, WorkUnit};
 use fleet_obs::Collector;
 use harvest_sim::NodeReport;
 use pred_metrics::{ErrorSummary, RunCost};
-use rayon::prelude::*;
-use rayon::ThreadPoolBuilder;
 use solar_synth::TraceGenerator;
 use std::sync::Mutex;
 
@@ -164,7 +163,7 @@ pub(crate) struct RunPlan<'m> {
 #[derive(Clone, Debug)]
 pub struct FleetEngine {
     master_seed: u64,
-    threads: Option<usize>,
+    threads: usize,
     cache_policy: TraceCachePolicy,
     pub(crate) collector: Collector,
     quarantine: bool,
@@ -178,7 +177,7 @@ impl FleetEngine {
     pub fn new(master_seed: u64) -> Self {
         FleetEngine {
             master_seed,
-            threads: None,
+            threads: ALL_CORES,
             cache_policy: TraceCachePolicy::default(),
             collector: Collector::noop(),
             quarantine: false,
@@ -209,9 +208,11 @@ impl FleetEngine {
     }
 
     /// Pins the worker-thread count (useful for determinism tests and
-    /// benchmarking scaling).
+    /// benchmarking scaling). `0` means all available cores, the same
+    /// as not pinning; a run never starts more workers than it has
+    /// scenarios to walk. Outputs are byte-identical at every count.
     pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = Some(threads);
+        self.threads = threads;
         self
     }
 
@@ -275,41 +276,39 @@ impl FleetEngine {
             return Err("fleet cache is bound to a different master seed".to_string());
         }
         // The run's phases, one function each under its span.
-        self.install(|| {
-            let _run_span = self.collector.span("fleet");
-            let (plan, fresh) = self.keys(matrix, cache);
-            let retained = {
-                let _span = self.collector.span("fleet/admission");
-                cache.admit(plan.matrix, self.cache_policy, &self.collector)
-            };
-            let units = self.units(&plan, &retained, fresh, cache);
-            let evaluated = self.walk(&plan, &units);
-            let (passes, quarantined) = self.fill(&plan, &units, evaluated, cache)?;
-            let outcomes = {
-                let _span = self.collector.span("fleet/assemble");
-                cache.assemble(&plan.keys, &plan.jobs)
-            };
-            let fresh_jobs: usize = units.iter().map(|u| u.job_indices.len()).sum();
-            let streamed = units.iter().filter(|u| !u.retained);
-            let streamed_jobs = streamed.map(|u| u.job_indices.len()).sum();
-            let cached_jobs = plan.jobs.len() - fresh_jobs;
-            // Scoring needs only the matrix: free the keys, the jobs and
-            // the units (with the replaced checkpoints they hold) first.
-            drop((plan.jobs, plan.keys, units));
-            let scorecard = {
-                let _span = self.collector.span("fleet/score");
-                Scorecard::build(plan.matrix, &outcomes, self.master_seed)
-            };
-            let scenarios = plan.matrix.scenarios.len() as u64;
-            self.collector.count("score/scenarios_ranked", scenarios);
-            Ok(FleetResult {
-                outcomes,
-                scorecard,
-                cached_jobs,
-                streamed_jobs,
-                passes,
-                quarantined,
-            })
+        let _run_span = self.collector.span("fleet");
+        let (plan, fresh) = self.keys(matrix, cache);
+        let retained = {
+            let _span = self.collector.span("fleet/admission");
+            cache.admit(plan.matrix, self.cache_policy, &self.collector)
+        };
+        let units = self.units(&plan, &retained, fresh, cache);
+        let evaluated = self.walk(&plan, &units);
+        let (passes, quarantined) = self.fill(&plan, &units, evaluated, cache)?;
+        let outcomes = {
+            let _span = self.collector.span("fleet/assemble");
+            cache.assemble(&plan.keys, &plan.jobs)
+        };
+        let fresh_jobs: usize = units.iter().map(|u| u.job_indices.len()).sum();
+        let streamed = units.iter().filter(|u| !u.retained);
+        let streamed_jobs = streamed.map(|u| u.job_indices.len()).sum();
+        let cached_jobs = plan.jobs.len() - fresh_jobs;
+        // Scoring needs only the matrix: free the keys, the jobs and
+        // the units (with the replaced checkpoints they hold) first.
+        drop((plan.jobs, plan.keys, units));
+        let scorecard = {
+            let _span = self.collector.span("fleet/score");
+            Scorecard::build(plan.matrix, &outcomes, self.master_seed)
+        };
+        let scenarios = plan.matrix.scenarios.len() as u64;
+        self.collector.count("score/scenarios_ranked", scenarios);
+        Ok(FleetResult {
+            outcomes,
+            scorecard,
+            cached_jobs,
+            streamed_jobs,
+            passes,
+            quarantined,
         })
     }
 
@@ -426,17 +425,6 @@ impl FleetEngine {
         clamped
     }
 
-    fn install<T>(&self, f: impl FnOnce() -> Result<T, String>) -> Result<T, String> {
-        match self.threads {
-            Some(threads) => ThreadPoolBuilder::new()
-                .num_threads(threads)
-                .build()
-                .map_err(|e| e.to_string())?
-                .install(f),
-            None => f(),
-        }
-    }
-
     /// The run's plan, and each scenario's fresh jobs — the ones the
     /// cache cannot answer, grouped into **one work unit per
     /// scenario**: the unit's single series walk feeds every fresh
@@ -491,30 +479,28 @@ impl FleetEngine {
             .collect()
     }
 
-    /// The parallel walks, one per unit. Each unit runs under
-    /// `catch_unwind`: a panicking unit (a contract violation in
-    /// predictor/manager code, or injected chaos) surfaces as `Err`
-    /// naming its scenario instead of unwinding through rayon and
-    /// aborting the whole process.
+    /// The parallel walks, one per unit, on the engine's thread count
+    /// (all available cores unless [`FleetEngine::with_threads`] pins
+    /// one). Each unit runs under `catch_unwind`: a panicking unit (a
+    /// contract violation in predictor/manager code, or injected
+    /// chaos) surfaces as `Err` naming its scenario instead of
+    /// unwinding through the map and aborting the whole run.
     fn walk(&self, plan: &RunPlan, units: &[WorkUnit]) -> Vec<Result<UnitOutcomes, String>> {
-        units
-            .par_iter()
-            .map(|unit| {
-                let scenario_name = &plan.matrix.scenarios[unit.scenario_idx].name;
-                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    if self.chaos_unit_panic.as_deref() == Some(scenario_name.as_str()) {
-                        panic!("chaos: injected work-unit panic");
-                    }
-                    unit.evaluate(self, plan)
-                }))
-                .unwrap_or_else(|payload| {
-                    Err(format!(
-                        "scenario {scenario_name:?}: work unit panicked: {}",
-                        panic_message(&*payload)
-                    ))
-                })
+        ordered_map(units, self.threads, |unit| {
+            let scenario_name = &plan.matrix.scenarios[unit.scenario_idx].name;
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                if self.chaos_unit_panic.as_deref() == Some(scenario_name.as_str()) {
+                    panic!("chaos: injected work-unit panic");
+                }
+                unit.evaluate(self, plan)
+            }))
+            .unwrap_or_else(|payload| {
+                Err(format!(
+                    "scenario {scenario_name:?}: work unit panicked: {}",
+                    panic_message(&*payload)
+                ))
             })
-            .collect()
+        })
     }
 
     /// Stores every unit's results in the cache, in unit order, and
@@ -591,6 +577,7 @@ pub(crate) mod tests {
     use super::*;
     use crate::catalog::Catalog;
     use crate::matrix::PredictorSpec;
+    use crate::parallel::tests::within_a_minute;
     use crate::series::{series_footprint_bytes, SlotSeries};
     use crate::ManagerSpec;
     use solar_trace::SlotsPerDay;
@@ -949,6 +936,55 @@ pub(crate) mod tests {
             assert_eq!(x.summary, y.summary);
             assert_eq!(x.report, y.report);
         }
+    }
+
+    /// `matrix`'s scorecard JSON from an engine pinned to `threads`.
+    fn scorecard_bytes(matrix: &FleetMatrix, threads: usize) -> String {
+        let engine = FleetEngine::new(7).with_threads(threads);
+        engine.run(matrix).unwrap().scorecard.to_json_string()
+    }
+
+    #[test]
+    fn engines_share_no_thread_count() {
+        let matrix = small_matrix();
+        let single = scorecard_bytes(&matrix, 1);
+        // Two engines at different counts, started together.
+        let start = std::sync::Barrier::new(2);
+        let run = |threads| {
+            start.wait();
+            scorecard_bytes(&matrix, threads)
+        };
+        let (one, three) = std::thread::scope(|scope| {
+            let one = scope.spawn(|| run(1));
+            let three = scope.spawn(|| run(3));
+            (one.join().unwrap(), three.join().unwrap())
+        });
+        assert_eq!(one, single);
+        assert_eq!(three, single);
+        // An engine with its own count, run from inside a map worker.
+        // A process-global thread count installed under a lock would
+        // make this nested run wait for good, hence the deadline.
+        let nested =
+            within_a_minute(move || ordered_map(&[matrix], 2, |matrix| scorecard_bytes(matrix, 2)));
+        assert_eq!(nested, [single]);
+    }
+
+    #[test]
+    fn zero_threads_means_all_cores_and_wide_counts_give_the_same_bytes() {
+        let scenarios = ["desert-clear-sky", "aging-node", "gappy-telemetry-desert"];
+        let matrix = FleetMatrix::new(
+            vec![PredictorSpec::Persistence],
+            vec![ManagerSpec::Greedy],
+            scenarios
+                .iter()
+                .map(|name| Catalog::builtin().get(name).unwrap().clone())
+                .collect(),
+        )
+        .unwrap();
+        let single = scorecard_bytes(&matrix, 1);
+        assert_eq!(scorecard_bytes(&matrix, 0), single);
+        // 64 threads start one worker per unit, three here.
+        assert_eq!(scorecard_bytes(&matrix, 64), single);
     }
 
     #[test]

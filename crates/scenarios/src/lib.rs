@@ -23,7 +23,8 @@
 //!   [`param_explore::ParamGrid`]s
 //!   ([`PredictorSpec::family_from_grid`]);
 //! * [`FleetEngine`] — expands the matrix into jobs, executes them in
-//!   parallel with `rayon` under deterministic per-job seeds, and
+//!   parallel (one ordered map over scoped threads, at the engine's own
+//!   thread count) under deterministic per-job seeds, and
 //!   reduces `NodeReport`s + `pred_metrics` summaries into a ranked
 //!   [`Scorecard`] with byte-deterministic JSON output.
 //!
@@ -56,6 +57,7 @@ mod engine;
 mod faults;
 mod generators;
 mod matrix;
+mod parallel;
 mod scorecard;
 mod series;
 mod unit;
@@ -99,3 +101,40 @@ pub use fleet_obs::{
 #[cfg(doctest)]
 #[doc = include_str!("../../../README.md")]
 struct ReadmeDoctests;
+
+// Input-order checks of the crate's parallel map; its worker-count and
+// panic checks live in `parallel::tests`.
+#[cfg(test)]
+mod tests {
+    use crate::parallel::{ordered_map, ALL_CORES};
+
+    #[test]
+    fn map_collect_preserves_order() {
+        for len in [0u64, 1, 2, 257] {
+            let input: Vec<u64> = (0..len).collect();
+            let expected: Vec<u64> = input.iter().map(|x| x * 2 + 1).collect();
+            // 3 and 8 threads exceed the 0-, 1- and 2-item inputs.
+            for threads in [ALL_CORES, 1, 3, 8] {
+                assert_eq!(
+                    ordered_map(&input, threads, |&x| x * 2 + 1),
+                    expected,
+                    "{len} items at {threads} threads"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn single_thread_matches_parallel() {
+        let input: Vec<u64> = (0..257).collect();
+        let one = ordered_map(&input, 1, |&x| x + 1);
+        assert_eq!(one, (1..258).collect::<Vec<u64>>());
+        for threads in [ALL_CORES, 4] {
+            assert_eq!(
+                ordered_map(&input, threads, |&x| x + 1),
+                one,
+                "{threads} threads"
+            );
+        }
+    }
+}

@@ -47,8 +47,8 @@
 use crate::engine::JobOutcome;
 use crate::json::Json;
 use crate::matrix::FleetMatrix;
+use crate::parallel::{ordered_map, ALL_CORES};
 use pred_metrics::{CostAggregate, ErrorSummary, SummaryAggregate};
-use rayon::prelude::*;
 use std::collections::BTreeMap;
 
 const BROWNOUT_WEIGHT: f64 = 2.0;
@@ -598,15 +598,20 @@ impl Scorecard {
 
     /// Pretty-printed deterministic JSON document: byte for byte
     /// `self.to_json().render_pretty()`, with the per-scenario tables
-    /// rendered in parallel and spliced into the document.
+    /// rendered in parallel on all available cores and spliced into
+    /// the document.
     pub fn to_json_string(&self) -> String {
+        self.to_json_string_on(ALL_CORES)
+    }
+
+    /// [`Scorecard::to_json_string`] with the tables rendered on
+    /// `threads` workers.
+    fn to_json_string_on(&self, threads: usize) -> String {
         // Each table sits two containers deep: the root object, then the
         // `per_scenario` array.
-        let tables: Vec<String> = self
-            .per_scenario
-            .par_iter()
-            .map(|ranking| ranking.to_json().render_pretty_at(2))
-            .collect();
+        let tables = ordered_map(&self.per_scenario, threads, |ranking| {
+            ranking.to_json().render_pretty_at(2)
+        });
         let overall = Json::Arr(self.overall.iter().map(ScoreEntry::to_json).collect());
         let mut out = String::with_capacity(tables.iter().map(|t| t.len() + 6).sum::<usize>());
         out.push_str("{\n  \"master_seed\": ");
@@ -1019,11 +1024,7 @@ mod tests {
         for scorecard in [full, empty_table, bare, one] {
             let whole = scorecard.to_json().render_pretty();
             for threads in [1, 3] {
-                let pool = rayon::ThreadPoolBuilder::new()
-                    .num_threads(threads)
-                    .build()
-                    .unwrap();
-                assert_eq!(pool.install(|| scorecard.to_json_string()), whole);
+                assert_eq!(scorecard.to_json_string_on(threads), whole);
             }
         }
     }
