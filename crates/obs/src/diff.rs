@@ -21,6 +21,7 @@
 //! Scenario drift is ranked by the summed absolute counter delta, so
 //! the worst-regressing scenario leads every report.
 
+use crate::histogram::Histogram;
 use crate::json::Json;
 use crate::ledger::Ledger;
 use crate::report::RunReport;
@@ -89,9 +90,17 @@ pub struct CounterDelta {
 }
 
 impl CounterDelta {
-    /// Signed change (`after - before`).
-    pub fn delta(&self) -> i64 {
-        self.after as i64 - self.before as i64
+    /// Signed change (`after - before`), exact for any two `u64`s.
+    pub fn delta(&self) -> i128 {
+        i128::from(self.after) - i128::from(self.before)
+    }
+
+    fn to_json(&self) -> Json {
+        Json::obj([
+            ("key", Json::Str(self.key.clone())),
+            ("before", Json::Num(self.before as f64)),
+            ("after", Json::Num(self.after as f64)),
+        ])
     }
 }
 
@@ -107,8 +116,10 @@ pub struct LabelChange {
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ScenarioDrift {
     pub scenario: String,
-    /// Σ |Δ| across this scenario's counters — the ranking key.
+    /// Σ |Δ| across this scenario's counters (saturating) — the
+    /// ranking key.
     pub magnitude: u64,
+    /// Largest |Δ| first, key ascending on ties.
     pub deltas: Vec<CounterDelta>,
 }
 
@@ -116,7 +127,8 @@ pub struct ScenarioDrift {
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct HistogramDelta {
     pub key: String,
-    /// L1 distance between the bucket vectors (including `zeros`).
+    /// L1 distance between the bucket vectors (including `zeros`;
+    /// saturating).
     pub l1: u64,
     pub before_count: u64,
     pub after_count: u64,
@@ -136,57 +148,361 @@ pub struct SpanDelta {
     pub regressed: bool,
 }
 
+/// One thing that moved between the two reports.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum Finding {
+    /// Counter movement inside one scenario.
+    Drift(ScenarioDrift),
+    /// A run-level counter changed.
+    Counter(CounterDelta),
+    /// A gauge changed.
+    Gauge(CounterDelta),
+    /// A label changed, appeared or disappeared.
+    Label(LabelChange),
+    /// A histogram's shape moved.
+    Histogram(HistogramDelta),
+    /// A span's wall time moved beyond noise.
+    Span(SpanDelta),
+}
+
+/// The kinds of [`Finding`], in rank order.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Kind {
+    Drift,
+    Counter,
+    Gauge,
+    Label,
+    Histogram,
+    Span,
+}
+
+impl Finding {
+    /// What this finding alone makes of the run pair: any
+    /// deterministic change regresses it; a span drifts it, or
+    /// regresses it past the regression multiplier.
+    pub fn verdict(&self) -> Verdict {
+        match self {
+            Finding::Span(s) if !s.regressed => Verdict::Drifted,
+            _ => Verdict::Regressed,
+        }
+    }
+
+    fn kind(&self) -> Kind {
+        match self {
+            Finding::Drift(_) => Kind::Drift,
+            Finding::Counter(_) => Kind::Counter,
+            Finding::Gauge(_) => Kind::Gauge,
+            Finding::Label(_) => Kind::Label,
+            Finding::Histogram(_) => Kind::Histogram,
+            Finding::Span(_) => Kind::Span,
+        }
+    }
+
+    /// The finding's line in the terminal summary.
+    fn text_row(&self) -> String {
+        match self {
+            Finding::Drift(s) => format!(
+                "drift   {:<32} magnitude {} across {} counters",
+                s.scenario,
+                s.magnitude,
+                s.deltas.len()
+            ),
+            Finding::Counter(d) => format!(
+                "counter {:<32} {} → {} ({:+})",
+                d.key,
+                d.before,
+                d.after,
+                d.delta()
+            ),
+            Finding::Gauge(d) => format!("gauge   {:<32} {} → {}", d.key, d.before, d.after),
+            Finding::Label(c) => format!("label   {:<32} {:?} → {:?}", c.key, c.before, c.after),
+            Finding::Histogram(h) => format!(
+                "histo   {:<32} count {} → {} (L1 {})",
+                h.key, h.before_count, h.after_count, h.l1
+            ),
+            Finding::Span(s) => format!(
+                "span    {:<32} {} → {}{}",
+                s.path,
+                format_ns(s.before_ns),
+                format_ns(s.after_ns),
+                if s.regressed { "  ← regressed" } else { "" }
+            ),
+        }
+    }
+
+    /// The finding's row (or rows) in the markdown report; `rank` is
+    /// its 1-based place in its section.
+    fn markdown_row(&self, rank: usize) -> String {
+        match self {
+            Finding::Drift(s) => {
+                let tops: Vec<String> = s
+                    .deltas
+                    .iter()
+                    .take(3)
+                    .map(|d| format!("`{}` {:+}", d.key, d.delta()))
+                    .collect();
+                let tops = tops.join(", ");
+                format!("| {rank} | {} | {} | {tops} |\n", s.scenario, s.magnitude)
+            }
+            Finding::Counter(d) => {
+                format!(
+                    "| `{}` | {} | {} | {:+} |\n",
+                    d.key,
+                    d.before,
+                    d.after,
+                    d.delta()
+                )
+            }
+            Finding::Gauge(d) => format!(
+                "| `{}` (gauge) | {} | {} | {:+} |\n",
+                d.key,
+                d.before,
+                d.after,
+                d.delta()
+            ),
+            Finding::Label(c) => {
+                let side = |v: &Option<String>| v.clone().unwrap_or_else(|| "∅".to_string());
+                format!("- `{}`: {} → {}\n", c.key, side(&c.before), side(&c.after))
+            }
+            Finding::Histogram(h) => format!(
+                "- `{}` — count {} → {}, L1 distance {}\n  - before `{}`\n  - after  `{}`\n",
+                h.key, h.before_count, h.after_count, h.l1, h.before_spark, h.after_spark
+            ),
+            Finding::Span(s) => format!(
+                "| `{}` | {} | {} | {} |\n",
+                s.path,
+                format_ns(s.before_ns),
+                format_ns(s.after_ns),
+                if s.regressed { "yes" } else { "" }
+            ),
+        }
+    }
+
+    /// The finding's entry in its `fleet-report-diff/1` array.
+    fn to_json(&self) -> Json {
+        match self {
+            Finding::Drift(s) => Json::obj([
+                ("scenario", Json::Str(s.scenario.clone())),
+                ("magnitude", Json::Num(s.magnitude as f64)),
+                (
+                    "deltas",
+                    Json::Arr(s.deltas.iter().map(CounterDelta::to_json).collect()),
+                ),
+            ]),
+            Finding::Counter(d) | Finding::Gauge(d) => d.to_json(),
+            Finding::Label(c) => {
+                let side = |v: &Option<String>| v.clone().map_or(Json::Null, Json::Str);
+                Json::obj([
+                    ("key", Json::Str(c.key.clone())),
+                    ("before", side(&c.before)),
+                    ("after", side(&c.after)),
+                ])
+            }
+            Finding::Histogram(h) => Json::obj([
+                ("key", Json::Str(h.key.clone())),
+                ("l1", Json::Num(h.l1 as f64)),
+                ("before_count", Json::Num(h.before_count as f64)),
+                ("after_count", Json::Num(h.after_count as f64)),
+            ]),
+            Finding::Span(s) => Json::obj([
+                ("path", Json::Str(s.path.clone())),
+                ("before_ns", Json::Num(s.before_ns as f64)),
+                ("after_ns", Json::Num(s.after_ns as f64)),
+                ("regressed", Json::Bool(s.regressed)),
+            ]),
+        }
+    }
+}
+
 /// The structural diff of two run reports.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ReportDiff {
+    /// The worst [`Finding::verdict`], or `Clean` without findings.
     pub verdict: Verdict,
-    /// Run-level counter changes (sorted by key).
-    pub counter_deltas: Vec<CounterDelta>,
-    /// Gauge changes (sorted by key).
-    pub gauge_deltas: Vec<CounterDelta>,
-    /// Label changes (sorted by key).
-    pub label_changes: Vec<LabelChange>,
-    /// Per-scenario drift, worst first (magnitude desc, name asc).
-    pub scenario_drift: Vec<ScenarioDrift>,
-    /// Histogram shape changes (sorted by key).
-    pub histogram_deltas: Vec<HistogramDelta>,
-    /// Timing-plane movement beyond noise, largest |Δ| first.
-    pub span_deltas: Vec<SpanDelta>,
+    /// Everything that moved, in rank order: scenario drift (magnitude
+    /// desc, name asc), then counters, gauges, labels and histograms
+    /// (each by key), then spans (largest |Δ| first, path asc).
+    pub findings: Vec<Finding>,
     pub wall_before_ns: u64,
     pub wall_after_ns: u64,
 }
 
-fn diff_u64_maps(
-    before: &BTreeMap<String, u64>,
-    after: &BTreeMap<String, u64>,
-) -> Vec<CounterDelta> {
-    let mut keys: Vec<&String> = before.keys().chain(after.keys()).collect();
-    keys.sort();
-    keys.dedup();
-    keys.into_iter()
-        .filter_map(|key| {
-            let b = before.get(key).copied().unwrap_or(0);
-            let a = after.get(key).copied().unwrap_or(0);
-            (b != a).then(|| CounterDelta {
-                key: key.clone(),
-                before: b,
-                after: a,
-            })
-        })
-        .collect()
+/// The terminal summary's sections: kind, row cap, and what the
+/// "… and N more" line counts (none: the overflow is dropped).
+const TEXT_SECTIONS: [(&[Kind], usize, Option<&str>); 6] = [
+    (&[Kind::Counter], usize::MAX, None),
+    (&[Kind::Gauge], usize::MAX, None),
+    (&[Kind::Label], usize::MAX, None),
+    (&[Kind::Histogram], usize::MAX, None),
+    (&[Kind::Drift], 10, Some("scenarios")),
+    (&[Kind::Span], 10, None),
+];
+
+/// The markdown report's sections, in rank order: kinds, heading
+/// (with the table head), row cap, and what the "…and N more" line
+/// counts.
+const MARKDOWN_SECTIONS: [(&[Kind], &str, usize, Option<&str>); 5] = [
+    (
+        &[Kind::Drift],
+        "## Worst-regressing scenarios\n\n| rank | scenario | magnitude | top counter deltas |\n|---:|---|---:|---|\n",
+        20,
+        Some("drifting scenarios"),
+    ),
+    (
+        &[Kind::Counter, Kind::Gauge],
+        "## Counter and gauge deltas\n\n| key | before | after | Δ |\n|---|---:|---:|---:|\n",
+        usize::MAX,
+        None,
+    ),
+    (&[Kind::Label], "## Label changes\n\n", usize::MAX, None),
+    (&[Kind::Histogram], "## Histogram drift\n\n", usize::MAX, None),
+    (
+        &[Kind::Span],
+        "## Heaviest span movement\n\n| span | before | after | regressed |\n|---|---:|---:|:---:|\n",
+        15,
+        None,
+    ),
+];
+
+/// The `fleet-report-diff/1` arrays, in schema order.
+const JSON_SECTIONS: [(&str, Kind); 6] = [
+    ("counter_deltas", Kind::Counter),
+    ("gauge_deltas", Kind::Gauge),
+    ("label_changes", Kind::Label),
+    ("scenario_drift", Kind::Drift),
+    ("histogram_deltas", Kind::Histogram),
+    ("span_deltas", Kind::Span),
+];
+
+/// The one keyed walk: the sorted union of both sides' keys, kept
+/// where `changed` makes a finding of the key (it returns `None` for a
+/// key whose two values agree).
+fn changed<'a, S: ?Sized, K: Ord, I: Iterator<Item = K>, T>(
+    before: &'a S,
+    after: &'a S,
+    keys: impl Fn(&'a S) -> I,
+    changed: impl FnMut(K) -> Option<T>,
+) -> Vec<T> {
+    let mut union: Vec<K> = keys(before).chain(keys(after)).collect();
+    union.sort_unstable();
+    union.dedup();
+    union.into_iter().filter_map(changed).collect()
 }
 
-fn counters_of(ledger: &Ledger, scenario: Option<&str>) -> BTreeMap<String, u64> {
-    match scenario {
-        None => ledger
-            .counter_keys()
-            .map(|k| (k.to_string(), ledger.counter(k)))
-            .collect(),
-        Some(name) => ledger
-            .scenario_counter_keys(name)
-            .map(|k| (k.to_string(), ledger.scenario_counter(name, k)))
-            .collect(),
-    }
+/// [`changed`] over `u64` values, where a missing key reads 0.
+fn u64_deltas<'a>(
+    before: &'a Ledger,
+    after: &'a Ledger,
+    keys: impl Fn(&'a Ledger) -> Box<dyn Iterator<Item = &'a str> + 'a>,
+    value: impl Fn(&Ledger, &str) -> u64,
+) -> Vec<CounterDelta> {
+    changed(before, after, keys, |key| {
+        let (b, a) = (value(before, key), value(after, key));
+        (b != a).then(|| CounterDelta {
+            key: key.to_string(),
+            before: b,
+            after: a,
+        })
+    })
+}
+
+/// Per-scenario drift, worst first.
+fn scenario_drift(before: &Ledger, after: &Ledger) -> Vec<ScenarioDrift> {
+    let mut drift = changed(before, after, Ledger::scenario_names, |name| {
+        let deltas = u64_deltas(
+            before,
+            after,
+            |l| Box::new(l.scenario_counter_keys(name)),
+            |l, k| l.scenario_counter(name, k),
+        );
+        let magnitude = deltas.iter().fold(0u64, |sum, d| {
+            sum.saturating_add(d.before.abs_diff(d.after))
+        });
+        (!deltas.is_empty()).then(|| ScenarioDrift {
+            scenario: name.to_string(),
+            magnitude,
+            deltas,
+        })
+    });
+    drift.sort_by(|a, b| {
+        b.magnitude
+            .cmp(&a.magnitude)
+            .then_with(|| a.scenario.cmp(&b.scenario))
+    });
+    drift
+}
+
+/// Histograms whose buckets moved, by key.
+fn histogram_deltas(before: &Ledger, after: &Ledger) -> Vec<HistogramDelta> {
+    let empty = Histogram::new();
+    changed(
+        before,
+        after,
+        |l| l.histograms().map(|(key, _)| key),
+        |key| {
+            let b = before.histogram(key).unwrap_or(&empty);
+            let a = after.histogram(key).unwrap_or(&empty);
+            if b == a {
+                return None;
+            }
+            let buckets = changed(
+                b,
+                a,
+                |h| h.iter().map(|(i, _)| i),
+                |i| Some(b.bucket(i).abs_diff(a.bucket(i))),
+            );
+            let l1 = buckets
+                .into_iter()
+                .fold(b.zeros().abs_diff(a.zeros()), u64::saturating_add);
+            Some(HistogramDelta {
+                key: key.to_string(),
+                l1,
+                before_count: b.count(),
+                after_count: a.count(),
+                before_spark: b.sparkline(),
+                after_spark: a.sparkline(),
+            })
+        },
+    )
+}
+
+/// Span paths that moved beyond noise, largest |Δ| first.
+fn span_deltas(before: &SpanNode, after: &SpanNode, config: &DiffConfig) -> Vec<SpanDelta> {
+    let mut before_spans = BTreeMap::new();
+    let mut after_spans = BTreeMap::new();
+    flatten_spans(before, "", &mut before_spans);
+    flatten_spans(after, "", &mut after_spans);
+    let mut spans = changed(
+        &before_spans,
+        &after_spans,
+        |m| m.keys(),
+        |path| {
+            let b = before_spans.get(path).copied().unwrap_or(0);
+            let a = after_spans.get(path).copied().unwrap_or(0);
+            if b.max(a) < config.wall_min_ns {
+                return None;
+            }
+            let base = b.max(1) as f64;
+            let regressed = a as f64 > base * config.wall_regress_ratio
+                && a >= config.wall_min_ns
+                && b >= config.wall_min_ns;
+            let beyond_noise =
+                (a.abs_diff(b)) as f64 > config.wall_noise_ratio * b.max(a).max(1) as f64;
+            (regressed || beyond_noise).then(|| SpanDelta {
+                path: path.clone(),
+                before_ns: b,
+                after_ns: a,
+                regressed,
+            })
+        },
+    );
+    spans.sort_by(|x, y| {
+        y.after_ns
+            .abs_diff(y.before_ns)
+            .cmp(&x.after_ns.abs_diff(x.before_ns))
+            .then_with(|| x.path.cmp(&y.path))
+    });
+    spans
 }
 
 /// Flattens a span tree into `path → total_ns`, skipping the synthetic
@@ -206,338 +522,83 @@ fn flatten_spans(node: &SpanNode, prefix: &str, out: &mut BTreeMap<String, u64>)
 impl ReportDiff {
     /// Computes the diff of `before` → `after` under `config`.
     pub fn compute(before: &RunReport, after: &RunReport, config: &DiffConfig) -> ReportDiff {
-        let counter_deltas = diff_u64_maps(
-            &counters_of(&before.ledger, None),
-            &counters_of(&after.ledger, None),
+        let (b, a) = (&before.ledger, &after.ledger);
+        let mut findings: Vec<Finding> = scenario_drift(b, a)
+            .into_iter()
+            .map(Finding::Drift)
+            .collect();
+        let counters = u64_deltas(b, a, |l| Box::new(l.counter_keys()), Ledger::counter);
+        findings.extend(counters.into_iter().map(Finding::Counter));
+        let gauges = u64_deltas(
+            b,
+            a,
+            |l| Box::new(l.gauge_keys()),
+            |l, k| l.gauge_value(k).unwrap_or(0),
         );
-        let gauge_deltas = diff_u64_maps(
-            &before
-                .ledger
-                .gauge_keys()
-                .map(|k| (k.to_string(), before.ledger.gauge_value(k).unwrap_or(0)))
-                .collect(),
-            &after
-                .ledger
-                .gauge_keys()
-                .map(|k| (k.to_string(), after.ledger.gauge_value(k).unwrap_or(0)))
-                .collect(),
-        );
-
-        let mut label_keys: Vec<String> = before
-            .ledger
-            .label_keys()
-            .chain(after.ledger.label_keys())
-            .map(str::to_string)
-            .collect();
-        label_keys.sort();
-        label_keys.dedup();
-        let label_changes: Vec<LabelChange> = label_keys
-            .into_iter()
-            .filter_map(|key| {
-                let b = before.ledger.label_value(&key).map(str::to_string);
-                let a = after.ledger.label_value(&key).map(str::to_string);
-                (b != a).then_some(LabelChange {
-                    key,
-                    before: b,
-                    after: a,
-                })
+        findings.extend(gauges.into_iter().map(Finding::Gauge));
+        let labels = changed(b, a, Ledger::label_keys, |key| {
+            let (before, after) = (b.label_value(key), a.label_value(key));
+            (before != after).then(|| LabelChange {
+                key: key.to_string(),
+                before: before.map(str::to_string),
+                after: after.map(str::to_string),
             })
-            .collect();
-
-        let mut scenario_names: Vec<String> = before
-            .ledger
-            .scenario_names()
-            .chain(after.ledger.scenario_names())
-            .map(str::to_string)
-            .collect();
-        scenario_names.sort();
-        scenario_names.dedup();
-        let mut scenario_drift: Vec<ScenarioDrift> = scenario_names
-            .into_iter()
-            .filter_map(|name| {
-                let deltas = diff_u64_maps(
-                    &counters_of(&before.ledger, Some(&name)),
-                    &counters_of(&after.ledger, Some(&name)),
-                );
-                if deltas.is_empty() {
-                    return None;
-                }
-                let magnitude = deltas.iter().map(|d| d.delta().unsigned_abs()).sum();
-                Some(ScenarioDrift {
-                    scenario: name,
-                    magnitude,
-                    deltas,
-                })
-            })
-            .collect();
-        scenario_drift.sort_by(|a, b| {
-            b.magnitude
-                .cmp(&a.magnitude)
-                .then_with(|| a.scenario.cmp(&b.scenario))
         });
-
-        let mut histogram_keys: Vec<String> = before
-            .ledger
-            .histograms()
-            .map(|(k, _)| k.to_string())
-            .chain(after.ledger.histograms().map(|(k, _)| k.to_string()))
-            .collect();
-        histogram_keys.sort();
-        histogram_keys.dedup();
-        let empty = crate::histogram::Histogram::new();
-        let histogram_deltas: Vec<HistogramDelta> = histogram_keys
-            .into_iter()
-            .filter_map(|key| {
-                let b = before.ledger.histogram(&key).unwrap_or(&empty);
-                let a = after.ledger.histogram(&key).unwrap_or(&empty);
-                if b == a {
-                    return None;
-                }
-                let mut indices: Vec<i32> = b
-                    .iter()
-                    .map(|(i, _)| i)
-                    .chain(a.iter().map(|(i, _)| i))
-                    .collect();
-                indices.sort_unstable();
-                indices.dedup();
-                let l1 = indices
-                    .into_iter()
-                    .map(|i| b.bucket(i).abs_diff(a.bucket(i)))
-                    .sum::<u64>()
-                    + b.zeros().abs_diff(a.zeros());
-                Some(HistogramDelta {
-                    key,
-                    l1,
-                    before_count: b.count(),
-                    after_count: a.count(),
-                    before_spark: b.sparkline(),
-                    after_spark: a.sparkline(),
-                })
-            })
-            .collect();
-
-        let mut before_spans = BTreeMap::new();
-        let mut after_spans = BTreeMap::new();
-        flatten_spans(&before.spans, "", &mut before_spans);
-        flatten_spans(&after.spans, "", &mut after_spans);
-        let mut span_paths: Vec<&String> = before_spans.keys().chain(after_spans.keys()).collect();
-        span_paths.sort();
-        span_paths.dedup();
-        let mut timing_regressed = false;
-        let mut span_deltas: Vec<SpanDelta> = span_paths
-            .into_iter()
-            .filter_map(|path| {
-                let b = before_spans.get(path).copied().unwrap_or(0);
-                let a = after_spans.get(path).copied().unwrap_or(0);
-                if b.max(a) < config.wall_min_ns {
-                    return None;
-                }
-                let base = b.max(1) as f64;
-                let regressed = a as f64 > base * config.wall_regress_ratio
-                    && a >= config.wall_min_ns
-                    && b >= config.wall_min_ns;
-                let beyond_noise =
-                    (a.abs_diff(b)) as f64 > config.wall_noise_ratio * b.max(a).max(1) as f64;
-                if !regressed && !beyond_noise {
-                    return None;
-                }
-                timing_regressed |= regressed;
-                Some(SpanDelta {
-                    path: path.clone(),
-                    before_ns: b,
-                    after_ns: a,
-                    regressed,
-                })
-            })
-            .collect();
-        span_deltas.sort_by(|x, y| {
-            y.after_ns
-                .abs_diff(y.before_ns)
-                .cmp(&x.after_ns.abs_diff(x.before_ns))
-                .then_with(|| x.path.cmp(&y.path))
-        });
-
-        let deterministic_delta = !counter_deltas.is_empty()
-            || !gauge_deltas.is_empty()
-            || !label_changes.is_empty()
-            || !scenario_drift.is_empty()
-            || !histogram_deltas.is_empty();
-        let verdict = if deterministic_delta || timing_regressed {
-            Verdict::Regressed
-        } else if !span_deltas.is_empty() {
-            Verdict::Drifted
-        } else {
-            Verdict::Clean
-        };
-
+        findings.extend(labels.into_iter().map(Finding::Label));
+        findings.extend(histogram_deltas(b, a).into_iter().map(Finding::Histogram));
+        let spans = span_deltas(&before.spans, &after.spans, config);
+        findings.extend(spans.into_iter().map(Finding::Span));
         ReportDiff {
-            verdict,
-            counter_deltas,
-            gauge_deltas,
-            label_changes,
-            scenario_drift,
-            histogram_deltas,
-            span_deltas,
+            verdict: findings
+                .iter()
+                .map(Finding::verdict)
+                .max()
+                .unwrap_or(Verdict::Clean),
+            findings,
             wall_before_ns: before.wall_ns,
             wall_after_ns: after.wall_ns,
         }
     }
 
+    /// The findings of the given kinds, in rank order.
+    fn of<'a>(&'a self, kinds: &'a [Kind]) -> impl Iterator<Item = &'a Finding> + 'a {
+        self.findings.iter().filter(|f| kinds.contains(&f.kind()))
+    }
+
     /// Machine-readable form for archives and tooling.
     pub fn to_json(&self) -> Json {
-        let counters = |deltas: &[CounterDelta]| {
-            Json::Arr(
-                deltas
-                    .iter()
-                    .map(|d| {
-                        Json::obj([
-                            ("key", Json::Str(d.key.clone())),
-                            ("before", Json::Num(d.before as f64)),
-                            ("after", Json::Num(d.after as f64)),
-                        ])
-                    })
-                    .collect(),
-            )
-        };
-        Json::obj([
+        let mut pairs = vec![
             ("schema", Json::Str("fleet-report-diff/1".to_string())),
             ("verdict", Json::Str(self.verdict.as_str().to_string())),
-            ("counter_deltas", counters(&self.counter_deltas)),
-            ("gauge_deltas", counters(&self.gauge_deltas)),
-            (
-                "label_changes",
-                Json::Arr(
-                    self.label_changes
-                        .iter()
-                        .map(|c| {
-                            let opt = |v: &Option<String>| match v {
-                                Some(s) => Json::Str(s.clone()),
-                                None => Json::Null,
-                            };
-                            Json::obj([
-                                ("key", Json::Str(c.key.clone())),
-                                ("before", opt(&c.before)),
-                                ("after", opt(&c.after)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "scenario_drift",
-                Json::Arr(
-                    self.scenario_drift
-                        .iter()
-                        .map(|s| {
-                            Json::obj([
-                                ("scenario", Json::Str(s.scenario.clone())),
-                                ("magnitude", Json::Num(s.magnitude as f64)),
-                                ("deltas", counters(&s.deltas)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "histogram_deltas",
-                Json::Arr(
-                    self.histogram_deltas
-                        .iter()
-                        .map(|h| {
-                            Json::obj([
-                                ("key", Json::Str(h.key.clone())),
-                                ("l1", Json::Num(h.l1 as f64)),
-                                ("before_count", Json::Num(h.before_count as f64)),
-                                ("after_count", Json::Num(h.after_count as f64)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "span_deltas",
-                Json::Arr(
-                    self.span_deltas
-                        .iter()
-                        .map(|s| {
-                            Json::obj([
-                                ("path", Json::Str(s.path.clone())),
-                                ("before_ns", Json::Num(s.before_ns as f64)),
-                                ("after_ns", Json::Num(s.after_ns as f64)),
-                                ("regressed", Json::Bool(s.regressed)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            ("wall_before_ns", Json::Num(self.wall_before_ns as f64)),
-            ("wall_after_ns", Json::Num(self.wall_after_ns as f64)),
-        ])
+        ];
+        for (name, kind) in JSON_SECTIONS {
+            pairs.push((
+                name,
+                Json::Arr(self.of(&[kind]).map(Finding::to_json).collect()),
+            ));
+        }
+        pairs.push(("wall_before_ns", Json::Num(self.wall_before_ns as f64)));
+        pairs.push(("wall_after_ns", Json::Num(self.wall_after_ns as f64)));
+        Json::obj(pairs)
     }
 
     /// Terminal summary: verdict, then each section that moved.
     pub fn render_text(&self) -> String {
         use std::fmt::Write as _;
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "verdict: {}  (wall {} → {})",
+        let mut out = format!(
+            "verdict: {}  (wall {} → {})\n",
             self.verdict,
             format_ns(self.wall_before_ns),
             format_ns(self.wall_after_ns)
         );
-        for d in &self.counter_deltas {
-            let _ = writeln!(
-                out,
-                "  counter {:<32} {} → {} ({:+})",
-                d.key,
-                d.before,
-                d.after,
-                d.delta()
-            );
-        }
-        for d in &self.gauge_deltas {
-            let _ = writeln!(out, "  gauge   {:<32} {} → {}", d.key, d.before, d.after);
-        }
-        for c in &self.label_changes {
-            let _ = writeln!(
-                out,
-                "  label   {:<32} {:?} → {:?}",
-                c.key, c.before, c.after
-            );
-        }
-        for h in &self.histogram_deltas {
-            let _ = writeln!(
-                out,
-                "  histo   {:<32} count {} → {} (L1 {})",
-                h.key, h.before_count, h.after_count, h.l1
-            );
-        }
-        for s in self.scenario_drift.iter().take(10) {
-            let _ = writeln!(
-                out,
-                "  drift   {:<32} magnitude {} across {} counters",
-                s.scenario,
-                s.magnitude,
-                s.deltas.len()
-            );
-        }
-        if self.scenario_drift.len() > 10 {
-            let _ = writeln!(
-                out,
-                "  drift   … and {} more scenarios",
-                self.scenario_drift.len() - 10
-            );
-        }
-        for s in self.span_deltas.iter().take(10) {
-            let _ = writeln!(
-                out,
-                "  span    {:<32} {} → {}{}",
-                s.path,
-                format_ns(s.before_ns),
-                format_ns(s.after_ns),
-                if s.regressed { "  ← regressed" } else { "" }
-            );
+        for (kinds, cap, more) in TEXT_SECTIONS {
+            let rows: Vec<&Finding> = self.of(kinds).collect();
+            for finding in rows.iter().take(cap) {
+                let _ = writeln!(out, "  {}", finding.text_row());
+            }
+            if let (Some(what), true) = (more, rows.len() > cap) {
+                let _ = writeln!(out, "  drift   … and {} more {what}", rows.len() - cap);
+            }
         }
         if self.verdict == Verdict::Clean {
             let _ = writeln!(out, "  deterministic planes identical; timing within noise");
@@ -549,118 +610,28 @@ impl ReportDiff {
     /// histogram sparklines and the heaviest span movement.
     pub fn render_markdown(&self) -> String {
         use std::fmt::Write as _;
-        let mut out = String::new();
-        let _ = writeln!(out, "# Fleet run findings\n");
-        let _ = writeln!(out, "**Verdict: {}**\n", self.verdict);
-        let _ = writeln!(
-            out,
-            "Wall time {} → {}.\n",
+        let mut out = format!(
+            "# Fleet run findings\n\n**Verdict: {}**\n\nWall time {} → {}.\n\n",
+            self.verdict,
             format_ns(self.wall_before_ns),
             format_ns(self.wall_after_ns)
         );
-
-        if !self.scenario_drift.is_empty() {
-            let _ = writeln!(out, "## Worst-regressing scenarios\n");
-            let _ = writeln!(out, "| rank | scenario | magnitude | top counter deltas |");
-            let _ = writeln!(out, "|---:|---|---:|---|");
-            for (rank, s) in self.scenario_drift.iter().take(20).enumerate() {
-                let tops: Vec<String> = s
-                    .deltas
-                    .iter()
-                    .take(3)
-                    .map(|d| format!("`{}` {:+}", d.key, d.delta()))
-                    .collect();
-                let _ = writeln!(
-                    out,
-                    "| {} | {} | {} | {} |",
-                    rank + 1,
-                    s.scenario,
-                    s.magnitude,
-                    tops.join(", ")
-                );
+        for (kinds, heading, cap, more) in MARKDOWN_SECTIONS {
+            let rows: Vec<&Finding> = self.of(kinds).collect();
+            if rows.is_empty() {
+                continue;
             }
-            if self.scenario_drift.len() > 20 {
-                let _ = writeln!(
-                    out,
-                    "\n…and {} more drifting scenarios.",
-                    self.scenario_drift.len() - 20
-                );
+            out.push_str(heading);
+            for (rank, finding) in rows.iter().take(cap).enumerate() {
+                out.push_str(&finding.markdown_row(rank + 1));
             }
-            let _ = writeln!(out);
+            if let (Some(what), true) = (more, rows.len() > cap) {
+                let _ = writeln!(out, "\n…and {} more {what}.", rows.len() - cap);
+            }
+            out.push('\n');
         }
-
-        if !self.counter_deltas.is_empty() || !self.gauge_deltas.is_empty() {
-            let _ = writeln!(out, "## Counter and gauge deltas\n");
-            let _ = writeln!(out, "| key | before | after | Δ |");
-            let _ = writeln!(out, "|---|---:|---:|---:|");
-            for d in &self.counter_deltas {
-                let _ = writeln!(
-                    out,
-                    "| `{}` | {} | {} | {:+} |",
-                    d.key,
-                    d.before,
-                    d.after,
-                    d.delta()
-                );
-            }
-            for d in &self.gauge_deltas {
-                let _ = writeln!(
-                    out,
-                    "| `{}` (gauge) | {} | {} | {:+} |",
-                    d.key,
-                    d.before,
-                    d.after,
-                    d.delta()
-                );
-            }
-            let _ = writeln!(out);
-        }
-
-        if !self.label_changes.is_empty() {
-            let _ = writeln!(out, "## Label changes\n");
-            for c in &self.label_changes {
-                let fmt = |v: &Option<String>| v.clone().unwrap_or_else(|| "∅".to_string());
-                let _ = writeln!(out, "- `{}`: {} → {}", c.key, fmt(&c.before), fmt(&c.after));
-            }
-            let _ = writeln!(out);
-        }
-
-        if !self.histogram_deltas.is_empty() {
-            let _ = writeln!(out, "## Histogram drift\n");
-            for h in &self.histogram_deltas {
-                let _ = writeln!(
-                    out,
-                    "- `{}` — count {} → {}, L1 distance {}",
-                    h.key, h.before_count, h.after_count, h.l1
-                );
-                let _ = writeln!(out, "  - before `{}`", h.before_spark);
-                let _ = writeln!(out, "  - after  `{}`", h.after_spark);
-            }
-            let _ = writeln!(out);
-        }
-
-        if !self.span_deltas.is_empty() {
-            let _ = writeln!(out, "## Heaviest span movement\n");
-            let _ = writeln!(out, "| span | before | after | regressed |");
-            let _ = writeln!(out, "|---|---:|---:|:---:|");
-            for s in self.span_deltas.iter().take(15) {
-                let _ = writeln!(
-                    out,
-                    "| `{}` | {} | {} | {} |",
-                    s.path,
-                    format_ns(s.before_ns),
-                    format_ns(s.after_ns),
-                    if s.regressed { "yes" } else { "" }
-                );
-            }
-            let _ = writeln!(out);
-        }
-
         if self.verdict == Verdict::Clean {
-            let _ = writeln!(
-                out,
-                "No findings: deterministic planes identical, timing within noise.\n"
-            );
+            out.push_str("No findings: deterministic planes identical, timing within noise.\n\n");
         }
         out
     }
@@ -673,11 +644,27 @@ mod tests {
 
     /// Whether the deterministic planes matched exactly.
     fn deterministic_clean(diff: &ReportDiff) -> bool {
-        diff.counter_deltas.is_empty()
-            && diff.gauge_deltas.is_empty()
-            && diff.label_changes.is_empty()
-            && diff.scenario_drift.is_empty()
-            && diff.histogram_deltas.is_empty()
+        diff.findings.iter().all(|f| matches!(f, Finding::Span(_)))
+    }
+
+    fn drift(diff: &ReportDiff) -> Vec<&ScenarioDrift> {
+        diff.findings
+            .iter()
+            .filter_map(|f| match f {
+                Finding::Drift(s) => Some(s),
+                _ => None,
+            })
+            .collect()
+    }
+
+    fn spans(diff: &ReportDiff) -> Vec<&SpanDelta> {
+        diff.findings
+            .iter()
+            .filter_map(|f| match f {
+                Finding::Span(s) => Some(s),
+                _ => None,
+            })
+            .collect()
     }
 
     fn report_with(counters: &[(&str, u64)], scenario: &str, slots: u64) -> RunReport {
@@ -705,7 +692,7 @@ mod tests {
         let diff = ReportDiff::compute(&a, &a.clone(), &DiffConfig::default());
         assert_eq!(diff.verdict, Verdict::Clean);
         assert!(deterministic_clean(&diff));
-        assert!(diff.span_deltas.is_empty());
+        assert!(spans(&diff).is_empty());
         assert!(diff.render_text().contains("verdict: clean"));
         assert!(diff.render_markdown().contains("No findings"));
     }
@@ -721,9 +708,9 @@ mod tests {
         let diff = ReportDiff::compute(&before, &after, &DiffConfig::default());
         assert_eq!(diff.verdict, Verdict::Regressed);
         // marine moved 480 slots, desert only 3 jobs — marine ranks first.
-        assert_eq!(diff.scenario_drift[0].scenario, "marine");
-        assert_eq!(diff.scenario_drift[0].magnitude, 480);
-        assert_eq!(diff.scenario_drift[1].scenario, "desert");
+        assert_eq!(drift(&diff)[0].scenario, "marine");
+        assert_eq!(drift(&diff)[0].magnitude, 480);
+        assert_eq!(drift(&diff)[1].scenario, "desert");
         let md = diff.render_markdown();
         assert!(md.contains("Worst-regressing scenarios"));
         assert!(md.contains("| 1 | marine | 480 |"));
@@ -736,9 +723,11 @@ mod tests {
         after.ledger.observe("score/mape", 0.4);
         let diff = ReportDiff::compute(&before, &after, &DiffConfig::default());
         assert_eq!(diff.verdict, Verdict::Regressed);
-        assert_eq!(diff.histogram_deltas.len(), 1);
-        assert_eq!(diff.histogram_deltas[0].key, "score/mape");
-        assert_eq!(diff.histogram_deltas[0].l1, 1);
+        let [Finding::Histogram(h)] = diff.findings.as_slice() else {
+            panic!("one histogram finding, got {:?}", diff.findings);
+        };
+        assert_eq!(h.key, "score/mape");
+        assert_eq!(h.l1, 1);
         assert!(diff.render_markdown().contains("Histogram drift"));
     }
 
@@ -755,7 +744,10 @@ mod tests {
             .label("admission/trace_budget_source", "configured");
         let diff = ReportDiff::compute(&before, &after, &DiffConfig::default());
         assert_eq!(diff.verdict, Verdict::Regressed);
-        assert_eq!(diff.label_changes[0].before, None);
+        let [Finding::Label(change)] = diff.findings.as_slice() else {
+            panic!("one label finding, got {:?}", diff.findings);
+        };
+        assert_eq!(change.before, None);
     }
 
     #[test]
@@ -777,12 +769,12 @@ mod tests {
         // +50% drifts.
         let diff = ReportDiff::compute(&base, &with_span(12_000_000), &config);
         assert_eq!(diff.verdict, Verdict::Drifted);
-        assert_eq!(diff.span_deltas[0].path, "fleet/simulate");
-        assert!(!diff.span_deltas[0].regressed);
+        assert_eq!(spans(&diff)[0].path, "fleet/simulate");
+        assert!(!spans(&diff)[0].regressed);
         // 5× regresses.
         let diff = ReportDiff::compute(&base, &with_span(40_000_000), &config);
         assert_eq!(diff.verdict, Verdict::Regressed);
-        assert!(diff.span_deltas[0].regressed);
+        assert!(spans(&diff)[0].regressed);
         assert!(deterministic_clean(&diff));
         // A generous ratio turns the same blowup into mere drift.
         let generous = DiffConfig {

@@ -56,8 +56,8 @@ pub mod trace_export;
 pub use archive::{ArchiveEntry, RunArchive, TruncatedTail};
 pub use collector::{Collector, SpanGuard};
 pub use diff::{
-    CounterDelta, DiffConfig, HistogramDelta, LabelChange, ReportDiff, ScenarioDrift, SpanDelta,
-    Verdict,
+    CounterDelta, DiffConfig, Finding, HistogramDelta, LabelChange, ReportDiff, ScenarioDrift,
+    SpanDelta, Verdict,
 };
 pub use histogram::Histogram;
 pub use ledger::Ledger;

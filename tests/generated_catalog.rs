@@ -334,9 +334,12 @@ fn golden_200_regime_scorecard_is_identical_across_threads_and_shards() {
     for other in &reports[1..] {
         let diff = fleet_obs::ReportDiff::compute(&reports[0], other, &config);
         assert_eq!(diff.verdict, fleet_obs::Verdict::Clean);
-        assert!(diff.counter_deltas.is_empty());
-        assert!(diff.histogram_deltas.is_empty());
-        assert!(diff.scenario_drift.is_empty());
+        // No counter, histogram or scenario finding (nor any other
+        // deterministic one).
+        assert!(diff
+            .findings
+            .iter()
+            .all(|f| matches!(f, fleet_obs::Finding::Span(_))));
     }
 
     // An injected perturbation — 64 regimes instead of 200 — must
@@ -358,9 +361,22 @@ fn golden_200_regime_scorecard_is_identical_across_threads_and_shards() {
         .unwrap();
     let diff = fleet_obs::ReportDiff::compute(&reports[0], &perturbed.report(), &config);
     assert_eq!(diff.verdict, fleet_obs::Verdict::Regressed);
-    assert!(!diff.counter_deltas.is_empty(), "run totals shrank");
-    assert!(!diff.scenario_drift.is_empty(), "dropped regimes drift");
-    for pair in diff.scenario_drift.windows(2) {
+    assert!(
+        diff.findings
+            .iter()
+            .any(|f| matches!(f, fleet_obs::Finding::Counter(_))),
+        "run totals shrank"
+    );
+    let drift: Vec<&fleet_obs::ScenarioDrift> = diff
+        .findings
+        .iter()
+        .filter_map(|f| match f {
+            fleet_obs::Finding::Drift(s) => Some(s),
+            _ => None,
+        })
+        .collect();
+    assert!(!drift.is_empty(), "dropped regimes drift");
+    for pair in drift.windows(2) {
         assert!(
             pair[0].magnitude >= pair[1].magnitude,
             "ranked by magnitude"

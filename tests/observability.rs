@@ -21,6 +21,7 @@
 //!    event array, and a report of another schema than
 //!    `fleet-run-report/2` is rejected by name.
 
+use fleet_obs::{Finding, ScenarioDrift};
 use scenario_fleet::{
     Catalog, Collector, DiffConfig, FleetEngine, FleetMatrix, Ledger, ManagerSpec, PredictorSpec,
     ReportDiff, RunArchive, RunReport, TraceCachePolicy, Verdict,
@@ -204,11 +205,8 @@ fn same_matrix_runs_diff_clean_across_thread_counts() {
     }
     let diff = ReportDiff::compute(&reports[0], &reports[1], &counters_only_config());
     assert_eq!(diff.verdict, Verdict::Clean);
-    assert!(diff.counter_deltas.is_empty());
-    assert!(diff.gauge_deltas.is_empty());
-    assert!(diff.label_changes.is_empty());
-    assert!(diff.histogram_deltas.is_empty());
-    assert!(diff.scenario_drift.is_empty());
+    // No counter, gauge, label, histogram or scenario finding.
+    assert!(diff.findings.iter().all(|f| matches!(f, Finding::Span(_))));
     // And the engine actually recorded distributions to compare: one
     // MAPE sample per distinct predictor per scenario unit.
     let mape = reports[0]
@@ -243,16 +241,29 @@ fn perturbed_matrix_diffs_regressed_with_ranked_findings() {
     let after = run(&["desert-clear-sky", "marine-fog"]);
     let diff = ReportDiff::compute(&before, &after, &counters_only_config());
     assert_eq!(diff.verdict, Verdict::Regressed);
-    assert!(!diff.scenario_drift.is_empty());
+    let drift: Vec<&ScenarioDrift> = diff
+        .findings
+        .iter()
+        .filter_map(|f| match f {
+            Finding::Drift(s) => Some(s),
+            _ => None,
+        })
+        .collect();
+    assert!(!drift.is_empty());
     // The dropped scenario leads the ranking: all of its work vanished.
-    assert_eq!(diff.scenario_drift[0].scenario, "arctic-winter");
-    for pair in diff.scenario_drift.windows(2) {
+    assert_eq!(drift[0].scenario, "arctic-winter");
+    for pair in drift.windows(2) {
         assert!(
             pair[0].magnitude >= pair[1].magnitude,
             "drift must rank by magnitude"
         );
     }
-    assert!(!diff.histogram_deltas.is_empty(), "MAPE distribution moved");
+    assert!(
+        diff.findings
+            .iter()
+            .any(|f| matches!(f, Finding::Histogram(_))),
+        "MAPE distribution moved"
+    );
     let markdown = diff.render_markdown();
     assert!(markdown.contains("**Verdict: regressed**"));
     assert!(markdown.contains("Worst-regressing scenarios"));
