@@ -212,10 +212,13 @@ impl RunArchive {
         let _ = writeln!(out);
         let spark = |values: &[u64]| -> String {
             const GLYPHS: [char; 8] = ['▁', '▂', '▃', '▄', '▅', '▆', '▇', '█'];
-            let max = values.iter().copied().max().unwrap_or(0).max(1);
+            // Widened: a counter from a report file may be near 2^64.
+            let max = u128::from(values.iter().copied().max().unwrap_or(0).max(1));
             values
                 .iter()
-                .map(|&v| GLYPHS[(v * (GLYPHS.len() as u64 - 1)).div_ceil(max) as usize])
+                .map(|&v| {
+                    GLYPHS[(u128::from(v) * (GLYPHS.len() as u128 - 1)).div_ceil(max) as usize]
+                })
                 .collect()
         };
         let walls: Vec<u64> = window.iter().map(|e| e.report.wall_ns).collect();

@@ -409,12 +409,18 @@ fn u64_deltas<'a>(
 /// Per-scenario drift, worst first.
 fn scenario_drift(before: &Ledger, after: &Ledger) -> Vec<ScenarioDrift> {
     let mut drift = changed(before, after, Ledger::scenario_names, |name| {
-        let deltas = u64_deltas(
+        let mut deltas = u64_deltas(
             before,
             after,
             |l| Box::new(l.scenario_counter_keys(name)),
             |l, k| l.scenario_counter(name, k),
         );
+        deltas.sort_by(|x, y| {
+            y.delta()
+                .unsigned_abs()
+                .cmp(&x.delta().unsigned_abs())
+                .then_with(|| x.key.cmp(&y.key))
+        });
         let magnitude = deltas.iter().fold(0u64, |sum, d| {
             sum.saturating_add(d.before.abs_diff(d.after))
         });
@@ -817,5 +823,73 @@ mod tests {
         assert!(json.contains("\"fleet-report-diff/1\""));
         assert!(json.contains("\"regressed\""));
         assert!(json.contains("\"jobs/evaluated\""));
+    }
+
+    #[test]
+    fn top_counter_deltas_are_the_largest_moves() {
+        let before = report_with(&[], "desert", 960);
+        let mut after = before.clone();
+        // The largest move sorts last by key; `c/…` and `d/…` tie on |Δ|.
+        after.ledger.count_scenario("desert", "a/first", 1);
+        after.ledger.count_scenario("desert", "b/second", 2);
+        after.ledger.count_scenario("desert", "d/tied", 5);
+        after.ledger.count_scenario("desert", "c/tied", 5);
+        after
+            .ledger
+            .count_scenario("desert", "slots/processed", 480);
+        let diff = ReportDiff::compute(&before, &after, &DiffConfig::default());
+        let keys: Vec<&str> = drift(&diff)[0]
+            .deltas
+            .iter()
+            .map(|d| d.key.as_str())
+            .collect();
+        assert_eq!(
+            keys,
+            ["slots/processed", "c/tied", "d/tied", "b/second", "a/first"]
+        );
+        assert!(diff
+            .render_markdown()
+            .contains("| 1 | desert | 493 | `slots/processed` +480, `c/tied` +5, `d/tied` +5 |"));
+    }
+
+    #[test]
+    fn values_near_u64_max_from_a_report_file_diff_exactly() {
+        let report = |jobs: u64, misses: u64, bucket: u64| {
+            let text = format!(
+                r#"{{"schema": "fleet-run-report/2", "ledger": {{"counters": {{"jobs/evaluated": {jobs}, "cache/job_misses": {misses}}}, "gauges": {{}}, "histograms": {{"score/mape": {{"zeros": 0, "buckets": {{"0": {bucket}, "1": 1}}}}}}, "labels": {{}}, "scenarios": {{"desert": {{"jobs/evaluated": {jobs}, "cache/job_misses": {misses}, "slots/processed": {jobs}}}}}}}, "wall_ns": {jobs}, "spans": {{"name": "run", "total_ns": 0, "self_ns": 0, "count": 0, "children": []}}, "scenario_top": []}}"#
+            );
+            RunReport::from_json_str(&text).expect("report parses")
+        };
+        // 0 → 10^19 and 5·10^18 → 10^19: Δ does not fit an i64, the
+        // second subtraction overflowed one, and the scenario's |Δ| sum
+        // (2.5·10^19) overflows a u64. A bucket of 2^62 overflowed the sparkline's
+        // scaling.
+        let before = report(0, 5_000_000_000_000_000_000, 1);
+        let after = report(
+            10_000_000_000_000_000_000,
+            10_000_000_000_000_000_000,
+            1 << 62,
+        );
+        let diff = ReportDiff::compute(&before, &after, &DiffConfig::default());
+        let text = diff.render_text();
+        assert!(text.contains("(+10000000000000000000)"), "{text}");
+        assert!(text.contains("(+5000000000000000000)"), "{text}");
+        assert_eq!(drift(&diff)[0].magnitude, u64::MAX, "saturates");
+        assert!(diff
+            .render_markdown()
+            .contains("`jobs/evaluated` +10000000000000000000"));
+        assert!(diff.to_json().render_pretty().contains("\"regressed\""));
+        let path = std::env::temp_dir().join(format!(
+            "fleet_obs_diff_large_values_{}.jsonl",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_file(&path);
+        crate::archive::RunArchive::append(&path, "small", &before).unwrap();
+        crate::archive::RunArchive::append(&path, "large", &after).unwrap();
+        let trend = crate::archive::RunArchive::load(&path)
+            .unwrap()
+            .trend_text(2);
+        let _ = std::fs::remove_file(&path);
+        assert!(trend.contains("▁█"), "{trend}");
     }
 }

@@ -100,7 +100,9 @@ impl Histogram {
 
     /// Total observations, including the `zeros` bucket.
     pub fn count(&self) -> u64 {
-        self.zeros + self.buckets.values().sum::<u64>()
+        self.buckets
+            .values()
+            .fold(self.zeros, |sum, &n| sum.saturating_add(n))
     }
 
     /// Observations that had no log-scale bucket.
@@ -186,16 +188,18 @@ impl Histogram {
         let mut grouped = vec![0u64; cells];
         for (&index, &n) in &self.buckets {
             let cell = ((index - lo) as usize * cells) / span;
-            grouped[cell] += n;
+            grouped[cell] = grouped[cell].saturating_add(n);
         }
-        let max = grouped.iter().copied().max().unwrap_or(0).max(1);
+        // Widened: a count from a report file may be near 2^64.
+        let max = u128::from(grouped.iter().copied().max().unwrap_or(0).max(1));
         grouped
             .iter()
             .map(|&n| {
                 if n == 0 {
                     '·'
                 } else {
-                    SPARK[(((n * SPARK.len() as u64 - 1) / max) as usize).min(SPARK.len() - 1)]
+                    let level = (u128::from(n) * SPARK.len() as u128 - 1) / max;
+                    SPARK[(level as usize).min(SPARK.len() - 1)]
                 }
             })
             .collect()
