@@ -2,24 +2,32 @@
 //!
 //! A [`ReportDiff`] turns "eyeball two JSON files" into a machine
 //! verdict: it walks both observability planes of a *before* and an
-//! *after* [`RunReport`] and classifies the run pair as
-//! [`Verdict::Clean`], [`Verdict::Drifted`], or [`Verdict::Regressed`].
-//!
-//! The two planes are judged by different rules, matching their
-//! contracts:
+//! *after* [`RunReport`] and lists what moved as one ranked list of
+//! typed [`Finding`]s — scenario drift, counters, gauges, labels,
+//! histograms and spans, in that rank order. Each finding has its own
+//! verdict, and the diff's [`Verdict`] is the worst of them
+//! ([`Verdict::Clean`] when nothing moved):
 //!
 //! - **deterministic plane** (counters, per-scenario counters, gauges,
-//!   labels, histograms): *any* delta is a regression. Two runs of the
-//!   same workload must agree bit-for-bit, so a changed counter means
-//!   the work itself changed — the property the CI sentinel fails on;
-//! - **timing plane** (span tree, wall time): compared with a
-//!   configurable noise threshold ([`DiffConfig`]). Small wall-time
-//!   movement is [`Verdict::Clean`], movement beyond the noise ratio
-//!   is [`Verdict::Drifted`], and blowing past the regression
-//!   multiplier is [`Verdict::Regressed`].
+//!   labels, histograms): *any* delta is a finding that regresses.
+//!   Two runs of the same workload must agree bit-for-bit, so a
+//!   changed counter means the work itself changed — the property the
+//!   CI sentinel fails on;
+//! - **timing plane** (span tree): a span is a finding only beyond a
+//!   configurable noise threshold ([`DiffConfig`]). It drifts the
+//!   verdict ([`Verdict::Drifted`]), or regresses it when it blows
+//!   past the regression multiplier ([`Verdict::Regressed`]).
 //!
-//! Scenario drift is ranked by the summed absolute counter delta, so
-//! the worst-regressing scenario leads every report.
+//! Every section comes from one keyed walk: the sorted union of both
+//! sides' keys, kept where the values differ. Scenario drift is
+//! ranked by the summed absolute counter delta, so the
+//! worst-regressing scenario leads every report, and each scenario's
+//! own deltas are ranked largest first. The three renders — the
+//! terminal summary ([`ReportDiff::render_text`]), the markdown
+//! findings report ([`ReportDiff::render_markdown`]) and the
+//! `fleet-report-diff/1` JSON ([`ReportDiff::to_json`]) — each format
+//! one finding per line or row; the text and JSON views list the
+//! sections in their own fixed order.
 
 use crate::histogram::Histogram;
 use crate::json::Json;
@@ -390,10 +398,10 @@ fn changed<'a, S: ?Sized, K: Ord, I: Iterator<Item = K>, T>(
 }
 
 /// [`changed`] over `u64` values, where a missing key reads 0.
-fn u64_deltas<'a>(
+fn u64_deltas<'a, I: Iterator<Item = &'a str>>(
     before: &'a Ledger,
     after: &'a Ledger,
-    keys: impl Fn(&'a Ledger) -> Box<dyn Iterator<Item = &'a str> + 'a>,
+    keys: impl Fn(&'a Ledger) -> I,
     value: impl Fn(&Ledger, &str) -> u64,
 ) -> Vec<CounterDelta> {
     changed(before, after, keys, |key| {
@@ -412,7 +420,7 @@ fn scenario_drift(before: &Ledger, after: &Ledger) -> Vec<ScenarioDrift> {
         let mut deltas = u64_deltas(
             before,
             after,
-            |l| Box::new(l.scenario_counter_keys(name)),
+            |l| l.scenario_counter_keys(name),
             |l, k| l.scenario_counter(name, k),
         );
         deltas.sort_by(|x, y| {
@@ -533,14 +541,11 @@ impl ReportDiff {
             .into_iter()
             .map(Finding::Drift)
             .collect();
-        let counters = u64_deltas(b, a, |l| Box::new(l.counter_keys()), Ledger::counter);
+        let counters = u64_deltas(b, a, Ledger::counter_keys, Ledger::counter);
         findings.extend(counters.into_iter().map(Finding::Counter));
-        let gauges = u64_deltas(
-            b,
-            a,
-            |l| Box::new(l.gauge_keys()),
-            |l, k| l.gauge_value(k).unwrap_or(0),
-        );
+        let gauges = u64_deltas(b, a, Ledger::gauge_keys, |l, k| {
+            l.gauge_value(k).unwrap_or(0)
+        });
         findings.extend(gauges.into_iter().map(Finding::Gauge));
         let labels = changed(b, a, Ledger::label_keys, |key| {
             let (before, after) = (b.label_value(key), a.label_value(key));

@@ -34,10 +34,11 @@
 //! the `--report <path>` flags on the examples.
 //!
 //! On top of the per-run artifacts sits the consumption plane:
-//! [`ReportDiff`] compares two reports structurally and returns a
-//! machine [`Verdict`] (any deterministic-plane delta is a
-//! regression; timing is judged against a configurable noise
-//! threshold), [`RunArchive`] appends reports to a JSONL trend store,
+//! [`ReportDiff`] compares two reports structurally into one ranked
+//! list of typed [`Finding`]s and a machine [`Verdict`], the worst of
+//! the findings' own (any deterministic-plane delta is a regression;
+//! a span is judged against a configurable noise threshold),
+//! [`RunArchive`] appends reports to a JSONL trend store,
 //! and [`trace_export`] renders the span tree as chrome-trace JSON
 //! for `about:tracing`/Perfetto. The `fleet_report` example is the
 //! CLI over all three.
