@@ -177,6 +177,15 @@ impl StreamingEval {
         }
     }
 
+    /// Judges every later record against `peak_actual_mean` instead.
+    /// The records already folded keep their verdicts, so the result
+    /// equals an evaluation started at the new peak only if each of
+    /// those records is judged the same under both peaks; the caller
+    /// must know that it is.
+    pub fn rejudge(&mut self, peak_actual_mean: f64) {
+        self.peak = peak_actual_mean;
+    }
+
     /// Closes the evaluation.
     pub fn finish(self) -> ErrorSummary {
         ErrorSummary {
@@ -296,6 +305,34 @@ mod tests {
             streaming.push_record(*r);
         }
         assert_eq!(streaming.finish(), from_log);
+    }
+
+    #[test]
+    fn rejudged_eval_matches_one_started_at_the_new_peak() {
+        // The log's records are judged alike at peaks 1000 and 1500; a
+        // later record of mean 120 is in the ROI at 1000 only, so it
+        // must be judged at the peak in force when it arrives.
+        let mut log = make_log();
+        log.push(PredictionRecord {
+            day: 32,
+            slot: 0,
+            predicted: 100.0,
+            actual_start: 120.0,
+            actual_mean: 120.0,
+        });
+        let protocol = EvalProtocol::paper();
+        let mut at_new_peak = StreamingEval::new(protocol, 1500.0);
+        let mut rejudged = StreamingEval::new(protocol, 1000.0);
+        for (idx, r) in log.iter().enumerate() {
+            if idx == 3 {
+                rejudged.rejudge(1500.0);
+            }
+            at_new_peak.push_record(*r);
+            rejudged.push_record(*r);
+        }
+        let expected = at_new_peak.finish();
+        assert_eq!(expected.count, 1);
+        assert_eq!(rejudged.finish(), expected);
     }
 
     #[test]

@@ -37,11 +37,13 @@
 //! A unit that covers its scenario's full job cross ends by storing
 //! its machines as a [`UnitCheckpoint`]; a later run whose scenario
 //! only grew by whole days clones them and walks just the appended
-//! days. Capture and resume apply the same rule, [`checkpointable`].
+//! days — or, for a trace-gap unit, the days from its rung on. Capture
+//! and resume apply the same rule, [`checkpointable`]; the unit then
+//! checks that the grown horizon's gaps and ROI peak leave the
+//! checkpointed prefix as it was.
 
 use crate::catalog::Scenario;
 use crate::engine::JobOutcome;
-use crate::faults::FaultSpec;
 use crate::matrix::{FleetMatrix, JobSpec};
 use crate::series::{series_footprint_bytes, RoiPeak, SlotSeries, TraceCachePolicy};
 use crate::unit::{UnitMachines, UnitOutcomes, WorkUnit};
@@ -49,59 +51,59 @@ use fleet_obs::Collector;
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// Whether `scenario` carries a trace-gap fault, whose placement is
-/// realized over the total horizon.
-fn has_trace_gap(scenario: &Scenario) -> bool {
-    let trace_gap = |f: &FaultSpec| matches!(f, FaultSpec::TraceGap { .. });
-    scenario.faults.iter().any(trace_gap)
-}
-
 /// The one checkpoint rule, applied at capture and at resume: a unit's
 /// machines may continue into a later run only if the unit covers the
 /// matrix's full job cross (fresh jobs arrive in matrix job order, so a
 /// full count is the canonical cross; a partial unit's machines would
-/// desync from the cross a future run resumes) and its scenario has no
-/// trace-gap fault (whose realization depends on the total horizon at
-/// construction).
-fn checkpointable(scenario: &Scenario, fresh_jobs: usize, keys: &RunKeys) -> bool {
-    fresh_jobs == keys.pairs.len() && !has_trace_gap(scenario)
+/// desync from the cross a future run resumes).
+pub(crate) fn checkpointable(fresh_jobs: usize, keys: &RunKeys) -> bool {
+    fresh_jobs == keys.pairs.len()
 }
 
-/// End-of-horizon machine state of one scenario's full job cross — the
-/// O(appended days) resume point for a day-append delta. Captured at
-/// the end of a [`checkpointable`] work-unit pass and stored in the
-/// [`FleetCache`] keyed by scenario name.
+/// Day-boundary machine state of one scenario's full job cross — the
+/// resume point for a day-append delta. Captured by a
+/// [`checkpointable`] work-unit pass and stored in the [`FleetCache`]
+/// keyed by scenario name. The machines stand at the captured horizon,
+/// or, when the unit's injector realized a trace gap, at its **rung**:
+/// the day boundary before the first gap. Gap placement depends on the
+/// total horizon, so only a prefix no gap touched can serve a longer
+/// one; a resume walks from the rung, O(appended days + horizon −
+/// rung).
 pub(crate) struct UnitCheckpoint {
     /// The scenario at capture time, whose `days` is the captured
     /// horizon; resume requires the appended scenario to
     /// [`Scenario::extends`] it by at least one day.
     pub(crate) scenario: Scenario,
+    /// The day boundary `machines` stand at: the horizon, or the rung.
+    pub(crate) day: usize,
     /// Predictor axis labels at capture (matrix order) — the machines
     /// below are only meaningful against an identical axis.
     predictor_labels: Vec<String>,
     /// Manager axis labels at capture (matrix order).
     manager_labels: Vec<String>,
-    /// The ROI reference peak the record filter judged against, and
-    /// the final slot's still-pending mean.
+    /// The ROI reference peak the record filter judged against — the
+    /// captured horizon's, even for machines at a rung — and the final
+    /// slot's still-pending mean.
     pub(crate) roi: RoiPeak,
-    /// The unit's machines after the captured pass; a resume clones
-    /// them.
+    /// The unit's machines at `day`; a resume clones them.
     pub(crate) machines: UnitMachines,
 }
 
 impl UnitCheckpoint {
     /// The next run's resume point for a unit of `fresh_jobs` jobs that
-    /// walked `scenario` to its horizon: the machines themselves, or
-    /// `None` when [`checkpointable`] rules it out.
+    /// walked `scenario` to its horizon under the ROI peak `roi`: its
+    /// machines as they stood at a day boundary, or `None` when
+    /// [`checkpointable`] rules it out.
     pub(crate) fn capture(
         scenario: &Scenario,
         fresh_jobs: usize,
         keys: &RunKeys,
         roi: RoiPeak,
-        machines: UnitMachines,
+        (day, machines): (usize, UnitMachines),
     ) -> Option<UnitCheckpoint> {
-        checkpointable(scenario, fresh_jobs, keys).then(|| UnitCheckpoint {
+        checkpointable(fresh_jobs, keys).then(|| UnitCheckpoint {
             scenario: scenario.clone(),
+            day,
             predictor_labels: keys.predictors.clone(),
             manager_labels: keys.managers.clone(),
             roi,
@@ -114,6 +116,7 @@ impl std::fmt::Debug for UnitCheckpoint {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("UnitCheckpoint")
             .field("days", &self.scenario.days)
+            .field("day", &self.day)
             .field("predictors", &self.predictor_labels.len())
             .field("managers", &self.manager_labels.len())
             .finish_non_exhaustive()
@@ -177,7 +180,7 @@ pub struct FleetCache {
     outcomes: HashMap<String, OutcomeBlock>,
     /// Work-unit resume state per scenario name: day-appends continue
     /// every machine from the stored day boundary.
-    checkpoints: HashMap<String, Arc<UnitCheckpoint>>,
+    pub(crate) checkpoints: HashMap<String, Arc<UnitCheckpoint>>,
 }
 
 impl FleetCache {
@@ -285,10 +288,10 @@ impl FleetCache {
     /// checkpointed one except for a strictly larger `days`
     /// ([`Scenario::extends`]), the predictor and manager axes match,
     /// and [`checkpointable`] holds. A checkpoint that fails only that
-    /// last rule falls back to a cold pass, counted under
-    /// `delta/cold_fallbacks`. (A stored checkpoint passed the rule at
-    /// capture, and an extending scenario carries the same faults, so
-    /// in practice only a partial job cross fails it.)
+    /// last rule — a partial job cross — falls back to a cold pass,
+    /// counted under `delta/cold_fallbacks`. The unit itself still
+    /// checks the grown horizon's gaps and ROI peak against the
+    /// checkpoint before it resumes.
     pub(crate) fn resume_point(
         &self,
         scenario: &Scenario,
@@ -302,7 +305,7 @@ impl FleetCache {
                 && ck.manager_labels == keys.managers
                 && scenario.extends(&ck.scenario)
         })?;
-        if !checkpointable(scenario, fresh_jobs, keys) {
+        if !checkpointable(fresh_jobs, keys) {
             collector.count_scenario(&scenario.name, "delta/cold_fallbacks", 1);
             return None;
         }
@@ -310,9 +313,10 @@ impl FleetCache {
     }
 
     /// Takes `scenario`'s stored series out for its unit: the series
-    /// when it is whole, or a bare tail at exactly the resume point of
-    /// a scenario that is not `retained` (a retained scenario must end
-    /// up whole, so it synthesizes cold instead). Everything else
+    /// when it is whole, or a bare tail at exactly the resume point's
+    /// day for a scenario that is not `retained` (a retained scenario
+    /// must end up whole, so it synthesizes cold instead; a tail past a
+    /// trace-gap rung lacks the days the resume walks). Everything else
     /// starts cold (`None`).
     pub(crate) fn take_series(
         &mut self,
@@ -321,8 +325,7 @@ impl FleetCache {
         resume: Option<&UnitCheckpoint>,
     ) -> Option<SlotSeries> {
         let usable = self.series_of(scenario).is_some_and(|series| {
-            series.is_full()
-                || (!retained && resume.is_some_and(|ck| series.first_day == ck.scenario.days))
+            series.is_full() || (!retained && resume.is_some_and(|ck| series.first_day == ck.day))
         });
         if !usable {
             return None;

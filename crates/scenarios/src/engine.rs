@@ -70,7 +70,8 @@ pub struct JobOutcome {
 
 /// How a run spent its synthesis passes, by kind. The single-walk
 /// design bounds the total by one per fresh scenario (two after an ROI
-/// peak fallback off a bare generator tail) — never by the job count.
+/// peak or trace-gap fallback off a bare generator tail) — never by the
+/// job count.
 /// Recorded in the run ledger as `synth/trace_generations` and
 /// `delta/trace_extensions`.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
@@ -374,7 +375,7 @@ impl FleetEngine {
     ///
     /// * [`FleetDelta::DayAppend`] — appended days resume from the unit
     ///   checkpoints and series extended from their tails (O(delta)
-    ///   work),
+    ///   work; a trace-gap unit also re-walks the days from its rung),
     /// * [`FleetDelta::ScenarioEdit`] — only the touched scenarios
     ///   re-evaluate; everything else replays from the outcome cache,
     /// * [`FleetDelta::PredictorRetire`] — no simulation at all: the

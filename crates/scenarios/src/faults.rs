@@ -329,6 +329,26 @@ impl FaultInjector {
         &self.gap_slots
     }
 
+    /// The day on which the first realized gap starts, if any gap was
+    /// realized: every slot before that day is gap-free.
+    pub(crate) fn first_gap_day(&self) -> Option<usize> {
+        let first = self.gap_slots.first();
+        first.map(|&(start, _)| start / self.slots_per_day)
+    }
+
+    /// Carries this injector on at `grown`'s horizon: it takes the gap
+    /// list `grown` realized and keeps its own dropout RNG. From this
+    /// injector's position on, it corrupts every slot exactly as
+    /// `grown` does after walking the same slots: `on_slot` draws the
+    /// dropout RNG once per slot whatever the horizon, gap placement
+    /// has its own RNG, and every other fault is a function of the
+    /// fault list alone. The slots already walked were corrupted alike
+    /// only if no gap of either realization starts before this
+    /// position; that is the caller's check.
+    pub(crate) fn regap(&mut self, grown: &FaultInjector) {
+        self.gap_slots.clone_from(&grown.gap_slots);
+    }
+
     /// The sky's brightness factor on `day`: the product of every
     /// active [`FaultSpec::ClimateDimming`] span (1.0 outside them).
     /// Dimming is *physical sky state* — the engine scales the
@@ -643,6 +663,46 @@ mod tests {
                 assert_eq!((ha, ma), (hb, mb));
             }
         }
+    }
+
+    #[test]
+    fn regapped_injector_continues_at_the_grown_horizon() {
+        // Walk a 30-day realization to the day of its first gap, then
+        // regap it with the 31-day realization: when no 31-day gap
+        // starts earlier, every later slot corrupts as the 31-day
+        // injector walked from day zero corrupts it.
+        let faults = [
+            FaultSpec::SensorDropout { rate: 0.2 },
+            FaultSpec::TraceGap {
+                gaps_per_100_days: 20.0,
+                mean_slots: 30.0,
+            },
+        ];
+        let mut continued = 0;
+        for seed in 0..40 {
+            let mut base = FaultInjector::new(&faults, seed, 30, 48);
+            let mut grown = FaultInjector::new(&faults, seed, 31, 48);
+            let Some(rung) = base.first_gap_day() else {
+                continue;
+            };
+            if grown.first_gap_day().is_some_and(|day| day < rung) {
+                continue;
+            }
+            for day in 0..31 {
+                if day == rung {
+                    base.regap(&grown);
+                }
+                for slot in 0..48 {
+                    let (mut ha, mut ma) = (5.0, 400.0);
+                    let (mut hb, mut mb) = (5.0, 400.0);
+                    base.on_slot(day, slot, &mut ha, &mut ma);
+                    grown.on_slot(day, slot, &mut hb, &mut mb);
+                    assert_eq!((ha, ma), (hb, mb), "seed {seed} day {day} slot {slot}");
+                }
+            }
+            continued += usize::from(rung > 0);
+        }
+        assert!(continued > 5, "only {continued} seeds continued past day 0");
     }
 
     #[test]

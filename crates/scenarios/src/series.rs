@@ -177,7 +177,13 @@ impl SlotSeries {
 /// prediction record. That is every slot but the final one, whose mean
 /// stays `pending` until a later slot — or a day-append — closes its
 /// record. A day-append continues the maximum from the checkpointed
-/// value, which equals the cold full walk (sequential max).
+/// value, which equals the cold full walk (sequential max), so the
+/// grown peak is never lower. The peak reaches a unit only through the
+/// record filter, so a peak that rises leaves a resume exact as long as
+/// every record the checkpointed machines opened still passes the
+/// filter at it: the machines are then re-judged at the grown peak,
+/// and a unit falls back to a cold walk only when one of those records
+/// would drop out.
 #[derive(Copy, Clone, Debug, Default)]
 pub(crate) struct RoiPeak {
     pub(crate) peak: f64,

@@ -63,7 +63,7 @@
 //! end to end by the engine equality tests and the golden 200-regime
 //! digest).
 
-use crate::cache::UnitCheckpoint;
+use crate::cache::{checkpointable, UnitCheckpoint};
 use crate::catalog::Scenario;
 use crate::engine::{FleetEngine, JobOutcome, PassBreakdown, RunPlan};
 use crate::faults::{storage_capacity_factor, FaultInjector};
@@ -98,6 +98,11 @@ enum Kernel {
 pub(crate) struct UnitMachines {
     protocol: EvalProtocol,
     roi_peak: f64,
+    /// The least reference mean of any record these machines opened
+    /// (infinite while none is): the peak enters a unit only through
+    /// the record filter, so a grown peak whose threshold this floor
+    /// still meets leaves every decision of the walk so far standing.
+    roi_floor: f64,
     panel: SolarPanel,
     slot_seconds: f64,
     /// The fault injector: its sequential dropout RNG draws exactly
@@ -194,6 +199,7 @@ impl UnitMachines {
         Ok(UnitMachines {
             protocol,
             roi_peak,
+            roi_floor: f64::INFINITY,
             panel: node_config.panel,
             slot_seconds,
             injector,
@@ -266,10 +272,11 @@ impl UnitMachines {
                     Kernel::Solo(predictor) => predictor.observe_and_predict(observed),
                 };
             }
-            self.open = self
-                .protocol
-                .includes(day as u32, ref_mean, self.roi_peak)
-                .then_some((day as u32, slot as u32, ref_mean));
+            let opens = self.protocol.includes(day as u32, ref_mean, self.roi_peak);
+            if opens {
+                self.roi_floor = self.roi_floor.min(ref_mean);
+            }
+            self.open = opens.then_some((day as u32, slot as u32, ref_mean));
             buffer.harvest_j.push(harvest_j);
             let predictions = &self.predictions;
             let job_predictions = self.job_kernel.iter().map(|&kernel| predictions[kernel]);
@@ -278,6 +285,28 @@ impl UnitMachines {
         self.lanes.run_day(&buffer.harvest_j, &buffer.predicted);
         buffer.harvest_j.clear();
         buffer.predicted.clear();
+    }
+
+    /// Whether every record decision these machines made stands at the
+    /// grown ROI `peak`, so that a cold walk judged against it would
+    /// have made them all alike. A grown peak is never lower, so no
+    /// slot the filter turned away could pass it; every opened record
+    /// passes it if the least of them does.
+    fn holds_at(&self, peak: f64) -> bool {
+        self.protocol.roi().includes(self.roi_floor, peak)
+    }
+
+    /// A copy of these machines that continues at a grown horizon:
+    /// judged against its ROI `peak`, and corrupting with the gaps its
+    /// `injector` realized.
+    fn resumed(&self, peak: f64, injector: &FaultInjector) -> UnitMachines {
+        let mut machines = self.clone();
+        machines.roi_peak = peak;
+        for eval in &mut machines.evals {
+            eval.rejudge(peak);
+        }
+        machines.injector.regap(injector);
+        machines
     }
 }
 
@@ -290,11 +319,13 @@ pub(crate) struct WorkUnit {
     /// Whether the cache keeps the scenario's series whole after the
     /// run (else only its generator tail).
     pub(crate) retained: bool,
-    /// A validated day-append resume point: the walk covers only the
-    /// appended days, continuing every machine from this state.
+    /// A validated day-append resume point: the walk continues every
+    /// machine from its day (the horizon it was captured at, or the
+    /// rung of a trace-gap unit), if [`UnitRun::resume`] allows it.
     pub(crate) resume: Option<Arc<UnitCheckpoint>>,
     /// The series taken out of the cache for this unit — whole, or a
-    /// bare tail when the unit resumes — or `None` to synthesize cold.
+    /// bare tail at the day the unit resumes at — or `None` to
+    /// synthesize cold.
     /// Behind a mutex only so the parallel map can move it out.
     pub(crate) series: Mutex<Option<SlotSeries>>,
 }
@@ -305,8 +336,9 @@ pub(crate) struct UnitOutcomes {
     pub(crate) outcomes: Vec<(usize, JobOutcome)>,
     /// The synthesis passes the unit spent.
     pub(crate) passes: PassBreakdown,
-    /// The end-of-horizon machine state for the next day-append, when
-    /// the pass was checkpointable.
+    /// The machine state for the next day-append, when the pass was
+    /// checkpointable: at the horizon, or at the rung of a unit whose
+    /// injector realized a trace gap.
     pub(crate) checkpoint: Option<UnitCheckpoint>,
     /// The series the unit walked, for the cache to keep whole or as a
     /// tail.
@@ -316,9 +348,9 @@ pub(crate) struct UnitOutcomes {
 impl WorkUnit {
     /// The universal fast path: **one walk over one slot series**
     /// drives every fresh job's state machines simultaneously, in named
-    /// steps — bring the series to the horizon, take the ROI peak (with
-    /// its peak fallback) and build or clone the machines, walk, build
-    /// the outcomes, record the ledger, capture the checkpoint.
+    /// steps — bring the series to the horizon, take the ROI peak and
+    /// resume or build the machines, walk, build the outcomes, record
+    /// the ledger, capture the checkpoint.
     ///
     /// Jobs whose predictor is float WCMA are additionally folded into
     /// one shared [`CandidateBank`] serving both pass halves (metrics,
@@ -332,8 +364,14 @@ impl WorkUnit {
     /// series before the walk.
     ///
     /// With a resume point, the unit clones the checkpoint's machines
-    /// and walks only the appended days; the output is bit-identical to
-    /// a cold full-horizon pass (pinned by engine tests).
+    /// and walks only the days from the checkpoint on; the output is
+    /// bit-identical to a cold full-horizon pass (pinned by engine
+    /// tests). The checkpoint it leaves stands at the horizon, or, when
+    /// its injector realized a trace gap, at the **rung**: the day
+    /// boundary before the first gap, cloned inside the walk. The gaps
+    /// of a longer horizon are placed anew, but a prefix that neither
+    /// realization corrupts is the same under both, so a later
+    /// day-append may resume from the rung.
     pub(crate) fn evaluate(
         &self,
         engine: &FleetEngine,
@@ -346,17 +384,24 @@ impl WorkUnit {
         let taken = self.series.lock().expect("unit series lock").take();
         let mut series = run.series_at_horizon(taken)?;
         let (roi, mut machines, resumed_from) = run.machines(&mut series)?;
+        let fresh_jobs = self.job_indices.len();
+        let capture = checkpointable(fresh_jobs, &plan.keys);
+        let rung = machines.injector.first_gap_day().filter(|_| capture);
+        let mut at_rung = None;
         let mut buffer = DayBuffer::default();
         for (day, starts, means) in series.days_from(resumed_from.unwrap_or(0), run.slots.get()) {
+            if rung == Some(day) {
+                at_rung = Some((day, machines.clone()));
+            }
             machines.walk_day(day, starts, means, &mut buffer);
         }
         let (outcomes, summaries) = run.outcomes(&machines, series.footprint_bytes());
         run.record(resumed_from, &machines, &summaries);
-        let fresh_jobs = self.job_indices.len();
+        let captured = at_rung.unwrap_or((scenario.days, machines));
         Ok(UnitOutcomes {
             outcomes,
             passes: run.passes,
-            checkpoint: UnitCheckpoint::capture(scenario, fresh_jobs, &plan.keys, roi, machines),
+            checkpoint: UnitCheckpoint::capture(scenario, fresh_jobs, &plan.keys, roi, captured),
             series,
         })
     }
@@ -428,44 +473,64 @@ impl<'a> UnitRun<'a> {
         Ok(series)
     }
 
-    /// The ROI reference peak of a resume from `checkpoint`: the
-    /// checkpointed running peak continued over the appended days, or
-    /// `None` if that moves it — the checkpointed accumulators judged
-    /// the prefix against a stale peak, so the unit falls back to a
-    /// cold walk (`delta/peak_fallbacks`).
-    fn resumed_peak(&self, checkpoint: &UnitCheckpoint, series: &SlotSeries) -> Option<RoiPeak> {
-        let mut roi = checkpoint.roi;
-        let (from_day, n) = (checkpoint.scenario.days, self.slots.get());
-        roi.absorb(series, from_day, n, &checkpoint.machines.injector);
-        if roi.peak.to_bits() == checkpoint.roi.peak.to_bits() {
-            return Some(roi);
+    /// A resume from `checkpoint` at this unit's horizon, whose fault
+    /// realization is `injector`: the ROI peak (the checkpointed
+    /// running peak continued over the appended days) and the
+    /// checkpoint's machines carried on to it. `None`, counted, when
+    /// the grown realization has a gap starting before the checkpoint's
+    /// day (`delta/gap_fallbacks`: the machines walked a prefix the cold
+    /// run corrupts differently) or when the grown peak would overturn
+    /// a record decision of the prefix (`delta/peak_fallbacks`).
+    /// Resumes through a peak that rose count under
+    /// `delta/rejudged_peaks`, and resumes from a trace-gap rung before
+    /// the checkpointed horizon under `delta/rung_resumes`.
+    fn resume(
+        &self,
+        checkpoint: &UnitCheckpoint,
+        series: &SlotSeries,
+        injector: &FaultInjector,
+    ) -> Option<(RoiPeak, UnitMachines)> {
+        let count = |key: &str| self.collector.count_scenario(&self.scenario.name, key, 1);
+        let first_gap = injector.first_gap_day();
+        if first_gap.is_some_and(|day| day < checkpoint.day) {
+            count("delta/gap_fallbacks");
+            return None;
         }
-        self.collector
-            .count_scenario(&self.scenario.name, "delta/peak_fallbacks", 1);
-        None
+        let mut roi = checkpoint.roi;
+        roi.absorb(series, checkpoint.scenario.days, self.slots.get(), injector);
+        if !checkpoint.machines.holds_at(roi.peak) {
+            count("delta/peak_fallbacks");
+            return None;
+        }
+        if roi.peak.to_bits() != checkpoint.roi.peak.to_bits() {
+            count("delta/rejudged_peaks");
+        }
+        if checkpoint.day < checkpoint.scenario.days {
+            count("delta/rung_resumes");
+        }
+        Some((roi, checkpoint.machines.resumed(roi.peak, injector)))
     }
 
     /// The machines the walk starts from, the ROI peak they judge
-    /// against, and the day they resume at: a clone of the resume
-    /// point's machines while its peak holds, else fresh machines over
-    /// the whole horizon. Every job of a scenario realizes the
-    /// *identical* fault corruption (injectors are pure functions of
-    /// the shared seed and the slot sequence), so the unit realizes it
-    /// exactly once per slot — one injector shared by all jobs and both
-    /// pass halves. A series holding only appended days is synthesized
-    /// whole first.
+    /// against, and the day they resume at: the resume point's machines
+    /// carried on to this horizon when [`UnitRun::resume`] allows it,
+    /// else fresh machines over the whole horizon. Every job of a
+    /// scenario realizes the *identical* fault corruption (injectors are
+    /// pure functions of the shared seed and the slot sequence), so the
+    /// unit realizes it exactly once per slot — one injector shared by
+    /// all jobs and both pass halves. A series holding only appended
+    /// days is synthesized whole first.
     fn machines(
         &mut self,
         series: &mut SlotSeries,
     ) -> Result<(RoiPeak, UnitMachines, Option<usize>), String> {
-        if let Some(checkpoint) = self.unit.resume.as_deref() {
-            if let Some(roi) = self.resumed_peak(checkpoint, series) {
-                let days = checkpoint.scenario.days;
-                return Ok((roi, checkpoint.machines.clone(), Some(days)));
-            }
-        }
         let (scenario, n) = (self.scenario, self.slots.get());
         let injector = FaultInjector::new(&scenario.faults, self.fault_seed, scenario.days, n);
+        if let Some(checkpoint) = self.unit.resume.as_deref() {
+            if let Some((roi, machines)) = self.resume(checkpoint, series, &injector) {
+                return Ok((roi, machines, Some(checkpoint.day)));
+            }
+        }
         if !series.is_full() {
             *series = self.cold_series()?;
         }
@@ -547,6 +612,286 @@ impl<'a> UnitRun<'a> {
         if self.synth_cost != SynthCounters::default() {
             count("synth/keystream_blocks", self.synth_cost.keystream_blocks);
             count("synth/normal_draws", self.synth_cost.normal_draws);
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::faults::FaultSpec;
+    use crate::{Catalog, FleetCache, FleetDelta, ManagerSpec, TraceCachePolicy};
+    use fleet_obs::Ledger;
+
+    const DESERT: &str = "desert-clear-sky";
+
+    /// The builtin `name` scenario over `days` days, with `faults`
+    /// added to its own.
+    fn builtin(name: &str, days: usize, faults: Vec<FaultSpec>) -> Scenario {
+        let mut scenario = Catalog::builtin().get(name).unwrap().clone();
+        scenario.days = days;
+        scenario.faults.extend(faults);
+        scenario
+    }
+
+    /// A banked and a solo predictor under one manager.
+    fn matrix_of(scenarios: Vec<Scenario>) -> FleetMatrix {
+        FleetMatrix::new(
+            vec![
+                PredictorSpec::Wcma {
+                    alpha: 0.7,
+                    days: 10,
+                    k: 2,
+                },
+                PredictorSpec::Persistence,
+            ],
+            vec![ManagerSpec::EnergyNeutral {
+                target_soc: 0.5,
+                gain: 0.25,
+            }],
+            scenarios,
+        )
+        .unwrap()
+    }
+
+    /// Grows every scenario of `matrix` by `days`, re-scores it as a
+    /// day-append against `cache`, asserts the scorecard bytes equal a
+    /// cold run's, and returns the append's ledger.
+    fn append_days(
+        engine: &FleetEngine,
+        matrix: &mut FleetMatrix,
+        cache: &mut FleetCache,
+        days: usize,
+    ) -> Ledger {
+        let before = matrix.clone();
+        for scenario in &mut matrix.scenarios {
+            scenario.days += days;
+        }
+        let delta = FleetDelta::classify(&before, matrix).unwrap();
+        let collector = Collector::recording();
+        let incremental = engine
+            .clone()
+            .with_collector(collector.clone())
+            .run_delta(matrix, cache, &delta)
+            .unwrap();
+        let cold = engine.run(matrix).unwrap();
+        assert_eq!(
+            incremental.scorecard.to_json_string(),
+            cold.scorecard.to_json_string()
+        );
+        collector.ledger()
+    }
+
+    fn dimming(start_day: usize, duration_days: usize, factor: f64) -> FaultSpec {
+        FaultSpec::ClimateDimming {
+            start_day,
+            duration_days,
+            factor,
+        }
+    }
+
+    #[test]
+    fn peak_window_rise_with_no_opened_record_resumes() {
+        // The warm-up days at half light set the base peak; every
+        // evaluated day is dimmed to 1%, under a tenth of it, so the
+        // base walk opens no record. The appended days shine at full
+        // strength and raise the peak, and with no record opened there
+        // is no decision for the rise to overturn.
+        let scenario = builtin(DESERT, 30, vec![dimming(0, 20, 0.5), dimming(20, 10, 0.01)]);
+        let mut matrix = matrix_of(vec![scenario]);
+        let engine = FleetEngine::new(57);
+        let mut cache = engine.new_cache();
+        engine.run_cached(&matrix, &mut cache).unwrap();
+        assert_eq!(cache.checkpoints[DESERT].machines.roi_floor, f64::INFINITY);
+        let ledger = append_days(&engine, &mut matrix, &mut cache, 2);
+        assert_eq!(ledger.counter("delta/peak_fallbacks"), 0);
+        assert_eq!(ledger.counter("delta/resumed_units"), 1);
+        assert_eq!(ledger.counter("delta/rejudged_peaks"), 1);
+        assert_eq!(ledger.counter("slots/processed"), 2 * 48);
+    }
+
+    #[test]
+    fn peak_window_resumes_when_the_floor_meets_the_grown_threshold_exactly() {
+        // The base horizon is dimmed to half and its last day to near
+        // darkness, so that day opens no record; the appended days are
+        // dimmed by `a` alone. Neither the base peak nor the least
+        // opened record mean (the floor) depends on `a`, so `a` is
+        // tuned until the grown peak's threshold is exactly the floor:
+        // the filter keeps a record at its threshold, so every opened
+        // record still passes and the unit resumes.
+        const DAYS: usize = 30;
+        const APPENDED: usize = 2;
+        let faults = |a: f64| {
+            vec![
+                dimming(0, DAYS - 1, 0.5),
+                dimming(DAYS - 1, 1, 0.001),
+                dimming(DAYS - 1, 1 + APPENDED, a),
+            ]
+        };
+        // The threshold steps unevenly as `a` moves by one ulp, so some
+        // floors are never hit exactly; at master seed 61 this one is.
+        let engine = FleetEngine::new(61);
+        let probe = builtin(DESERT, DAYS, faults(1.0));
+        let mut cache = engine.new_cache();
+        engine
+            .run_cached(&matrix_of(vec![probe.clone()]), &mut cache)
+            .unwrap();
+        let checkpoint = &cache.checkpoints[DESERT];
+        let (floor, peak) = (checkpoint.machines.roi_floor, checkpoint.roi.peak);
+        // The appended days' brightest slot, the final slot excluded.
+        let slots = SlotsPerDay::new(48).unwrap();
+        let generator = engine.generator(&probe).unwrap();
+        let (series, _) = SlotSeries::cold(&generator, DAYS + APPENDED, slots).unwrap();
+        let appended = &series.means[DAYS * 48..series.means.len() - 1];
+        let brightest = appended.iter().copied().fold(0.0, f64::max);
+        let roi = EvalProtocol::paper().roi();
+        let a0 = 10.0 * floor / brightest;
+        let a = (0..256)
+            .flat_map(|step| [a0.to_bits() + step, a0.to_bits() - step])
+            .map(f64::from_bits)
+            .find(|&a| roi.threshold(brightest * a) == floor)
+            .expect("a factor whose grown threshold is the floor");
+        assert!(
+            a <= 1.0 && brightest * a > peak,
+            "the appended days raise the peak"
+        );
+
+        let mut matrix = matrix_of(vec![builtin(DESERT, DAYS, faults(a))]);
+        let mut cache = engine.new_cache();
+        engine.run_cached(&matrix, &mut cache).unwrap();
+        assert_eq!(cache.checkpoints[DESERT].machines.roi_floor, floor);
+        let ledger = append_days(&engine, &mut matrix, &mut cache, APPENDED);
+        assert_eq!(ledger.counter("delta/peak_fallbacks"), 0);
+        assert_eq!(ledger.counter("delta/resumed_units"), 1);
+        assert_eq!(ledger.counter("delta/rejudged_peaks"), 1);
+        assert_eq!(cache.checkpoints[DESERT].roi.peak, brightest * a);
+    }
+
+    /// One trace-gap fault: about one gap per 20-day horizon.
+    fn sparse_gaps() -> Vec<FaultSpec> {
+        vec![FaultSpec::TraceGap {
+            gaps_per_100_days: 5.0,
+            mean_slots: 20.0,
+        }]
+    }
+
+    #[test]
+    fn trace_gap_rung_resumes_when_no_grown_gap_starts_earlier() {
+        // At master seed 22 the 30-day realization's one gap starts on
+        // day 23 and the 31-day one's on day 24, so the unit
+        // checkpoints at the day-23 rung and a one-day append walks 8
+        // days instead of 31. A dropped series keeps only its tail at
+        // day 30, which lacks the days from the rung on, so that unit
+        // synthesizes its series whole once more.
+        for (policy, generations) in [
+            (TraceCachePolicy::unbounded(), 0),
+            (TraceCachePolicy::bounded(0), 1),
+        ] {
+            let engine = FleetEngine::new(22).with_trace_cache(policy);
+            let mut matrix = matrix_of(vec![builtin(DESERT, 30, sparse_gaps())]);
+            let mut cache = engine.new_cache();
+            engine.run_cached(&matrix, &mut cache).unwrap();
+            assert_eq!(cache.checkpoints[DESERT].day, 23);
+            let ledger = append_days(&engine, &mut matrix, &mut cache, 1);
+            assert_eq!(ledger.counter("delta/gap_fallbacks"), 0);
+            assert_eq!(ledger.counter("delta/resumed_units"), 1);
+            assert_eq!(ledger.counter("delta/rung_resumes"), 1);
+            assert_eq!(ledger.counter("slots/processed"), 8 * 48);
+            assert_eq!(ledger.counter("synth/trace_generations"), generations);
+            // The resumed walk captures the grown realization's rung.
+            assert_eq!(cache.checkpoints[DESERT].day, 24);
+        }
+    }
+
+    #[test]
+    fn trace_gap_rung_falls_back_when_a_grown_gap_starts_earlier() {
+        // At master seed 196 the 30-day realization's one gap starts on
+        // day 24, but the 31-day realization draws two gaps, the first
+        // on day 10: the checkpointed machines walked a slot the cold
+        // run corrupts, so the unit walks cold.
+        let engine = FleetEngine::new(196);
+        let mut matrix = matrix_of(vec![builtin(DESERT, 30, sparse_gaps())]);
+        let mut cache = engine.new_cache();
+        engine.run_cached(&matrix, &mut cache).unwrap();
+        assert_eq!(cache.checkpoints[DESERT].day, 24);
+        let ledger = append_days(&engine, &mut matrix, &mut cache, 1);
+        assert_eq!(ledger.counter("delta/gap_fallbacks"), 1);
+        assert_eq!(ledger.counter("delta/resumed_units"), 0);
+        assert_eq!(ledger.counter("delta/peak_fallbacks"), 0);
+        assert_eq!(ledger.counter("slots/processed"), 31 * 48);
+        assert_eq!(cache.checkpoints[DESERT].day, 10);
+    }
+
+    /// The fallback and resume counters of one unit of a day-append.
+    const UNIT_KINDS: [&str; 4] = [
+        "delta/resumed_units",
+        "delta/peak_fallbacks",
+        "delta/gap_fallbacks",
+        "delta/cold_fallbacks",
+    ];
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(16))]
+
+        /// Successive day-appends to random small matrices whose
+        /// scenarios mix trace gaps, climate dimming and sensor
+        /// dropout, under every retention policy: after every append
+        /// the scorecard equals a cold run byte for byte, no unit
+        /// falls back for want of a checkpoint, and each unit counts as
+        /// exactly one resume or one fallback.
+        #[test]
+        fn successive_day_appends_match_cold_runs(
+            seed in 0u64..100_000,
+            draws in proptest::collection::vec(
+                (25usize..36, 1u8..8, 0usize..40, 1usize..30, 20u32..=100, 1u32..40),
+                1..=2,
+            ),
+            appends in proptest::collection::vec(1usize..=3, 1..=3),
+        ) {
+            let names = [DESERT, "aging-node"];
+            let scenarios = draws.iter().zip(names).map(
+                |(&(days, kinds, start, duration, percent, rate), name)| {
+                    let mut faults = Vec::new();
+                    if kinds & 1 != 0 {
+                        faults.push(FaultSpec::TraceGap {
+                            gaps_per_100_days: f64::from(rate),
+                            mean_slots: f64::from(rate),
+                        });
+                    }
+                    if kinds & 2 != 0 {
+                        faults.push(dimming(start % days, duration, f64::from(percent) / 100.0));
+                    }
+                    if kinds & 4 != 0 {
+                        faults.push(FaultSpec::SensorDropout { rate: f64::from(rate) / 100.0 });
+                    }
+                    builtin(name, days, faults)
+                },
+            );
+            let base = matrix_of(scenarios.collect());
+            let first = &base.scenarios[0];
+            let about_one_series = (first.days * 48 * 16 + 4096) as u64;
+            for policy in [
+                TraceCachePolicy::unbounded(),
+                TraceCachePolicy::bounded(about_one_series),
+                TraceCachePolicy::bounded(0),
+            ] {
+                let engine = FleetEngine::new(seed).with_trace_cache(policy);
+                let mut matrix = base.clone();
+                let mut cache = engine.new_cache();
+                engine.run_cached(&matrix, &mut cache).unwrap();
+                for &days in &appends {
+                    let ledger = append_days(&engine, &mut matrix, &mut cache, days);
+                    proptest::prop_assert_eq!(ledger.counter("delta/cold_fallbacks"), 0);
+                    for scenario in &matrix.scenarios {
+                        let count = |key| ledger.scenario_counter(&scenario.name, key);
+                        let kinds: u64 = UNIT_KINDS.iter().map(|key| count(key)).sum();
+                        proptest::prop_assert_eq!(kinds, 1, "{} under {:?}", scenario.name, policy);
+                        let resumed = count("delta/resumed_units");
+                        proptest::prop_assert!(count("delta/rung_resumes") <= resumed);
+                        proptest::prop_assert!(count("delta/rejudged_peaks") <= resumed);
+                    }
+                }
+            }
         }
     }
 }

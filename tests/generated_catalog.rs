@@ -158,8 +158,9 @@ proptest! {
     /// through [`FleetEngine::run_delta`] matches a cold run byte for
     /// byte under every retention policy: everything kept, a budget
     /// that keeps about one series, and nothing kept (bare generator
-    /// tails only). Every unit without a trace-gap fault resumes or
-    /// falls back on its ROI peak; none falls back cold.
+    /// tails only). Every unit resumes, or falls back on its ROI peak or
+    /// on a trace gap placed before its checkpoint; none falls back for
+    /// want of a checkpoint.
     #[test]
     fn day_append_matches_cold_under_every_retention_policy(
         seed in 0u64..100_000,
@@ -180,11 +181,6 @@ proptest! {
             scenario.days += k;
         }
         let delta = FleetDelta::classify(&matrix, &grown).unwrap();
-        let resumable = grown
-            .scenarios
-            .iter()
-            .filter(|s| !s.faults.iter().any(|f| matches!(f, scenario_fleet::FaultSpec::TraceGap { .. })))
-            .count() as u64;
         // 16 B per slot plus a struct's worth of headroom: room for the
         // first series, not for all of them.
         let first = &matrix.scenarios[0];
@@ -209,8 +205,10 @@ proptest! {
             let ledger = collector.ledger();
             prop_assert_eq!(ledger.counter("delta/cold_fallbacks"), 0, "{:?}", policy);
             prop_assert_eq!(
-                ledger.counter("delta/resumed_units") + ledger.counter("delta/peak_fallbacks"),
-                resumable,
+                ledger.counter("delta/resumed_units")
+                    + ledger.counter("delta/peak_fallbacks")
+                    + ledger.counter("delta/gap_fallbacks"),
+                count as u64,
                 "{:?}",
                 policy
             );
